@@ -360,38 +360,6 @@ def _solver_config(config: ExperimentConfig, grid: SpectralGrid,
     return SolverConfig(**params)
 
 
-def _is_unit_cell(grid: SpectralGrid) -> bool:
-    return (abs(grid.L - 2 * np.pi) <= 1e-12 * 2 * np.pi
-            and abs(grid.h - 1.0) <= 1e-12)
-
-
-def _ledger_observer(grid: SpectralGrid, dt: float):
-    from .diagnostics import measure
-
-    with_nf = _is_unit_cell(grid)
-
-    def obs(i, t, s):
-        if with_nf:
-            return measure(s, dt=dt)
-        # outside the unit cell the normal-form ladder is undefined; ledger
-        # rows carry the plain quantities and nan for the NF columns
-        from .diagnostics import DiagnosticsRecord, control_norms, sobolev_Nn
-        from .dynamics import energy, momentum, taylor_field
-        from .normalform import _E0
-        d = diag_of(s)
-        e_ham, e_repr = energy(s)
-        A, B = control_norms(d)
-        return DiagnosticsRecord(
-            t=s.t, E_ham=e_ham, E_repr=e_repr, I=momentum(s),
-            E0=_E0(d.bW.values, d.R.values, s.g, grid),
-            E1_NF=np.nan, E13_high=np.nan,
-            taylor_min=taylor_field(s)[1],
-            A_proxy=A, B_proxy=B,
-            N1=sobolev_Nn(d, 1), N2=sobolev_Nn(d, 2), dt=dt)
-
-    return obs
-
-
 # ---------------------------------------------------------------------------
 # experiment kinds
 
@@ -406,11 +374,11 @@ def _run_simulate(config: ExperimentConfig, out_dir: str) -> list:
         method=config.solver.get("method", "ifrk4"),
         project_energy=config.solver.get("project_energy", True))
     write_snapshot(os.path.join(out_dir, "initial.snap"), state)
+    from .diagnostics import drift_report, measure
     final, records = evolve(state, solver,
-                            [_ledger_observer(grid, solver.dt)])
+                            [lambda i, t, s: measure(s, dt=solver.dt)])
     write_snapshot(os.path.join(out_dir, "final.snap"), final)
     write_series_csv(os.path.join(out_dir, "series.csv"), records)
-    from .diagnostics import drift_report
     rep = drift_report(records)
     exp = config.experiment
     # momentum of a standing wave is zero, so its drift is measured against

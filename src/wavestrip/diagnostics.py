@@ -43,8 +43,9 @@ class DiagnosticsRecord:
 
     ``E_ham`` is the Hamiltonian-form energy and ``E_repr`` its
     representation-form evaluation; ``I`` the momentum; ``taylor_min`` the
-    pointwise minimum of g + frak-a.  ``E2_NF`` is optional (n = 2 ladder
-    runs only).
+    pointwise minimum of g + frak-a.  An entry is None where it is not
+    defined: the normal-form columns off the unit cell, and ``E2_NF``
+    unless an n = 2 ladder was requested.
     """
 
     t: float
@@ -52,8 +53,8 @@ class DiagnosticsRecord:
     E_repr: float
     I: float
     E0: float
-    E1_NF: float
-    E13_high: float
+    E1_NF: Optional[float]
+    E13_high: Optional[float]
     taylor_min: float
     A_proxy: float
     B_proxy: float
@@ -166,11 +167,16 @@ def sobolev_Nn(obj: Union[DiagState, WaveState], n: int) -> float:
 
 def measure(state: WaveState, dt: float = 0.0,
             with_n2: bool = False) -> DiagnosticsRecord:
-    """Full ledger row for a state (normal-form energies need L = 2 pi, h = 1)."""
+    """Full ledger row for a state.
+
+    The normal-form columns (``E1_NF``, ``E13_high``, ``E2_NF``) need the
+    unit cell L = 2 pi, h = 1; on any other grid they are None.
+    """
     from .dynamics import diag_of, energy, momentum, taylor_field
-    from .normalform import nf_energy, cubic_energy_high, _E0
+    from .normalform import nf_energy, cubic_energy_high, is_unit_cell, _E0
 
     d = diag_of(state)
+    nf = is_unit_cell(state.grid)
     e_ham, e_repr = energy(state)
     _, tmin, _, _ = taylor_field(state)
     A, B = control_norms(d)
@@ -181,15 +187,15 @@ def measure(state: WaveState, dt: float = 0.0,
         E_repr=e_repr,
         I=momentum(state),
         E0=e0,
-        E1_NF=nf_energy(1, d),
-        E13_high=cubic_energy_high(1, d),
+        E1_NF=nf_energy(1, d) if nf else None,
+        E13_high=cubic_energy_high(1, d) if nf else None,
         taylor_min=tmin,
         A_proxy=A,
         B_proxy=B,
         N1=sobolev_Nn(d, 1),
         N2=sobolev_Nn(d, 2),
         dt=dt,
-        E2_NF=nf_energy(2, d) if with_n2 else None,
+        E2_NF=nf_energy(2, d) if nf and with_n2 else None,
     )
     rec.validate()
     return rec
@@ -227,7 +233,8 @@ def drift_report(series: Sequence[DiagnosticsRecord]) -> DriftReport:
         rel[name] = float(np.max(np.abs(x - x[0])) / max(abs(x[0]), 1e-300))
     rates = {}
     for name in _RATED:
-        x = np.array([getattr(r, name) for r in series])
+        # None (a column undefined on this grid) becomes nan
+        x = np.array([getattr(r, name) for r in series], dtype=float)
         if len(t) >= 2 and np.ptp(t) > 0:
             slope = float(np.polyfit(t, x, 1)[0])
         else:

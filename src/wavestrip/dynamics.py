@@ -168,8 +168,7 @@ def coefficients(state) -> Coefficients:
     Ra = deriv(R, grid)
     a = 2.0 * np.imag(project(dealias(R * np.conj(Ra), grid), grid, "holo"))
     a = dealias(a, grid)
-    m = 1.0 / np.cosh(grid.h * grid.xi) ** 2
-    a1 = g * np.fft.ifft(np.fft.fft(bW.real) * m).real
+    a1 = g * np.fft.ifft(np.fft.fft(bW.real) * grid.sech2).real
     Ya = deriv(Y, grid)
     M = 2.0 * np.real(project(dealias(R * np.conj(Ya) - np.conj(Ra) * Y, grid),
                               grid, "holo"))

@@ -79,6 +79,17 @@ class SpectralGrid:
         return 2.0 * np.pi * self.k / self.L
 
     @cached_property
+    def sech2(self) -> np.ndarray:
+        """Smoothing symbol sech^2(h xi) in FFT ordering.
+
+        Evaluated as 4 e^{-2|x|} / (1 + e^{-2|x|})^2, x = h xi, which cannot
+        overflow: cosh(x)^2 does once |x| exceeds about 355 (from N = 712
+        at unit depth on the 2 pi cell).
+        """
+        e = np.exp(-2.0 * np.abs(self.h * self.xi))
+        return 4.0 * e / (1.0 + e) ** 2
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean mask keeping the 2/3-rule band |k| <= N/3."""
         return np.abs(self.k) <= self.N // 3
@@ -183,7 +194,7 @@ def lh_apply(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 def smooth_one_plus_T2(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Apply 1 + T_h^2, i.e. the multiplier sech^2(h xi)."""
-    return apply_multiplier(f, 1.0 / np.cosh(grid.h * grid.xi) ** 2, grid)
+    return apply_multiplier(f, grid.sech2, grid)
 
 
 def dealias(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:

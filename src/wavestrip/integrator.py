@@ -213,7 +213,7 @@ def step_rk4(state: WaveState, dt: float, method: str = "rk4",
 
 def _project_to_invariant_shell(state: WaveState, E_target: float,
                                 I_target: float) -> WaveState:
-    """One Newton step of manifold projection onto the (energy, momentum) set.
+    """Project onto the (energy, momentum) level set of the initial state.
 
     The periodization of the decaying-line equations carries zero-mode
     anomalies: only one real convention constant (the imaginary mean of the
@@ -224,8 +224,15 @@ def _project_to_invariant_shell(state: WaveState, E_target: float,
     runs the standard remedy is post-step projection onto the invariant
     manifold; correcting along the energy gradient alone shifts the
     momentum by the same tiny amount it removes from the energy, so the
-    step targets the joint level set of both invariants (a 2x2 Newton
-    solve in the span of the two gradients).
+    correction lies in the span of both gradients and solves a 2x2 system
+    for the two coefficients.
+
+    The gradients and their symmetric Gram matrix are built once, at the
+    incoming state.  That matrix is only an O(amplitude^2)-accurate
+    Jacobian of the invariants along the two directions, so Newton steps
+    that reuse it converge linearly; each step therefore corrects it by
+    Broyden's rank-one rule from the residual it leaves, which makes the
+    iteration superlinear at the cost of one (energy, momentum) evaluation.
     """
     from .dynamics import energy, momentum, energy_gradient, momentum_gradient
     from .holo import inner_h
@@ -237,23 +244,27 @@ def _project_to_invariant_shell(state: WaveState, E_target: float,
                 + 0.5 * inner_h(lh_apply(p1[1], grid),
                                 lh_apply(p2[1], grid), grid))
 
+    def residual(s):
+        return np.array([E_target - energy(s)[0], I_target - momentum(s)])
+
+    gE = energy_gradient(state)
+    gI = momentum_gradient(state)
+    mEI = form(gE, gI)
+    M = np.array([[form(gE, gE), mEI], [mEI, form(gI, gI)]])
     tol = 1e-14 * max(abs(E_target), abs(I_target), 1e-300)
+    rhs = residual(state)
     for _ in range(4):
-        gE = energy_gradient(state)
-        gI = momentum_gradient(state)
-        M = np.array([[form(gE, gE), form(gE, gI)],
-                      [form(gI, gE), form(gI, gI)]])
-        rhs = np.array([E_target - energy(state)[0],
-                        I_target - momentum(state)])
         if np.max(np.abs(rhs)) < tol:
             break
-        scale = float(np.max(np.abs(M)))
-        if not scale > 0 or np.linalg.cond(M) > 1e12:
+        if not np.max(np.abs(M)) > 0 or np.linalg.cond(M) > 1e12:
             break
-        a, b = np.linalg.solve(M, rhs)
+        ds = np.linalg.solve(M, rhs)
+        a, b = ds
         state = state.with_fields(state.W.values + a * gE[0] + b * gI[0],
                                   state.Q.values + a * gE[1] + b * gI[1],
                                   t=state.t)
+        rhs = residual(state)
+        M -= np.outer(rhs, ds) / (ds @ ds)
     return state
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import SpectralGrid, deriv, inv_tilbert, tilbert, to_spectrum, dealias
 from .holo import HoloField, inner_h, weighted_inner
@@ -43,6 +44,7 @@ from .dynamics import DiagState
 __all__ = [
     "LINE_TOL",
     "SingularLineError",
+    "is_unit_cell",
     "PlanePoint",
     "dispersion_kit",
     "omega_resonance",
@@ -408,11 +410,15 @@ def system_residuals(xi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
 # lattice machinery (integer frequencies; requires L = 2 pi)
 
 
+def is_unit_cell(grid: SpectralGrid) -> bool:
+    """True on the cell the lattice sums are built for: L = 2 pi, h = 1."""
+    return (abs(grid.L - 2.0 * np.pi) <= 1e-12 * 2.0 * np.pi
+            and abs(grid.h - 1.0) <= 1e-12)
+
+
 def _require_unit_cell(grid: SpectralGrid) -> None:
-    if abs(grid.L - 2.0 * np.pi) > 1e-12 * 2.0 * np.pi:
-        raise ValueError("normal-form evaluation requires L = 2 pi (h = 1)")
-    if abs(grid.h - 1.0) > 1e-12:
-        raise ValueError("normal-form evaluation requires unit depth h = 1")
+    if not is_unit_cell(grid):
+        raise ValueError("normal-form evaluation requires L = 2 pi and h = 1")
 
 
 def _band_coeffs(values: np.ndarray, grid: SpectralGrid, band: int) -> np.ndarray:
@@ -729,46 +735,43 @@ def _preflip_cubic(n: int, w: np.ndarray, q: np.ndarray, g: float,
     so nothing grows; the front constant 2L is the discrete image of the
     continuum normalization (the symbol-1 calibration constant L times the
     explicit factor 2 of the trilinear representation).
+
+    Each sum runs over the lattice (xi, eta) = (j, k) and weights the
+    symbol by a factor of the output frequency zeta = -(j + k) alone:
+    zeta^{2n} times the flip defect of w for the B and C sums, and
+    coth(zeta) zeta^{2n+1} times that of q for the A and D sums.  Each
+    weight is therefore one vector over j + k, read as a Hankel matrix H (a
+    strided view, zero where |zeta| exceeds the band), and each sum is the
+    form c1 @ ((S * H) @ c2).
     """
     band = grid.N // 3
+    size = 2 * band + 1
     sym = _holo_symbol_grids(band)
     cw = _band_coeffs(w - np.mean(w), grid, band)
     cq = _band_coeffs(q - np.mean(q), grid, band)
     cwb = _conj_flip(cw)
     cqb = _conj_flip(cq)
-    j = np.arange(-band, band + 1)
-    XI, ETA = np.meshgrid(j.astype(float), j.astype(float), indexing="ij")
-    ZETA = -(XI + ETA)
-    inband = np.abs(ZETA) <= band
-    zi = (-(np.add.outer(j, j)))
-    zidx = np.where(inband, zi + band, 0)
-
-    def slot3(c):
-        out = np.where(inband, c[zidx], 0.0)
-        return out
-
-    wz = slot3(cw)          # w^(zeta)
-    wzb = slot3(cwb)        # conj(w^)(-zeta)
-    qz = slot3(cq)
-    qzb = slot3(cqb)
+    # output frequency zeta = -m for m = j + k in -2 band .. 2 band, and the
+    # flip defects conj(c^)(-zeta) - c^(zeta) along m, zero off the band
+    zeta = -np.arange(-2 * band, 2 * band + 1, dtype=float)
+    dw = np.pad((cwb - cw)[::-1], band)
+    dq = np.pad((cqb - cq)[::-1], band)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cothz = 1.0 / np.tanh(ZETA)
-    cothz = np.where(ZETA == 0.0, 0.0, cothz)
-    Z2n = ZETA ** (2 * n)
-    Z2n1 = cothz * ZETA ** (2 * n + 1)
-    dw = wzb - wz
-    dq = qzb - qz
+        coth = np.where(zeta == 0.0, 0.0, 1.0 / np.tanh(zeta))
+    Hw = sliding_window_view(zeta ** (2 * n) * dw, size)
+    Hq = sliding_window_view(coth * zeta ** (2 * n + 1) * dq, size)
 
-    def acc(weight, S, c1, c2):
-        return float(np.real(np.sum(weight * S * np.outer(c1, c2))))
+    def acc(H, S, c1, c2):
+        # einsum keeps this small matrix-vector product out of the threaded
+        # BLAS, whose start-up would cost more than the product itself
+        return float(np.real(c1 @ np.einsum("jk,k->j", S * H, c2)))
 
-    B_val = (acc(Z2n * dw, sym["Bh"], cw, cw)
-             + acc(Z2n * dw, sym["Ba"], cw, cwb))
-    A_val = (acc(Z2n * dw, sym["Ch"], cq, cq)
-             + acc(Z2n * dw, sym["Ca"], cq, cqb)
-             + acc(Z2n1 * dq, sym["Ah"], cw, cq)
-             + acc(Z2n1 * dq, sym["Aa"], cw, cqb)
-             + acc(Z2n1 * dq, sym["Da"], cq, cwb))
+    B_val = acc(Hw, sym["Bh"], cw, cw) + acc(Hw, sym["Ba"], cw, cwb)
+    A_val = (acc(Hw, sym["Ch"], cq, cq)
+             + acc(Hw, sym["Ca"], cq, cqb)
+             + acc(Hq, sym["Ah"], cw, cq)
+             + acc(Hq, sym["Aa"], cw, cqb)
+             + acc(Hq, sym["Da"], cq, cwb))
     return 2.0 * grid.L * (g * B_val + A_val)
 
 

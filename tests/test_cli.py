@@ -157,6 +157,27 @@ def test_run_simulate_and_report(tmp_path):
                                      "series.csv"}
 
 
+def test_simulate_off_unit_cell(tmp_path):
+    path = _write_config(tmp_path / "c.json", {
+        "grid": {"L": 4 * np.pi, "N": 64},
+        "init": {"surface_modes": [{"k": 1, "amplitude": 0.01}],
+                 "velocity_modes": [{"k": 2, "amplitude": 0.005}]},
+        "solver": {"T_final": 1.0},
+    })
+    out = tmp_path / "run"
+    assert run_experiment(load_config(path, "simulate"), str(out)) == 0
+    lines = (out / "series.csv").read_text().strip().split("\n")
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) > 2
+    for line in lines[1:]:
+        row = dict(zip(CSV_COLUMNS, map(float, line.split(","))))
+        for name, value in row.items():
+            if name in ("E1_NF", "E13_high"):
+                assert np.isnan(value)
+            else:
+                assert np.isfinite(value), name
+
+
 def test_zero_duration_run_preserves_snapshot(tmp_path):
     cfg = load_config(_simulate_config(tmp_path, T=0.0), "simulate")
     out = tmp_path / "run"

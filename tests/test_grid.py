@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,26 @@ def test_smooth_one_plus_T2(grid, rng):
     f = dealias(rng.standard_normal(grid.N), grid)
     want = f + tilbert(tilbert(f, grid), grid)
     assert np.allclose(smooth_one_plus_T2(f, grid), want, atol=1e-11)
+
+
+def test_sech2_symbol_without_overflow():
+    # at N = 1024, h xi reaches 512 and cosh(h xi)^2 overflows
+    from wavestrip.dynamics import WaveState, coefficients
+    from wavestrip.holo import holo_from_real
+    big = make_grid(2 * np.pi, 1024, 1.0)
+    x = big.nodes
+    state = WaveState(holo_from_real(0.01 * np.cos(x), big),
+                      holo_from_real(0.005 * np.sin(x), big), 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smoothed = smooth_one_plus_T2(np.cos(x), big)
+        coefficients(state)
+    assert np.allclose(smoothed, np.cos(x) / np.cosh(1.0) ** 2, atol=1e-14)
+    s = big.sech2
+    assert s[0] == 1.0 and np.all(np.isfinite(s)) and np.all(s >= 0.0)
+    low = np.abs(big.xi) < 300
+    assert np.allclose(s[low], 1.0 / np.cosh(big.xi[low]) ** 2,
+                       rtol=1e-14, atol=0.0)
 
 
 def test_apply_multiplier_rejects_nonfinite(grid):

@@ -22,8 +22,12 @@ from wavestrip.normalform import (
     high_forms,
     cubic_energy_high,
     _E0,
+    _band_coeffs,
+    _conj_flip,
+    _holo_symbol_grids,
+    _preflip_cubic,
 )
-from conftest import small_state
+from conftest import small_state, random_trace
 
 
 def test_dispersion_kit_values():
@@ -215,6 +219,43 @@ def test_nf_transform_requires_unit_cell():
     grid = make_grid(4 * np.pi, 64, 1.0)
     with pytest.raises(ValueError):
         nf_transform(small_state(grid, eps=0.01))
+
+
+def _preflip_cubic_loop(n, w, q, g, grid):
+    """The seven pre-flip double sums, term by term over the lattice."""
+    band = grid.N // 3
+    sym = _holo_symbol_grids(band)
+    cw = _band_coeffs(w - np.mean(w), grid, band)
+    cq = _band_coeffs(q - np.mean(q), grid, band)
+    cwb, cqb = _conj_flip(cw), _conj_flip(cq)
+    B = A = 0.0
+    for j in range(-band, band + 1):
+        for k in range(-band, band + 1):
+            z = -(j + k)
+            if abs(z) > band:
+                continue
+            a, b, c = j + band, k + band, z + band
+            s = {name: sym[name][a, b] for name in
+                 ("Ah", "Bh", "Ch", "Aa", "Ba", "Ca", "Da")}
+            ww = z ** (2 * n) * (cwb[c] - cw[c])
+            coth_z = 1.0 / np.tanh(z) if z else 0.0
+            wq = coth_z * z ** (2 * n + 1) * (cqb[c] - cq[c])
+            B += ww * (s["Bh"] * cw[a] * cw[b] + s["Ba"] * cw[a] * cwb[b])
+            A += (ww * (s["Ch"] * cq[a] * cq[b] + s["Ca"] * cq[a] * cqb[b])
+                  + wq * (s["Ah"] * cw[a] * cq[b] + s["Aa"] * cw[a] * cqb[b]
+                          + s["Da"] * cq[a] * cwb[b]))
+    return 2.0 * grid.L * (g * np.real(B) + np.real(A))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_preflip_cubic_matches_double_loop(n, rng):
+    grid = make_grid(2 * np.pi, 24, 1.0)
+    w = random_trace(grid, rng, scale=0.3, decay=1.0).values
+    q = random_trace(grid, rng, scale=0.3, decay=1.0).values
+    want = _preflip_cubic_loop(n, w, q, 1.3, grid)
+    assert abs(want) > 1e-6
+    assert np.isclose(_preflip_cubic(n, w, q, 1.3, grid), want,
+                      rtol=1e-12, atol=0.0)
 
 
 def test_nf_energy_quadratic_dominance(grid):
