@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import SpectralGrid, make_grid, to_spectrum, from_spectrum
+from .grid import SpectralGrid, make_grid, to_spectrum
 from .holo import HoloField, holo_from_real
 from .dynamics import WaveState, diag_of, scale_state
 from .integrator import SolverConfig, StepAbort, evolve, suggest_dt
@@ -45,15 +45,26 @@ __all__ = [
     "main",
 ]
 
-KINDS = ("simulate", "dispersion", "taylor-audit", "drift-scaling",
-         "lifespan", "symbols", "conformal", "scaling-check")
+# Artifacts each experiment kind writes and checksums into verdict.json.
+ARTIFACTS = {
+    "simulate": ("initial.snap", "final.snap", "series.csv"),
+    "dispersion": ("dispersion.csv",),
+    "taylor-audit": (),
+    "drift-scaling": (),
+    "lifespan": ("final.snap",),
+    "symbols": ("symbols.csv",),
+    "conformal": (),
+    "scaling-check": (),
+}
+
+KINDS = tuple(ARTIFACTS)
 
 CSV_COLUMNS = ("t", "E_ham", "E_repr", "I", "E0", "E1_NF", "E13_high",
                "taylor_min", "A_proxy", "B_proxy", "N1", "N2", "dt")
 
 OUT_ENV_VAR = "WAVESTRIP_OUT"
 
-_SNAPSHOT_LAYOUT = "complex64x2-le"
+_SNAPSHOT_LAYOUT = "samples-complex128x2-le"
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +85,6 @@ _SCHEMA = {
         "dt": float,
         "T_final": float,
         "cfl": float,
-        "dealias": bool,
         "observer_stride": int,
         "method": str,
         "project_energy": bool,
@@ -84,21 +94,8 @@ _SCHEMA = {
     "out": str,
 }
 
-_EXPERIMENT_SCHEMA = {
-    "simulate": {"energy_tol": float, "momentum_tol": float},
-    "dispersion": {"ks": [int], "amplitude": float, "tol": float,
-                   "cycles": float},
-    "taylor-audit": {"n_states": int, "c_min": float, "c_max": float,
-                     "modes": int, "slack": float},
-    "drift-scaling": {"eps": [float], "T": float, "N": int,
-                      "nf_range": [float], "e0_range": [float]},
-    "lifespan": {"eps": float, "horizon_factor": float, "growth_limit": float},
-    "symbols": {"n_points": int, "d_min": float, "rho_max": float,
-                "tol": float, "line_tol": float},
-    "conformal": {"tol": float, "ratio_low": float, "ratio_high": float},
-    "scaling-check": {"lam": float, "T": float, "tol": float},
-}
-
+# Per-kind experiment parameters; each value's type (a list's element type)
+# is also its schema.
 _EXPERIMENT_DEFAULTS = {
     "simulate": {"energy_tol": 1e-8, "momentum_tol": 1e-8},
     "dispersion": {"ks": [1, 2, 5], "amplitude": 1e-6, "tol": 1e-4,
@@ -191,10 +188,10 @@ def load_config(path: str, kind: str) -> ExperimentConfig:
     data = {k: _coerce(v, _SCHEMA[k], k) for k, v in raw.items()}
     exp = dict(_EXPERIMENT_DEFAULTS[kind])
     user_exp = data.get("experiment", {})
-    schema = _EXPERIMENT_SCHEMA[kind]
-    _check_keys(user_exp, schema, "experiment.")
+    _check_keys(user_exp, exp, "experiment.")
     for k, v in user_exp.items():
-        exp[k] = _coerce(v, schema[k], f"experiment.{k}")
+        spec = [type(exp[k][0])] if isinstance(exp[k], list) else type(exp[k])
+        exp[k] = _coerce(v, spec, f"experiment.{k}")
     grid = {"L": 2 * np.pi, "N": 128, "h": 1.0}
     grid.update(data.get("grid", {}))
     return ExperimentConfig(
@@ -213,32 +210,22 @@ def load_config(path: str, kind: str) -> ExperimentConfig:
 # snapshots and series
 
 
-def _field_spectrum(f: HoloField) -> np.ndarray:
-    """Spectrum of a field, reusing the exact coefficients a snapshot read
-    attached (FFT round trips are not bit-exact, file round trips must be)."""
-    cached = getattr(f, "_raw_spectrum", None)
-    computed = to_spectrum(f.values)
-    if cached is not None:
-        scale = float(np.max(np.abs(cached))) or 1.0
-        if np.max(np.abs(cached - computed)) <= 1e-13 * scale:
-            return cached
-    return computed
-
-
 def write_snapshot(path: str, state: WaveState) -> None:
-    """JSON header line + raw little-endian spectra of W then Q."""
+    """JSON header line + raw little-endian complex samples of W then Q.
+
+    Samples, not spectra, so that a write/read cycle returns the state bit
+    for bit and a run continued from a snapshot matches an unbroken run.
+    """
     grid = state.grid
     header = {
         "L": grid.L, "N": grid.N, "g": state.g, "h": state.h, "t": state.t,
         "layout": _SNAPSHOT_LAYOUT,
     }
-    cw = np.ascontiguousarray(_field_spectrum(state.W), dtype="<c16")
-    cq = np.ascontiguousarray(_field_spectrum(state.Q), dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(cw.tobytes())
-        fh.write(cq.tobytes())
+        for f in (state.W, state.Q):
+            fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
 
 
 def read_snapshot(path: str) -> WaveState:
@@ -252,12 +239,8 @@ def read_snapshot(path: str) -> WaveState:
     n_bytes = grid.N * 16
     if len(payload) != 2 * n_bytes:
         raise ValueError("snapshot payload size does not match header")
-    cw = np.frombuffer(payload[:n_bytes], dtype="<c16")
-    cq = np.frombuffer(payload[n_bytes:], dtype="<c16")
-    W = HoloField(grid, from_spectrum(cw))
-    Q = HoloField(grid, from_spectrum(cq))
-    object.__setattr__(W, "_raw_spectrum", cw)
-    object.__setattr__(Q, "_raw_spectrum", cq)
+    W, Q = (HoloField(grid, np.frombuffer(part, dtype="<c16").copy())
+            for part in (payload[:n_bytes], payload[n_bytes:]))
     return WaveState(W, Q, header["g"], header["h"], t=header["t"])
 
 
@@ -298,10 +281,8 @@ class Verdict:
 
 
 def _write_verdicts(out_dir: str, kind: str, verdicts, extra=None) -> None:
-    checksums = {}
-    for name in sorted(os.listdir(out_dir)):
-        if name.endswith(".csv") or name.endswith(".snap"):
-            checksums[name] = _sha256(os.path.join(out_dir, name))
+    checksums = {name: _sha256(os.path.join(out_dir, name))
+                 for name in ARTIFACTS[kind]}
     doc = {
         "kind": kind,
         "verdicts": [v.as_dict() for v in verdicts],
@@ -706,9 +687,13 @@ def main(argv=None) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     out_dir = (args.out or os.environ.get(OUT_ENV_VAR) or config.out
                or os.path.join("runs", config.kind))
-    status = run_experiment(config, out_dir)
-    if status == 0 or status == 1:
-        print(emit_report(out_dir))
+    try:
+        status = run_experiment(config, out_dir)
+        if status == 0 or status == 1:
+            print(emit_report(out_dir))
+    except (ValueError, RuntimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return status
 
 

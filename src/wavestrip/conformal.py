@@ -16,12 +16,12 @@ trigonometric interpolation.  It contracts for small surface slope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import SpectralGrid, deriv, inv_tilbert, to_spectrum
-from .holo import HoloField, inner_h, sobolev_norm, sobolev_weight
+from .holo import HoloField, sobolev_norm
 
 __all__ = [
     "SurfaceGraph",
@@ -184,9 +184,7 @@ def norm_comparability(surface: SurfaceGraph, W: HoloField,
         hj_eta = sobolev_norm(surface.eta, j, grid, base="l2")
         graph = h ** (-j) * l2_eta + hj_eta
         l2_w = float(np.linalg.norm(W.values)) * dx_weight
-        c = to_spectrum(W.values) * sobolev_weight(grid.xi, h, j)
-        wj = np.fft.ifft(c * grid.N)
-        hj_w = float(np.sqrt(max(inner_h(wj, wj, grid), 0.0)))
+        hj_w = sobolev_norm(W.values, j, grid, base="holo")
         holo = h ** (-j) * l2_w + hj_w
         rows.append(ComparabilityRow(j, graph, holo))
     return rows

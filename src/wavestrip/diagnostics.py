@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .grid import SpectralGrid, apply_multiplier, to_spectrum
+from .grid import SpectralGrid, apply_multiplier, from_spectrum, to_spectrum
 from .holo import norm_calH, sobolev_norm, sobolev_weight
 from .dynamics import WaveState, DiagState
 
@@ -104,7 +104,7 @@ def bmo_proxy(values: np.ndarray, grid: SpectralGrid) -> float:
     """
     c = to_spectrum(values)
     low_mask = np.abs(grid.xi) < 1.0 / grid.h
-    low = np.fft.ifft(np.where(low_mask, c, 0.0) * grid.N)
+    low = from_spectrum(np.where(low_mask, c, 0.0))
     high = np.asarray(values, dtype=complex) - low
     if np.isrealobj(values):
         low = low.real
@@ -138,7 +138,7 @@ def control_norms(diag: DiagState) -> tuple[float, float]:
     c = to_spectrum(Rh)
     besov = 0.0
     for mask in _dyadic_block_masks(grid):
-        block = np.fft.ifft(np.where(mask, c, 0.0) * grid.N)
+        block = from_spectrum(np.where(mask, c, 0.0))
         besov = max(besov, _l2(block, grid))
     A = (_sup(bW) + _sup(diag.Y)
          + g ** -0.5 * max(_sup(Rh), besov))

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import SpectralGrid, dealias, deriv, inv_tilbert, lh_apply, tilbert
-from .holo import HoloField, inner_h, norm_calH, project, weighted_inner
+from .holo import HoloField, inner_h, pair_form, project, weighted_inner
 
 __all__ = [
     "WaveState",
@@ -177,6 +177,22 @@ def coefficients(state) -> Coefficients:
     return Coefficients(F=F, b=b, J=J, Y=Y, a=a, a1=a1, M=M, d=d)
 
 
+def _real_mean_projection(u: np.ndarray, grid: SpectralGrid):
+    """P[u] with its cell mean pinned real, and the imaginary constant removed.
+
+    Depth-gauge convention of the transport speed F = P[(Q_a - conj Q_a)/J]
+    and of its linearization: the projection assigns F a complex cell mean,
+    and an imaginary constant times a holomorphic trace is not a holomorphic
+    trace, so keeping it would push the flow off the constraint manifold at
+    O(eps^3) per unit time.  Pinning the zero mode of F to be real (the one
+    free convention constant of the periodic cell) keeps the right-hand side
+    exactly class-preserving.
+    """
+    p = project(dealias(u, grid), grid, "holo")
+    ci = 1j * float(np.mean(p).imag)
+    return p - ci, ci
+
+
 def rhs_full(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative (W_t, Q_t) of the full system."""
     grid = state.grid
@@ -188,14 +204,7 @@ def rhs_full(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     J = np.abs(one_pW) ** 2
     if np.min(J) <= 0:
         raise ValueError("degenerate state: J <= 0")
-    F = project(dealias((Qa - np.conj(Qa)) / J, grid), grid, "holo")
-    # Depth-gauge convention: the projection assigns the transport speed a
-    # complex cell mean, and an imaginary constant times a holomorphic trace
-    # is not a holomorphic trace, so keeping it would push the flow off the
-    # constraint manifold at O(eps^3) per unit time.  Pinning the zero mode
-    # of F to be real (the one free convention constant of the periodic
-    # cell) keeps the right-hand side exactly class-preserving.
-    F = F - 1j * float(np.mean(F).imag)
+    F, _ = _real_mean_projection((Qa - np.conj(Qa)) / J, grid)
     Wt = -dealias(F * one_pW, grid)
     Qt = (-dealias(F * Qa, grid) + g * tilbert(Wv, grid)
           - project(dealias(np.abs(Qa) ** 2 / J, grid), grid, "holo"))
@@ -218,25 +227,16 @@ def rhs_diag(state: DiagState) -> tuple[np.ndarray, np.ndarray]:
     return dealias(bWt, grid), dealias(Rt, grid)
 
 
-def taylor_field(state) -> tuple[np.ndarray, float, float, float]:
+def taylor_field(state: WaveState) -> tuple[np.ndarray, float, float, float]:
     """Taylor-sign field g + frak_a with its certified lower bound.
 
-    Returns ``(field, min value, c, g(c+h))`` where ``c = min Im W``.  For a
-    DiagState, Im W is recovered from bW in the zero-mean gauge.
+    Returns ``(field, min value, c, g(c+h))`` where ``c = min Im W``.
     """
     c = coefficients(state)
-    grid, g = state.grid, state.g
-    if isinstance(state, WaveState):
-        imW = state.W.values.imag
-    else:
-        # Im W recovered as the mean-free antiderivative of bW = W_alpha
-        spec = np.fft.fft(state.bW.values) / grid.N
-        with np.errstate(divide="ignore", invalid="ignore"):
-            anti = np.where(grid.xi != 0.0, spec / (1j * grid.xi), 0.0)
-        imW = np.fft.ifft(anti * grid.N).imag
+    g = state.g
     field = g + c.frak_a
-    cmin = float(np.min(imW))
-    return field, float(np.min(field)), cmin, g * (cmin + grid.h)
+    cmin = float(np.min(state.W.values.imag))
+    return field, float(np.min(field)), cmin, g * (cmin + state.grid.h)
 
 
 def energy(state: WaveState) -> tuple[float, float]:
@@ -276,21 +276,23 @@ def energy_gradient(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     return dealias(gW, grid), state.Q.values.copy()
 
 
-def _op_A(state: WaveState, w: np.ndarray) -> np.ndarray:
+def _frame(state: WaveState):
+    """(W_alpha, Q_alpha, J) at ``state``: what every structure operator reads."""
     grid = state.grid
     Wa = deriv(state.W.values, grid)
-    J = np.abs(1.0 + Wa) ** 2
+    return Wa, deriv(state.Q.values, grid), np.abs(1.0 + Wa) ** 2
+
+
+def _op_A(frame, w: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    Wa, _, J = frame
     wa = deriv(w, grid)
     return -dealias((1.0 + Wa)
                     * project(dealias((wa - np.conj(wa)) / J, grid), grid, "holo"),
                     grid)
 
 
-def _op_B(state: WaveState, q: np.ndarray) -> np.ndarray:
-    grid = state.grid
-    Wa = deriv(state.W.values, grid)
-    Qa = deriv(state.Q.values, grid)
-    J = np.abs(1.0 + Wa) ** 2
+def _op_B(frame, q: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    _, Qa, J = frame
     qa = deriv(q, grid)
     term1 = -dealias(Qa * project(dealias((qa - np.conj(qa)) / J, grid),
                                   grid, "holo"), grid)
@@ -300,23 +302,25 @@ def _op_B(state: WaveState, q: np.ndarray) -> np.ndarray:
     return term1 + term2
 
 
-def _op_C(state: WaveState, w: np.ndarray) -> np.ndarray:
-    grid = state.grid
-    Wa = deriv(state.W.values, grid)
-    J = np.abs(1.0 + Wa) ** 2
+def _op_C(frame, w: np.ndarray, g: float, grid: SpectralGrid) -> np.ndarray:
+    Wa, _, J = frame
     mix = (project(dealias((1.0 + np.conj(Wa)) * tilbert(w, grid), grid),
                    grid, "holo")
            + project(dealias((1.0 + Wa) * tilbert(np.conj(w), grid), grid),
                      grid, "anti"))
-    return state.g * project(dealias(mix / J, grid), grid, "holo")
+    return g * project(dealias(mix / J, grid), grid, "holo")
+
+
+def _structure(state: WaveState, frame, pair) -> tuple[np.ndarray, np.ndarray]:
+    w, q = (np.asarray(p, dtype=np.complex128) for p in pair)
+    grid = state.grid
+    return (_op_A(frame, q, grid),
+            _op_C(frame, w, state.g, grid) + _op_B(frame, q, grid))
 
 
 def structure_matrix_apply(state: WaveState, pair) -> tuple[np.ndarray, np.ndarray]:
     """Apply the Hamiltonian structure matrix [[0, A], [C, B]] at ``state``."""
-    w, q = pair
-    w = np.asarray(w, dtype=np.complex128)
-    q = np.asarray(q, dtype=np.complex128)
-    return _op_A(state, q), _op_C(state, w) + _op_B(state, q)
+    return _structure(state, _frame(state), pair)
 
 
 def momentum_gradient(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +330,7 @@ def momentum_gradient(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     return inv_tilbert(Qa, grid) / state.g, -state.W.values.copy()
 
 
-def _zero_mode_anomaly_energy(state: WaveState) -> float:
+def _zero_mode_anomaly_energy(state: WaveState, Wa: np.ndarray) -> float:
     """Gauge constant leaking into C[dE_W] on the periodic cell.
 
     Two zero modes with no decaying-line counterpart enter the structure
@@ -339,7 +343,6 @@ def _zero_mode_anomaly_energy(state: WaveState) -> float:
     """
     grid = state.grid
     Wv = state.W.values
-    Wa = deriv(Wv, grid)
     TWa = tilbert(Wa, grid)
     arg = dealias(np.conj(Wv) * TWa, grid)
     mu2 = np.mean(project(arg, grid, "holo"))
@@ -357,29 +360,22 @@ def hamiltonian_vf(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     Includes the periodic zero-mode gauge correction (see
     :func:`_zero_mode_anomaly_energy`); without it the route differs from
     :func:`rhs_full` by a non-constant O(eps^3) artifact of the cell's zero
-    mode, which has no counterpart in the decaying-line calculus.
+    mode, which has no counterpart in the decaying-line calculus.  The
+    transport speed's mean is pinned real as in :func:`rhs_full`.
     """
     grid = state.grid
-    dW, dQ = structure_matrix_apply(state, energy_gradient(state))
-    Wa = deriv(state.W.values, grid)
-    Qa = deriv(state.Q.values, grid)
-    J = np.abs(1.0 + Wa) ** 2
-    c = _zero_mode_anomaly_energy(state)
+    frame = _frame(state)
+    Wa, Qa, J = frame
+    dW, dQ = _structure(state, frame, energy_gradient(state))
+    c = _zero_mode_anomaly_energy(state, Wa)
     corr = state.g * c * project(dealias(1.0 / J, grid), grid, "holo")
-    # match the real-zero-mode convention of the transport speed in rhs_full
-    F = project(dealias((Qa - np.conj(Qa)) / J, grid), grid, "holo")
-    ci = 1j * float(np.mean(F).imag)
+    _, ci = _real_mean_projection((Qa - np.conj(Qa)) / J, grid)
     dW = dW + ci * (1.0 + Wa)
     dQ = dQ - corr + ci * Qa
     # every pairing in the structure route is blind to additive constants in
     # Q, so the zero mode of the Q row is a convention, not a prediction;
-    # fix it to the transport convention of the evolution equations
-    F = F - ci
-    q_conv = np.mean(-dealias(F * Qa, grid)
-                     + state.g * tilbert(state.W.values, grid)
-                     - project(dealias(np.abs(Qa) ** 2 / J, grid), grid,
-                               "holo"))
-    return dW, dQ - np.mean(dQ) + q_conv
+    # take it from the evolution equations
+    return dW, dQ - np.mean(dQ) + np.mean(rhs_full(state)[1])
 
 
 def momentum_vf(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
@@ -391,12 +387,10 @@ def momentum_vf(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     removing m_r (1 + W_alpha) from the first row and m_r Q_alpha from the
     second closes the identity to round-off at every amplitude.
     """
-    grid = state.grid
-    Wa = deriv(state.W.values, grid)
-    Qa = deriv(state.Q.values, grid)
-    J = np.abs(1.0 + Wa) ** 2
+    frame = _frame(state)
+    Wa, Qa, J = frame
     m_r = float(np.mean((1.0 + np.conj(Wa)) / J).real) - 1.0
-    rw, rq = structure_matrix_apply(state, momentum_gradient(state))
+    rw, rq = _structure(state, frame, momentum_gradient(state))
     return rw - m_r * (1.0 + Wa), rq - m_r * Qa
 
 
@@ -406,13 +400,9 @@ def skew_check(state: WaveState, X, Y) -> float:
     The reference bilinear form is g/2 <.,.> + 1/2 <L., L.> on pairs.
     """
     grid = state.grid
-    g = state.g
 
-    def form(P1, P2):
-        w1, q1 = P1
-        w2, q2 = P2
-        return (0.5 * g * inner_h(w1, w2, grid)
-                + 0.5 * inner_h(lh_apply(q1, grid), lh_apply(q2, grid), grid))
+    def form(p1, p2):
+        return pair_form(p1, p2, state.g, grid)
 
     MX = structure_matrix_apply(state, X)
     MY = structure_matrix_apply(state, Y)
@@ -432,15 +422,13 @@ def rhs_linearized(state: WaveState, pair) -> tuple[np.ndarray, np.ndarray]:
     one_pW = 1.0 + Wa
     J = np.abs(one_pW) ** 2
     R = Qa / one_pW
-    F = project(dealias((Qa - np.conj(Qa)) / J, grid), grid, "holo")
-    F = F - 1j * float(np.mean(F).imag)
+    F, _ = _real_mean_projection((Qa - np.conj(Qa)) / J, grid)
     wa = deriv(w, grid)
     qa = deriv(q, grid)
     m = (qa - R * wa) / J + np.conj(R) * wa / one_pW ** 2
     n = np.conj(R) * (qa - R * wa) / one_pW
-    Pm = project(dealias(m - np.conj(m), grid), grid, "holo")
     # linearization of the real-zero-mode gauge applied to F above
-    Pm = Pm - 1j * float(np.mean(Pm).imag)
+    Pm, _ = _real_mean_projection(m - np.conj(m), grid)
     Pn = project(dealias(n + np.conj(n), grid), grid, "holo")
     wt = -dealias(F * wa, grid) - dealias(Pm * one_pW, grid)
     qt = (-dealias(F * qa, grid) - dealias(Pm * Qa, grid)
@@ -476,7 +464,7 @@ def model_energies(state, pair, omega=None) -> tuple[float, float]:
     E2_lin       = <w, w>_{g + frak_a} + <L r, L r>
     E2_omega_lin = <w, w>_{(g + frak_a) omega} + <L r, L r>_omega
     """
-    grid = state.grid if hasattr(state, "grid") else state.W.grid
+    grid = state.grid
     c = coefficients(state)
     w, r = (np.asarray(p, dtype=np.complex128) for p in pair)
     weight = state.g + c.frak_a

@@ -10,6 +10,11 @@ The depth enters through the Tilbert transform, the Fourier multiplier
 ``-i tanh(h xi)`` -- the finite-depth analogue of the Hilbert transform -- and
 the operators built from it (its gauged inverse, the half-order elliptic
 weight L_h, and the smoothing multiplier sech^2(h xi)).
+
+Every Fourier symbol of the calculus, with its zero-mode and Nyquist
+conventions, is built once per grid as a read-only cached attribute of
+:class:`SpectralGrid`, and every transform goes through :func:`to_spectrum`
+and :func:`from_spectrum`.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "deriv",
     "tilbert",
     "inv_tilbert",
+    "antideriv",
     "lh_apply",
     "lh_symbol",
     "smooth_one_plus_T2",
@@ -79,6 +85,50 @@ class SpectralGrid:
         return 2.0 * np.pi * self.k / self.L
 
     @cached_property
+    def tanh(self) -> np.ndarray:
+        """tanh(h xi), the Tilbert symbol's magnitude, in FFT ordering."""
+        return _frozen(np.tanh(self.h * self.xi))
+
+    @cached_property
+    def neg_index(self) -> np.ndarray:
+        """Index of the mode -k for each mode k: (-k) mod N."""
+        return _frozen((-self.k) % self.N)
+
+    @cached_property
+    def tilbert_symbol(self) -> np.ndarray:
+        """-i tanh(h xi); the unpaired Nyquist mode gets the odd-symbol value 0
+        so that real fields map to real fields exactly."""
+        m = -1j * self.tanh
+        m[self.nyquist_index] = 0.0
+        return _frozen(m)
+
+    @cached_property
+    def inv_tilbert_symbol(self) -> np.ndarray:
+        """i coth(h xi), gauged to 0 on the mean and (odd symbol) at Nyquist."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = 1j / self.tanh
+        m[0] = 0.0
+        m[self.nyquist_index] = 0.0
+        return _frozen(m)
+
+    @cached_property
+    def lh(self) -> np.ndarray:
+        """Symbol of L_h, see :func:`lh_symbol`."""
+        return _frozen(lh_symbol(self.xi, self.h))
+
+    @cached_property
+    def project_coeffs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(interior mask, 2 - t - 1/t, 1/t - t) of the holomorphic projection.
+
+        t = tanh(h xi) on the interior modes k != 0, N/2; the two gauge modes
+        are excluded, see :func:`wavestrip.holo.project`.
+        """
+        interior = (self.k != 0) & (np.abs(self.k) != self.nyquist_index)
+        t = self.tanh[interior]
+        return (_frozen(interior), _frozen(2.0 - t - 1.0 / t),
+                _frozen(1.0 / t - t))
+
+    @cached_property
     def sech2(self) -> np.ndarray:
         """Smoothing symbol sech^2(h xi) in FFT ordering.
 
@@ -87,12 +137,12 @@ class SpectralGrid:
         at unit depth on the 2 pi cell).
         """
         e = np.exp(-2.0 * np.abs(self.h * self.xi))
-        return 4.0 * e / (1.0 + e) ** 2
+        return _frozen(4.0 * e / (1.0 + e) ** 2)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean mask keeping the 2/3-rule band |k| <= N/3."""
-        return np.abs(self.k) <= self.N // 3
+        return _frozen(np.abs(self.k) <= self.N // 3)
 
     @property
     def nyquist_index(self) -> int:
@@ -104,6 +154,12 @@ class SpectralGrid:
     def require_same(self, other: "SpectralGrid") -> None:
         if not self.same_as(other):
             raise ValueError(f"grid mismatch: {self} vs {other}")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a cached per-grid array read-only, so no caller can alter it."""
+    a.setflags(write=False)
+    return a
 
 
 def make_grid(L: float, N: int, h: float) -> SpectralGrid:
@@ -126,11 +182,11 @@ def from_spectrum(coeffs: np.ndarray) -> np.ndarray:
 def apply_multiplier(f: np.ndarray, m, grid: SpectralGrid) -> np.ndarray:
     """Apply a Fourier multiplier ``m`` to a sampled field.
 
-    ``m`` may be a callable of the wavenumber array or a precomputed array of
-    per-mode values in FFT ordering.  Real input with a symbol of proper
-    parity comes back real (the tiny imaginary round-off is dropped).
+    ``m`` holds the per-mode values in FFT ordering.  Real input with a
+    symbol of proper parity comes back real (the tiny imaginary round-off is
+    dropped).
     """
-    mvals = np.asarray(m(grid.xi) if callable(m) else m)
+    mvals = np.asarray(m)
     if not np.all(np.isfinite(mvals)):
         raise ValueError("multiplier is not finite at every grid wavenumber")
     was_real = np.isrealobj(f)
@@ -148,17 +204,9 @@ def deriv(f: np.ndarray, grid: SpectralGrid, order: int = 1) -> np.ndarray:
     return apply_multiplier(f, (1j * grid.xi) ** order, grid)
 
 
-def _tilbert_symbol(grid: SpectralGrid) -> np.ndarray:
-    m = -1j * np.tanh(grid.h * grid.xi)
-    # The symbol is odd; the unpaired Nyquist mode is assigned the odd-symbol
-    # convention value 0 so that real fields map to real fields exactly.
-    m[grid.nyquist_index] = 0.0
-    return m
-
-
 def tilbert(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Tilbert transform: Fourier multiplier -i tanh(h xi)."""
-    return apply_multiplier(f, _tilbert_symbol(grid), grid)
+    return apply_multiplier(f, grid.tilbert_symbol, grid)
 
 
 def inv_tilbert(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -167,11 +215,20 @@ def inv_tilbert(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     The zero mode has no well-defined preimage under the Tilbert transform;
     on the periodic cell the constant is pure gauge and is mapped to 0.
     """
+    return apply_multiplier(f, grid.inv_tilbert_symbol, grid)
+
+
+def antideriv(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Mean-free spectral antiderivative (complex samples).
+
+    The mean has no preimage under d/dalpha and the unpaired Nyquist mode
+    follows the odd-symbol convention; both map to 0.
+    """
+    c = to_spectrum(f)
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = 1j / np.tanh(grid.h * grid.xi)
-    m[0] = 0.0
-    m[grid.nyquist_index] = 0.0  # odd-symbol convention, as in tilbert
-    return apply_multiplier(f, m, grid)
+        a = np.where(grid.xi != 0.0, c / (1j * grid.xi), 0.0)
+    a[grid.nyquist_index] = 0.0
+    return from_spectrum(a)
 
 
 def lh_symbol(xi: np.ndarray, h: float) -> np.ndarray:
@@ -189,7 +246,7 @@ def lh_symbol(xi: np.ndarray, h: float) -> np.ndarray:
 
 def lh_apply(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Apply the positive self-adjoint operator L_h."""
-    return apply_multiplier(f, lh_symbol(grid.xi, grid.h), grid)
+    return apply_multiplier(f, grid.lh, grid)
 
 
 def smooth_one_plus_T2(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:

@@ -17,16 +17,16 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (
     SpectralGrid,
     dealias,
+    from_spectrum,
     lh_apply,
     tilbert,
-    inv_tilbert,
     to_spectrum,
     product,
 )
@@ -38,6 +38,7 @@ __all__ = [
     "project",
     "inner_h",
     "weighted_inner",
+    "pair_form",
     "norm_calH",
     "sobolev_weight",
     "sobolev_norm",
@@ -120,15 +121,14 @@ def flip_residual(values: np.ndarray, grid: SpectralGrid, floor: float = 2e-5) -
     skipped as unresolvable rather than counted as violations.
     """
     c = to_spectrum(values)
-    k = grid.k
-    idx_neg = (-k) % grid.N
-    lhs = np.conj(c[idx_neg])
+    cneg = c[grid.neg_index]
+    lhs = np.conj(cneg)
     with np.errstate(over="ignore"):
         rhs = np.exp(2.0 * grid.h * grid.xi) * c
     rhs = np.where(np.isfinite(rhs), rhs, 0.0)
     scale = float(np.max(np.abs(c))) or 1.0
-    mask = (k != 0) & (np.abs(k) != grid.N // 2)
-    mask &= np.minimum(np.abs(c), np.abs(c[idx_neg])) > floor * scale
+    mask = grid.project_coeffs[0] & (np.minimum(np.abs(c), np.abs(cneg))
+                                     > floor * scale)
     if not np.any(mask):
         return 0.0
     return float(np.max(np.abs(lhs[mask] - rhs[mask]) /
@@ -151,8 +151,7 @@ def holo_from_spectrum(coeffs_pos, grid: SpectralGrid) -> HoloField:
     for k, a in enumerate(np.atleast_1d(coeffs_pos), start=1):
         c[k] = a
         c[-k] = np.conj(a)
-    re = np.fft.ifft(c * grid.N).real
-    return holo_from_real(re, grid)
+    return holo_from_real(from_spectrum(c).real, grid)
 
 
 def _values(f) -> np.ndarray:
@@ -166,28 +165,21 @@ def project(f, grid: SpectralGrid, which: str = "holo") -> np.ndarray:
 
         (P u)_k = 1/4 [(2 - t_k - 1/t_k) u_k + (1/t_k - t_k) conj(u_{-k})],
 
-    with t_k = tanh(h xi_k) for k != 0.  The zero mode (where T^{-1} is
-    gauged to 0) maps to u_0 / 2, so P + Pbar = identity including the mean.
+    with t_k = tanh(h xi_k) for k != 0, N/2 (the grid's ``project_coeffs``).
+    On the two gauge modes, the mean (where T^{-1} is gauged to 0) and the
+    Nyquist mode, u_k is split evenly, so P + Pbar = identity including the
+    mean.
     """
     if which not in ("holo", "anti"):
         raise ValueError(f"which must be 'holo' or 'anti', got {which!r}")
-    v = np.asarray(_values(f), dtype=np.complex128)
-    c = to_spectrum(v)
-    k = grid.k
-    t = np.tanh(grid.h * grid.xi)
-    nyq = grid.N // 2
-    cc = np.conj(c[(-k) % grid.N])
-    out = np.empty_like(c)
-    interior = (k != 0) & (np.abs(k) != nyq)
-    ti = t[interior]
-    out[interior] = 0.25 * ((2.0 - ti - 1.0 / ti) * c[interior]
-                            + (1.0 / ti - ti) * cc[interior])
-    # gauge modes: T^{-1} undefined; split evenly so P + Pbar = identity
-    out[k == 0] = 0.5 * c[k == 0]
-    out[np.abs(k) == nyq] = 0.5 * c[np.abs(k) == nyq]
+    c = to_spectrum(np.asarray(_values(f), dtype=np.complex128))
+    interior, a, b = grid.project_coeffs
+    cc = np.conj(c[grid.neg_index])
+    out = 0.5 * c
+    out[interior] = 0.25 * (a * c[interior] + b * cc[interior])
     if which == "anti":
         out = c - out
-    return np.fft.ifft(out * grid.N)
+    return from_spectrum(out)
 
 
 def inner_h(u, v, grid: SpectralGrid) -> float:
@@ -215,17 +207,22 @@ def weighted_inner(u, v, omega, grid: SpectralGrid) -> float:
     return float(np.sum(integrand) * grid.L / grid.N)
 
 
+def pair_form(p1, p2, g: float, grid: SpectralGrid) -> float:
+    """Energy pairing g/2 <w1, w2> + 1/2 <L_h q1, L_h q2> of two (w, q) pairs."""
+    (w1, q1), (w2, q2) = p1, p2
+    return (0.5 * g * inner_h(w1, w2, grid)
+            + 0.5 * inner_h(lh_apply(_values(q1), grid),
+                            lh_apply(_values(q2), grid), grid))
+
+
 def norm_calH(pair, g: float, grid: SpectralGrid) -> float:
     """Squared energy norm of a position/potential pair.
 
-    ||(W, Q)||^2 = g <W, W> + <L_h Q, L_h Q>.
+    ||(W, Q)||^2 = g <W, W> + <L_h Q, L_h Q> = 2 pair_form((W, Q), (W, Q)).
     """
     if not g > 0:
         raise ValueError("g must be positive")
-    W, Q = pair
-    Wv, Qv = _values(W), _values(Q)
-    LQ = lh_apply(Qv, grid)
-    return g * inner_h(Wv, Wv, grid) + inner_h(LQ, LQ, grid)
+    return 2.0 * pair_form(pair, pair, g, grid)
 
 
 def sobolev_weight(xi: np.ndarray, h: float, s: float) -> np.ndarray:
@@ -247,7 +244,7 @@ def sobolev_norm(f, s: float, grid: SpectralGrid, base: str = "l2") -> float:
     if base == "l2":
         return float(np.sqrt(grid.L * np.sum(np.abs(c) ** 2)))
     if base == "holo":
-        vf = np.fft.ifft(c * grid.N)
+        vf = from_spectrum(c)
         return float(np.sqrt(max(inner_h(vf, vf, grid), 0.0)))
     raise ValueError(f"unknown base {base!r}")
 

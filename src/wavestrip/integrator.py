@@ -21,14 +21,16 @@ modulo their means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import SpectralGrid, dealias, from_spectrum, to_spectrum
-from .holo import HoloField, project
-from .dynamics import WaveState, rhs_full
+from .grid import (SpectralGrid, dealias, deriv, from_spectrum, tilbert,
+                   to_spectrum)
+from .holo import pair_form, project
+from .dynamics import (WaveState, energy, energy_gradient, momentum,
+                       momentum_gradient, rhs_full)
 
 __all__ = [
     "SolverConfig",
@@ -51,7 +53,6 @@ class SolverConfig:
     dt: float
     T_final: float
     cfl: float = 1.0
-    dealias: bool = True
     observer_stride: int = 1
     method: str = "rk4"
     project_energy: bool = False
@@ -95,7 +96,7 @@ def suggest_dt(grid: SpectralGrid, g: float, cfl: float = 1.0) -> float:
 
 
 def _omega(grid: SpectralGrid, g: float) -> np.ndarray:
-    return np.sqrt(g * grid.xi * np.tanh(grid.h * grid.xi))
+    return np.sqrt(g * grid.xi * grid.tanh)
 
 
 def _linear_propagator(grid: SpectralGrid, g: float, t: float):
@@ -108,7 +109,7 @@ def _linear_propagator(grid: SpectralGrid, g: float, t: float):
     c = np.cos(om * t)
     s = t * np.sinc(om * t / np.pi)  # sin(om t)/om, valid at om = 0
     m12 = -1j * grid.xi
-    m21 = -1j * g * np.tanh(grid.h * grid.xi)
+    m21 = -1j * g * grid.tanh
     return c, s * m12, s * m21
 
 
@@ -120,9 +121,8 @@ def _apply_propagator(prop, Wv, Qv):
             from_spectrum(a21 * cW + c * cQ))
 
 
-def _regauge(Wv: np.ndarray, Qv: np.ndarray, grid: SpectralGrid,
-             do_dealias: bool = True):
-    """Re-project the fluctuating part onto holomorphic traces.
+def _regauge(Wv: np.ndarray, Qv: np.ndarray, grid: SpectralGrid):
+    """Re-project the fluctuating part onto dealiased holomorphic traces.
 
     Both zero modes are preserved exactly as the step produced them: the Re
     means are parametrization gauge, and the Im mean of W is the slowly
@@ -134,15 +134,11 @@ def _regauge(Wv: np.ndarray, Qv: np.ndarray, grid: SpectralGrid,
     out = []
     for v in (Wv, Qv):
         v0 = np.mean(v)
-        u = project(v - v0, grid, "holo") + v0
-        if do_dealias:
-            u = dealias(u, grid)
-        out.append(u)
+        out.append(dealias(project(v - v0, grid, "holo") + v0, grid))
     return out[0], out[1]
 
 
 def _check_valid(Wv: np.ndarray, grid: SpectralGrid) -> Optional[str]:
-    from .grid import deriv
     Wa = deriv(Wv, grid)
     J = np.abs(1.0 + Wa) ** 2
     if not np.all(np.isfinite(Wv)):
@@ -156,15 +152,13 @@ def _check_valid(Wv: np.ndarray, grid: SpectralGrid) -> Optional[str]:
 
 def _nonlinear_residual_rhs(state: WaveState):
     """rhs_full minus the linear part (used by the integrating factor)."""
-    from .grid import deriv, tilbert
     grid = state.grid
     fW, fQ = rhs_full(state)
     Qa = deriv(state.Q.values, grid)
     return fW + Qa, fQ - state.g * tilbert(state.W.values, grid)
 
 
-def step_rk4(state: WaveState, dt: float, method: str = "rk4",
-             do_dealias: bool = True) -> WaveState:
+def step_rk4(state: WaveState, dt: float, method: str = "rk4") -> WaveState:
     """One classical RK4 step (plain or integrating-factor variant)."""
     grid = state.grid
     Wv, Qv = state.W.values, state.Q.values
@@ -204,7 +198,7 @@ def step_rk4(state: WaveState, dt: float, method: str = "rk4",
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    Wn, Qn = _regauge(Wn, Qn, grid, do_dealias)
+    Wn, Qn = _regauge(Wn, Qn, grid)
     msg = _check_valid(Wn, grid)
     if msg is not None:
         raise StepAbort(msg, -1, state)
@@ -234,15 +228,10 @@ def _project_to_invariant_shell(state: WaveState, E_target: float,
     Broyden's rank-one rule from the residual it leaves, which makes the
     iteration superlinear at the cost of one (energy, momentum) evaluation.
     """
-    from .dynamics import energy, momentum, energy_gradient, momentum_gradient
-    from .holo import inner_h
-    from .grid import lh_apply
     grid = state.grid
 
     def form(p1, p2):
-        return (0.5 * state.g * inner_h(p1[0], p2[0], grid)
-                + 0.5 * inner_h(lh_apply(p1[1], grid),
-                                lh_apply(p2[1], grid), grid))
+        return pair_form(p1, p2, state.g, grid)
 
     def residual(s):
         return np.array([E_target - energy(s)[0], I_target - momentum(s)])
@@ -281,7 +270,6 @@ def evolve(state: WaveState, config: SolverConfig,
     """
     n_steps = int(round(config.T_final / config.dt))
     records = []
-    from .dynamics import energy, momentum
     targets = ((energy(state)[0], momentum(state))
                if config.project_energy else None)
 
@@ -295,8 +283,7 @@ def evolve(state: WaveState, config: SolverConfig,
     current = state
     for i in range(1, n_steps + 1):
         try:
-            current = step_rk4(current, config.dt, config.method,
-                               config.dealias)
+            current = step_rk4(current, config.dt, config.method)
         except StepAbort as exc:
             raise StepAbort(str(exc.args[0]).split(": ", 1)[-1], i,
                             current) from None

@@ -37,9 +37,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import SpectralGrid, deriv, inv_tilbert, tilbert, to_spectrum, dealias
+from .grid import (SpectralGrid, antideriv, dealias, deriv, from_spectrum,
+                   inv_tilbert, smooth_one_plus_T2, to_spectrum)
 from .holo import HoloField, inner_h, weighted_inner
-from .dynamics import DiagState
+from .dynamics import DiagState, model_energies
 
 __all__ = [
     "LINE_TOL",
@@ -127,11 +128,6 @@ def dispersion_kit(xi):
 def _J(x):
     x = np.asarray(x, dtype=float)
     return x * np.tanh(x)
-
-
-def _Jp(x):
-    x = np.asarray(x, dtype=float)
-    return np.tanh(x) + x / np.cosh(x) ** 2
 
 
 def omega_resonance(xi, eta):
@@ -294,6 +290,32 @@ def _taylor_from_line(f: Callable[[float], complex], limit: Optional[complex],
     return limit + d1 * t + 0.5 * d2 * t * t
 
 
+def _symbols_near_lines(raw, limits, xi, eta, pole: str) -> tuple:
+    """Line handling shared by :func:`symbols_holo` and :func:`symbols_mixed`.
+
+    ``raw(xi, eta)`` evaluates the closed forms; ``limits(line, s)`` gives
+    the exact values on the line ``line`` ("xi" or "eta") at coordinate s
+    along it, None where a value is to be seeded by even Richardson
+    extrapolation.  Away from the lines, and near the output line zeta = 0,
+    whose pole is explicit rather than a cancellation artifact, the raw
+    forms are accurate; on zeta = 0 itself the symbols named by ``pole``
+    have a simple pole and :class:`SingularLineError` is raised.
+    """
+    xi, eta = float(xi), float(eta)
+    line, t = _nearest_line(xi, eta)
+    if line == "zeta" and t == 0.0:
+        raise SingularLineError(f"{pole} have a simple pole on zeta = 0")
+    if line == "zeta" or abs(t) > _TAYLOR_SWITCH:
+        return tuple(complex(v) for v in raw(xi, eta))
+    if line == "eta":
+        lims = limits(line, xi)
+        fs = [lambda s, i=i: complex(raw(xi, s)[i]) for i in range(len(lims))]
+    else:
+        lims = limits(line, eta)
+        fs = [lambda s, i=i: complex(raw(s, eta)[i]) for i in range(len(lims))]
+    return tuple(_taylor_from_line(f, lim, t) for f, lim in zip(fs, lims))
+
+
 def symbols_holo(xi: float, eta: float) -> tuple[complex, complex, complex]:
     """Normal-form symbols (A^h, B^h, C^h) at a point of the plane.
 
@@ -302,26 +324,11 @@ def symbols_holo(xi: float, eta: float) -> tuple[complex, complex, complex]:
     zeta = 0 all three have simple poles and :class:`SingularLineError`
     is raised.
     """
-    xi, eta = float(xi), float(eta)
-    line, t = _nearest_line(xi, eta)
-    if line == "zeta":
-        # genuine simple pole: no limit exists; off the line the raw forms
-        # are accurate (the pole is explicit, not a cancellation artifact)
-        if t == 0.0:
-            raise SingularLineError(
-                "(A^h, B^h, C^h) have a simple pole on zeta = 0")
-        out = _symbols_holo_raw(xi, eta)
-        return tuple(complex(v) for v in out)
-    if abs(t) > _TAYLOR_SWITCH:
-        out = _symbols_holo_raw(xi, eta)
-        return tuple(complex(v) for v in out)
-    if line == "eta":
-        limits = _holo_limits_eta0(xi)
-        fs = [lambda s, i=i: complex(_symbols_holo_raw(xi, s)[i]) for i in range(3)]
-    else:
-        limits = _holo_limits_xi0(eta)
-        fs = [lambda s, i=i: complex(_symbols_holo_raw(s, eta)[i]) for i in range(3)]
-    return tuple(_taylor_from_line(f, lim, t) for f, lim in zip(fs, limits))
+    def limits(line, s):
+        return (_holo_limits_eta0 if line == "eta" else _holo_limits_xi0)(s)
+
+    return _symbols_near_lines(_symbols_holo_raw, limits, xi, eta,
+                               "(A^h, B^h, C^h)")
 
 
 def symbols_mixed(xi: float, eta: float) -> tuple[complex, complex, complex, complex]:
@@ -332,26 +339,15 @@ def symbols_mixed(xi: float, eta: float) -> tuple[complex, complex, complex, com
     values are seeded by even Richardson extrapolation.  B^a and C^a keep
     a genuine pole on zeta = 0.
     """
-    xi, eta = float(xi), float(eta)
-    line, t = _nearest_line(xi, eta)
-    if line == "zeta":
-        if t == 0.0:
-            raise SingularLineError(
-                "(B^a, C^a) have a simple pole on zeta = 0")
-        out = _symbols_mixed_raw(xi, eta)
-        return tuple(complex(v) for v in out)
-    if abs(t) > _TAYLOR_SWITCH:
-        out = _symbols_mixed_raw(xi, eta)
-        return tuple(complex(v) for v in out)
-    if line == "eta":
-        Aa0, Ca0 = _mixed_limits_eta0(xi)
-        limits = [Aa0, None, Ca0, None]
-        fs = [lambda s, i=i: complex(_symbols_mixed_raw(xi, s)[i]) for i in range(4)]
-    else:
-        Ca0, Da0 = _mixed_limits_xi0(eta)
-        limits = [None, None, Ca0, Da0]
-        fs = [lambda s, i=i: complex(_symbols_mixed_raw(s, eta)[i]) for i in range(4)]
-    return tuple(_taylor_from_line(f, lim, t) for f, lim in zip(fs, limits))
+    def limits(line, s):
+        if line == "eta":
+            Aa0, Ca0 = _mixed_limits_eta0(s)
+            return Aa0, None, Ca0, None
+        Ca0, Da0 = _mixed_limits_xi0(s)
+        return None, None, Ca0, Da0
+
+    return _symbols_near_lines(_symbols_mixed_raw, limits, xi, eta,
+                               "(B^a, C^a)")
 
 
 def system_residuals(xi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -520,7 +516,7 @@ def nf_transform(state, zeta_cutoff: float = 0.5):
         c = np.zeros(grid.N, dtype=complex)
         idx = (np.arange(-band, band + 1)) % grid.N
         c[idx] = corr
-        return np.fft.ifft(c * grid.N)
+        return from_spectrum(c)
 
     Wt = state.W.values + back(dW)
     Qt = state.Q.values + back(dQ)
@@ -717,15 +713,6 @@ def _E0(w: np.ndarray, r: np.ndarray, g: float, grid: SpectralGrid) -> float:
             - inner_h(r, inv_tilbert(deriv(r, grid), grid), grid))
 
 
-def _antiderivative(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Mean-free spectral antiderivative (zero modes dropped)."""
-    c = to_spectrum(values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(grid.xi != 0.0, c / (1j * grid.xi), 0.0)
-    a[grid.nyquist_index] = 0.0
-    return np.fft.ifft(a * grid.N)
-
-
 def _preflip_cubic(n: int, w: np.ndarray, q: np.ndarray, g: float,
                    grid: SpectralGrid) -> float:
     """Cubic part g B~ + A~ of the normal-form energy, pre-flip evaluation.
@@ -799,8 +786,8 @@ def nf_energy(n: int, diag: DiagState) -> float:
     RW = dealias(R * bW, grid)
     RWd = deriv(RW, grid, n - 1) if n > 1 else RW
     cross = -2.0 * inner_h(RWd, inv_tilbert(deriv(rd, grid), grid), grid)
-    Wstar = _antiderivative(bW, grid)
-    Qstar = _antiderivative(R, grid)
+    Wstar = antideriv(bW, grid)
+    Qstar = antideriv(R, grid)
     cubic = _preflip_cubic(n, Wstar, Qstar, g, grid)
     return quad + cross + cubic
 
@@ -819,7 +806,6 @@ def high_forms(n: int, diag: DiagState) -> tuple[float, float]:
     grid = diag.grid
     bW = diag.bW.values
     R = diag.R.values
-    from .grid import smooth_one_plus_T2
     smooth = smooth_one_plus_T2(bW.real, grid)
     wplus = -4.0 * n * bW.real + 0.5 * smooth
     wminus = -4.0 * n * bW.real - 0.5 * smooth
@@ -845,8 +831,6 @@ def cubic_energy_high(n: int, diag: DiagState, aux=None) -> float:
     """
     if n < 1 or n > 2:
         raise ValueError("n must be 1 or 2")
-    from .dynamics import model_energies
-    from .grid import smooth_one_plus_T2
     grid = diag.grid
     bW = diag.bW.values
     R = diag.R.values

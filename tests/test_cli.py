@@ -7,6 +7,7 @@ import pytest
 from wavestrip.grid import make_grid
 from wavestrip.holo import holo_from_real
 from wavestrip.dynamics import WaveState
+from wavestrip.integrator import SolverConfig, evolve, suggest_dt
 from wavestrip.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -79,6 +80,24 @@ def test_snapshot_round_trip(tmp_path, grid):
     # a read-write cycle must be byte-identical
     write_snapshot(str(p2), loaded)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_snapshot_continues_a_run_bit_for_bit(tmp_path):
+    grid = make_grid(2 * np.pi, 64, 1.0)
+    state = small_state(grid, eps=0.05)
+    dt = suggest_dt(grid, 1.0, 0.5)
+
+    def run(s, steps):
+        config = SolverConfig(dt=dt, T_final=steps * dt, method="ifrk4")
+        return evolve(s, config)[0]
+
+    p = tmp_path / "mid.snap"
+    write_snapshot(str(p), run(state, 10))
+    resumed = run(read_snapshot(str(p)), 10)
+    straight = run(state, 20)
+    assert resumed.t == straight.t
+    assert np.array_equal(resumed.W.values, straight.W.values)
+    assert np.array_equal(resumed.Q.values, straight.Q.values)
 
 
 def test_snapshot_rejects_corruption(tmp_path, grid):
@@ -215,6 +234,31 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "overall: PASS" in captured.out
     assert main(["simulate", "--config", str(tmp_path / "missing.json"),
                  "--out", str(out)]) == 2
+
+
+def test_main_runtime_error_exits_2(tmp_path, capsys):
+    # slope 3 * 0.5 = 1.5 is outside the conformal map's small-slope regime
+    p = _write_config(tmp_path / "c.json", {
+        "grid": {"N": 32},
+        "init": {"surface_modes": [{"k": 3, "amplitude": 0.5}]},
+    })
+    assert main(["simulate", "--config", p, "--out",
+                 str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "slope" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_verdict_checksums_only_own_artifacts(tmp_path):
+    cfg = load_config(_simulate_config(tmp_path), "simulate")
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "last_good.snap").write_bytes(b"stale")
+    (out / "notes.csv").write_text("stale\n")
+    assert run_experiment(cfg, str(out)) == 0
+    doc = json.loads((out / "verdict.json").read_text())
+    assert set(doc["checksums"]) == {"initial.snap", "final.snap",
+                                     "series.csv"}
 
 
 def test_main_out_precedence(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from wavestrip.grid import (
     deriv,
     tilbert,
     inv_tilbert,
+    antideriv,
     lh_apply,
     lh_symbol,
     smooth_one_plus_T2,
@@ -152,3 +153,22 @@ def test_require_same():
     with pytest.raises(ValueError):
         a.require_same(b)
     a.require_same(SpectralGrid(a.L, a.N, a.h))
+
+
+def test_antideriv_inverts_deriv_on_fluctuations(grid):
+    x = grid.nodes
+    f = 0.3 + np.cos(x + 0.2) - 0.5 * np.sin(7 * x) + 0.1 * np.cos(20 * x)
+    a = antideriv(deriv(f, grid), grid)
+    assert np.allclose(a, f - np.mean(f), rtol=0.0, atol=1e-14)
+    assert abs(np.mean(antideriv(f, grid))) < 1e-15
+
+
+def test_symbols_built_once_per_grid(grid):
+    assert grid.tilbert_symbol is grid.tilbert_symbol
+    for name in ("tanh", "neg_index", "tilbert_symbol", "inv_tilbert_symbol",
+                 "lh", "sech2", "dealias_mask"):
+        assert not getattr(grid, name).flags.writeable, name
+    assert grid.tilbert_symbol[grid.nyquist_index] == 0.0
+    assert grid.inv_tilbert_symbol[0] == 0.0
+    assert np.all(grid.k[grid.neg_index] == np.where(
+        np.abs(grid.k) == grid.N // 2, grid.k, -grid.k))

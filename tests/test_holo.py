@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavestrip.grid import make_grid, dealias, tilbert, to_spectrum
+from wavestrip.grid import make_grid, dealias, lh_apply, tilbert, to_spectrum
 from wavestrip.holo import (
     HoloField,
     holo_from_real,
@@ -10,6 +10,7 @@ from wavestrip.holo import (
     inner_h,
     weighted_inner,
     norm_calH,
+    pair_form,
     sobolev_weight,
     sobolev_norm,
     holomorphy_residual,
@@ -129,6 +130,17 @@ def test_norm_calH(grid, rng):
     assert np.isclose(n4, 4.0 * n, rtol=1e-12)
     with pytest.raises(ValueError):
         norm_calH((u, v), -1.0, grid)
+
+
+def test_norm_calH_is_twice_pair_form(grid, rng):
+    p = (random_trace(grid, rng), random_trace(grid, rng))
+    p2 = (random_trace(grid, rng), random_trace(grid, rng))
+    assert norm_calH(p, 2.0, grid) == 2 * pair_form(p, p, 2.0, grid)
+    LQ = lh_apply(p[1].values, grid)
+    direct = 2.0 * inner_h(p[0], p[0], grid) + inner_h(LQ, LQ, grid)
+    assert np.isclose(norm_calH(p, 2.0, grid), direct, rtol=1e-14, atol=0.0)
+    assert np.isclose(pair_form(p, p2, 2.0, grid), pair_form(p2, p, 2.0, grid),
+                      rtol=1e-12, atol=0.0)
 
 
 def test_sobolev_norm_s0_is_l2(grid, rng):

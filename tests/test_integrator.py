@@ -47,7 +47,7 @@ def test_fourth_order_convergence(grid, method):
     for nsteps in (8, 16, 32):
         s = state
         for _ in range(nsteps):
-            s = step_rk4(s, T / nsteps, method, do_dealias=True)
+            s = step_rk4(s, T / nsteps, method)
         finals.append(s)
     e1 = np.max(np.abs(finals[0].W.values - finals[2].W.values))
     e2 = np.max(np.abs(finals[1].W.values - finals[2].W.values))
