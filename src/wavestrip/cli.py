@@ -16,6 +16,8 @@ Experiment kinds:
     symbols         normal-form symbol tables and system residuals
     conformal       graph -> trace -> graph round trip
     scaling-check   paired runs related by the spatial scaling symmetry
+
+``waves report --out <dir>`` re-verifies a run's checksums and verdicts.
 """
 
 from __future__ import annotations
@@ -347,6 +349,11 @@ def _solver_config(config: ExperimentConfig, grid: SpectralGrid,
 
 def _run_simulate(config: ExperimentConfig, out_dir: str) -> list:
     state = build_state(config)
+    if not (state.W.values.any() or state.Q.values.any()):
+        # the state at rest has a flat ledger: every verdict would pass
+        # without testing anything
+        raise ValueError("simulate needs a nonzero initial state (init."
+                         "surface_modes, velocity_modes or snapshot)")
     grid = state.grid
     # conservation-grade defaults: exact linear propagation plus post-step
     # projection onto the initial (energy, momentum) level set
@@ -672,11 +679,23 @@ def emit_report(run_dir: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="waves", description="water-wave experiment runner")
-    parser.add_argument("kind", choices=KINDS)
-    parser.add_argument("--config", required=True)
+    parser.add_argument("kind", choices=KINDS + ("report",))
+    parser.add_argument("--config")
     parser.add_argument("--out", default=None)
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
+    if args.kind == "report":
+        if args.out is None:
+            parser.error("report needs --out DIR")
+        try:
+            report = emit_report(args.out)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(report)
+        return 0 if report.endswith("overall: PASS") else 1
+    if args.config is None:
+        parser.error(f"{args.kind} needs --config PATH")
     try:
         config = load_config(args.config, args.kind)
     except (ConfigError, OSError) as exc:

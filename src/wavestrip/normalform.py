@@ -19,6 +19,11 @@ The module has three layers:
   (``high_forms``), and the quasilinear modified energy
   (``cubic_energy_high``).
 
+Every mode sum runs on one lattice, (xi, eta) = (j, k) over the dealiased
+band with output frequency zeta = -(j + k), and is one of two reductions: a
+Hankel-weighted form (the cubic energy, ``trilinear_eval``) or anti-diagonal
+sums over j + k (``nf_transform``).
+
 Singular-line policy: the three lines xi = 0, eta = 0, zeta = 0 carry the
 resonances.  Off the lines everything is evaluated in closed form (with
 cancellation-safe helpers); within ``LINE_TOL`` of a single line, symbols
@@ -37,8 +42,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import (SpectralGrid, antideriv, dealias, deriv, from_spectrum,
-                   inv_tilbert, smooth_one_plus_T2, to_spectrum)
+from .grid import (SpectralGrid, antideriv, dealias, dealias_band, deriv,
+                   from_spectrum, inv_tilbert, smooth_one_plus_T2, to_spectrum)
 from .holo import HoloField, inner_h, weighted_inner
 from .dynamics import DiagState, model_energies
 
@@ -272,22 +277,28 @@ def _nearest_line(xi, eta):
     return min(cands, key=lambda c: abs(c[1]))
 
 
-def _taylor_from_line(f: Callable[[float], complex], limit: Optional[complex],
-                      t: float) -> complex:
+def _taylor_from_line(f: Callable[[float], Sequence[complex]],
+                      limits: Sequence[Optional[complex]],
+                      t: float) -> tuple:
     """Second-order transverse Taylor expansion about a line.
 
-    ``f(s)`` evaluates the raw symbol at transverse offset ``s``; ``limit``
-    is the exact on-line value (estimated by even Richardson extrapolation
-    when no closed form is available).  Returns the expansion at offset t.
+    ``f(s)`` evaluates every component of the raw symbols at transverse
+    offset ``s``, once per offset; ``limits`` holds each component's exact
+    on-line value, None where it is to be estimated by even Richardson
+    extrapolation.  Returns the expansions at offset t.
     """
     d = _TAYLOR_STEP
     fp, fm = f(d), f(-d)
-    if limit is None:
+    if any(lim is None for lim in limits):
         f2p, f2m = f(2 * d), f(2 * d * -1)
-        limit = ((fp + fm) * 4.0 - (f2p + f2m)) / 6.0
-    d1 = (fp - fm) / (2.0 * d)
-    d2 = (fp - 2.0 * limit + fm) / d ** 2
-    return limit + d1 * t + 0.5 * d2 * t * t
+    out = []
+    for i, limit in enumerate(limits):
+        if limit is None:
+            limit = ((fp[i] + fm[i]) * 4.0 - (f2p[i] + f2m[i])) / 6.0
+        d1 = (fp[i] - fm[i]) / (2.0 * d)
+        d2 = (fp[i] - 2.0 * limit + fm[i]) / d ** 2
+        out.append(limit + d1 * t + 0.5 * d2 * t * t)
+    return tuple(out)
 
 
 def _symbols_near_lines(raw, limits, xi, eta, pole: str) -> tuple:
@@ -308,12 +319,10 @@ def _symbols_near_lines(raw, limits, xi, eta, pole: str) -> tuple:
     if line == "zeta" or abs(t) > _TAYLOR_SWITCH:
         return tuple(complex(v) for v in raw(xi, eta))
     if line == "eta":
-        lims = limits(line, xi)
-        fs = [lambda s, i=i: complex(raw(xi, s)[i]) for i in range(len(lims))]
-    else:
-        lims = limits(line, eta)
-        fs = [lambda s, i=i: complex(raw(s, eta)[i]) for i in range(len(lims))]
-    return tuple(_taylor_from_line(f, lim, t) for f, lim in zip(fs, lims))
+        return _taylor_from_line(
+            lambda s: [complex(v) for v in raw(xi, s)], limits(line, xi), t)
+    return _taylor_from_line(
+        lambda s: [complex(v) for v in raw(s, eta)], limits(line, eta), t)
 
 
 def symbols_holo(xi: float, eta: float) -> tuple[complex, complex, complex]:
@@ -417,23 +426,34 @@ def _require_unit_cell(grid: SpectralGrid) -> None:
         raise ValueError("normal-form evaluation requires L = 2 pi and h = 1")
 
 
+def _band_index(grid: SpectralGrid, band: int) -> np.ndarray:
+    """Spectrum index of the integer modes -band..band, in that order."""
+    return np.arange(-band, band + 1) % grid.N
+
+
 def _band_coeffs(values: np.ndarray, grid: SpectralGrid, band: int) -> np.ndarray:
     """Spectrum entries for integer modes -band..band as index m + band."""
-    c = to_spectrum(values)
-    idx = (np.arange(-band, band + 1)) % grid.N
-    return c[idx]
+    return to_spectrum(values)[_band_index(grid, band)]
 
 
-def _holo_symbol_grids(band: int):
+def _band_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Inverse of :func:`_band_coeffs`: samples whose spectrum is ``coeffs``
+    on the band and zero off it."""
+    c = np.zeros(grid.N, dtype=complex)
+    c[_band_index(grid, len(coeffs) // 2)] = coeffs
+    return from_spectrum(c)
+
+
+def _holo_symbol_grids(band: int) -> dict:
     """Symbols on the integer lattice (xi = j, eta = k), lines masked to 0.
 
-    Cached per band; the lattice never touches the singular lines because
-    rows/columns with j = 0, k = 0 or j + k = 0 are zeroed (their field
-    coefficients vanish for the mean-free inputs used here, and zero-output
-    modes are excluded by the cutoff).
+    The lattice never touches the singular lines because rows/columns with
+    j = 0, k = 0 or j + k = 0 are zeroed (their field coefficients vanish
+    for the mean-free inputs used here, and the zero output mode is left
+    out of every sum).  Only the band in use is kept: a new band replaces
+    the table.
     """
-    key = band
-    cached = _symbol_cache.get(key)
+    cached = _symbol_cache.get(band)
     if cached is not None:
         return cached
     j = np.arange(-band, band + 1, dtype=float)
@@ -447,32 +467,34 @@ def _holo_symbol_grids(band: int):
         a = np.where(mask, arr, 0.0)
         a = np.where(np.isfinite(a), a, 0.0)
         out[name] = a
-    out["XI"], out["ETA"] = XI, ETA
-    _symbol_cache[key] = out
+    _symbol_cache.clear()
+    _symbol_cache[band] = out
     return out
 
 
 _symbol_cache: dict = {}
 
 
-def _bilinear_holo(symbol: np.ndarray, a: np.ndarray, b: np.ndarray,
-                   band: int, zeta_cutoff: float) -> np.ndarray:
-    """Coefficients of the bilinear form with kernel s(xi, eta) a(xi) b(eta).
+def _hankel_form(H: np.ndarray, S, c1: np.ndarray, c2: np.ndarray) -> float:
+    """Re sum_{j,k} S[j, k] H[j, k] c1[j] c2[k] as c1 @ ((S * H) @ c2).
 
-    Output mode m collects the diagonal j + k = m; modes with
-    |m| < zeta_cutoff (and |m| > band) receive nothing.
+    H is the Hankel view (``sliding_window_view(weight, 2 band + 1)``) of a
+    weight over the output frequency m = j + k, -2 band .. 2 band.
     """
-    size = 2 * band + 1
-    out = np.zeros(size, dtype=complex)
-    prod = symbol * np.outer(a, b)
-    j = np.arange(-band, band + 1)
-    for m in range(-band, band + 1):
-        if abs(m) < zeta_cutoff:
-            continue
-        k = m - j
-        sel = (k >= -band) & (k <= band)
-        out[m + band] = np.sum(prod[sel, k[sel] + band])
-    return out
+    # einsum keeps this small matrix-vector product out of the threaded
+    # BLAS, whose start-up would cost more than the product itself
+    return float(np.real(c1 @ np.einsum("jk,k->j", S * H, c2)))
+
+
+def _antidiagonal_modes(P: np.ndarray) -> np.ndarray:
+    """Output modes sum_{j + k = m} P[j, k] for |m| <= band, index m + band.
+
+    A skewed copy of P turns its anti-diagonals into columns.
+    """
+    size = len(P)
+    band = size // 2
+    skew = np.pad(P, ((0, 0), (0, size))).ravel()[:size * (2 * size - 1)]
+    return skew.reshape(size, 2 * size - 1).sum(axis=0)[band:3 * band + 1]
 
 
 def _conj_flip(coeffs: np.ndarray) -> np.ndarray:
@@ -480,46 +502,33 @@ def _conj_flip(coeffs: np.ndarray) -> np.ndarray:
     return np.conj(coeffs[::-1])
 
 
-def nf_transform(state, zeta_cutoff: float = 0.5):
+def nf_transform(state):
     """Quadratic normal-form change of variables (W~, Q~).
 
     W~ = W + B^h[W,W] + (1/g) C^h[Q,Q] + B^a[W, conj W] + (1/g) C^a[Q, conj Q]
     Q~ = Q + A^h[W,Q] + A^a[W, conj Q] + D^a[Q, conj W]
 
-    evaluated as double mode sums over the dealiased band.  Output modes
-    with |frequency| < ``zeta_cutoff`` keep their original coefficients:
-    the symbols have genuine simple poles when the output frequency
-    vanishes, and the periodic cell has no continuum of modes there to
-    cancel them.  Requires L = 2 pi and h = 1.
+    evaluated as double mode sums over the dealiased band.  The zero output
+    mode keeps its original coefficient: the symbols have genuine simple
+    poles at zero output frequency, and the periodic cell has no continuum
+    of modes there to cancel them, so the symbol table is 0 on j + k = 0.
+    Requires L = 2 pi and h = 1.
     """
     grid = state.grid
     _require_unit_cell(grid)
-    if not zeta_cutoff > 0:
-        raise ValueError("zeta_cutoff must be positive")
     g = state.g
-    band = grid.N // 3
+    band = dealias_band(grid)
     sym = _holo_symbol_grids(band)
     w = _band_coeffs(state.W.values - np.mean(state.W.values), grid, band)
     q = _band_coeffs(state.Q.values - np.mean(state.Q.values), grid, band)
     wbar = _conj_flip(w)
     qbar = _conj_flip(q)
-
-    dW = (_bilinear_holo(sym["Bh"], w, w, band, zeta_cutoff)
-          + _bilinear_holo(sym["Ch"], q, q, band, zeta_cutoff) / g
-          + _bilinear_holo(sym["Ba"], w, wbar, band, zeta_cutoff)
-          + _bilinear_holo(sym["Ca"], q, qbar, band, zeta_cutoff) / g)
-    dQ = (_bilinear_holo(sym["Ah"], w, q, band, zeta_cutoff)
-          + _bilinear_holo(sym["Aa"], w, qbar, band, zeta_cutoff)
-          + _bilinear_holo(sym["Da"], q, wbar, band, zeta_cutoff))
-
-    def back(corr):
-        c = np.zeros(grid.N, dtype=complex)
-        idx = (np.arange(-band, band + 1)) % grid.N
-        c[idx] = corr
-        return from_spectrum(c)
-
-    Wt = state.W.values + back(dW)
-    Qt = state.Q.values + back(dQ)
+    dW = (sym["Bh"] * np.outer(w, w) + sym["Ch"] * np.outer(q, q) / g
+          + sym["Ba"] * np.outer(w, wbar) + sym["Ca"] * np.outer(q, qbar) / g)
+    dQ = (sym["Ah"] * np.outer(w, q) + sym["Aa"] * np.outer(w, qbar)
+          + sym["Da"] * np.outer(q, wbar))
+    Wt = state.W.values + _band_samples(_antidiagonal_modes(dW), grid)
+    Qt = state.Q.values + _band_samples(_antidiagonal_modes(dQ), grid)
     return HoloField(grid, Wt), HoloField(grid, Qt)
 
 
@@ -605,15 +614,7 @@ def tilde_symbols(n: int, p: PlanePoint) -> tuple[complex, complex]:
             x, e = xi + 0.5 * (zeta - s), eta + 0.5 * (zeta - s)
             return A_sym_raw(s, x, e), B_sym_raw(x, e, s)
 
-        d = _TAYLOR_STEP
-        plus = eval_at(d)
-        minus = eval_at(-d)
-        out = []
-        for fp, fm in zip(plus, minus):
-            d1 = (fp - fm) / (2.0 * d)
-            d2 = (fp + fm) / d ** 2
-            out.append(d1 * t + 0.5 * d2 * t * t)
-        return out[0], out[1]
+        return _taylor_from_line(eval_at, (0.0, 0.0), t)
     return A_sym_raw(zeta, xi, eta), B_sym_raw(xi, eta, zeta)
 
 
@@ -625,16 +626,11 @@ def tilde_symbols(n: int, p: PlanePoint) -> tuple[complex, complex]:
 class TrilinearForm:
     """Translation-invariant real trilinear form given by a plane symbol.
 
-    ``symbol(xi, eta, zeta)`` must accept arrays.  ``conj_slots`` marks the
-    arguments entering through conj(f^)(-freq) -- the discrete counterpart
-    of the exponential-class factors, applied via the holomorphic flip
-    relation instead of evaluating growing exponentials.  ``n`` records the
-    homogeneity index of the originating energy.
+    ``symbol(xi, eta, zeta)`` must accept arrays that broadcast to the
+    lattice (xi a column, eta a row).
     """
 
     symbol: Callable
-    conj_slots: tuple[bool, bool, bool] = (False, False, False)
-    n: int = 1
 
     def symmetry_defect(self, pts: Sequence[tuple[float, float]]) -> float:
         """Max deviation of the symbol under swapping (xi, eta)."""
@@ -648,7 +644,7 @@ class TrilinearForm:
 
 
 def trilinear_eval(form: TrilinearForm, f1, f2, f3,
-                   grid: Optional[SpectralGrid] = None) -> float:
+                   grid: SpectralGrid) -> float:
     """Discrete trilinear form L Re sum s(xi, eta, zeta) c1 c2 c3.
 
     The sum runs over the dealiased band with zeta = -(xi + eta) folded into
@@ -657,46 +653,30 @@ def trilinear_eval(form: TrilinearForm, f1, f2, f3,
     (out-of-band) output contributions are accumulated and must stay below
     1e-12 of the total mass.
     """
-    fields = [f1, f2, f3]
-    vals = [f.values if isinstance(f, HoloField) else np.asarray(f, dtype=complex)
-            for f in fields]
-    if grid is None:
-        for f in fields:
-            if isinstance(f, HoloField):
-                grid = f.grid
-                break
-    if grid is None:
-        raise ValueError("grid required when all inputs are raw arrays")
-    band = grid.N // 3
     _require_unit_cell(grid)
-    cs = [_band_coeffs(v, grid, band) for v in vals]
-    for i, c in enumerate(cs):
-        if form.conj_slots[i]:
-            cs[i] = _conj_flip(c)
-    j = np.arange(-band, band + 1, dtype=float)
-    XI, ETA = np.meshgrid(j, j, indexing="ij")
-    ZETA = -(XI + ETA)
-    inband = np.abs(ZETA) <= band
-    S = np.asarray(form.symbol(XI, ETA, ZETA), dtype=complex)
-    prod12 = np.outer(cs[0], cs[1])
-    # third coefficient at the folded output index
-    zi = (-(np.add.outer(np.arange(-band, band + 1), np.arange(-band, band + 1))))
-    c3 = np.zeros_like(prod12)
-    ok = np.abs(zi) <= band
-    c3[ok] = cs[2][zi[ok] + band]
-    total = grid.L * float(np.real(np.sum(S[inband] * prod12[inband] * c3[inband])))
-    # out-of-band output frequencies: weight by the actual third-slot
-    # spectrum where the grid still resolves it (band < |zeta| <= N/2)
-    full3 = to_spectrum(vals[2])
-    if form.conj_slots[2]:
-        full3 = np.conj(full3[(-np.arange(grid.N)) % grid.N])
-    zi_all = -(np.add.outer(np.arange(-band, band + 1), np.arange(-band, band + 1)))
-    resolved = np.abs(zi_all) <= grid.N // 2
-    c3_out = np.zeros_like(prod12)
-    sel = (~inband) & resolved
-    c3_out[sel] = full3[zi_all[sel] % grid.N]
-    dropped = float(np.sum(np.abs(prod12[~inband] * c3_out[~inband])))
-    kept = float(np.sum(np.abs(prod12[inband] * c3[inband])))
+    band = dealias_band(grid)
+    size = 2 * band + 1
+    vals = [f.values if isinstance(f, HoloField) else np.asarray(f, dtype=complex)
+            for f in (f1, f2, f3)]
+    c1 = _band_coeffs(vals[0], grid, band)
+    c2 = _band_coeffs(vals[1], grid, band)
+    # third coefficient at zeta = -m for m = j + k in -2 band .. 2 band, laid
+    # out like the flip defects of _preflip_cubic, where the grid resolves it
+    m = np.arange(-2 * band, 2 * band + 1)
+    c3 = np.where(np.abs(m) <= grid.N // 2,
+                  to_spectrum(vals[2])[grid.neg_index][m % grid.N], 0.0)
+    inband = np.abs(m) <= band
+    j = np.arange(-band, band + 1, dtype=float)[:, None]
+    S = np.asarray(form.symbol(j, j.T, -(j + j.T)), dtype=complex)
+    total = grid.L * _hankel_form(
+        sliding_window_view(np.where(inband, c3, 0.0), size), S, c1, c2)
+    # the same reduction on absolute values: kept and dropped (out-of-band
+    # but resolved, band < |zeta| <= N/2) spectral mass
+    a1, a2, a3 = np.abs(c1), np.abs(c2), np.abs(c3)
+    kept = _hankel_form(sliding_window_view(np.where(inband, a3, 0.0), size),
+                        1.0, a1, a2)
+    dropped = _hankel_form(sliding_window_view(np.where(inband, 0.0, a3), size),
+                           1.0, a1, a2)
     if dropped > 1e-12 * max(kept, 1e-300):
         raise ValueError(
             f"unresolved output modes carry {dropped:.3e} of spectral mass")
@@ -705,6 +685,18 @@ def trilinear_eval(form: TrilinearForm, f1, f2, f3,
 
 # ---------------------------------------------------------------------------
 # cubic-accurate energies in the diagonal variables
+
+
+def _rung(n: int, grid: SpectralGrid) -> Callable[[np.ndarray], np.ndarray]:
+    """f -> d^{n-1} f, the field the n-th energy is built on, for n in {1, 2}.
+
+    For n = 1 this is the identity and costs no FFT.
+    """
+    if n < 1 or n > 2:
+        raise ValueError("n must be 1 or 2")
+    if n == 1:
+        return lambda f: f
+    return lambda f: deriv(f, grid, n - 1)
 
 
 def _E0(w: np.ndarray, r: np.ndarray, g: float, grid: SpectralGrid) -> float:
@@ -729,9 +721,9 @@ def _preflip_cubic(n: int, w: np.ndarray, q: np.ndarray, g: float,
     coth(zeta) zeta^{2n+1} times that of q for the A and D sums.  Each
     weight is therefore one vector over j + k, read as a Hankel matrix H (a
     strided view, zero where |zeta| exceeds the band), and each sum is the
-    form c1 @ ((S * H) @ c2).
+    form c1 @ ((S * H) @ c2), :func:`_hankel_form`.
     """
-    band = grid.N // 3
+    band = dealias_band(grid)
     size = 2 * band + 1
     sym = _holo_symbol_grids(band)
     cw = _band_coeffs(w - np.mean(w), grid, band)
@@ -747,18 +739,13 @@ def _preflip_cubic(n: int, w: np.ndarray, q: np.ndarray, g: float,
         coth = np.where(zeta == 0.0, 0.0, 1.0 / np.tanh(zeta))
     Hw = sliding_window_view(zeta ** (2 * n) * dw, size)
     Hq = sliding_window_view(coth * zeta ** (2 * n + 1) * dq, size)
-
-    def acc(H, S, c1, c2):
-        # einsum keeps this small matrix-vector product out of the threaded
-        # BLAS, whose start-up would cost more than the product itself
-        return float(np.real(c1 @ np.einsum("jk,k->j", S * H, c2)))
-
-    B_val = acc(Hw, sym["Bh"], cw, cw) + acc(Hw, sym["Ba"], cw, cwb)
-    A_val = (acc(Hw, sym["Ch"], cq, cq)
-             + acc(Hw, sym["Ca"], cq, cqb)
-             + acc(Hq, sym["Ah"], cw, cq)
-             + acc(Hq, sym["Aa"], cw, cqb)
-             + acc(Hq, sym["Da"], cq, cwb))
+    B_val = (_hankel_form(Hw, sym["Bh"], cw, cw)
+             + _hankel_form(Hw, sym["Ba"], cw, cwb))
+    A_val = (_hankel_form(Hw, sym["Ch"], cq, cq)
+             + _hankel_form(Hw, sym["Ca"], cq, cqb)
+             + _hankel_form(Hq, sym["Ah"], cw, cq)
+             + _hankel_form(Hq, sym["Aa"], cw, cqb)
+             + _hankel_form(Hq, sym["Da"], cq, cwb))
     return 2.0 * grid.L * (g * B_val + A_val)
 
 
@@ -773,18 +760,15 @@ def nf_energy(n: int, diag: DiagState) -> float:
     potentials (the division by (i xi)(i eta)(i zeta) is realized by
     feeding antiderivatives to the pre-flip double sums).
     """
-    if n < 1 or n > 2:
-        raise ValueError("n must be 1 or 2")
     grid = diag.grid
+    dn = _rung(n, grid)
     _require_unit_cell(grid)
     g = diag.g
     bW = diag.bW.values
     R = diag.R.values
-    wd = deriv(bW, grid, n - 1) if n > 1 else bW
-    rd = deriv(R, grid, n - 1) if n > 1 else R
+    wd, rd = dn(bW), dn(R)
     quad = _E0(wd, rd, g, grid)
-    RW = dealias(R * bW, grid)
-    RWd = deriv(RW, grid, n - 1) if n > 1 else RW
+    RWd = dn(dealias(R * bW, grid))
     cross = -2.0 * inner_h(RWd, inv_tilbert(deriv(rd, grid), grid), grid)
     Wstar = antideriv(bW, grid)
     Qstar = antideriv(R, grid)
@@ -801,16 +785,14 @@ def high_forms(n: int, diag: DiagState) -> tuple[float, float]:
     n = 2:  same with d W, d R, weight coefficient -8 Re W, and the extra
             + 2 <W R_alpha, T^{-1} d R_alpha> transfer term.
     """
-    if n < 1 or n > 2:
-        raise ValueError("n must be 1 or 2")
     grid = diag.grid
+    dn = _rung(n, grid)
     bW = diag.bW.values
     R = diag.R.values
     smooth = smooth_one_plus_T2(bW.real, grid)
     wplus = -4.0 * n * bW.real + 0.5 * smooth
     wminus = -4.0 * n * bW.real - 0.5 * smooth
-    wd = deriv(bW, grid, n - 1) if n > 1 else bW
-    rd = deriv(R, grid, n - 1) if n > 1 else R
+    wd, rd = dn(bW), dn(R)
     Tird = inv_tilbert(deriv(rd, grid), grid)
     B_high = weighted_inner(wd, wd, wplus, grid)
     A_high = (-weighted_inner(rd, Tird, wminus, grid)
@@ -821,24 +803,21 @@ def high_forms(n: int, diag: DiagState) -> tuple[float, float]:
     return B_high, A_high
 
 
-def cubic_energy_high(n: int, diag: DiagState, aux=None) -> float:
+def cubic_energy_high(n: int, diag: DiagState) -> float:
     """Quasilinear modified energy E^{n,(3)}_high.
 
     E^(3)_high(w, r) = E^(2)_lin(w, r) - 1/4 E^(2)_{omega,lin}(w, r) with
-    omega = (1 + T^2) Re W; defaults (w, r) = (d^{n-1} W, d^{n-1} R).  For
+    omega = (1 + T^2) Re W at (w, r) = (d^{n-1} W, d^{n-1} R).  For
     n = 1 the finite-depth correction
     E^(3),a = -2 <W, W^2> + 2 <R, W T^{-1} R_alpha> is added.
     """
-    if n < 1 or n > 2:
-        raise ValueError("n must be 1 or 2")
     grid = diag.grid
+    dn = _rung(n, grid)
     bW = diag.bW.values
     R = diag.R.values
-    if aux is None:
-        aux = (deriv(bW, grid, n - 1) if n > 1 else bW,
-               deriv(R, grid, n - 1) if n > 1 else R)
+    pair = (dn(bW), dn(R))
     omega = smooth_one_plus_T2(bW.real, grid)
-    e2, e2w = model_energies(diag, aux, omega)
+    e2, e2w = model_energies(diag, pair, omega)
     out = e2 - 0.25 * e2w
     if n == 1:
         W2 = dealias(bW * bW, grid)

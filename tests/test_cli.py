@@ -236,6 +236,51 @@ def test_main_exit_codes(tmp_path, capsys):
                  "--out", str(out)]) == 2
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return (err.startswith("error: ") and "Traceback" not in err
+            and len(err.strip().splitlines()) == 1)
+
+
+def test_report_subcommand_exit_codes(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", _simulate_config(tmp_path),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith("overall: PASS")
+    # a failed verdict: no drift can meet a negative tolerance
+    failing = tmp_path / "failing"
+    p = _write_config(tmp_path / "f.json", {
+        "grid": {"N": 32},
+        "init": {"surface_modes": [{"k": 1, "amplitude": 0.01}]},
+        "solver": {"T_final": 0.5},
+        "experiment": {"energy_tol": -1.0}})
+    assert main(["simulate", "--config", p, "--out", str(failing)]) == 1
+    capsys.readouterr()
+    assert main(["report", "--out", str(failing)]) == 1
+    assert capsys.readouterr().out.strip().endswith("overall: FAIL")
+    # checksum mismatch, missing artifact, missing verdict.json
+    csv = out / "series.csv"
+    csv.write_text(csv.read_text().replace("0.0", "0.1", 1))
+    assert main(["report", "--out", str(out)]) == 2
+    assert _one_error_line(capsys)
+    csv.unlink()
+    assert main(["report", "--out", str(out)]) == 2
+    assert _one_error_line(capsys)
+    assert main(["report", "--out", str(tmp_path / "nowhere")]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_simulate_without_initial_data_exits_2(tmp_path, capsys):
+    for init in ({}, {"surface_modes": [], "velocity_modes": []}):
+        p = _write_config(tmp_path / "c.json", {"grid": {"N": 32},
+                                                "init": init})
+        assert main(["simulate", "--config", p, "--out",
+                     str(tmp_path / "run")]) == 2
+        assert _one_error_line(capsys)
+
+
 def test_main_runtime_error_exits_2(tmp_path, capsys):
     # slope 3 * 0.5 = 1.5 is outside the conformal map's small-slope regime
     p = _write_config(tmp_path / "c.json", {

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wavestrip.grid import make_grid, deriv
+from wavestrip import normalform
+from wavestrip.grid import make_grid, deriv, to_spectrum
 from wavestrip.holo import holo_from_real, weighted_inner
 from wavestrip.dynamics import WaveState, diag_of
 from wavestrip.integrator import step_rk4
@@ -174,7 +175,7 @@ def test_weighted_form_matches_trilinear_route(grid):
         m = -4.0 * n + 0.5 / np.cosh(zeta) ** 2
         return -2.0 * np.tanh(xi) * np.tanh(eta) * m
 
-    via_modes = trilinear_eval(TrilinearForm(sym, n=n), bW.real, bW.real,
+    via_modes = trilinear_eval(TrilinearForm(sym), bW.real, bW.real,
                                bW.real, grid)
     assert np.isclose(direct, via_modes, rtol=1e-10)
     # and the packaged high-frequency form uses exactly this weight
@@ -219,6 +220,55 @@ def test_nf_transform_requires_unit_cell():
     grid = make_grid(4 * np.pi, 64, 1.0)
     with pytest.raises(ValueError):
         nf_transform(small_state(grid, eps=0.01))
+
+
+def _nf_transform_loop(state):
+    """Spectra of nf_transform's corrections, term by term over the lattice."""
+    grid = state.grid
+    band = grid.N // 3
+    sym = _holo_symbol_grids(band)
+    w = _band_coeffs(state.W.values - np.mean(state.W.values), grid, band)
+    q = _band_coeffs(state.Q.values - np.mean(state.Q.values), grid, band)
+    wb, qb = _conj_flip(w), _conj_flip(q)
+    g = state.g
+    dW = np.zeros(grid.N, dtype=complex)
+    dQ = np.zeros(grid.N, dtype=complex)
+    for j in range(-band, band + 1):
+        for k in range(-band, band + 1):
+            m = j + k
+            if m == 0 or abs(m) > band:
+                continue
+            a, b = j + band, k + band
+            s = {name: sym[name][a, b] for name in
+                 ("Ah", "Bh", "Ch", "Aa", "Ba", "Ca", "Da")}
+            dW[m % grid.N] += (s["Bh"] * w[a] * w[b]
+                               + s["Ch"] * q[a] * q[b] / g
+                               + s["Ba"] * w[a] * wb[b]
+                               + s["Ca"] * q[a] * qb[b] / g)
+            dQ[m % grid.N] += (s["Ah"] * w[a] * q[b] + s["Aa"] * w[a] * qb[b]
+                               + s["Da"] * q[a] * wb[b])
+    return dW, dQ
+
+
+def test_nf_transform_matches_double_loop(rng):
+    grid = make_grid(2 * np.pi, 24, 1.0)
+    state = WaveState(random_trace(grid, rng, scale=0.05, decay=1.0),
+                      random_trace(grid, rng, scale=0.05, decay=1.0), 1.3, 1.0)
+    Wt, Qt = nf_transform(state)
+    dW, dQ = _nf_transform_loop(state)
+    for got, want in ((Wt.values - state.W.values, dW),
+                      (Qt.values - state.Q.values, dQ)):
+        scale = np.max(np.abs(want))
+        assert scale > 1e-6
+        assert np.allclose(to_spectrum(got), want, rtol=1e-12,
+                           atol=1e-12 * scale)
+
+
+def test_symbol_cache_holds_one_band():
+    for N in (24, 64, 128):
+        grid = make_grid(2 * np.pi, N, 1.0)
+        nf_energy(1, diag_of(small_state(grid, eps=0.01)))
+    assert list(normalform._symbol_cache) == [128 // 3]
 
 
 def _preflip_cubic_loop(n, w, q, g, grid):
