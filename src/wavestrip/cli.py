@@ -27,7 +27,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -91,13 +91,12 @@ _SCHEMA = {
         "method": str,
         "project_energy": bool,
     },
-    "experiment": dict,   # validated per kind
     "seed": int,
     "out": str,
 }
 
-# Per-kind experiment parameters; each value's type (a list's element type)
-# is also its schema.
+# Per-kind experiment parameters, the "experiment" block of the schema; each
+# value's type (a list's element type) is also its schema.
 _EXPERIMENT_DEFAULTS = {
     "simulate": {"energy_tol": 1e-8, "momentum_tol": 1e-8},
     "dispersion": {"ks": [1, 2, 5], "amplitude": 1e-6, "tol": 1e-4,
@@ -134,10 +133,6 @@ def _coerce(value, spec, path: str):
         if not isinstance(value, list):
             raise ConfigError(f"{path} must be a list")
         return [_coerce(v, spec[0], f"{path}[{i}]") for i, v in enumerate(value)]
-    if spec is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path} must be an object")
-        return value
     if spec is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number")
@@ -186,26 +181,19 @@ def load_config(path: str, kind: str) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _SCHEMA, "")
-    data = {k: _coerce(v, _SCHEMA[k], k) for k, v in raw.items()}
-    exp = dict(_EXPERIMENT_DEFAULTS[kind])
-    user_exp = data.get("experiment", {})
-    _check_keys(user_exp, exp, "experiment.")
-    for k, v in user_exp.items():
-        spec = [type(exp[k][0])] if isinstance(exp[k], list) else type(exp[k])
-        exp[k] = _coerce(v, spec, f"experiment.{k}")
-    grid = {"L": 2 * np.pi, "N": 128, "h": 1.0}
-    grid.update(data.get("grid", {}))
-    return ExperimentConfig(
-        kind=kind,
-        grid=grid,
-        g=data.get("g", 1.0),
-        init=data.get("init", {}),
-        solver=data.get("solver", {}),
-        experiment=exp,
-        seed=data.get("seed", 0),
-        out=data.get("out"),
-    )
+    defaults = ExperimentConfig(kind,
+                                experiment=dict(_EXPERIMENT_DEFAULTS[kind]))
+    schema = dict(_SCHEMA, experiment={
+        k: [type(v[0])] if isinstance(v, list) else type(v)
+        for k, v in defaults.experiment.items()})
+    _check_keys(raw, schema, "")
+    data = {}
+    for k, v in raw.items():
+        v = _coerce(v, schema[k], k)
+        # an object block overrides only the keys it names
+        default = getattr(defaults, k)
+        data[k] = {**default, **v} if isinstance(default, dict) else v
+    return replace(defaults, **data)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +240,17 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_series_csv(path: str, records) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS))
+def _write_table(path: str, header: str, rows) -> None:
+    """Text table: the header line, then one line per row, LF-terminated."""
+    text = "\n".join([header, *rows]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
+
+
+def write_series_csv(path: str, records) -> None:
+    _write_table(path, ",".join(CSV_COLUMNS),
+                 (",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS)
+                  for r in records))
 
 
 def _sha256(path: str) -> str:
@@ -282,7 +275,15 @@ class Verdict:
                 "tol": float(self.tol)}
 
 
-def _write_verdicts(out_dir: str, kind: str, verdicts, extra=None) -> None:
+def _at_most(name: str, measured, tol: float) -> Verdict:
+    return Verdict(name, measured <= tol, measured, "<= tol", tol)
+
+
+def _within(name: str, measured, lo: float, hi: float) -> Verdict:
+    return Verdict(name, lo <= measured <= hi, measured, f"[{lo}, {hi}]", 0.0)
+
+
+def _write_verdicts(out_dir: str, kind: str, verdicts) -> None:
     checksums = {name: _sha256(os.path.join(out_dir, name))
                  for name in ARTIFACTS[kind]}
     doc = {
@@ -290,8 +291,6 @@ def _write_verdicts(out_dir: str, kind: str, verdicts, extra=None) -> None:
         "verdicts": [v.as_dict() for v in verdicts],
         "checksums": checksums,
     }
-    if extra:
-        doc["details"] = extra
     with open(os.path.join(out_dir, "verdict.json"), "w",
               encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -333,13 +332,12 @@ def build_state(config: ExperimentConfig) -> WaveState:
 
 def _solver_config(config: ExperimentConfig, grid: SpectralGrid,
                    **overrides) -> SolverConfig:
-    params = dict(config.solver)
-    params.update(overrides)
-    cfl = params.get("cfl", 0.5)
+    params = dict(config.solver, **overrides)
+    # the CFL step is computed even when dt is given, so cfl is validated
+    suggested = suggest_dt(grid, config.g, params.pop("cfl", 0.5))
     if params.get("dt") is None:
-        params["dt"] = suggest_dt(grid, config.g, cfl)
+        params["dt"] = suggested
     params.setdefault("T_final", 10.0)
-    params["cfl"] = cfl
     return SolverConfig(**params)
 
 
@@ -374,13 +372,9 @@ def _run_simulate(config: ExperimentConfig, out_dir: str) -> list:
     I0 = records[0].I
     mom_scale = max(abs(I0), abs(records[0].E_ham), 1e-300)
     mom_drift = max(abs(r.I - I0) for r in records) / mom_scale
-    verdicts = [
-        Verdict("energy_drift", rep.rel_drift["E_ham"] <= exp["energy_tol"],
-                rep.rel_drift["E_ham"], "<= tol", exp["energy_tol"]),
-        Verdict("momentum_drift", mom_drift <= exp["momentum_tol"],
-                mom_drift, "<= tol", exp["momentum_tol"]),
-    ]
-    return verdicts
+    return [_at_most("energy_drift", rep.rel_drift["E_ham"],
+                     exp["energy_tol"]),
+            _at_most("momentum_drift", mom_drift, exp["momentum_tol"])]
 
 
 def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
@@ -415,15 +409,11 @@ def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
         c = num / den
         measured = np.arccos(np.clip(c, -1.0, 1.0)) / solver.dt
         rel = abs(measured - omega) / omega
-        rows.append((k, measured, omega, rel))
+        rows.append(f"{k},{measured!r},{omega!r},{rel!r}")
         verdicts.append(Verdict(f"dispersion_k{k}", rel <= exp["tol"],
                                 rel, f"omega={omega!r}", exp["tol"]))
-    table = ["k,measured,target,rel_dev"]
-    for k, m, o, r in rows:
-        table.append(f"{k},{m!r},{o!r},{r!r}")
-    with open(os.path.join(out_dir, "dispersion.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(table) + "\n")
+    _write_table(os.path.join(out_dir, "dispersion.csv"),
+                 "k,measured,target,rel_dev", rows)
     return verdicts
 
 
@@ -439,20 +429,18 @@ def _random_state(rng, grid: SpectralGrid, g: float, n_modes: int,
     scale = 10.0 ** rng.uniform(-3.0, -0.3)
     amps = scale * rng.uniform(-1.0, 1.0, n_modes) / (1 + np.arange(n_modes))
     phases = rng.uniform(0, 2 * np.pi, n_modes)
-    re = np.zeros(grid.N)
-    for k in range(n_modes):
-        re += amps[k] * np.cos((k + 1) * (2 * np.pi / grid.L) * grid.nodes
-                               + phases[k])
-    W = holo_from_real(re, grid)
+    W = holo_from_real(_modes_to_real(
+        [{"k": k + 1, "amplitude": amps[k], "phase": phases[k]}
+         for k in range(n_modes)], grid), grid)
     slope = float(np.max(np.abs(deriv(W.values.real, grid))))
     if slope > 0.8:
         W = HoloField(grid, W.values * (0.8 / slope))
     c_now = float(np.min(W.values.imag))
     if c_now <= max(c_lo, -0.9 * grid.h):
         W = HoloField(grid, W.values * (0.8 * c_lo / c_now))
-    qa = scale * rng.uniform(-1.0, 1.0)
-    Q = holo_from_real(qa * np.cos((2 * np.pi / grid.L) * grid.nodes
-                                   + rng.uniform(0, 2 * np.pi)), grid)
+    Q = holo_from_real(_modes_to_real(
+        [{"k": 1, "amplitude": scale * rng.uniform(-1.0, 1.0),
+          "phase": rng.uniform(0, 2 * np.pi)}], grid), grid)
     return WaveState(W, Q, g, grid.h)
 
 
@@ -503,14 +491,8 @@ def _run_drift_scaling(config: ExperimentConfig, out_dir: str) -> list:
                        np.max(np.abs(rows[:, 2] - rows[0, 2]))))
     nf_ratio = drifts[0][0] / drifts[1][0]
     e0_ratio = drifts[0][1] / drifts[1][1]
-    lo, hi = exp["nf_range"]
-    lo0, hi0 = exp["e0_range"]
-    return [
-        Verdict("nf_drift_ratio", lo <= nf_ratio <= hi, nf_ratio,
-                f"[{lo}, {hi}]", 0.0),
-        Verdict("e0_drift_ratio", lo0 <= e0_ratio <= hi0, e0_ratio,
-                f"[{lo0}, {hi0}]", 0.0),
-    ]
+    return [_within("nf_drift_ratio", nf_ratio, *exp["nf_range"]),
+            _within("e0_drift_ratio", e0_ratio, *exp["e0_range"])]
 
 
 def _run_lifespan(config: ExperimentConfig, out_dir: str) -> list:
@@ -541,7 +523,7 @@ def _run_symbols(config: ExperimentConfig, out_dir: str) -> list:
     exp = config.experiment
     rng = np.random.default_rng(config.seed)
     worst3 = worst4 = 0.0
-    rows = ["xi,eta,Ah,Bh,Ch,Aa,Ba,Ca,Da,Omega,r3,r4"]
+    rows = []
     n = 0
     while n < exp["n_points"]:
         xi, eta = rng.uniform(-exp["rho_max"], exp["rho_max"], 2)
@@ -566,17 +548,11 @@ def _run_symbols(config: ExperimentConfig, out_dir: str) -> list:
                        (-base, 1e-3), (1e-3, -base), (-base, base - 1e-3)):
             r3, r4 = system_residuals(x, e)
             worst_line = max(worst_line, float(np.max(r3)), float(np.max(r4)))
-    with open(os.path.join(out_dir, "symbols.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
-    return [
-        Verdict("system_3x3", worst3 <= exp["tol"], worst3, "<= tol",
-                exp["tol"]),
-        Verdict("system_4x4", worst4 <= exp["tol"], worst4, "<= tol",
-                exp["tol"]),
-        Verdict("near_line", worst_line <= exp["line_tol"], worst_line,
-                "<= tol", exp["line_tol"]),
-    ]
+    _write_table(os.path.join(out_dir, "symbols.csv"),
+                 "xi,eta,Ah,Bh,Ch,Aa,Ba,Ca,Da,Omega,r3,r4", rows)
+    return [_at_most("system_3x3", worst3, exp["tol"]),
+            _at_most("system_4x4", worst4, exp["tol"]),
+            _at_most("near_line", worst_line, exp["line_tol"])]
 
 
 def _run_conformal(config: ExperimentConfig, out_dir: str) -> list:
@@ -594,15 +570,9 @@ def _run_conformal(config: ExperimentConfig, out_dir: str) -> list:
     back = holo_to_graph(result.W)
     sup_err = float(np.max(np.abs(back - eta)))
     rows = norm_comparability(graph, result.W)
-    ratios = [r.ratio for r in rows]
-    verdicts = [Verdict("round_trip", sup_err <= exp["tol"], sup_err,
-                        "<= tol", exp["tol"])]
-    for row in rows:
-        ok = exp["ratio_low"] <= row.ratio <= exp["ratio_high"]
-        verdicts.append(Verdict(f"comparability_j{row.order}", ok, row.ratio,
-                                f"[{exp['ratio_low']}, {exp['ratio_high']}]",
-                                0.0))
-    return verdicts
+    return [_at_most("round_trip", sup_err, exp["tol"])] + [
+        _within(f"comparability_j{row.order}", row.ratio, exp["ratio_low"],
+                exp["ratio_high"]) for row in rows]
 
 
 def _run_scaling_check(config: ExperimentConfig, out_dir: str) -> list:
@@ -619,9 +589,7 @@ def _run_scaling_check(config: ExperimentConfig, out_dir: str) -> list:
     f2, _ = evolve(scaled, solver)
     errW = float(np.max(np.abs(f2.W.values - f1.W.values / lam)))
     errQ = float(np.max(np.abs(f2.Q.values - f1.Q.values / lam ** 2)))
-    err = max(errW, errQ)
-    return [Verdict("scaling_agreement", err <= exp["tol"], err, "<= tol",
-                    exp["tol"])]
+    return [_at_most("scaling_agreement", max(errW, errQ), exp["tol"])]
 
 
 _RUNNERS = {
@@ -644,7 +612,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> int:
     except StepAbort as exc:
         path = os.path.join(out_dir, "last_good.snap")
         write_snapshot(path, exc.last_good)
-        print(f"aborted at step {exc.step_index}: {exc}; "
+        print(f"error: aborted at step {exc.step_index}: {exc.reason}; "
               f"last good state in {path}", file=sys.stderr)
         return 2
     _write_verdicts(out_dir, config.kind, verdicts)
@@ -702,8 +670,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        import dataclasses
-        config = dataclasses.replace(config, seed=args.seed)
+        config = replace(config, seed=args.seed)
     out_dir = (args.out or os.environ.get(OUT_ENV_VAR) or config.out
                or os.path.join("runs", config.kind))
     try:

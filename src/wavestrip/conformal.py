@@ -74,45 +74,34 @@ class ConformalResult:
     W: HoloField
     residual: float
     iterations: int
-    monotone_contraction: bool
 
 
-def graph_to_holo(surface: SurfaceGraph, tol: float = 1e-12,
-                  maxiter: int = 200, damping: float = 1.0) -> ConformalResult:
+def graph_to_holo(surface: SurfaceGraph) -> ConformalResult:
     """Fixed-point construction of the conformal trace W from a graph.
 
-    Raises ``RuntimeError`` if the residual does not reach ``tol`` within
-    ``maxiter`` iterations (the usual cause is surface slope too large for
-    the contraction).
+    Iterates until the sup-norm change of ``Im W`` is at most 1e-12, which
+    is the ``residual`` reported.  Raises ``RuntimeError`` if that takes
+    more than 200 iterations (the usual cause is surface slope too large
+    for the contraction).
     """
     grid = surface.grid
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     slope = surface.max_slope
     if slope >= 1.0:
         raise ValueError(f"max slope {slope:.3f} >= 1: outside the small-slope regime")
     alpha = grid.nodes
     Y = surface.eta.copy()
-    residuals = []
-    X = alpha
-    for it in range(1, maxiter + 1):
-        reW = -inv_tilbert(Y - Y.mean(), grid)
-        X = alpha + reW
+    for it in range(1, 201):
+        X = alpha - inv_tilbert(Y - Y.mean(), grid)
         Y_new = trig_interp(surface.eta, grid, X)
         res = float(np.max(np.abs(Y_new - Y)))
-        Y = (1.0 - damping) * Y + damping * Y_new
-        residuals.append(res)
-        if res <= tol:
+        Y = Y_new
+        if res <= 1e-12:
             break
     else:
         raise RuntimeError(
-            f"conformal iteration did not reach tol={tol:.1e} in {maxiter} "
-            f"iterations (last residual {residuals[-1]:.3e}); slope too large?")
-    W = HoloField(grid, (X - alpha) + 1j * Y)
-    # final self-consistency: Im W vs the graph resampled at X
-    final_res = float(np.max(np.abs(W.values.imag - trig_interp(surface.eta, grid, X))))
-    monotone = all(b <= a * (1 + 1e-12) for a, b in zip(residuals[1:], residuals[2:]))
-    return ConformalResult(W, max(final_res, 0.0), it, monotone)
+            f"conformal iteration did not reach tol=1.0e-12 in 200 "
+            f"iterations (last residual {res:.3e}); slope too large?")
+    return ConformalResult(HoloField(grid, (X - alpha) + 1j * Y), res, it)
 
 
 @dataclass(frozen=True)
@@ -135,11 +124,12 @@ def surface_curve(W: HoloField) -> SurfaceCurve:
     return SurfaceCurve(X, Y, float(np.min(dX)))
 
 
-def holo_to_graph(W: HoloField, maxiter: int = 60, tol: float = 1e-14) -> np.ndarray:
+def holo_to_graph(W: HoloField) -> np.ndarray:
     """Resample the surface described by W back onto the physical x-grid.
 
     Inverts ``X(alpha) = alpha + Re W(alpha)`` by Newton iteration with
-    trigonometric interpolation, then evaluates ``Im W`` there.  Inverse of
+    trigonometric interpolation (at most 60 steps, stopping once the sup
+    defect is below 1e-14), then evaluates ``Im W`` there.  Inverse of
     :func:`graph_to_holo` up to interpolation round-off.
     """
     grid = W.grid
@@ -147,9 +137,9 @@ def holo_to_graph(W: HoloField, maxiter: int = 60, tol: float = 1e-14) -> np.nda
     reW = W.values.real
     d_reW = deriv(reW, grid)
     alpha = x.copy()
-    for _ in range(maxiter):
+    for _ in range(60):
         F = alpha + trig_interp(reW, grid, alpha) - x
-        if np.max(np.abs(F)) < tol:
+        if np.max(np.abs(F)) < 1e-14:
             break
         alpha = alpha - F / (1.0 + trig_interp(d_reW, grid, alpha))
     return trig_interp(W.values.imag, grid, alpha)
@@ -168,23 +158,22 @@ class ComparabilityRow:
         return self.holo_norm / self.graph_norm
 
 
-def norm_comparability(surface: SurfaceGraph, W: HoloField,
-                       orders=(0, 1, 2)) -> list[ComparabilityRow]:
-    """Compare graph-side and conformal-side Sobolev norms order by order.
+def norm_comparability(surface: SurfaceGraph,
+                       W: HoloField) -> list[ComparabilityRow]:
+    """Compare graph-side and conformal-side Sobolev norms for j = 0, 1, 2.
 
     Row ``j`` holds ``h^{-j}||eta||_L2 + ||eta||_{H^j_h}`` against the same
     quantity for ``z - alpha = W`` measured in the trace norms.
     """
     grid = surface.grid
     h = grid.h
-    rows = []
     dx_weight = np.sqrt(grid.L / grid.N)
-    for j in orders:
-        l2_eta = float(np.linalg.norm(surface.eta)) * dx_weight
-        hj_eta = sobolev_norm(surface.eta, j, grid, base="l2")
-        graph = h ** (-j) * l2_eta + hj_eta
-        l2_w = float(np.linalg.norm(W.values)) * dx_weight
-        hj_w = sobolev_norm(W.values, j, grid, base="holo")
-        holo = h ** (-j) * l2_w + hj_w
+    l2_eta = float(np.linalg.norm(surface.eta)) * dx_weight
+    l2_w = float(np.linalg.norm(W.values)) * dx_weight
+    rows = []
+    for j in (0, 1, 2):
+        graph = (h ** (-j) * l2_eta
+                 + sobolev_norm(surface.eta, j, grid, base="l2"))
+        holo = h ** (-j) * l2_w + sobolev_norm(W.values, j, grid, base="holo")
         rows.append(ComparabilityRow(j, graph, holo))
     return rows

@@ -85,6 +85,11 @@ class SpectralGrid:
         return 2.0 * np.pi * self.k / self.L
 
     @cached_property
+    def ixi(self) -> np.ndarray:
+        """i xi, the symbol of d/dalpha, in FFT ordering."""
+        return _frozen(1j * self.xi)
+
+    @cached_property
     def tanh(self) -> np.ndarray:
         """tanh(h xi), the Tilbert symbol's magnitude, in FFT ordering."""
         return _frozen(np.tanh(self.h * self.xi))
@@ -199,9 +204,9 @@ def apply_multiplier(f: np.ndarray, m, grid: SpectralGrid) -> np.ndarray:
     return out
 
 
-def deriv(f: np.ndarray, grid: SpectralGrid, order: int = 1) -> np.ndarray:
-    """Spectral derivative d^order/d alpha^order."""
-    return apply_multiplier(f, (1j * grid.xi) ** order, grid)
+def deriv(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Spectral derivative d/dalpha."""
+    return apply_multiplier(f, grid.ixi, grid)
 
 
 def tilbert(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -226,7 +231,7 @@ def antideriv(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """
     c = to_spectrum(f)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(grid.xi != 0.0, c / (1j * grid.xi), 0.0)
+        a = np.where(grid.xi != 0.0, c / grid.ixi, 0.0)
     a[grid.nyquist_index] = 0.0
     return from_spectrum(a)
 

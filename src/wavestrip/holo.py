@@ -76,12 +76,12 @@ class HoloField:
     def spectrum(self) -> np.ndarray:
         return to_spectrum(self.values)
 
-    def validate(self, tol: float = 1e-11) -> None:
+    def validate(self) -> None:
         """Assert the holomorphy constraint Im u = -T_h Re u (mod gauge)."""
         res = holomorphy_residual(self.values, self.grid)
         scale = max(1.0, float(np.max(np.abs(self.values))))
-        if res > tol * scale:
-            raise ValueError(f"holomorphy residual {res:.3e} exceeds {tol:.1e}")
+        if res > 1e-11 * scale:
+            raise ValueError(f"holomorphy residual {res:.3e} exceeds 1.0e-11")
 
     def __add__(self, other):
         if isinstance(other, HoloField):
@@ -110,13 +110,13 @@ def holomorphy_residual(values: np.ndarray, grid: SpectralGrid) -> float:
     return float(np.max(np.abs(defect)))
 
 
-def flip_residual(values: np.ndarray, grid: SpectralGrid, floor: float = 2e-5) -> float:
+def flip_residual(values: np.ndarray, grid: SpectralGrid) -> float:
     """Max relative defect of the spectral flip relation.
 
     Holomorphic traces satisfy ``conj(u_hat(-xi)) = exp(2 h xi) u_hat(xi)``
     mode by mode.  The positive-frequency side decays like ``exp(-2 h xi)``,
-    so once the smaller of the paired coefficients drops below ``floor``
-    times the spectral scale, double-precision round-off (relative error
+    so once the smaller of the paired coefficients drops below 2e-5 times
+    the spectral scale, double-precision round-off (relative error
     ``eps * scale / |u_hat|``) swamps the comparison; those modes are
     skipped as unresolvable rather than counted as violations.
     """
@@ -128,7 +128,7 @@ def flip_residual(values: np.ndarray, grid: SpectralGrid, floor: float = 2e-5) -
     rhs = np.where(np.isfinite(rhs), rhs, 0.0)
     scale = float(np.max(np.abs(c))) or 1.0
     mask = grid.project_coeffs[0] & (np.minimum(np.abs(c), np.abs(cneg))
-                                     > floor * scale)
+                                     > 2e-5 * scale)
     if not np.any(mask):
         return 0.0
     return float(np.max(np.abs(lhs[mask] - rhs[mask]) /
@@ -255,12 +255,11 @@ class IdentityReport:
 
     product_formula: float
     projected_formula: float
-    threshold: float = 1e-9
 
     @property
     def passed(self) -> bool:
-        return (self.product_formula <= self.threshold
-                and self.projected_formula <= self.threshold)
+        return (self.product_formula <= 1e-9
+                and self.projected_formula <= 1e-9)
 
 
 def check_identities(u: HoloField, v: HoloField) -> IdentityReport:

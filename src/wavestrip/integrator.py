@@ -26,8 +26,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import (SpectralGrid, dealias, deriv, from_spectrum, tilbert,
-                   to_spectrum)
+from .grid import (SpectralGrid, dealias, dealias_band, deriv, from_spectrum,
+                   tilbert, to_spectrum)
 from .holo import pair_form, project
 from .dynamics import (WaveState, energy, energy_gradient, momentum,
                        momentum_gradient, rhs_full)
@@ -52,7 +52,6 @@ class SolverConfig:
 
     dt: float
     T_final: float
-    cfl: float = 1.0
     observer_stride: int = 1
     method: str = "rk4"
     project_energy: bool = False
@@ -62,8 +61,6 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.T_final < 0:
             raise ValueError("T_final must be nonnegative")
-        if not (0 < self.cfl <= 1):
-            raise ValueError("cfl must be in (0, 1]")
         if self.observer_stride < 1:
             raise ValueError("observer stride must be >= 1")
         if self.method not in ("rk4", "ifrk4"):
@@ -71,10 +68,15 @@ class SolverConfig:
 
 
 class StepAbort(RuntimeError):
-    """Raised when a step produces an invalid state; carries the last good one."""
+    """Raised when a step produces an invalid state.
 
-    def __init__(self, message: str, step_index: int, last_good: WaveState):
-        super().__init__(f"step {step_index}: {message}")
+    Carries the ``reason``, the index of the failed step and the last good
+    state.
+    """
+
+    def __init__(self, reason: str, step_index: int, last_good: WaveState):
+        super().__init__(f"step {step_index}: {reason}")
+        self.reason = reason
         self.step_index = step_index
         self.last_good = last_good
 
@@ -83,14 +85,15 @@ def suggest_dt(grid: SpectralGrid, g: float, cfl: float = 1.0) -> float:
     """CFL-limited step from the fastest retained linear mode.
 
     dt = cfl * 2.8 / omega_max, omega_max = sqrt(g xi_max tanh(h xi_max))
-    with xi_max = (2 pi / L)(N/3), the largest post-dealias wavenumber;
-    2.8 is the extent of the RK4 stability region on the imaginary axis.
+    with xi_max = (2 pi / L) dealias_band(grid), the largest post-dealias
+    wavenumber; 2.8 is the extent of the RK4 stability region on the
+    imaginary axis.
     """
     if not g > 0:
         raise ValueError("g must be positive")
     if not (0 < cfl <= 1):
         raise ValueError("cfl must be in (0, 1]")
-    xi_max = (2.0 * np.pi / grid.L) * (grid.N // 3)
+    xi_max = (2.0 * np.pi / grid.L) * dealias_band(grid)
     omega_max = np.sqrt(g * xi_max * np.tanh(grid.h * xi_max))
     return float(cfl * 2.8 / omega_max)
 
@@ -285,8 +288,7 @@ def evolve(state: WaveState, config: SolverConfig,
         try:
             current = step_rk4(current, config.dt, config.method)
         except StepAbort as exc:
-            raise StepAbort(str(exc.args[0]).split(": ", 1)[-1], i,
-                            current) from None
+            raise StepAbort(exc.reason, i, current) from None
         if targets is not None:
             current = _project_to_invariant_shell(current, *targets)
         if i % config.observer_stride == 0 or i == n_steps:

@@ -696,7 +696,7 @@ def _rung(n: int, grid: SpectralGrid) -> Callable[[np.ndarray], np.ndarray]:
         raise ValueError("n must be 1 or 2")
     if n == 1:
         return lambda f: f
-    return lambda f: deriv(f, grid, n - 1)
+    return lambda f: deriv(f, grid)
 
 
 def _E0(w: np.ndarray, r: np.ndarray, g: float, grid: SpectralGrid) -> float:
@@ -782,8 +782,10 @@ def high_forms(n: int, diag: DiagState) -> tuple[float, float]:
     n = 1:  B_high = <W, W>_{-4 Re W + 1/2 (1+T^2) Re W}
             A_high = -<R, T^{-1} R_alpha>_{-4 Re W - 1/2 (1+T^2) Re W}
                      - 2 <R W, T^{-1} R_alpha>
-    n = 2:  same with d W, d R, weight coefficient -8 Re W, and the extra
-            + 2 <W R_alpha, T^{-1} d R_alpha> transfer term.
+    n = 2:  the weighted forms with d W, d R and weight coefficient
+            -8 Re W.  The cross term -2 <W d R, T^{-1} d R_alpha> and the
+            transfer term + 2 <W R_alpha, T^{-1} d R_alpha> cancel, since
+            d R = R_alpha, so neither is evaluated.
     """
     grid = diag.grid
     dn = _rung(n, grid)
@@ -795,11 +797,9 @@ def high_forms(n: int, diag: DiagState) -> tuple[float, float]:
     wd, rd = dn(bW), dn(R)
     Tird = inv_tilbert(deriv(rd, grid), grid)
     B_high = weighted_inner(wd, wd, wplus, grid)
-    A_high = (-weighted_inner(rd, Tird, wminus, grid)
-              - 2.0 * inner_h(dealias(bW * rd, grid), Tird, grid))
-    if n == 2:
-        Ra = deriv(R, grid)
-        A_high += 2.0 * inner_h(dealias(bW * Ra, grid), Tird, grid)
+    A_high = -weighted_inner(rd, Tird, wminus, grid)
+    if n == 1:
+        A_high -= 2.0 * inner_h(dealias(bW * rd, grid), Tird, grid)
     return B_high, A_high
 
 

@@ -294,6 +294,46 @@ def test_main_runtime_error_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def test_step_abort_exits_2_with_one_error_line(tmp_path, capsys):
+    # dt = 50 at N = 32 is far outside the stability region: a step fails
+    # its validity check before the first ledger row after step 0
+    p = _write_config(tmp_path / "c.json", {
+        "grid": {"N": 32},
+        "init": {"surface_modes": [{"k": 1, "amplitude": 0.01}],
+                 "velocity_modes": [{"k": 1, "amplitude": 0.005}]},
+        "solver": {"dt": 50.0, "T_final": 500.0, "observer_stride": 100},
+    })
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", p, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: aborted at step ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert err.count("step ") == 1
+    assert read_snapshot(str(out / "last_good.snap")).grid.N == 32
+    assert not (out / "verdict.json").exists()
+
+
+def test_solver_cfl_rule(tmp_path, capsys):
+    init = {"surface_modes": [{"k": 1, "amplitude": 0.01}]}
+    # cfl is validated even when dt is given
+    p = _write_config(tmp_path / "c.json", {
+        "grid": {"N": 32}, "init": init,
+        "solver": {"dt": 0.1, "cfl": 1.5}})
+    assert main(["simulate", "--config", p, "--out",
+                 str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cfl must be in (0, 1]\n"
+    # without dt, the step is the CFL step for the given cfl
+    p = _write_config(tmp_path / "c2.json", {
+        "grid": {"N": 32}, "init": init,
+        "solver": {"cfl": 0.25, "T_final": 1.0}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", p, "--out", str(out)]) == 0
+    lines = (out / "series.csv").read_text().strip().split("\n")[1:]
+    want = suggest_dt(make_grid(2 * np.pi, 32, 1.0), 1.0, 0.25)
+    assert {float(line.split(",")[-1]) for line in lines} == {want}
+
+
 def test_verdict_checksums_only_own_artifacts(tmp_path):
     cfg = load_config(_simulate_config(tmp_path), "simulate")
     out = tmp_path / "run"

@@ -21,8 +21,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T_final=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, T_final=1.0, cfl=1.5)
-    with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T_final=1.0, observer_stride=0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T_final=1.0, method="euler")

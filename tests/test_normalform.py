@@ -313,8 +313,8 @@ def test_nf_energy_quadratic_dominance(grid):
         gaps = []
         for eps in (0.04, 0.02, 0.01):
             d = diag_of(small_state(grid, eps=eps))
-            e0 = _E0(deriv(d.bW.values, grid, n - 1) if n > 1 else d.bW.values,
-                     deriv(d.R.values, grid, n - 1) if n > 1 else d.R.values,
+            e0 = _E0(deriv(d.bW.values, grid) if n > 1 else d.bW.values,
+                     deriv(d.R.values, grid) if n > 1 else d.R.values,
                      d.g, grid)
             gaps.append(abs(nf_energy(n, d) - e0))
         # the correction is cubic: halving eps divides the gap by ~8
@@ -353,3 +353,18 @@ def test_high_forms_are_cubic(grid):
         vals.append((abs(B), abs(A)))
     assert 6.0 < vals[0][0] / vals[1][0] < 12.0
     assert 6.0 < vals[2][1] / vals[3][1] < 12.0
+
+
+def test_high_forms_n2_is_the_weighted_form(grid):
+    # at n = 2 the cross term -2 <W dR, T^{-1} d^2 R> and the transfer term
+    # +2 <W R_alpha, T^{-1} d^2 R> are one product with opposite signs, so
+    # A_high is the weighted form alone
+    from wavestrip.grid import inv_tilbert, smooth_one_plus_T2
+    for eps in (0.04, 0.02):
+        d = diag_of(small_state(grid, eps=eps))
+        bW = d.bW.values
+        rd = deriv(d.R.values, grid)
+        wminus = -8.0 * bW.real - 0.5 * smooth_one_plus_T2(bW.real, grid)
+        want = -weighted_inner(rd, inv_tilbert(deriv(rd, grid), grid),
+                               wminus, grid)
+        assert np.isclose(high_forms(2, d)[1], want, rtol=1e-12, atol=0.0)
