@@ -103,7 +103,7 @@ _EXPERIMENT_DEFAULTS = {
                    "cycles": 10.0},
     "taylor-audit": {"n_states": 500, "c_min": -0.9, "c_max": 0.5,
                      "modes": 6, "slack": 1e-9},
-    "drift-scaling": {"eps": [0.04, 0.02], "T": 20.0, "N": 128,
+    "drift-scaling": {"eps": [0.04, 0.02], "T": 20.0,
                       "nf_range": [12.0, 20.0], "e0_range": [6.0, 10.0]},
     "lifespan": {"eps": 0.05, "horizon_factor": 0.5, "growth_limit": 2.0},
     "symbols": {"n_points": 1000, "d_min": 0.5, "rho_max": 30.0,
@@ -234,12 +234,6 @@ def read_snapshot(path: str) -> WaveState:
     return WaveState(W, Q, header["g"], header["h"], t=header["t"])
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    return repr(float(value))
-
-
 def _write_table(path: str, header: str, rows) -> None:
     """Text table: the header line, then one line per row, LF-terminated."""
     text = "\n".join([header, *rows]) + "\n"
@@ -249,7 +243,7 @@ def _write_table(path: str, header: str, rows) -> None:
 
 def write_series_csv(path: str, records) -> None:
     _write_table(path, ",".join(CSV_COLUMNS),
-                 (",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS)
+                 (",".join(repr(float(getattr(r, c))) for c in CSV_COLUMNS)
                   for r in records))
 
 
@@ -461,7 +455,7 @@ def _run_taylor_audit(config: ExperimentConfig, out_dir: str) -> list:
 
 
 def _drift_profile(eps: float, grid: SpectralGrid, g: float) -> WaveState:
-    x = grid.nodes
+    x = (2 * np.pi / grid.L) * grid.nodes
     W = holo_from_real(0.5 * eps * (np.cos(x + 0.7)
                                     + 0.5 * np.cos(2 * x + 1.3)), grid)
     Q = holo_from_real(0.5 * eps * (0.4 * np.sin(x + 2.1)
@@ -472,7 +466,7 @@ def _drift_profile(eps: float, grid: SpectralGrid, g: float) -> WaveState:
 def _run_drift_scaling(config: ExperimentConfig, out_dir: str) -> list:
     from .normalform import nf_energy, _E0
     exp = config.experiment
-    grid = make_grid(2 * np.pi, exp["N"], 1.0)
+    grid = config.make_grid()
     g = config.g
     drifts = []
     for eps in exp["eps"]:

@@ -18,7 +18,7 @@ which stay uniform in the infinite-depth limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -43,9 +43,7 @@ class DiagnosticsRecord:
 
     ``E_ham`` is the Hamiltonian-form energy and ``E_repr`` its
     representation-form evaluation; ``I`` the momentum; ``taylor_min`` the
-    pointwise minimum of g + frak-a.  An entry is None where it is not
-    defined: the normal-form columns off the unit cell, and ``E2_NF``
-    unless an n = 2 ladder was requested.
+    pointwise minimum of g + frak-a.
     """
 
     t: float
@@ -53,20 +51,19 @@ class DiagnosticsRecord:
     E_repr: float
     I: float
     E0: float
-    E1_NF: Optional[float]
-    E13_high: Optional[float]
+    E1_NF: float
+    E13_high: float
     taylor_min: float
     A_proxy: float
     B_proxy: float
     N1: float
     N2: float
     dt: float
-    E2_NF: Optional[float] = None
 
     def validate(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is not None and not np.isfinite(v):
+            if not np.isfinite(v):
                 raise ValueError(f"non-finite diagnostic entry {f.name} = {v}")
 
 
@@ -165,18 +162,16 @@ def sobolev_Nn(obj: Union[DiagState, WaveState], n: int) -> float:
     return float(np.sqrt(obj.g * nw ** 2 + nr ** 2))
 
 
-def measure(state: WaveState, dt: float = 0.0,
-            with_n2: bool = False) -> DiagnosticsRecord:
-    """Full ledger row for a state.
+def measure(state: WaveState, dt: float = 0.0) -> DiagnosticsRecord:
+    """Full ledger row for a state, on any cell (L, h).
 
-    The normal-form columns (``E1_NF``, ``E13_high``, ``E2_NF``) need the
-    unit cell L = 2 pi, h = 1; on any other grid they are None.
+    ``E1_NF`` is the n = 1 normal-form energy and ``E13_high`` the n = 1
+    quasilinear modified energy.
     """
     from .dynamics import diag_of, energy, momentum, taylor_field
-    from .normalform import nf_energy, cubic_energy_high, is_unit_cell, _E0
+    from .normalform import nf_energy, cubic_energy_high, _E0
 
     d = diag_of(state)
-    nf = is_unit_cell(state.grid)
     e_ham, e_repr = energy(state)
     _, tmin, _, _ = taylor_field(state)
     A, B = control_norms(d)
@@ -187,15 +182,14 @@ def measure(state: WaveState, dt: float = 0.0,
         E_repr=e_repr,
         I=momentum(state),
         E0=e0,
-        E1_NF=nf_energy(1, d) if nf else None,
-        E13_high=cubic_energy_high(1, d) if nf else None,
+        E1_NF=nf_energy(1, d),
+        E13_high=cubic_energy_high(1, d),
         taylor_min=tmin,
         A_proxy=A,
         B_proxy=B,
         N1=sobolev_Nn(d, 1),
         N2=sobolev_Nn(d, 2),
         dt=dt,
-        E2_NF=nf_energy(2, d) if nf and with_n2 else None,
     )
     rec.validate()
     return rec
@@ -233,7 +227,6 @@ def drift_report(series: Sequence[DiagnosticsRecord]) -> DriftReport:
         rel[name] = float(np.max(np.abs(x - x[0])) / max(abs(x[0]), 1e-300))
     rates = {}
     for name in _RATED:
-        # None (a column undefined on this grid) becomes nan
         x = np.array([getattr(r, name) for r in series], dtype=float)
         if len(t) >= 2 and np.ptp(t) > 0:
             slope = float(np.polyfit(t, x, 1)[0])

@@ -148,6 +148,10 @@ def _check_valid(Wv: np.ndarray, grid: SpectralGrid) -> Optional[str]:
         return "non-finite field values"
     if np.min(J) <= 0.0 or np.min(J) < 1e-12:
         return f"Jacobian lower bound violated (min J = {np.min(J):.3e})"
+    # the bound DiagState needs: Y = W_alpha / (1 + W_alpha) below 1
+    Ymax = np.max(np.abs(Wa / (1.0 + Wa)))
+    if Ymax >= 1.0:
+        return f"||Y||_inf = {Ymax:.3e} >= 1: 1 + W_alpha not invertible"
     if np.min(Wv.imag) <= -grid.h:
         return "surface touched the bottom"
     return None

@@ -1,8 +1,9 @@
 """Resonance analysis, normal-form symbols, and cubic-accurate energies.
 
-Everything here is specialized to unit depth (h = 1); gravity g stays free.
-Callers working at other depths must first rescale (the system admits the
-two-parameter scaling that moves (g, h) to (g', 1)).
+The symbols are unit-depth (h = 1) functions; g stays free.  By the scaling
+symmetry (``dynamics.scale_state``, lam = h) a cell (L, h) is the unit-depth
+cell of length L/h, with W/h, Q/h^2, g/h and band modes at xi = kappa j,
+kappa = 2 pi h / L.
 
 The module has three layers:
 
@@ -19,10 +20,10 @@ The module has three layers:
   (``high_forms``), and the quasilinear modified energy
   (``cubic_energy_high``).
 
-Every mode sum runs on one lattice, (xi, eta) = (j, k) over the dealiased
-band with output frequency zeta = -(j + k), and is one of two reductions: a
-Hankel-weighted form (the cubic energy, ``trilinear_eval``) or anti-diagonal
-sums over j + k (``nf_transform``).
+Every mode sum runs on one lattice, the modes (j, k) of the dealiased band
+with output mode -(j + k), and is one of two reductions: a Hankel-weighted
+form (the cubic energy, ``trilinear_eval``) or anti-diagonal sums over
+j + k (``nf_transform``).
 
 Singular-line policy: the three lines xi = 0, eta = 0, zeta = 0 carry the
 resonances.  Off the lines everything is evaluated in closed form (with
@@ -50,7 +51,6 @@ from .dynamics import DiagState, model_energies
 __all__ = [
     "LINE_TOL",
     "SingularLineError",
-    "is_unit_cell",
     "PlanePoint",
     "dispersion_kit",
     "omega_resonance",
@@ -246,12 +246,9 @@ def _holo_limits_eta0(xi):
 
 
 def _holo_limits_xi0(eta):
-    J, Jp, _, Lam = dispersion_kit(eta)
-    Ah = 4j * eta * J / Lam
+    J, _, _, Lam = dispersion_kit(eta)
     # B^h, C^h are symmetric in (xi, eta)
-    Bh = 2j * eta * J / Lam
-    Ch = 1j * eta ** 2 * Jp / Lam
-    return Ah, Bh, Ch
+    return (4j * eta * J / Lam,) + _holo_limits_eta0(eta)[1:]
 
 
 def _mixed_limits_eta0(xi):
@@ -412,18 +409,12 @@ def system_residuals(xi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# lattice machinery (integer frequencies; requires L = 2 pi)
+# lattice machinery (band modes j; unit-depth wavenumbers kappa j)
 
 
-def is_unit_cell(grid: SpectralGrid) -> bool:
-    """True on the cell the lattice sums are built for: L = 2 pi, h = 1."""
-    return (abs(grid.L - 2.0 * np.pi) <= 1e-12 * 2.0 * np.pi
-            and abs(grid.h - 1.0) <= 1e-12)
-
-
-def _require_unit_cell(grid: SpectralGrid) -> None:
-    if not is_unit_cell(grid):
-        raise ValueError("normal-form evaluation requires L = 2 pi and h = 1")
+def _kappa(grid: SpectralGrid) -> float:
+    """Lattice spacing kappa = 2 pi h / L of the cell's unit-depth image."""
+    return 2.0 * np.pi * grid.h / grid.L
 
 
 def _band_index(grid: SpectralGrid, band: int) -> np.ndarray:
@@ -444,31 +435,33 @@ def _band_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return from_spectrum(c)
 
 
-def _holo_symbol_grids(band: int) -> dict:
-    """Symbols on the integer lattice (xi = j, eta = k), lines masked to 0.
+def _holo_symbol_grids(band: int, kappa: float) -> dict:
+    """Symbols on the lattice (xi, eta) = kappa (j, k), lines masked to 0.
 
     The lattice never touches the singular lines because rows/columns with
     j = 0, k = 0 or j + k = 0 are zeroed (their field coefficients vanish
     for the mean-free inputs used here, and the zero output mode is left
-    out of every sum).  Only the band in use is kept: a new band replaces
-    the table.
+    out of every sum).  Off those lines every entry must be finite; a
+    non-finite one raises.  Only the (band, kappa) in use is kept: a new
+    one replaces the table.
     """
-    cached = _symbol_cache.get(band)
+    cached = _symbol_cache.get((band, kappa))
     if cached is not None:
         return cached
     j = np.arange(-band, band + 1, dtype=float)
-    XI, ETA = np.meshgrid(j, j, indexing="ij")
-    mask = (XI != 0) & (ETA != 0) & (XI + ETA != 0)
+    XI, ETA = np.meshgrid(kappa * j, kappa * j, indexing="ij")
+    mask = (j[:, None] != 0) & (j != 0) & (j[:, None] + j != 0)
     Ah, Bh, Ch = _symbols_holo_raw(XI, ETA)
     Aa, Ba, Ca, Da = _symbols_mixed_raw(XI, ETA)
     out = {}
     for name, arr in (("Ah", Ah), ("Bh", Bh), ("Ch", Ch),
                       ("Aa", Aa), ("Ba", Ba), ("Ca", Ca), ("Da", Da)):
         a = np.where(mask, arr, 0.0)
-        a = np.where(np.isfinite(a), a, 0.0)
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"non-finite {name} symbol at kappa {kappa!r}")
         out[name] = a
     _symbol_cache.clear()
-    _symbol_cache[band] = out
+    _symbol_cache[(band, kappa)] = out
     return out
 
 
@@ -512,29 +505,31 @@ def nf_transform(state):
     mode keeps its original coefficient: the symbols have genuine simple
     poles at zero output frequency, and the periodic cell has no continuum
     of modes there to cancel them, so the symbol table is 0 on j + k = 0.
-    Requires L = 2 pi and h = 1.
+    The sums run in the cell's unit-depth image (module docstring); the
+    corrections scale back by h for W and h^2 for Q.
     """
     grid = state.grid
-    _require_unit_cell(grid)
-    g = state.g
+    lam = grid.h
+    Wv, Qv = state.W.values, state.Q.values
+    g = state.g / lam
     band = dealias_band(grid)
-    sym = _holo_symbol_grids(band)
-    w = _band_coeffs(state.W.values - np.mean(state.W.values), grid, band)
-    q = _band_coeffs(state.Q.values - np.mean(state.Q.values), grid, band)
+    sym = _holo_symbol_grids(band, _kappa(grid))
+    w = _band_coeffs(Wv - np.mean(Wv), grid, band) / lam
+    q = _band_coeffs(Qv - np.mean(Qv), grid, band) / lam ** 2
     wbar = _conj_flip(w)
     qbar = _conj_flip(q)
     dW = (sym["Bh"] * np.outer(w, w) + sym["Ch"] * np.outer(q, q) / g
           + sym["Ba"] * np.outer(w, wbar) + sym["Ca"] * np.outer(q, qbar) / g)
     dQ = (sym["Ah"] * np.outer(w, q) + sym["Aa"] * np.outer(w, qbar)
           + sym["Da"] * np.outer(q, wbar))
-    Wt = state.W.values + _band_samples(_antidiagonal_modes(dW), grid)
-    Qt = state.Q.values + _band_samples(_antidiagonal_modes(dQ), grid)
+    Wt = Wv + lam * _band_samples(_antidiagonal_modes(dW), grid)
+    Qt = Qv + lam ** 2 * _band_samples(_antidiagonal_modes(dQ), grid)
     return HoloField(grid, Wt), HoloField(grid, Qt)
 
 
 # The mixed-argument convention: the antiholomorphic slot enters through
 # conj(f^)(-eta) with (xi, eta, zeta) still on the plane, so every bilinear
-# and trilinear sum below lives on the same integer lattice.
+# and trilinear sum below lives on the same band lattice.
 
 
 # ---------------------------------------------------------------------------
@@ -648,12 +643,12 @@ def trilinear_eval(form: TrilinearForm, f1, f2, f3,
     """Discrete trilinear form L Re sum s(xi, eta, zeta) c1 c2 c3.
 
     The sum runs over the dealiased band with zeta = -(xi + eta) folded into
-    the band; the constant L is fixed so that the constant symbol 1 on real
-    fields reproduces the physical-space quadrature of f1 f2 f3.  Dropped
-    (out-of-band) output contributions are accumulated and must stay below
-    1e-12 of the total mass.
+    the band, and the symbol is evaluated at the physical wavenumbers
+    xi = 2 pi j / L; the constant L is fixed so that the constant symbol 1
+    on real fields reproduces the physical-space quadrature of f1 f2 f3.
+    Dropped (out-of-band) output contributions are accumulated and must
+    stay below 1e-12 of the total mass.
     """
-    _require_unit_cell(grid)
     band = dealias_band(grid)
     size = 2 * band + 1
     vals = [f.values if isinstance(f, HoloField) else np.asarray(f, dtype=complex)
@@ -666,8 +661,8 @@ def trilinear_eval(form: TrilinearForm, f1, f2, f3,
     c3 = np.where(np.abs(m) <= grid.N // 2,
                   to_spectrum(vals[2])[grid.neg_index][m % grid.N], 0.0)
     inband = np.abs(m) <= band
-    j = np.arange(-band, band + 1, dtype=float)[:, None]
-    S = np.asarray(form.symbol(j, j.T, -(j + j.T)), dtype=complex)
+    xi = (2.0 * np.pi / grid.L) * np.arange(-band, band + 1)[:, None]
+    S = np.asarray(form.symbol(xi, xi.T, -(xi + xi.T)), dtype=complex)
     total = grid.L * _hankel_form(
         sliding_window_view(np.where(inband, c3, 0.0), size), S, c1, c2)
     # the same reduction on absolute values: kept and dropped (out-of-band
@@ -715,24 +710,30 @@ def _preflip_cubic(n: int, w: np.ndarray, q: np.ndarray, g: float,
     continuum normalization (the symbol-1 calibration constant L times the
     explicit factor 2 of the trilinear representation).
 
-    Each sum runs over the lattice (xi, eta) = (j, k) and weights the
-    symbol by a factor of the output frequency zeta = -(j + k) alone:
+    Each sum runs over the lattice (xi, eta) = kappa (j, k) and weights the
+    symbol by a factor of the output frequency zeta = -kappa (j + k) alone:
     zeta^{2n} times the flip defect of w for the B and C sums, and
     coth(zeta) zeta^{2n+1} times that of q for the A and D sums.  Each
     weight is therefore one vector over j + k, read as a Hankel matrix H (a
-    strided view, zero where |zeta| exceeds the band), and each sum is the
+    strided view, zero where |j + k| exceeds the band), and each sum is the
     form c1 @ ((S * H) @ c2), :func:`_hankel_form`.
+
+    The sums run in the cell's unit-depth image (module docstring); the
+    cubic part of E^n has scaling degree 4 - 2n, so it scales back by
+    h^(4 - 2n).
     """
+    lam = grid.h
+    kappa = _kappa(grid)
     band = dealias_band(grid)
     size = 2 * band + 1
-    sym = _holo_symbol_grids(band)
-    cw = _band_coeffs(w - np.mean(w), grid, band)
-    cq = _band_coeffs(q - np.mean(q), grid, band)
+    sym = _holo_symbol_grids(band, kappa)
+    cw = _band_coeffs(w - np.mean(w), grid, band) / lam
+    cq = _band_coeffs(q - np.mean(q), grid, band) / lam ** 2
     cwb = _conj_flip(cw)
     cqb = _conj_flip(cq)
-    # output frequency zeta = -m for m = j + k in -2 band .. 2 band, and the
-    # flip defects conj(c^)(-zeta) - c^(zeta) along m, zero off the band
-    zeta = -np.arange(-2 * band, 2 * band + 1, dtype=float)
+    # output frequency zeta = -kappa m for m = j + k in -2 band .. 2 band,
+    # and the flip defects conj(c^)(-zeta) - c^(zeta) along m, 0 off the band
+    zeta = -kappa * np.arange(-2 * band, 2 * band + 1, dtype=float)
     dw = np.pad((cwb - cw)[::-1], band)
     dq = np.pad((cqb - cq)[::-1], band)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -746,7 +747,8 @@ def _preflip_cubic(n: int, w: np.ndarray, q: np.ndarray, g: float,
              + _hankel_form(Hq, sym["Ah"], cw, cq)
              + _hankel_form(Hq, sym["Aa"], cw, cqb)
              + _hankel_form(Hq, sym["Da"], cq, cwb))
-    return 2.0 * grid.L * (g * B_val + A_val)
+    return (2.0 * (grid.L / lam) * (g / lam * B_val + A_val)
+            * lam ** (4 - 2 * n))
 
 
 def nf_energy(n: int, diag: DiagState) -> float:
@@ -762,7 +764,6 @@ def nf_energy(n: int, diag: DiagState) -> float:
     """
     grid = diag.grid
     dn = _rung(n, grid)
-    _require_unit_cell(grid)
     g = diag.g
     bW = diag.bW.values
     R = diag.R.values
@@ -770,10 +771,8 @@ def nf_energy(n: int, diag: DiagState) -> float:
     quad = _E0(wd, rd, g, grid)
     RWd = dn(dealias(R * bW, grid))
     cross = -2.0 * inner_h(RWd, inv_tilbert(deriv(rd, grid), grid), grid)
-    Wstar = antideriv(bW, grid)
-    Qstar = antideriv(R, grid)
-    cubic = _preflip_cubic(n, Wstar, Qstar, g, grid)
-    return quad + cross + cubic
+    return quad + cross + _preflip_cubic(n, antideriv(bW, grid),
+                                         antideriv(R, grid), g, grid)
 
 
 def high_forms(n: int, diag: DiagState) -> tuple[float, float]:

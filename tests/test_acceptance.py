@@ -230,6 +230,23 @@ def test_quartic_drift_ratio(tmp_path):
     assert 6.0 <= by_name["e0_drift_ratio"]["measured"] <= 10.0
 
 
+@pytest.mark.parametrize("cell", [{"h": 0.5}, {"h": 1.0}, {"h": 2.0},
+                                  {"h": 4.0}, {"h": 8.0}, {"L": 5.0}])
+def test_quartic_drift_ratio_across_cells(cell, tmp_path):
+    # the drift ratios hold uniformly in the depth, up to deep water, and
+    # on a period that is not a multiple of 2 pi; drift-scaling takes its
+    # cell from the config's grid block
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": cell}))
+    cfg = cli.load_config(str(path), "drift-scaling")
+    out = tmp_path / "run"
+    assert cli.run_experiment(cfg, str(out)) == 0
+    doc = json.loads((out / "verdict.json").read_text())
+    by_name = {v["name"]: v for v in doc["verdicts"]}
+    assert 12.0 <= by_name["nf_drift_ratio"]["measured"] <= 20.0
+    assert 6.0 <= by_name["e0_drift_ratio"]["measured"] <= 10.0
+
+
 def test_lifespan_scaling():
     grid = make_grid(2 * np.pi, 256, 1.0)
     for eps in (0.05, 0.025):

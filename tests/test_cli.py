@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from wavestrip.grid import make_grid
+from wavestrip.grid import make_grid, to_spectrum
 from wavestrip.holo import holo_from_real
 from wavestrip.dynamics import WaveState
 from wavestrip.integrator import SolverConfig, evolve, suggest_dt
@@ -12,6 +12,7 @@ from wavestrip.cli import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    _drift_profile,
     build_state,
     emit_report,
     load_config,
@@ -123,7 +124,6 @@ def test_series_csv_format(tmp_path):
     row = Row()
     for i, c in enumerate(CSV_COLUMNS):
         setattr(row, c, float(i))
-    row.E2_NF = None
     p = tmp_path / "s.csv"
     write_series_csv(str(p), [row])
     lines = p.read_text().strip().split("\n")
@@ -191,10 +191,17 @@ def test_simulate_off_unit_cell(tmp_path):
     for line in lines[1:]:
         row = dict(zip(CSV_COLUMNS, map(float, line.split(","))))
         for name, value in row.items():
-            if name in ("E1_NF", "E13_high"):
-                assert np.isnan(value)
-            else:
-                assert np.isfinite(value), name
+            assert np.isfinite(value), name
+
+
+def test_drift_profile_is_band_limited_on_any_period():
+    # the profile holds modes 1 to 3 of the cell, whatever its period
+    for L in (2 * np.pi, 5.0):
+        grid = make_grid(L, 64, 1.0)
+        state = _drift_profile(0.04, grid, 1.0)
+        for f in (state.W.values, state.Q.values):
+            c = np.abs(to_spectrum(f))
+            assert np.max(c[np.abs(grid.k) > 3]) < 1e-15, L
 
 
 def test_zero_duration_run_preserves_snapshot(tmp_path):
@@ -296,21 +303,24 @@ def test_main_runtime_error_exits_2(tmp_path, capsys):
 
 def test_step_abort_exits_2_with_one_error_line(tmp_path, capsys):
     # dt = 50 at N = 32 is far outside the stability region: a step fails
-    # its validity check before the first ledger row after step 0
-    p = _write_config(tmp_path / "c.json", {
-        "grid": {"N": 32},
-        "init": {"surface_modes": [{"k": 1, "amplitude": 0.01}],
-                 "velocity_modes": [{"k": 1, "amplitude": 0.005}]},
-        "solver": {"dt": 50.0, "T_final": 500.0, "observer_stride": 100},
-    })
-    out = tmp_path / "run"
-    assert main(["simulate", "--config", p, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: aborted at step ")
-    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
-    assert err.count("step ") == 1
-    assert read_snapshot(str(out / "last_good.snap")).grid.N == 32
-    assert not (out / "verdict.json").exists()
+    # its validity check, with a ledger row after every step (stride 1) or
+    # before the first ledger row after step 0 (stride 100)
+    for stride in (100, 1):
+        p = _write_config(tmp_path / f"c{stride}.json", {
+            "grid": {"N": 32},
+            "init": {"surface_modes": [{"k": 1, "amplitude": 0.01}],
+                     "velocity_modes": [{"k": 1, "amplitude": 0.005}]},
+            "solver": {"dt": 50.0, "T_final": 500.0,
+                       "observer_stride": stride},
+        })
+        out = tmp_path / f"run{stride}"
+        assert main(["simulate", "--config", p, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: aborted at step "), stride
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert err.count("step ") == 1
+        assert read_snapshot(str(out / "last_good.snap")).grid.N == 32
+        assert not (out / "verdict.json").exists()
 
 
 def test_solver_cfl_rule(tmp_path, capsys):

@@ -29,8 +29,6 @@ def test_record_validate():
         _record(E_ham=np.nan).validate()
     with pytest.raises(ValueError):
         _record(N2=np.inf).validate()
-    # the optional ladder entry may be absent
-    assert _record().E2_NF is None
 
 
 def test_bmo_proxy_constant_and_zero(grid):
@@ -79,10 +77,7 @@ def test_measure_full_row(grid):
     rec = measure(small_state(grid, eps=0.02), dt=0.05)
     rec.validate()
     assert rec.dt == 0.05
-    assert rec.E2_NF is None
     assert rec.E_ham > 0 and rec.taylor_min > 0
-    rec2 = measure(small_state(grid, eps=0.02), with_n2=True)
-    assert isinstance(rec2.E2_NF, float)
 
 
 def test_drift_report():

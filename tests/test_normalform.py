@@ -4,7 +4,7 @@ import pytest
 from wavestrip import normalform
 from wavestrip.grid import make_grid, deriv, to_spectrum
 from wavestrip.holo import holo_from_real, weighted_inner
-from wavestrip.dynamics import WaveState, diag_of
+from wavestrip.dynamics import WaveState, diag_of, scale_state
 from wavestrip.integrator import step_rk4
 from wavestrip.normalform import (
     LINE_TOL,
@@ -204,29 +204,26 @@ def _linear_residual(state, transformed, dt=1e-4):
 
 
 def test_transform_removes_quadratic_terms():
-    grid = make_grid(2 * np.pi, 64, 1.0)
-    r_raw = []
-    r_nf = []
-    for eps in (0.02, 0.01):
-        state = small_state(grid, eps=eps)
-        r_raw.append(_linear_residual(state, transformed=False))
-        r_nf.append(_linear_residual(state, transformed=True))
-    # raw residual is quadratic in the amplitude, transformed one cubic
-    assert 3.2 < r_raw[0] / r_raw[1] < 4.8
-    assert 6.4 < r_nf[0] / r_nf[1] < 9.6
-
-
-def test_nf_transform_requires_unit_cell():
-    grid = make_grid(4 * np.pi, 64, 1.0)
-    with pytest.raises(ValueError):
-        nf_transform(small_state(grid, eps=0.01))
+    # on the unit cell and on cells of other depth and period
+    for L, h in ((2 * np.pi, 1.0), (2 * np.pi, 0.5), (2 * np.pi, 2.0),
+                 (4 * np.pi, 1.0)):
+        grid = make_grid(L, 64, h)
+        r_raw = []
+        r_nf = []
+        for eps in (0.02, 0.01):
+            state = small_state(grid, eps=eps)
+            r_raw.append(_linear_residual(state, transformed=False))
+            r_nf.append(_linear_residual(state, transformed=True))
+        # raw residual is quadratic in the amplitude, transformed one cubic
+        assert 3.2 < r_raw[0] / r_raw[1] < 4.8, (L, h)
+        assert 6.4 < r_nf[0] / r_nf[1] < 9.6, (L, h)
 
 
 def _nf_transform_loop(state):
     """Spectra of nf_transform's corrections, term by term over the lattice."""
     grid = state.grid
     band = grid.N // 3
-    sym = _holo_symbol_grids(band)
+    sym = _holo_symbol_grids(band, 1.0)
     w = _band_coeffs(state.W.values - np.mean(state.W.values), grid, band)
     q = _band_coeffs(state.Q.values - np.mean(state.Q.values), grid, band)
     wb, qb = _conj_flip(w), _conj_flip(q)
@@ -268,13 +265,13 @@ def test_symbol_cache_holds_one_band():
     for N in (24, 64, 128):
         grid = make_grid(2 * np.pi, N, 1.0)
         nf_energy(1, diag_of(small_state(grid, eps=0.01)))
-    assert list(normalform._symbol_cache) == [128 // 3]
+    assert list(normalform._symbol_cache) == [(128 // 3, 1.0)]
 
 
 def _preflip_cubic_loop(n, w, q, g, grid):
     """The seven pre-flip double sums, term by term over the lattice."""
     band = grid.N // 3
-    sym = _holo_symbol_grids(band)
+    sym = _holo_symbol_grids(band, 1.0)
     cw = _band_coeffs(w - np.mean(w), grid, band)
     cq = _band_coeffs(q - np.mean(q), grid, band)
     cwb, cqb = _conj_flip(cw), _conj_flip(cq)
@@ -320,6 +317,43 @@ def test_nf_energy_quadratic_dominance(grid):
         # the correction is cubic: halving eps divides the gap by ~8
         assert 7.0 < gaps[0] / gaps[1] < 14.0
         assert 7.0 < gaps[1] / gaps[2] < 14.0
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 4.0])
+def test_nf_energy_exact_dyadic_scaling(lam, grid):
+    # the scaling symmetry changes the cell (L, h) to (L/lam, h/lam) and
+    # E^n by lam^-(4 - 2n); for dyadic lam the change is exact
+    state = small_state(grid, eps=0.03)
+    for n in (1, 2):
+        scaled = nf_energy(n, diag_of(scale_state(state, lam)))
+        assert scaled == lam ** -(4 - 2 * n) * nf_energy(n, diag_of(state))
+
+
+def test_nf_energy_infinite_depth_limit():
+    # at fixed L the cubic remainder E^1_NF - E0 converges as h grows, at
+    # the exponential rate of tanh(h xi) -> sgn(xi)
+    rem = []
+    for h in (4.0, 6.0, 8.0, 12.0, 16.0):
+        d = diag_of(small_state(make_grid(2 * np.pi, 128, h), eps=0.02))
+        rem.append(nf_energy(1, d) - _E0(d.bW.values, d.R.values, d.g, d.grid))
+    steps = np.abs(np.diff(rem))
+    assert np.all(steps[1:] < 0.1 * steps[:-1]), steps
+
+
+def test_symbol_table_rejects_non_finite_entries(monkeypatch):
+    for kappa in (0.125, 16.0):
+        sym = _holo_symbol_grids(64, kappa)
+        assert all(np.all(np.isfinite(a)) for a in sym.values())
+    raw = normalform._symbols_mixed_raw
+
+    def broken(xi, eta):
+        Aa, Ba, Ca, Da = raw(xi, eta)
+        Ba[1, 2] = np.inf
+        return Aa, Ba, Ca, Da
+
+    monkeypatch.setattr(normalform, "_symbols_mixed_raw", broken)
+    with pytest.raises(ValueError, match="non-finite Ba"):
+        _holo_symbol_grids(8, 0.5)
 
 
 def test_nf_energy_validation(grid):
