@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SpectralGrid, deriv, inv_tilbert, to_spectrum
-from .holo import HoloField, sobolev_norm
+from .holo import sobolev_norm
 
 __all__ = [
     "SurfaceGraph",
@@ -71,7 +71,7 @@ def trig_interp(values: np.ndarray, grid: SpectralGrid, x: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class ConformalResult:
-    W: HoloField
+    W: np.ndarray
     residual: float
     iterations: int
 
@@ -101,7 +101,7 @@ def graph_to_holo(surface: SurfaceGraph) -> ConformalResult:
         raise RuntimeError(
             f"conformal iteration did not reach tol=1.0e-12 in 200 "
             f"iterations (last residual {res:.3e}); slope too large?")
-    return ConformalResult(HoloField(grid, (X - alpha) + 1j * Y), res, it)
+    return ConformalResult((X - alpha) + 1j * Y, res, it)
 
 
 @dataclass(frozen=True)
@@ -115,16 +115,15 @@ class SurfaceCurve:
         return self.min_dx > 0
 
 
-def surface_curve(W: HoloField) -> SurfaceCurve:
+def surface_curve(W: np.ndarray, grid: SpectralGrid) -> SurfaceCurve:
     """Sampled parametric curve Z(alpha) = alpha + W(alpha) with spacing report."""
-    grid = W.grid
-    X = grid.nodes + W.values.real
-    Y = W.values.imag
+    X = grid.nodes + W.real
+    Y = W.imag
     dX = np.diff(np.concatenate([X, [X[0] + grid.L]]))
     return SurfaceCurve(X, Y, float(np.min(dX)))
 
 
-def holo_to_graph(W: HoloField) -> np.ndarray:
+def holo_to_graph(W: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Resample the surface described by W back onto the physical x-grid.
 
     Inverts ``X(alpha) = alpha + Re W(alpha)`` by Newton iteration with
@@ -132,9 +131,8 @@ def holo_to_graph(W: HoloField) -> np.ndarray:
     defect is below 1e-14), then evaluates ``Im W`` there.  Inverse of
     :func:`graph_to_holo` up to interpolation round-off.
     """
-    grid = W.grid
     x = grid.nodes
-    reW = W.values.real
+    reW = W.real
     d_reW = deriv(reW, grid)
     alpha = x.copy()
     for _ in range(60):
@@ -142,7 +140,7 @@ def holo_to_graph(W: HoloField) -> np.ndarray:
         if np.max(np.abs(F)) < 1e-14:
             break
         alpha = alpha - F / (1.0 + trig_interp(d_reW, grid, alpha))
-    return trig_interp(W.values.imag, grid, alpha)
+    return trig_interp(W.imag, grid, alpha)
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ class ComparabilityRow:
 
 
 def norm_comparability(surface: SurfaceGraph,
-                       W: HoloField) -> list[ComparabilityRow]:
+                       W: np.ndarray) -> list[ComparabilityRow]:
     """Compare graph-side and conformal-side Sobolev norms for j = 0, 1, 2.
 
     Row ``j`` holds ``h^{-j}||eta||_L2 + ||eta||_{H^j_h}`` against the same
@@ -169,11 +167,11 @@ def norm_comparability(surface: SurfaceGraph,
     h = grid.h
     dx_weight = np.sqrt(grid.L / grid.N)
     l2_eta = float(np.linalg.norm(surface.eta)) * dx_weight
-    l2_w = float(np.linalg.norm(W.values)) * dx_weight
+    l2_w = float(np.linalg.norm(W)) * dx_weight
     rows = []
     for j in (0, 1, 2):
         graph = (h ** (-j) * l2_eta
                  + sobolev_norm(surface.eta, j, grid, base="l2"))
-        holo = h ** (-j) * l2_w + sobolev_norm(W.values, j, grid, base="holo")
+        holo = h ** (-j) * l2_w + sobolev_norm(W, j, grid, base="holo")
         rows.append(ComparabilityRow(j, graph, holo))
     return rows

@@ -18,12 +18,12 @@ which stay uniform in the infinite-depth limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .grid import SpectralGrid, apply_multiplier, from_spectrum, to_spectrum
-from .holo import norm_calH, sobolev_norm, sobolev_weight
+from .holo import sobolev_norm, sobolev_weight
 from .dynamics import WaveState, DiagState
 
 __all__ = [
@@ -128,8 +128,8 @@ def control_norms(diag: DiagState) -> tuple[float, float]:
     """Pointwise control-norm proxies (A_proxy, B_proxy) of a state."""
     grid = diag.grid
     g = diag.g
-    bW = diag.bW.values
-    R = diag.R.values
+    bW = diag.bW
+    R = diag.R
     Rh = _half_weight(R, grid, 0.5)
     # Besov B^{0,inf}_2 piece: largest dyadic-block L^2 norm
     c = to_spectrum(Rh)
@@ -144,22 +144,18 @@ def control_norms(diag: DiagState) -> tuple[float, float]:
     return float(A), float(B)
 
 
-def sobolev_Nn(obj: Union[DiagState, WaveState], n: int) -> float:
-    """Sobolev ladder norm N_n = ||(g^{1/2} W, R)||_{H^{n-1} x H^{n-1/2}}.
+def sobolev_Nn(diag: DiagState, n: int) -> float:
+    """Sobolev ladder norm N_n = ||(g^{1/2} W, R)||_{H^{n-1} x H^{n-1/2}}, n >= 1.
 
-    For n = 0 the argument must be the undifferentiated state and the value
-    is its scale-invariant trace-space norm ||(W, Q)||_H.
+    The n = 0 rung, the trace-space norm ||(W, Q)||_H of the
+    undifferentiated state, is :func:`wavestrip.holo.norm_calH`.
     """
-    if n == 0:
-        if not isinstance(obj, WaveState):
-            raise TypeError("the n = 0 ladder norm is defined on a WaveState")
-        return norm_calH((obj.W.values, obj.Q.values), obj.g, obj.grid)
-    if not isinstance(obj, DiagState):
-        raise TypeError("ladder norms with n >= 1 are defined on a DiagState")
-    grid = obj.grid
-    nw = sobolev_norm(obj.bW.values, n - 1.0, grid, base="l2")
-    nr = sobolev_norm(obj.R.values, n - 0.5, grid, base="l2")
-    return float(np.sqrt(obj.g * nw ** 2 + nr ** 2))
+    if n < 1:
+        raise ValueError("ladder norms on a DiagState need n >= 1")
+    grid = diag.grid
+    nw = sobolev_norm(diag.bW, n - 1.0, grid, base="l2")
+    nr = sobolev_norm(diag.R, n - 0.5, grid, base="l2")
+    return float(np.sqrt(diag.g * nw ** 2 + nr ** 2))
 
 
 def measure(state: WaveState, dt: float = 0.0) -> DiagnosticsRecord:
@@ -175,7 +171,7 @@ def measure(state: WaveState, dt: float = 0.0) -> DiagnosticsRecord:
     e_ham, e_repr = energy(state)
     _, tmin, _, _ = taylor_field(state)
     A, B = control_norms(d)
-    e0 = _E0(d.bW.values, d.R.values, state.g, state.grid)
+    e0 = _E0(d.bW, d.R, state.g, state.grid)
     rec = DiagnosticsRecord(
         t=state.t,
         E_ham=e_ham,

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import SpectralGrid, dealias, deriv, inv_tilbert, lh_apply, tilbert
-from .holo import HoloField, inner_h, pair_form, project, weighted_inner
+from .holo import inner_h, pair_form, project, weighted_inner
 
 __all__ = [
     "WaveState",
@@ -51,60 +51,62 @@ __all__ = [
 ]
 
 
+def _samples(values, grid: SpectralGrid) -> np.ndarray:
+    """Contiguous complex128 samples of one field, checked against the grid."""
+    v = np.ascontiguousarray(np.asarray(values, dtype=np.complex128))
+    if v.shape != (grid.N,):
+        raise ValueError(f"expected {grid.N} samples, got {v.shape}")
+    return v
+
+
 @dataclass(frozen=True)
 class WaveState:
-    """Position/potential variables (W, Q) with physics parameters."""
+    """Position/potential samples (W, Q) on one grid, with gravity and time.
 
-    W: HoloField
-    Q: HoloField
+    The depth is ``grid.h``.
+    """
+
+    grid: SpectralGrid
+    W: np.ndarray
+    Q: np.ndarray
     g: float
-    h: float
     t: float = 0.0
 
     def __post_init__(self):
-        self.W.grid.require_same(self.Q.grid)
-        if self.h != self.W.grid.h:
-            raise ValueError("state depth differs from grid depth")
+        object.__setattr__(self, "W", _samples(self.W, self.grid))
+        object.__setattr__(self, "Q", _samples(self.Q, self.grid))
         if not self.g > 0:
             raise ValueError("g must be positive")
-        J = np.abs(1.0 + deriv(self.W.values, self.grid)) ** 2
+        J = np.abs(1.0 + deriv(self.W, self.grid)) ** 2
         if np.min(J) <= 0:
             raise ValueError("degenerate parametrization: J <= 0 somewhere")
 
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.W.grid
-
     def with_fields(self, Wv: np.ndarray, Qv: np.ndarray, t: Optional[float] = None) -> "WaveState":
-        return WaveState(HoloField(self.grid, Wv), HoloField(self.grid, Qv),
-                         self.g, self.h, self.t if t is None else t)
+        return WaveState(self.grid, Wv, Qv, self.g,
+                         self.t if t is None else t)
 
 
 @dataclass(frozen=True)
 class DiagState:
-    """Diagonal variables (bW, R) = (W_alpha, Q_alpha/(1+W_alpha))."""
+    """Diagonal samples (bW, R) = (W_alpha, Q_alpha/(1+W_alpha)) on one grid."""
 
-    bW: HoloField
-    R: HoloField
+    grid: SpectralGrid
+    bW: np.ndarray
+    R: np.ndarray
     g: float
-    h: float
     t: float = 0.0
 
     def __post_init__(self):
-        self.bW.grid.require_same(self.R.grid)
+        object.__setattr__(self, "bW", _samples(self.bW, self.grid))
+        object.__setattr__(self, "R", _samples(self.R, self.grid))
         if not self.g > 0:
             raise ValueError("g must be positive")
-        Y = self.bW.values / (1.0 + self.bW.values)
-        if np.max(np.abs(Y)) >= 1.0:
+        if np.max(np.abs(self.Y)) >= 1.0:
             raise ValueError("||Y||_inf >= 1: 1 + bW not invertible")
 
     @property
-    def grid(self) -> SpectralGrid:
-        return self.bW.grid
-
-    @property
     def Y(self) -> np.ndarray:
-        return self.bW.values / (1.0 + self.bW.values)
+        return self.bW / (1.0 + self.bW)
 
 
 @dataclass(frozen=True)
@@ -128,24 +130,14 @@ class Coefficients:
 def diag_of(state: WaveState) -> DiagState:
     """Exact algebraic map (W, Q) -> (W_alpha, Q_alpha/(1+W_alpha))."""
     grid = state.grid
-    Wa = deriv(state.W.values, grid)
-    Qa = deriv(state.Q.values, grid)
+    Wa = deriv(state.W, grid)
+    Qa = deriv(state.Q, grid)
     R = dealias(Qa / (1.0 + Wa), grid)
-    return DiagState(HoloField(grid, dealias(Wa, grid)), HoloField(grid, R),
-                     state.g, state.h, state.t)
+    return DiagState(grid, dealias(Wa, grid), R, state.g, state.t)
 
 
-def _diag_fields(state):
-    """(grid, g, bW, R) for either state flavor; None entries for extras."""
-    if isinstance(state, WaveState):
-        grid = state.grid
-        Wa = deriv(state.W.values, grid)
-        Qa = deriv(state.Q.values, grid)
-        return grid, state.g, Wa, dealias(Qa / (1.0 + Wa), grid)
-    return state.grid, state.g, state.bW.values, state.R.values
-
-
-def coefficients(state) -> Coefficients:
+def coefficients(grid: SpectralGrid, g: float, bW: np.ndarray,
+                 R: np.ndarray) -> Coefficients:
     """All coefficient fields of the diagonal system, dealiased.
 
     ``b`` is computed from the diagonal variables as 2 Re[R - P[R conj(Y)]];
@@ -154,7 +146,6 @@ def coefficients(state) -> Coefficients:
     (constants split evenly), so F and b are fixed only up to the constant
     that a horizontal-translation gauge would move around.
     """
-    grid, g, bW, R = _diag_fields(state)
     one_pW = 1.0 + bW
     J = np.abs(one_pW) ** 2
     if np.min(J) <= 0:
@@ -197,7 +188,7 @@ def rhs_full(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative (W_t, Q_t) of the full system."""
     grid = state.grid
     g = state.g
-    Wv, Qv = state.W.values, state.Q.values
+    Wv, Qv = state.W, state.Q
     Wa = deriv(Wv, grid)
     Qa = deriv(Qv, grid)
     one_pW = 1.0 + Wa
@@ -214,8 +205,8 @@ def rhs_full(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
 def rhs_diag(state: DiagState) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative (bW_t, R_t) of the diagonal system."""
     grid = state.grid
-    c = coefficients(state)
-    bW, R = state.bW.values, state.R.values
+    bW, R = state.bW, state.R
+    c = coefficients(grid, state.g, bW, R)
     one_pW = 1.0 + bW
     bWa = deriv(bW, grid)
     Ra = deriv(R, grid)
@@ -230,12 +221,17 @@ def rhs_diag(state: DiagState) -> tuple[np.ndarray, np.ndarray]:
 def taylor_field(state: WaveState) -> tuple[np.ndarray, float, float, float]:
     """Taylor-sign field g + frak_a with its certified lower bound.
 
-    Returns ``(field, min value, c, g(c+h))`` where ``c = min Im W``.
+    Returns ``(field, min value, c, g(c+h))`` where ``c = min Im W``.  The
+    coefficients are taken at ``W_alpha`` as sampled (not dealiased) and
+    ``R = dealias(Q_alpha / (1 + W_alpha))``.
     """
-    c = coefficients(state)
+    grid = state.grid
     g = state.g
+    Wa = deriv(state.W, grid)
+    Qa = deriv(state.Q, grid)
+    c = coefficients(grid, g, Wa, dealias(Qa / (1.0 + Wa), grid))
     field = g + c.frak_a
-    cmin = float(np.min(state.W.values.imag))
+    cmin = float(np.min(state.W.imag))
     return field, float(np.min(field)), cmin, g * (cmin + state.grid.h)
 
 
@@ -247,7 +243,7 @@ def energy(state: WaveState) -> tuple[float, float]:
     """
     grid = state.grid
     g = state.g
-    Wv, Qv = state.W.values, state.Q.values
+    Wv, Qv = state.W, state.Q
     Qa = deriv(Qv, grid)
     quad = (0.25 * g * inner_h(Wv, Wv, grid)
             - 0.25 * inner_h(Qv, inv_tilbert(Qa, grid), grid))
@@ -261,26 +257,26 @@ def energy(state: WaveState) -> tuple[float, float]:
 def momentum(state: WaveState) -> float:
     """Horizontal momentum I = 1/2 <W, T^{-1} Q_alpha>."""
     grid = state.grid
-    Qa = deriv(state.Q.values, grid)
-    return 0.5 * inner_h(state.W.values, inv_tilbert(Qa, grid), grid)
+    Qa = deriv(state.Q, grid)
+    return 0.5 * inner_h(state.W, inv_tilbert(Qa, grid), grid)
 
 
 def energy_gradient(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     """Variational gradient dE = (W + W W_alpha - T^{-1} P[conj(W) T[W_alpha]], Q)."""
     grid = state.grid
-    Wv = state.W.values
+    Wv = state.W
     Wa = deriv(Wv, grid)
     corr = inv_tilbert(project(dealias(np.conj(Wv) * tilbert(Wa, grid), grid),
                                grid, "holo"), grid)
     gW = Wv + dealias(Wv * Wa, grid) - corr
-    return dealias(gW, grid), state.Q.values.copy()
+    return dealias(gW, grid), state.Q.copy()
 
 
 def _frame(state: WaveState):
     """(W_alpha, Q_alpha, J) at ``state``: what every structure operator reads."""
     grid = state.grid
-    Wa = deriv(state.W.values, grid)
-    return Wa, deriv(state.Q.values, grid), np.abs(1.0 + Wa) ** 2
+    Wa = deriv(state.W, grid)
+    return Wa, deriv(state.Q, grid), np.abs(1.0 + Wa) ** 2
 
 
 def _op_A(frame, w: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -326,8 +322,8 @@ def structure_matrix_apply(state: WaveState, pair) -> tuple[np.ndarray, np.ndarr
 def momentum_gradient(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     """Variational gradient of the momentum: dI = (g^{-1} T^{-1} Q_alpha, -W)."""
     grid = state.grid
-    Qa = deriv(state.Q.values, grid)
-    return inv_tilbert(Qa, grid) / state.g, -state.W.values.copy()
+    Qa = deriv(state.Q, grid)
+    return inv_tilbert(Qa, grid) / state.g, -state.W.copy()
 
 
 def _zero_mode_anomaly_energy(state: WaveState, Wa: np.ndarray) -> float:
@@ -342,7 +338,7 @@ def _zero_mode_anomaly_energy(state: WaveState, Wa: np.ndarray) -> float:
     numerator of C removes it exactly (verified to O(eps^5) residual).
     """
     grid = state.grid
-    Wv = state.W.values
+    Wv = state.W
     TWa = tilbert(Wa, grid)
     arg = dealias(np.conj(Wv) * TWa, grid)
     mu2 = np.mean(project(arg, grid, "holo"))
@@ -417,8 +413,8 @@ def rhs_linearized(state: WaveState, pair) -> tuple[np.ndarray, np.ndarray]:
     grid = state.grid
     g = state.g
     w, q = (np.asarray(p, dtype=np.complex128) for p in pair)
-    Wa = deriv(state.W.values, grid)
-    Qa = deriv(state.Q.values, grid)
+    Wa = deriv(state.W, grid)
+    Qa = deriv(state.Q, grid)
     one_pW = 1.0 + Wa
     J = np.abs(one_pW) ** 2
     R = Qa / one_pW
@@ -453,19 +449,18 @@ def scale_state(state: WaveState, lam: float) -> WaveState:
         raise ValueError("lam must be positive")
     grid = state.grid
     new_grid = SpectralGrid(grid.L / lam, grid.N, grid.h / lam)
-    return WaveState(HoloField(new_grid, state.W.values / lam),
-                     HoloField(new_grid, state.Q.values / lam ** 2),
-                     state.g / lam, state.h / lam, t=state.t)
+    return WaveState(new_grid, state.W / lam, state.Q / lam ** 2,
+                     state.g / lam, t=state.t)
 
 
-def model_energies(state, pair, omega=None) -> tuple[float, float]:
+def model_energies(state: DiagState, pair, omega=None) -> tuple[float, float]:
     """Adapted quadratic energies of the linearized flow.
 
     E2_lin       = <w, w>_{g + frak_a} + <L r, L r>
     E2_omega_lin = <w, w>_{(g + frak_a) omega} + <L r, L r>_omega
     """
     grid = state.grid
-    c = coefficients(state)
+    c = coefficients(grid, state.g, state.bW, state.R)
     w, r = (np.asarray(p, dtype=np.complex128) for p in pair)
     weight = state.g + c.frak_a
     Lr = lh_apply(r, grid)

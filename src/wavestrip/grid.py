@@ -153,13 +153,6 @@ class SpectralGrid:
     def nyquist_index(self) -> int:
         return self.N // 2
 
-    def same_as(self, other: "SpectralGrid") -> bool:
-        return self.L == other.L and self.N == other.N and self.h == other.h
-
-    def require_same(self, other: "SpectralGrid") -> None:
-        if not self.same_as(other):
-            raise ValueError(f"grid mismatch: {self} vs {other}")
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Mark a cached per-grid array read-only, so no caller can alter it."""

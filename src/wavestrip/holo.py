@@ -1,18 +1,19 @@
 """Algebra of strip-holomorphic boundary traces.
 
 A trace ``u`` of a function holomorphic in the strip ``(-h, 0)`` and real on
-the bottom satisfies ``Im u = -T_h Re u``.  This module provides the
-:class:`HoloField` container enforcing that constraint, the holomorphic /
+the bottom satisfies ``Im u = -T_h Re u``.  Traces are plain complex sample
+arrays on a :class:`~wavestrip.grid.SpectralGrid`, passed together with that
+grid.  This module builds such traces and provides the holomorphic /
 antiholomorphic projections, the depth-adapted inner products and norms, and
-residual checks for the two product identities used throughout the dynamics.
+residual checks for the constraint and for the two product identities used
+throughout the dynamics.
 
 Zero-mode conventions: the underlying space does not see real constants, so
-the mean of ``Re u`` is a tracked gauge scalar excluded from every norm.  The
-mean of ``Im u`` is zero for an exactly holomorphic trace; constructors force
-it to zero.  The conformal-map module may produce fields whose ``Im`` mean
-encodes a small vertical offset of the surface; that offset is stored
-explicitly (``im_mean``) and the holomorphy invariant is checked relative to
-it.
+the mean of ``Re u`` is a gauge scalar excluded from every norm.  The mean of
+``Im u`` is zero for a trace built from its real part (``holo_from_real``),
+but nothing forces it: the conformal map puts the small vertical offset of
+the surface there, and the time step keeps both means as it finds them.
+The holomorphy residual is therefore measured modulo the ``Im`` mean.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .grid import (
 )
 
 __all__ = [
-    "HoloField",
     "holo_from_real",
     "holo_from_spectrum",
     "project",
@@ -47,60 +47,6 @@ __all__ = [
     "IdentityReport",
     "check_identities",
 ]
-
-
-@dataclass(frozen=True)
-class HoloField:
-    """Complex samples of a strip-holomorphic boundary trace."""
-
-    grid: SpectralGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
-        if v.shape != (self.grid.N,):
-            raise ValueError(f"expected {self.grid.N} samples, got {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def re_mean(self) -> float:
-        """Gauge scalar: mean of the real part (invisible to all norms)."""
-        return float(np.mean(self.values.real))
-
-    @property
-    def im_mean(self) -> float:
-        """Mean of the imaginary part (zero for an exact holomorphic trace)."""
-        return float(np.mean(self.values.imag))
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        return to_spectrum(self.values)
-
-    def validate(self) -> None:
-        """Assert the holomorphy constraint Im u = -T_h Re u (mod gauge)."""
-        res = holomorphy_residual(self.values, self.grid)
-        scale = max(1.0, float(np.max(np.abs(self.values))))
-        if res > 1e-11 * scale:
-            raise ValueError(f"holomorphy residual {res:.3e} exceeds 1.0e-11")
-
-    def __add__(self, other):
-        if isinstance(other, HoloField):
-            self.grid.require_same(other.grid)
-            return HoloField(self.grid, self.values + other.values)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, HoloField):
-            self.grid.require_same(other.grid)
-            return HoloField(self.grid, self.values - other.values)
-        return NotImplemented
-
-    def __mul__(self, scalar):
-        if np.isscalar(scalar):
-            return HoloField(self.grid, self.values * scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 def holomorphy_residual(values: np.ndarray, grid: SpectralGrid) -> float:
@@ -135,13 +81,13 @@ def flip_residual(values: np.ndarray, grid: SpectralGrid) -> float:
                         np.maximum(np.abs(lhs[mask]), np.abs(rhs[mask]))))
 
 
-def holo_from_real(re: np.ndarray, grid: SpectralGrid) -> HoloField:
+def holo_from_real(re: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Holomorphic trace with prescribed real part: u = re - i T_h re."""
     re = np.asarray(re, dtype=float)
-    return HoloField(grid, re - 1j * tilbert(re, grid))
+    return re - 1j * tilbert(re, grid)
 
 
-def holo_from_spectrum(coeffs_pos, grid: SpectralGrid) -> HoloField:
+def holo_from_spectrum(coeffs_pos, grid: SpectralGrid) -> np.ndarray:
     """Holomorphic trace from prescribed Re-part coefficients c_1..c_m.
 
     ``coeffs_pos[k-1]`` is the complex coefficient of ``exp(i k alpha)`` in
@@ -154,11 +100,8 @@ def holo_from_spectrum(coeffs_pos, grid: SpectralGrid) -> HoloField:
     return holo_from_real(from_spectrum(c).real, grid)
 
 
-def _values(f) -> np.ndarray:
-    return f.values if isinstance(f, HoloField) else np.asarray(f)
-
-
-def project(f, grid: SpectralGrid, which: str = "holo") -> np.ndarray:
+def project(f: np.ndarray, grid: SpectralGrid,
+            which: str = "holo") -> np.ndarray:
     """Holomorphic / antiholomorphic projection of a complex field.
 
     Spectral form of P u = 1/2[(1 - iT)Re u + i(1 + iT^{-1})Im u]:
@@ -172,7 +115,7 @@ def project(f, grid: SpectralGrid, which: str = "holo") -> np.ndarray:
     """
     if which not in ("holo", "anti"):
         raise ValueError(f"which must be 'holo' or 'anti', got {which!r}")
-    c = to_spectrum(np.asarray(_values(f), dtype=np.complex128))
+    c = to_spectrum(np.asarray(f, dtype=np.complex128))
     interior, a, b = grid.project_coeffs
     cc = np.conj(c[grid.neg_index])
     out = 0.5 * c
@@ -182,28 +125,27 @@ def project(f, grid: SpectralGrid, which: str = "holo") -> np.ndarray:
     return from_spectrum(out)
 
 
-def inner_h(u, v, grid: SpectralGrid) -> float:
+def inner_h(u: np.ndarray, v: np.ndarray, grid: SpectralGrid) -> float:
     """Depth-adapted inner product on boundary traces.
 
     <u, v> = integral( T Re u . T Re v + Im u . Im v ) d alpha, by the grid's
     trapezoidal (here: exact periodic) quadrature.  Blind to real constants.
     """
-    uv, vv = _values(u), _values(v)
-    tu = tilbert(uv.real, grid)
-    tv = tilbert(vv.real, grid)
-    integrand = tu * tv + uv.imag * vv.imag
+    tu = tilbert(u.real, grid)
+    tv = tilbert(v.real, grid)
+    integrand = tu * tv + u.imag * v.imag
     return float(np.sum(integrand) * grid.L / grid.N)
 
 
-def weighted_inner(u, v, omega, grid: SpectralGrid) -> float:
+def weighted_inner(u: np.ndarray, v: np.ndarray, omega,
+                   grid: SpectralGrid) -> float:
     """Weighted variant <u, v>_omega with a real weight inside the quadrature."""
     omega = np.asarray(omega)
     if np.iscomplexobj(omega):
         raise ValueError("weight must be real")
-    uv, vv = _values(u), _values(v)
-    tu = tilbert(uv.real, grid)
-    tv = tilbert(vv.real, grid)
-    integrand = (tu * tv + uv.imag * vv.imag) * omega
+    tu = tilbert(u.real, grid)
+    tv = tilbert(v.real, grid)
+    integrand = (tu * tv + u.imag * v.imag) * omega
     return float(np.sum(integrand) * grid.L / grid.N)
 
 
@@ -211,8 +153,7 @@ def pair_form(p1, p2, g: float, grid: SpectralGrid) -> float:
     """Energy pairing g/2 <w1, w2> + 1/2 <L_h q1, L_h q2> of two (w, q) pairs."""
     (w1, q1), (w2, q2) = p1, p2
     return (0.5 * g * inner_h(w1, w2, grid)
-            + 0.5 * inner_h(lh_apply(_values(q1), grid),
-                            lh_apply(_values(q2), grid), grid))
+            + 0.5 * inner_h(lh_apply(q1, grid), lh_apply(q2, grid), grid))
 
 
 def norm_calH(pair, g: float, grid: SpectralGrid) -> float:
@@ -230,7 +171,8 @@ def sobolev_weight(xi: np.ndarray, h: float, s: float) -> np.ndarray:
     return (np.sqrt(1.0 + (h * np.asarray(xi, dtype=float)) ** 2) / h) ** s
 
 
-def sobolev_norm(f, s: float, grid: SpectralGrid, base: str = "l2") -> float:
+def sobolev_norm(f: np.ndarray, s: float, grid: SpectralGrid,
+                 base: str = "l2") -> float:
     """Sobolev norm with the depth-uniform bracket weight.
 
     base='l2'   : || <D>^s f ||_{L^2}     (used for graph-side quantities)
@@ -238,9 +180,8 @@ def sobolev_norm(f, s: float, grid: SpectralGrid, base: str = "l2") -> float:
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    v = _values(f)
     w = sobolev_weight(grid.xi, grid.h, s)
-    c = to_spectrum(v) * w
+    c = to_spectrum(f) * w
     if base == "l2":
         return float(np.sqrt(grid.L * np.sum(np.abs(c) ** 2)))
     if base == "holo":
@@ -262,7 +203,8 @@ class IdentityReport:
                 and self.projected_formula <= 1e-9)
 
 
-def check_identities(u: HoloField, v: HoloField) -> IdentityReport:
+def check_identities(u: np.ndarray, v: np.ndarray,
+                     grid: SpectralGrid) -> IdentityReport:
     """Evaluate both product identities on a pair of holomorphic traces.
 
     1. Summation formula (real fields f, g = Re u, Re v):
@@ -270,20 +212,17 @@ def check_identities(u: HoloField, v: HoloField) -> IdentityReport:
     2. Projected product identity (holomorphic u, v):
            P[ T[u v] - conj(u) T[v] - T[conj(u)] v ] = T[u] v
     """
-    grid = u.grid
-    grid.require_same(v.grid)
-    f, gre = u.values.real, v.values.real
+    f, gre = u.real, v.real
     lhs1 = product(f, tilbert(gre, grid), grid) + product(tilbert(f, grid), gre, grid)
     rhs1 = tilbert(product(f, gre, grid)
                    - product(tilbert(f, grid), tilbert(gre, grid), grid), grid)
     res1 = float(np.max(np.abs(lhs1 - rhs1)))
 
-    uv, vv = u.values, v.values
-    inner = (tilbert(product(uv, vv, grid), grid)
-             - product(np.conj(uv), tilbert(vv, grid), grid)
-             - product(tilbert(np.conj(uv), grid), vv, grid))
+    inner = (tilbert(product(u, v, grid), grid)
+             - product(np.conj(u), tilbert(v, grid), grid)
+             - product(tilbert(np.conj(u), grid), v, grid))
     lhs2 = project(dealias(inner, grid), grid, "holo")
-    rhs2 = product(tilbert(uv, grid), vv, grid)
+    rhs2 = product(tilbert(u, grid), v, grid)
     # both sides are mean-free up to gauge; compare modulo the constant
     diff = lhs2 - rhs2
     diff = diff - np.mean(diff)

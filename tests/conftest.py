@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavestrip.grid import make_grid
-from wavestrip.holo import HoloField, holo_from_real, holo_from_spectrum
+from wavestrip.holo import holo_from_real, holo_from_spectrum
 from wavestrip.dynamics import WaveState
 
 
@@ -32,4 +32,4 @@ def small_state(grid, eps=0.02, g=1.0):
                               + 0.5 * np.cos(2 * k0 * x + 1.3)), grid)
     Q = holo_from_real(eps * (0.4 * np.sin(k0 * x + 2.1)
                               + 0.25 * np.sin(3 * k0 * x + 0.4)), grid)
-    return WaveState(W, Q, g, grid.h)
+    return WaveState(grid, W, Q, g)

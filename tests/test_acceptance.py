@@ -13,7 +13,6 @@ import pytest
 
 from wavestrip.grid import make_grid, deriv, tilbert
 from wavestrip.holo import (
-    HoloField,
     holo_from_real,
     holo_from_spectrum,
     check_identities,
@@ -64,7 +63,7 @@ def test_operator_identities():
     rng = np.random.default_rng(11)
     for _ in range(100):
         u, v = _random_pair(grid, rng)
-        rep = check_identities(u, v)
+        rep = check_identities(u, v, grid)
         assert rep.product_formula <= 1e-9
         assert rep.projected_formula <= 1e-9
 
@@ -75,7 +74,7 @@ def test_taylor_lower_bound():
     rng = np.random.default_rng(7)
     for _ in range(500):
         state = cli._random_state(rng, grid, g, 6, -0.9, 0.5)
-        c = float(np.min(state.W.values.imag))
+        c = float(np.min(state.W.imag))
         assert -0.99 < c
         _, tmin, c_out, bound = taylor_field(state)
         assert np.isclose(c_out, c)
@@ -104,7 +103,7 @@ def _structure_state(grid, amp):
                        grid)
     Q = holo_from_real(amp * (0.6 * np.sin(x + 0.9)
                               + 0.3 * np.sin(3 * x + 0.2)), grid)
-    return WaveState(W, Q, 1.0, grid.h)
+    return WaveState(grid, W, Q, 1.0)
 
 
 def test_hamiltonian_structure():
@@ -118,10 +117,9 @@ def test_hamiltonian_structure():
     rng = np.random.default_rng(3)
     X = _random_pair(grid, rng, scale=1.0)
     Y = _random_pair(grid, rng, scale=1.0)
-    assert skew_check(state, (X[0].values, X[1].values),
-                      (Y[0].values, Y[1].values)) <= 1e-8
+    assert skew_check(state, X, Y) <= 1e-8
     rw, rq = momentum_vf(state)
-    Wa, Qa = deriv(state.W.values, grid), deriv(state.Q.values, grid)
+    Wa, Qa = deriv(state.W, grid), deriv(state.Q, grid)
     tscale = max(np.max(np.abs(Wa)), np.max(np.abs(Qa)))
     assert np.max(np.abs(rw - Wa)) <= 1e-8 * tscale
     assert np.max(np.abs(rq - Qa)) <= 1e-8 * tscale
@@ -142,8 +140,8 @@ def test_dispersion_relation(tmp_path):
 def test_energy_momentum_conservation():
     grid = make_grid(2 * np.pi, 256, 1.0)
     x = grid.nodes
-    state = WaveState(holo_from_real(0.01 * np.cos(x), grid),
-                      holo_from_real(0.005 * np.cos(x), grid), 1.0, 1.0)
+    state = WaveState(grid, holo_from_real(0.01 * np.cos(x), grid),
+                      holo_from_real(0.005 * np.cos(x), grid), 1.0)
     E0 = energy(state)[0]
     I0 = momentum(state)
     config = SolverConfig(dt=suggest_dt(grid, 1.0, 0.5), T_final=100.0,
@@ -267,7 +265,7 @@ def test_conformal_round_trip():
     eta = 0.05 * np.cos(grid.nodes) + 0.02 * np.cos(2 * grid.nodes)
     graph = SurfaceGraph(grid, eta)
     res = graph_to_holo(graph)
-    back = holo_to_graph(res.W)
+    back = holo_to_graph(res.W, grid)
     assert np.max(np.abs(back - eta)) <= 1e-8
     for row in norm_comparability(graph, res.W):
         assert 0.25 <= row.ratio <= 4.0
@@ -278,13 +276,12 @@ def test_linearization_consistency():
     state = _structure_state(grid, 0.02)
     rng = np.random.default_rng(5)
     w, q = _random_pair(grid, rng, scale=0.01)
-    lin = rhs_linearized(state, (w.values, q.values))
+    lin = rhs_linearized(state, (w, q))
     f0 = rhs_full(state)
     deltas = np.array([1e-3, 1e-4, 1e-5, 1e-6])
     errs = []
     for d in deltas:
-        f1 = rhs_full(state.with_fields(state.W.values + d * w.values,
-                                        state.Q.values + d * q.values))
+        f1 = rhs_full(state.with_fields(state.W + d * w, state.Q + d * q))
         errs.append(max(np.max(np.abs((f1[0] - f0[0]) / d - lin[0])),
                         np.max(np.abs((f1[1] - f0[1]) / d - lin[1]))))
     errs = np.array(errs)
@@ -292,7 +289,7 @@ def test_linearization_consistency():
     slope = np.polyfit(np.log(deltas[:3]), np.log(errs[:3]), 1)[0]
     assert 0.9 <= slope <= 1.1
     # the translation direction solves the linearized system exactly
-    Wa, Qa = deriv(state.W.values, grid), deriv(state.Q.values, grid)
+    Wa, Qa = deriv(state.W, grid), deriv(state.Q, grid)
     lw, lq = rhs_linearized(state, (Wa, Qa))
     rw, rq = deriv(f0[0], grid), deriv(f0[1], grid)
     scale = max(np.max(np.abs(rw)), np.max(np.abs(rq)))
@@ -308,8 +305,8 @@ def test_scaling_symmetry():
     config = SolverConfig(dt=suggest_dt(grid, 1.0, 0.5), T_final=10.0)
     f1, _ = evolve(state, config)
     f2, _ = evolve(scaled, config)
-    assert np.max(np.abs(f2.W.values - f1.W.values / lam)) <= 1e-10
-    assert np.max(np.abs(f2.Q.values - f1.Q.values / lam ** 2)) <= 1e-10
+    assert np.max(np.abs(f2.W - f1.W / lam)) <= 1e-10
+    assert np.max(np.abs(f2.Q - f1.Q / lam ** 2)) <= 1e-10
 
 
 def test_run_determinism(tmp_path):

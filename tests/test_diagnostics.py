@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavestrip.grid import make_grid
-from wavestrip.holo import HoloField, holo_from_real, norm_calH
+from wavestrip.holo import holo_from_real
 from wavestrip.dynamics import WaveState, diag_of
 from wavestrip.diagnostics import (
     DiagnosticsRecord,
@@ -47,9 +47,9 @@ def test_bmo_proxy_oscillation_sandwich(grid):
 
 
 def test_control_norms_zero_and_monotone(grid):
-    z = HoloField(grid, np.zeros(grid.N, dtype=complex))
+    z = np.zeros(grid.N, dtype=complex)
     from wavestrip.dynamics import DiagState
-    d0 = DiagState(z, z, 1.0, grid.h)
+    d0 = DiagState(grid, z, z, 1.0)
     assert control_norms(d0) == (0.0, 0.0)
     A1, B1 = control_norms(diag_of(small_state(grid, eps=0.02)))
     A2, B2 = control_norms(diag_of(small_state(grid, eps=0.04)))
@@ -58,19 +58,13 @@ def test_control_norms_zero_and_monotone(grid):
 
 
 def test_sobolev_ladder(grid):
-    state = small_state(grid, eps=0.03)
-    d = diag_of(state)
-    # n = 0 is the scale-invariant trace norm of the undifferentiated state
-    n0 = sobolev_Nn(state, 0)
-    assert np.isclose(n0, norm_calH((state.W.values, state.Q.values),
-                                    state.g, grid))
+    d = diag_of(small_state(grid, eps=0.03))
     n1 = sobolev_Nn(d, 1)
     n2 = sobolev_Nn(d, 2)
     assert 0 < n1 < n2
-    with pytest.raises(TypeError):
+    # the n = 0 rung is holo.norm_calH of the undifferentiated state
+    with pytest.raises(ValueError):
         sobolev_Nn(d, 0)
-    with pytest.raises(TypeError):
-        sobolev_Nn(state, 1)
 
 
 def test_measure_full_row(grid):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavestrip.grid import make_grid, deriv, dealias
-from wavestrip.holo import HoloField, holo_from_real
+from wavestrip.holo import holo_from_real
 from wavestrip.dynamics import (
     WaveState,
     DiagState,
@@ -24,26 +24,37 @@ from conftest import small_state, random_trace
 
 
 def _zero_state(grid, g=1.0):
-    z = HoloField(grid, np.zeros(grid.N, dtype=complex))
-    return WaveState(z, z, g, grid.h)
+    z = np.zeros(grid.N, dtype=complex)
+    return WaveState(grid, z, z, g)
 
 
 def test_state_validation(grid):
-    z = HoloField(grid, np.zeros(grid.N, dtype=complex))
+    z = np.zeros(grid.N, dtype=complex)
     with pytest.raises(ValueError):
-        WaveState(z, z, -1.0, grid.h)
-    with pytest.raises(ValueError):
-        WaveState(z, z, 1.0, grid.h + 1.0)
+        WaveState(grid, z, z, -1.0)
+
+
+def test_state_shape_check(grid):
+    z = np.zeros(grid.N, dtype=complex)
+    short = np.zeros(grid.N + 1)
+    for record in (WaveState, DiagState):
+        with pytest.raises(ValueError):
+            record(grid, short, z, 1.0)
+        with pytest.raises(ValueError):
+            record(grid, z, short, 1.0)
+    # real samples are stored as contiguous complex128
+    state = WaveState(grid, np.zeros(2 * grid.N)[::2], z, 1.0)
+    assert state.W.dtype == np.complex128 and state.W.flags.c_contiguous
 
 
 def test_diag_of(grid):
     state = small_state(grid)
     d = diag_of(state)
-    Wa = deriv(state.W.values, grid)
-    Qa = deriv(state.Q.values, grid)
-    assert np.allclose(d.bW.values, dealias(Wa, grid), atol=1e-13)
+    Wa = deriv(state.W, grid)
+    Qa = deriv(state.Q, grid)
+    assert np.allclose(d.bW, dealias(Wa, grid), atol=1e-13)
     # R (1 + bW) recovers Q_alpha up to the dealias truncation
-    recon = dealias(d.R.values * (1.0 + d.bW.values), grid)
+    recon = dealias(d.R * (1.0 + d.bW), grid)
     assert np.max(np.abs(recon - dealias(Qa, grid))) < 1e-8
 
 
@@ -59,9 +70,9 @@ def test_rhs_full_linear_limit(grid):
     eps = 1e-9
     state = small_state(grid, eps=eps, g=1.3)
     fW, fQ = rhs_full(state)
-    Qa = deriv(state.Q.values, grid)
+    Qa = deriv(state.Q, grid)
     assert np.max(np.abs(fW + Qa)) < 1e-16 + 100 * eps ** 2
-    assert np.max(np.abs(fQ - 1.3 * tilbert(state.W.values, grid))) < 1e-16 + 100 * eps ** 2
+    assert np.max(np.abs(fQ - 1.3 * tilbert(state.W, grid))) < 1e-16 + 100 * eps ** 2
 
 
 def test_full_and_diag_flows_consistent(grid):
@@ -75,14 +86,13 @@ def test_full_and_diag_flows_consistent(grid):
     d0 = diag_of(state)
     f = rhs_full(state)
     dt = 1e-6
-    moved = state.with_fields(state.W.values + dt * f[0],
-                              state.Q.values + dt * f[1])
+    moved = state.with_fields(state.W + dt * f[0], state.Q + dt * f[1])
     d1 = diag_of(moved)
     gW, gR = rhs_diag(d0)
-    rW = (d1.bW.values - d0.bW.values) / dt - gW
-    rR = (d1.R.values - d0.R.values) / dt - gR
-    bWa = deriv(d0.bW.values, grid)
-    Ra = deriv(d0.R.values, grid)
+    rW = (d1.bW - d0.bW) / dt - gW
+    rR = (d1.R - d0.R) / dt - gR
+    bWa = deriv(d0.bW, grid)
+    Ra = deriv(d0.R, grid)
     c = ((np.vdot(bWa, rW) + np.vdot(Ra, rR))
          / (np.vdot(bWa, bWa) + np.vdot(Ra, Ra)))
     assert abs(c) < 10.0 * eps ** 2
@@ -135,8 +145,8 @@ def test_hamiltonian_route_matches_rhs(grid):
 def test_momentum_route_is_translation(grid):
     state = small_state(grid, eps=0.03)
     rw, rq = momentum_vf(state)
-    Wa = deriv(state.W.values, grid)
-    Qa = deriv(state.Q.values, grid)
+    Wa = deriv(state.W, grid)
+    Qa = deriv(state.Q, grid)
     scale = max(np.max(np.abs(Wa)), np.max(np.abs(Qa)))
     assert np.max(np.abs(rw - Wa)) < 1e-10 * scale
     assert np.max(np.abs(rq - Qa)) < 1e-10 * scale
@@ -144,20 +154,19 @@ def test_momentum_route_is_translation(grid):
 
 def test_structure_matrix_skew(grid, rng):
     state = small_state(grid, eps=0.01)
-    X = (random_trace(grid, rng).values, random_trace(grid, rng).values)
-    Y = (random_trace(grid, rng).values, random_trace(grid, rng).values)
+    X = (random_trace(grid, rng), random_trace(grid, rng))
+    Y = (random_trace(grid, rng), random_trace(grid, rng))
     assert skew_check(state, X, Y) < 1e-9
 
 
 def test_linearized_directional_derivative(grid, rng):
     state = small_state(grid, eps=0.02)
-    w = random_trace(grid, rng, scale=0.01).values
-    q = random_trace(grid, rng, scale=0.01).values
+    w = random_trace(grid, rng, scale=0.01)
+    q = random_trace(grid, rng, scale=0.01)
     lin = rhs_linearized(state, (w, q))
     f0 = rhs_full(state)
     d = 1e-6
-    f1 = rhs_full(state.with_fields(state.W.values + d * w,
-                                    state.Q.values + d * q))
+    f1 = rhs_full(state.with_fields(state.W + d * w, state.Q + d * q))
     err = max(np.max(np.abs((f1[0] - f0[0]) / d - lin[0])),
               np.max(np.abs((f1[1] - f0[1]) / d - lin[1])))
     assert err < 1e-6
@@ -177,10 +186,10 @@ def test_scale_state_commutes_with_rhs(grid):
 
 def test_coefficients_transport_speed(grid):
     state = small_state(grid, eps=0.04)
-    c = coefficients(state)
     # F = b - conj(Q_alpha)/J, both fields dealiased
-    Wa = deriv(state.W.values, grid)
-    Qa = deriv(state.Q.values, grid)
+    Wa = deriv(state.W, grid)
+    Qa = deriv(state.Q, grid)
+    c = coefficients(grid, state.g, Wa, dealias(Qa / (1.0 + Wa), grid))
     J = np.abs(1.0 + Wa) ** 2
     assert np.allclose(c.J, J, atol=1e-12)
     want = dealias(c.b - np.conj(Qa) / J, grid)
@@ -191,7 +200,7 @@ def test_coefficients_transport_speed(grid):
 def test_model_energies_positive(grid, rng):
     state = small_state(grid, eps=0.02)
     d = diag_of(state)
-    pair = (d.bW.values, d.R.values)
+    pair = (d.bW, d.R)
     e2, e2w = model_energies(d, pair)
     assert e2 > 0
     assert np.isclose(e2, e2w, rtol=1e-12)  # default weight is 1

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wavestrip.grid import (
-    SpectralGrid,
     make_grid,
     to_spectrum,
     from_spectrum,
@@ -106,16 +105,16 @@ def test_smooth_one_plus_T2(grid, rng):
 
 def test_sech2_symbol_without_overflow():
     # at N = 1024, h xi reaches 512 and cosh(h xi)^2 overflows
-    from wavestrip.dynamics import WaveState, coefficients
+    from wavestrip.dynamics import WaveState, taylor_field
     from wavestrip.holo import holo_from_real
     big = make_grid(2 * np.pi, 1024, 1.0)
     x = big.nodes
-    state = WaveState(holo_from_real(0.01 * np.cos(x), big),
-                      holo_from_real(0.005 * np.sin(x), big), 1.0, 1.0)
+    state = WaveState(big, holo_from_real(0.01 * np.cos(x), big),
+                      holo_from_real(0.005 * np.sin(x), big), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         smoothed = smooth_one_plus_T2(np.cos(x), big)
-        coefficients(state)
+        taylor_field(state)   # the coefficients at the state
     assert np.allclose(smoothed, np.cos(x) / np.cosh(1.0) ** 2, atol=1e-14)
     s = big.sech2
     assert s[0] == 1.0 and np.all(np.isfinite(s)) and np.all(s >= 0.0)
@@ -145,14 +144,6 @@ def test_product_is_dealiased_pointwise(grid, rng):
     f = rng.standard_normal(grid.N)
     g = rng.standard_normal(grid.N)
     assert np.allclose(product(f, g, grid), dealias(f * g, grid), atol=1e-14)
-
-
-def test_require_same():
-    a = make_grid(2 * np.pi, 16, 1.0)
-    b = make_grid(2 * np.pi, 32, 1.0)
-    with pytest.raises(ValueError):
-        a.require_same(b)
-    a.require_same(SpectralGrid(a.L, a.N, a.h))
 
 
 def test_antideriv_inverts_deriv_on_fluctuations(grid):

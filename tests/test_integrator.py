@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavestrip.grid import make_grid, to_spectrum
-from wavestrip.holo import HoloField, holo_from_real, holomorphy_residual
+from wavestrip.holo import holo_from_real, holomorphy_residual
 from wavestrip.conformal import SurfaceGraph, graph_to_holo
 from wavestrip.dynamics import WaveState, energy
 from wavestrip.integrator import (
@@ -47,8 +47,8 @@ def test_fourth_order_convergence(grid, method):
         for _ in range(nsteps):
             s = step_rk4(s, T / nsteps, method)
         finals.append(s)
-    e1 = np.max(np.abs(finals[0].W.values - finals[2].W.values))
-    e2 = np.max(np.abs(finals[1].W.values - finals[2].W.values))
+    e1 = np.max(np.abs(finals[0].W - finals[2].W))
+    e2 = np.max(np.abs(finals[1].W - finals[2].W))
     # successive-refinement errors of a 4th-order scheme drop ~16x
     assert 10.0 < e1 / e2 < 24.0
 
@@ -59,14 +59,13 @@ def test_ifrk4_exact_linear_phase(grid):
     k, g = 5, 1.0
     amp = 1e-8
     W = holo_from_real(amp * np.cos(k * grid.nodes), grid)
-    Q = HoloField(grid, np.zeros(grid.N, dtype=complex))
-    state = WaveState(W, Q, g, grid.h)
+    state = WaveState(grid, W, np.zeros(grid.N, dtype=complex), g)
     omega = np.sqrt(g * k * np.tanh(grid.h * k))
     T = 3.0
     config = SolverConfig(dt=T / 20, T_final=T, method="ifrk4")
     final, _ = evolve(state, config)
-    c = to_spectrum(final.W.values)[k]
-    c0 = to_spectrum(state.W.values)[k]
+    c = to_spectrum(final.W)[k]
+    c0 = to_spectrum(state.W)[k]
     assert abs(c - c0 * np.cos(omega * T)) < 1e-12 * abs(c0) + 1e-22
 
 
@@ -75,8 +74,8 @@ def test_steps_preserve_holomorphy(grid):
     s = state
     for _ in range(20):
         s = step_rk4(s, 0.05, "rk4")
-    assert holomorphy_residual(s.W.values, grid) < 1e-10
-    assert holomorphy_residual(s.Q.values, grid) < 1e-10
+    assert holomorphy_residual(s.W, grid) < 1e-10
+    assert holomorphy_residual(s.Q, grid) < 1e-10
 
 
 def test_step_abort_carries_last_good(grid):
@@ -122,8 +121,8 @@ def test_energy_shell_projection_converges_at_large_amplitude():
     # and stops near 1e-9 relative energy error at the cap of 4 updates
     grid = make_grid(2 * np.pi, 64, 1.0)
     x = grid.nodes
-    state = WaveState(graph_to_holo(SurfaceGraph(grid, 0.2 * np.cos(x))).W,
-                      holo_from_real(0.01 * np.cos(x), grid), 1.0, 1.0)
+    state = WaveState(grid, graph_to_holo(SurfaceGraph(grid, 0.2 * np.cos(x))).W,
+                      holo_from_real(0.01 * np.cos(x), grid), 1.0)
     E0 = energy(state)[0]
     config = SolverConfig(dt=suggest_dt(grid, 1.0, 0.5), T_final=10.0,
                           method="ifrk4", project_energy=True)

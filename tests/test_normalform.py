@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -83,6 +84,61 @@ def test_symbols_near_line_continuity():
             assert abs(0.5 * (va + vb) - vm) < 1e-5 * max(abs(vm), 1.0)
 
 
+def _raw_symbols_mp(xi, eta):
+    """The raw closed forms of the seven symbols at 60 digits.
+
+    Same expressions as ``_symbols_holo_raw`` and ``_symbols_mixed_raw``,
+    evaluated directly: at this precision neither the Omega cancellation
+    near a line nor the exponential prefactors cost any digit that matters.
+    """
+    with mpmath.workdps(60):
+        x, e = mpmath.mpf(xi), mpmath.mpf(eta)
+        z = -(x + e)
+        Jx, Je, Jz = (s * mpmath.tanh(s) for s in (x, e, z))
+        Om = Jx ** 2 + Je ** 2 + Jz ** 2 - 2 * (Jx * Je + Je * Jz + Jz * Jx)
+        Ah = 2j * e * Jx * (Jz - Jx + Je) / Om
+        Bh = -2j * z * Jx * Je / Om
+        Ch = -1j * x * e * z * (Jz - Jx - Je) / Om
+        tx, te = mpmath.tanh(x), mpmath.tanh(e)
+        sig = 1 / (1 + mpmath.exp(-2 * z))
+        pol = 1 / (1 - mpmath.exp(-2 * z))
+        Aa = -sig * ((Je + e) * Bh / (z * te) + (Jx - x) * Ch / (x * z))
+        Ba = pol * ((Jz - (x - e)) * Bh / z
+                    + (e * Jx - x * Je) * Ch / (x * e * z))
+        Ca = pol * ((e * Jx - x * Je) * Bh / (z * tx * te)
+                    + (Jz - (x - e)) * Ch / z)
+        Da = -sig * ((Jx - x) * Bh / (z * tx) + (Je + e) * Ch / (e * z))
+        return ([complex(v) for v in (Ah, Bh, Ch)],
+                [complex(v) for v in (Aa, Ba, Ca, Da)])
+
+
+def test_near_line_taylor_matches_high_precision():
+    # within _TAYLOR_SWITCH (1e-4) of xi = 0 or eta = 0 both symbol sets take
+    # the limit-seeded Taylor path, the mixed set with Richardson-seeded
+    # components on either line; measured worst errors relative to the
+    # largest component: 1.7e-8 (holo) and 1.6e-7 (mixed)
+    pts = ((1.7, 3e-5), (1.7, -3e-5), (3e-5, 1.7), (-3e-5, 1.7),
+           (4e-5, -2.3), (0.8, 9e-5), (9e-5, -0.8))
+    for xi, eta in pts:
+        assert min(abs(xi), abs(eta)) < normalform._TAYLOR_SWITCH
+        want_h, want_m = _raw_symbols_mp(xi, eta)
+        for got, want in ((symbols_holo(xi, eta), want_h),
+                          (symbols_mixed(xi, eta), want_m)):
+            err = np.max(np.abs(np.subtract(got, want)))
+            assert err <= 1e-6 * np.max(np.abs(want)), (xi, eta)
+
+
+def test_system_residuals_near_output_line():
+    # two points near zeta = 0 (zeta = -2.2e-3 and -5.2e-4), drawn by the
+    # symbols kind's sampler at seeds 101 and 103 when d_min is not
+    # enforced: the 4x4 residuals, 1.7e-10 and 1.3e-8, exceed the interior
+    # tol 1e-10 but stay below the near-line tolerance
+    for xi, eta in ((-3.2767258187644153, 3.278962751805082),
+                    (28.187681385000403, -28.187161388887702)):
+        r3, r4 = system_residuals(xi, eta)
+        assert max(np.max(r3), np.max(r4)) < 1e-6, (xi, eta)
+
+
 def test_symbols_singular_output_line():
     with pytest.raises(SingularLineError):
         symbols_holo(1.2, -1.2)
@@ -165,7 +221,7 @@ def test_weighted_form_matches_trilinear_route(grid):
     # -2 tanh(xi) tanh(eta) m(zeta)
     state = small_state(grid, eps=0.07)
     d = diag_of(state)
-    bW = d.bW.values
+    bW = d.bW
     n = 1
     from wavestrip.grid import smooth_one_plus_T2
     wplus = -4.0 * n * bW.real + 0.5 * smooth_one_plus_T2(bW.real, grid)
@@ -197,8 +253,8 @@ def _linear_residual(state, transformed, dt=1e-4):
         Wp, Qp = plus.W, plus.Q
         Wm, Qm = minus.W, minus.Q
         Q0 = state.Q
-    Wt = (Wp.values - Wm.values) / (2 * dt)
-    r = Wt + deriv(Q0.values, grid)
+    Wt = (Wp - Wm) / (2 * dt)
+    r = Wt + deriv(Q0, grid)
     r = r - np.mean(r)
     return float(np.max(np.abs(r)))
 
@@ -224,8 +280,8 @@ def _nf_transform_loop(state):
     grid = state.grid
     band = grid.N // 3
     sym = _holo_symbol_grids(band, 1.0)
-    w = _band_coeffs(state.W.values - np.mean(state.W.values), grid, band)
-    q = _band_coeffs(state.Q.values - np.mean(state.Q.values), grid, band)
+    w = _band_coeffs(state.W - np.mean(state.W), grid, band)
+    q = _band_coeffs(state.Q - np.mean(state.Q), grid, band)
     wb, qb = _conj_flip(w), _conj_flip(q)
     g = state.g
     dW = np.zeros(grid.N, dtype=complex)
@@ -249,12 +305,11 @@ def _nf_transform_loop(state):
 
 def test_nf_transform_matches_double_loop(rng):
     grid = make_grid(2 * np.pi, 24, 1.0)
-    state = WaveState(random_trace(grid, rng, scale=0.05, decay=1.0),
-                      random_trace(grid, rng, scale=0.05, decay=1.0), 1.3, 1.0)
+    state = WaveState(grid, random_trace(grid, rng, scale=0.05, decay=1.0),
+                      random_trace(grid, rng, scale=0.05, decay=1.0), 1.3)
     Wt, Qt = nf_transform(state)
     dW, dQ = _nf_transform_loop(state)
-    for got, want in ((Wt.values - state.W.values, dW),
-                      (Qt.values - state.Q.values, dQ)):
+    for got, want in ((Wt - state.W, dW), (Qt - state.Q, dQ)):
         scale = np.max(np.abs(want))
         assert scale > 1e-6
         assert np.allclose(to_spectrum(got), want, rtol=1e-12,
@@ -297,8 +352,8 @@ def _preflip_cubic_loop(n, w, q, g, grid):
 @pytest.mark.parametrize("n", [1, 2])
 def test_preflip_cubic_matches_double_loop(n, rng):
     grid = make_grid(2 * np.pi, 24, 1.0)
-    w = random_trace(grid, rng, scale=0.3, decay=1.0).values
-    q = random_trace(grid, rng, scale=0.3, decay=1.0).values
+    w = random_trace(grid, rng, scale=0.3, decay=1.0)
+    q = random_trace(grid, rng, scale=0.3, decay=1.0)
     want = _preflip_cubic_loop(n, w, q, 1.3, grid)
     assert abs(want) > 1e-6
     assert np.isclose(_preflip_cubic(n, w, q, 1.3, grid), want,
@@ -310,8 +365,8 @@ def test_nf_energy_quadratic_dominance(grid):
         gaps = []
         for eps in (0.04, 0.02, 0.01):
             d = diag_of(small_state(grid, eps=eps))
-            e0 = _E0(deriv(d.bW.values, grid) if n > 1 else d.bW.values,
-                     deriv(d.R.values, grid) if n > 1 else d.R.values,
+            e0 = _E0(deriv(d.bW, grid) if n > 1 else d.bW,
+                     deriv(d.R, grid) if n > 1 else d.R,
                      d.g, grid)
             gaps.append(abs(nf_energy(n, d) - e0))
         # the correction is cubic: halving eps divides the gap by ~8
@@ -335,7 +390,7 @@ def test_nf_energy_infinite_depth_limit():
     rem = []
     for h in (4.0, 6.0, 8.0, 12.0, 16.0):
         d = diag_of(small_state(make_grid(2 * np.pi, 128, h), eps=0.02))
-        rem.append(nf_energy(1, d) - _E0(d.bW.values, d.R.values, d.g, d.grid))
+        rem.append(nf_energy(1, d) - _E0(d.bW, d.R, d.g, d.grid))
     steps = np.abs(np.diff(rem))
     assert np.all(steps[1:] < 0.1 * steps[:-1]), steps
 
@@ -372,7 +427,7 @@ def test_modified_energy_is_cubically_close_to_quadratic(grid):
     gaps = []
     for eps in (0.04, 0.02):
         d = diag_of(small_state(grid, eps=eps))
-        e0 = _E0(d.bW.values, d.R.values, d.g, grid)
+        e0 = _E0(d.bW, d.R, d.g, grid)
         gaps.append(abs(cubic_energy_high(1, d) - e0))
     assert 6.0 < gaps[0] / gaps[1] < 12.0
 
@@ -396,8 +451,8 @@ def test_high_forms_n2_is_the_weighted_form(grid):
     from wavestrip.grid import inv_tilbert, smooth_one_plus_T2
     for eps in (0.04, 0.02):
         d = diag_of(small_state(grid, eps=eps))
-        bW = d.bW.values
-        rd = deriv(d.R.values, grid)
+        bW = d.bW
+        rd = deriv(d.R, grid)
         wminus = -8.0 * bW.real - 0.5 * smooth_one_plus_T2(bW.real, grid)
         want = -weighted_inner(rd, inv_tilbert(deriv(rd, grid), grid),
                                wminus, grid)
