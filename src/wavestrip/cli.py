@@ -359,14 +359,14 @@ def _run_simulate(config: ExperimentConfig, out_dir: str) -> list:
                             [lambda i, t, s: measure(s, dt=solver.dt)])
     write_snapshot(os.path.join(out_dir, "final.snap"), final)
     write_series_csv(os.path.join(out_dir, "series.csv"), records)
-    rep = drift_report(records)
+    drift = drift_report(records)
     exp = config.experiment
     # momentum of a standing wave is zero, so its drift is measured against
     # the energy scale rather than the (vanishing) initial value
     I0 = records[0].I
     mom_scale = max(abs(I0), abs(records[0].E_ham), 1e-300)
     mom_drift = max(abs(r.I - I0) for r in records) / mom_scale
-    return [_at_most("energy_drift", rep.rel_drift["E_ham"],
+    return [_at_most("energy_drift", drift["E_ham"],
                      exp["energy_tol"]),
             _at_most("momentum_drift", mom_drift, exp["momentum_tol"])]
 
@@ -536,8 +536,8 @@ def _run_symbols(config: ExperimentConfig, out_dir: str) -> list:
                 Ca.imag, Da.imag, omega_resonance(xi, eta),
                 float(np.max(r3)), float(np.max(r4)))))
         n += 1
-    # near-line probes at transverse distance 1e-3, where the raw closed
-    # forms are evaluated (the Taylor switch is at 1e-4)
+    # near-line probes at transverse distance 1e-3; the closed forms are
+    # evaluated there as everywhere off the lines
     worst_line = 0.0
     for base in np.linspace(0.6, 0.8 * exp["rho_max"], 25):
         for (x, e) in ((base, 1e-3), (1e-3, base), (base, -base + 1e-3),

@@ -32,7 +32,6 @@ __all__ = [
     "control_norms",
     "sobolev_Nn",
     "measure",
-    "DriftReport",
     "drift_report",
 ]
 
@@ -191,43 +190,18 @@ def measure(state: WaveState, dt: float = 0.0) -> DiagnosticsRecord:
     return rec
 
 
-@dataclass(frozen=True)
-class DriftReport:
-    """Max relative drifts of the conserved quantities and fitted rates."""
-
-    rel_drift: dict
-    rates: dict
-
-    def max_conserved_drift(self) -> float:
-        return max(self.rel_drift.values())
-
-
 _CONSERVED = ("E_ham", "E_repr", "I")
-_RATED = ("E0", "E1_NF", "E13_high")
 
 
-def drift_report(series: Sequence[DiagnosticsRecord]) -> DriftReport:
-    """Summarize a diagnostics series.
+def drift_report(series: Sequence[DiagnosticsRecord]) -> dict:
+    """Max relative drifts of the conserved quantities of a series.
 
-    Conserved quantities get max |x(t) - x(0)| / max(|x(0)|, eps); the
-    energy ladders get least-squares drift rates in t (the quantities the
-    quartic-drift scaling experiments compare across amplitudes), together
-    with their max absolute deviations.
+    Each of E_ham, E_repr and I gets max |x(t) - x(0)| / max(|x(0)|, eps).
     """
     if len(series) == 0:
         raise ValueError("empty diagnostics series")
-    t = np.array([r.t for r in series])
     rel = {}
     for name in _CONSERVED:
         x = np.array([getattr(r, name) for r in series])
         rel[name] = float(np.max(np.abs(x - x[0])) / max(abs(x[0]), 1e-300))
-    rates = {}
-    for name in _RATED:
-        x = np.array([getattr(r, name) for r in series], dtype=float)
-        if len(t) >= 2 and np.ptp(t) > 0:
-            slope = float(np.polyfit(t, x, 1)[0])
-        else:
-            slope = 0.0
-        rates[name] = {"rate": slope,
-                       "max_dev": float(np.max(np.abs(x - x[0])))}
-    return DriftReport(rel_drift=rel, rates=rates)
+    return rel

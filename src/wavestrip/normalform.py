@@ -26,21 +26,21 @@ form (the cubic energy, ``trilinear_eval``) or anti-diagonal sums over
 j + k (``nf_transform``).
 
 Singular-line policy: the three lines xi = 0, eta = 0, zeta = 0 carry the
-resonances.  Off the lines everything is evaluated in closed form (with
-cancellation-safe helpers).  Within ``_TAYLOR_SWITCH`` (1e-4) of the line
-xi = 0 or eta = 0 the normal-form symbols switch to a second-order
-transverse Taylor expansion seeded by the exact line limits; the
-``symbols`` experiment's near-line probes sit at 1e-3, so they check the
-raw closed forms.  The cubic-energy symbols (``tilde_symbols``) take a
-Taylor step off their on-line zero within ``LINE_TOL`` (1e-3).  The output
-line zeta = 0 is a genuine simple pole of B^h (and of the mixed B^a/C^a);
-requesting those values raises :class:`SingularLineError`.
+resonances.  Off the lines every symbol is one closed form, evaluated
+without cancellation near xi = 0 and eta = 0: the differences of O(1)
+values of J there are formed by ``_J_excess`` as sums of terms of one
+sign.  On xi = 0 and eta = 0 the normal-form symbols take their
+closed limits, and the cubic-energy symbols (``tilde_symbols``) their
+analytic zero.  The output line zeta = 0 is a genuine simple pole of all
+three holomorphic symbols and of the mixed B^a/C^a; requesting those
+values raises :class:`SingularLineError`.  Near zeta = 0 the mixed forms
+still lose accuracy (``_symbols_on_lines``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,7 +51,6 @@ from .holo import inner_h, weighted_inner
 from .dynamics import DiagState, WaveState, model_energies
 
 __all__ = [
-    "LINE_TOL",
     "SingularLineError",
     "PlanePoint",
     "dispersion_kit",
@@ -67,21 +66,6 @@ __all__ = [
     "high_forms",
     "cubic_energy_high",
 ]
-
-#: distance to a resonance line below which ``tilde_symbols`` takes a
-#: Taylor step off its analytic on-line zero
-LINE_TOL = 1e-3
-
-#: below this transverse distance the raw closed forms switch to the
-#: line-limit-seeded Taylor expansion.  Between _TAYLOR_SWITCH and LINE_TOL
-#: the raw forms still carry >= 9 significant digits (the resonance-function
-#: cancellation is only quadratic in the distance), and the finite-difference
-#: seeding would be the *larger* error source, so raw evaluation is kept.
-_TAYLOR_SWITCH = 1e-4
-
-# transverse step for the Taylor seeding near lines
-_TAYLOR_STEP = 0.01
-
 
 class SingularLineError(ValueError):
     """Requested a symbol value on a line where it has a genuine pole."""
@@ -114,12 +98,14 @@ def dispersion_kit(xi):
     """Depth-one dispersion data (J, J', omega, Lambda).
 
     J = xi tanh xi, J' = tanh xi + xi sech^2 xi, omega = -sgn(xi) sqrt(J),
-    Lambda = J'^2 - 4J (negative away from xi = 0).
+    Lambda = J'^2 - 4J (negative away from xi = 0).  sech^2 is written as
+    4u/(1 + u)^2, u = e^{-2|xi|}, which cannot overflow.
     """
     xi = np.asarray(xi, dtype=float)
     t = np.tanh(xi)
     J = xi * t
-    Jp = t + xi / np.cosh(xi) ** 2
+    u = np.exp(-2.0 * np.abs(xi))
+    Jp = t + 4.0 * xi * u / (1.0 + u) ** 2
     om = -np.sign(xi) * np.sqrt(J)
     Lam = Jp ** 2 - 4.0 * J
     if xi.ndim == 0:
@@ -130,6 +116,35 @@ def dispersion_kit(xi):
 def _J(x):
     x = np.asarray(x, dtype=float)
     return x * np.tanh(x)
+
+
+def _J_excess(a, b):
+    """J(a + b) - J(a) - J(b), as a sum of terms of one sign.
+
+    For a, b of one sign, tanh(a + b) = (tanh a + tanh b)/(1 + tanh a tanh b)
+    gives (a tanh b sech^2 a + b tanh a sech^2 b) / (1 + tanh a tanh b),
+    with sech^2 x = 4u/(1 + u)^2, u = e^{-2|x|}.  For opposite signs, with d
+    the smaller of a, b in size and c the other,
+    tanh x - tanh y = tanh(x - y)(1 - tanh x tanh y) gives
+    J(c + d) - J(c) - J(d) = d (tanh(c + d) - tanh d)
+    + c tanh(d)(1 - tanh c tanh(c + d)), whose two terms are negative.  So nothing cancels near
+    a = 0 or b = 0, where the excess is O(distance) but J(a + b) and J(a)
+    are O(1), nor far out in the same-sign quadrant, where it is
+    exponentially small.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ta, tb = np.tanh(a), np.tanh(b)
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    ua, ub = np.exp(-2.0 * abs_a), np.exp(-2.0 * abs_b)
+    same = (4.0 * (a * tb * ua / (1.0 + ua) ** 2 + b * ta * ub / (1.0 + ub) ** 2)
+            / (1.0 + ta * tb))
+    first = abs_a >= abs_b
+    c, d = np.where(first, a, b), np.where(first, b, a)
+    tc, td = np.where(first, ta, tb), np.where(first, tb, ta)
+    t = np.tanh(c + d)
+    opposite = d * (t - td) + c * td * (1.0 - tc * t)
+    return np.where(a * b >= 0.0, same, opposite)
 
 
 def omega_resonance(xi, eta):
@@ -143,44 +158,18 @@ def omega_resonance(xi, eta):
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     zeta = -(xi + eta)
-    coords = np.stack(np.broadcast_arrays(xi, eta, zeta)).astype(float)
-    Jv = _J(coords)
-    # factored evaluation (J_a + J_b - J_c)^2 - 4 J_a J_b with c the largest
-    # coordinate: near the lines the direct quadratic form cancels O(1)
-    # terms down to the O(line_distance^2) result and loses every digit,
-    # while here the small sum s is assembled through the delta differences
-    av = np.abs(coords)
-    dv = _delta_exp(coords)
-    idx = np.argmax(av, axis=0)
-    av_c = np.take_along_axis(av, idx[None], axis=0)[0]
-    dv_c = np.take_along_axis(dv, idx[None], axis=0)[0]
-    Jv_c = np.take_along_axis(Jv, idx[None], axis=0)[0]
-    s = (av.sum(axis=0) - 2.0 * av_c) - (dv.sum(axis=0) - 2.0 * dv_c)
-    Jprod = Jv[0] * Jv[1] * Jv[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        J_ab = np.where(Jv_c > 0.0, Jprod / np.where(Jv_c > 0.0, Jv_c, 1.0),
-                        0.0)
-    out = s * s - 4.0 * J_ab
+    # factored evaluation (J_c - J_a - J_b)^2 - 4 J_a J_b with c the largest
+    # coordinate: near a line one of a, b is small, and both terms are of
+    # the order of its square, where the direct quadratic form cancels O(1)
+    # terms and loses every digit
+    x, e, z = np.abs(xi), np.abs(eta), np.abs(zeta)
+    xi_largest = (x >= e) & (x >= z)
+    a = np.where(xi_largest, eta, xi)
+    b = np.where(xi_largest | (e >= z), zeta, eta)
+    out = _J_excess(a, b) ** 2 - 4.0 * _J(a) * _J(b)
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def _delta_exp(x):
-    """J(x) = |x| - delta(x) with delta(x) = 2|x| e^{-2|x|} / (1 + e^{-2|x|}).
-
-    Returns delta(x); used to evaluate differences of J without the
-    |zeta| - |xi| - |eta| cancellation going through large intermediates.
-    """
-    ax = np.abs(x)
-    e = np.exp(-2.0 * ax)
-    return 2.0 * ax * e / (1.0 + e)
-
-
-def _J_sum_diff(xi, eta, zeta):
-    """Cancellation-safe J(zeta) - J(xi) - J(eta) on the plane."""
-    s = np.abs(zeta) - np.abs(xi) - np.abs(eta)
-    return s + _delta_exp(xi) + _delta_exp(eta) - _delta_exp(zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +185,13 @@ def _symbols_holo_raw(xi, eta):
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     zeta = -(xi + eta)
-    Jx, Je, Jz = _J(xi), _J(eta), _J(zeta)
+    Jx, Je = _J(xi), _J(eta)
     Om = omega_resonance(xi, eta)
     with np.errstate(divide="ignore", invalid="ignore"):
-        Ah = 2j * eta * Jx * (Jz - Jx + Je) / Om
+        # J(zeta) - J(xi) + J(eta) = -(J(xi) - J(eta) - J(zeta))
+        Ah = -2j * eta * Jx * _J_excess(eta, zeta) / Om
         Bh = -2j * zeta * Jx * Je / Om
-        Ch = -1j * xi * eta * zeta * _J_sum_diff(xi, eta, zeta) / Om
+        Ch = -1j * xi * eta * zeta * _J_excess(xi, eta) / Om
     return Ah, Bh, Ch
 
 
@@ -250,112 +240,75 @@ def _holo_limits_xi0(eta):
 
 def _mixed_limits_eta0(xi):
     J, Jp, _, Lam = dispersion_kit(xi)
+    with np.errstate(over="ignore"):
+        # 1/(e^{2 xi} + 1) and 1/(e^{2 xi} - 1), overflow-free
+        plus = 1.0 / (1.0 + np.exp(2.0 * xi))
+        minus = 1.0 / np.expm1(2.0 * xi)
     common = 2.0 * J - xi * Jp + J * Jp
-    Aa = 1j * common / (Lam * (np.exp(2.0 * xi) + 1.0))
-    Ca = 1j * xi * common / (Lam * (np.exp(2.0 * xi) - 1.0))
-    return Aa, Ca
+    other = 2.0 * J - 2.0 * xi + Jp
+    return (1j * common * plus / Lam, 1j * J * other * minus / Lam,
+            1j * xi * common * minus / Lam, 1j * xi * other * plus / Lam)
 
 
 def _mixed_limits_xi0(eta):
     J, Jp, _, Lam = dispersion_kit(eta)
+    with np.errstate(over="ignore"):
+        plus = 1.0 / (1.0 + np.exp(2.0 * eta))
+        minus = 1.0 / np.expm1(2.0 * eta)
     common = 2.0 * J - eta * Jp - J * Jp
-    Ca = -1j * eta * common / (Lam * (np.exp(2.0 * eta) - 1.0))
-    Da = -1j * common / (Lam * (np.exp(2.0 * eta) + 1.0))
-    return Ca, Da
+    AB = 1j * J * (2.0 * J + 2.0 * eta - Jp) * minus / Lam
+    return (AB, AB, -1j * eta * common * minus / Lam,
+            -1j * common * plus / Lam)
 
 
-def _nearest_line(xi, eta):
-    """(name, signed transverse distance) of the closest resonance line."""
-    zeta = -(xi + eta)
-    cands = (("xi", xi), ("eta", eta), ("zeta", zeta))
-    return min(cands, key=lambda c: abs(c[1]))
+def _symbols_on_lines(raw, on_eta0, on_xi0, xi, eta, pole: str) -> tuple:
+    """Evaluation rule shared by :func:`symbols_holo` and :func:`symbols_mixed`.
 
-
-def _taylor_from_line(f: Callable[[float], Sequence[complex]],
-                      limits: Sequence[Optional[complex]],
-                      t: float) -> tuple:
-    """Second-order transverse Taylor expansion about a line.
-
-    ``f(s)`` evaluates every component of the raw symbols at transverse
-    offset ``s``, once per offset; ``limits`` holds each component's exact
-    on-line value, None where it is to be estimated by even Richardson
-    extrapolation.  Returns the expansions at offset t.
-    """
-    d = _TAYLOR_STEP
-    fp, fm = f(d), f(-d)
-    if any(lim is None for lim in limits):
-        f2p, f2m = f(2 * d), f(2 * d * -1)
-    out = []
-    for i, limit in enumerate(limits):
-        if limit is None:
-            limit = ((fp[i] + fm[i]) * 4.0 - (f2p[i] + f2m[i])) / 6.0
-        d1 = (fp[i] - fm[i]) / (2.0 * d)
-        d2 = (fp[i] - 2.0 * limit + fm[i]) / d ** 2
-        out.append(limit + d1 * t + 0.5 * d2 * t * t)
-    return tuple(out)
-
-
-def _symbols_near_lines(raw, limits, xi, eta, pole: str) -> tuple:
-    """Line handling shared by :func:`symbols_holo` and :func:`symbols_mixed`.
-
-    ``raw(xi, eta)`` evaluates the closed forms; ``limits(line, s)`` gives
-    the exact values on the line ``line`` ("xi" or "eta") at coordinate s
-    along it, None where a value is to be seeded by even Richardson
-    extrapolation.  Away from the lines, and near the output line zeta = 0,
-    whose pole is explicit rather than a cancellation artifact, the raw
-    forms are used.  Near zeta = 0 they lose accuracy with the pole: the
-    relative 4x4 residual of :func:`system_residuals` is 1.7e-10 at
-    zeta = -2.2e-3 and 1.3e-8 at zeta = -5.2e-4, against at most 2.8e-14 on
-    1000 points per seed (32 seeds) kept 0.5 away from every line.  On
-    zeta = 0 itself the symbols named by ``pole`` have a simple pole and
+    Off the three lines the closed forms ``raw(xi, eta)`` are evaluated;
+    through :func:`_J_excess` they carry no cancellation near xi = 0 or
+    eta = 0.  On eta = 0 and xi = 0, where the quotients are 0/0, the closed
+    limits ``on_eta0(xi)`` and ``on_xi0(eta)`` are returned.  On zeta = 0
+    the symbols named by ``pole`` have a simple pole and
     :class:`SingularLineError` is raised.
+
+    Near zeta = 0 the mixed forms lose accuracy: each is a sum of terms of
+    order 1/zeta^2 (the prefactor e^{2 zeta}/(e^{2 zeta} - 1) ~ 1/(2 zeta)
+    times B^h/zeta and C^h/zeta) that cancel down to the simple pole.
+    Against 80-digit values, relative to the largest component, they are
+    off by 2.5e-10 at zeta = -2.2e-3, 8.6e-9 at -5.2e-4, 1.8e-4 at -1e-6
+    and by a factor of several hundred at -1e-9; the holomorphic forms stay
+    within 5e-16 at all four.
     """
     xi, eta = float(xi), float(eta)
-    line, t = _nearest_line(xi, eta)
-    if line == "zeta" and t == 0.0:
+    if xi + eta == 0.0:
         raise SingularLineError(f"{pole} have a simple pole on zeta = 0")
-    if line == "zeta" or abs(t) > _TAYLOR_SWITCH:
-        return tuple(complex(v) for v in raw(xi, eta))
-    if line == "eta":
-        return _taylor_from_line(
-            lambda s: [complex(v) for v in raw(xi, s)], limits(line, xi), t)
-    return _taylor_from_line(
-        lambda s: [complex(v) for v in raw(s, eta)], limits(line, eta), t)
+    if eta == 0.0:
+        return tuple(complex(v) for v in on_eta0(xi))
+    if xi == 0.0:
+        return tuple(complex(v) for v in on_xi0(eta))
+    return tuple(complex(v) for v in raw(xi, eta))
 
 
 def symbols_holo(xi: float, eta: float) -> tuple[complex, complex, complex]:
     """Normal-form symbols (A^h, B^h, C^h) at a point of the plane.
 
-    Within ``_TAYLOR_SWITCH`` (1e-4) of the lines xi = 0 or eta = 0 the
-    closed-form limits seed a transverse Taylor evaluation; farther out,
-    including at the ``symbols`` experiment's probes at 1e-3, the raw
-    closed forms are evaluated.  On the output line zeta = 0 all three have
-    simple poles and :class:`SingularLineError` is raised.
+    Closed forms off the lines, closed limits on xi = 0 and eta = 0.  On
+    the output line zeta = 0 all three have simple poles and
+    :class:`SingularLineError` is raised.
     """
-    def limits(line, s):
-        return (_holo_limits_eta0 if line == "eta" else _holo_limits_xi0)(s)
-
-    return _symbols_near_lines(_symbols_holo_raw, limits, xi, eta,
-                               "(A^h, B^h, C^h)")
+    return _symbols_on_lines(_symbols_holo_raw, _holo_limits_eta0,
+                             _holo_limits_xi0, xi, eta, "(A^h, B^h, C^h)")
 
 
 def symbols_mixed(xi: float, eta: float) -> tuple[complex, complex, complex, complex]:
     """Mixed symbols (A^a, B^a, C^a, D^a) evaluated at (xi, -eta).
 
-    Line handling mirrors :func:`symbols_holo`: closed limits exist for
-    A^a, C^a on eta = 0 and C^a, D^a on xi = 0; the remaining on-line
-    values are seeded by even Richardson extrapolation.  B^a and C^a keep
-    a genuine pole on zeta = 0.
+    Evaluated like :func:`symbols_holo`, with closed limits for all four
+    on xi = 0 and on eta = 0.  B^a and C^a keep a genuine pole on
+    zeta = 0.
     """
-    def limits(line, s):
-        if line == "eta":
-            Aa0, Ca0 = _mixed_limits_eta0(s)
-            return Aa0, None, Ca0, None
-        Ca0, Da0 = _mixed_limits_xi0(s)
-        return None, None, Ca0, Da0
-
-    return _symbols_near_lines(_symbols_mixed_raw, limits, xi, eta,
-                               "(B^a, C^a)")
+    return _symbols_on_lines(_symbols_mixed_raw, _mixed_limits_eta0,
+                             _mixed_limits_xi0, xi, eta, "(B^a, C^a)")
 
 
 def system_residuals(xi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -573,9 +526,10 @@ def tilde_symbols(n: int, p: PlanePoint) -> tuple[complex, complex]:
     variable).  Both are then reflection-symmetrized, s(p) -> -s(-p), which
     keeps them i x real.  On the resonance lines the symmetrized symbols
     vanish identically -- they factor as xi eta zeta times a bounded
-    exponential-class symbol -- and the analytic zero is returned; within
-    ``LINE_TOL`` of a line the value is a transverse Taylor step off that
-    zero.
+    exponential-class symbol -- and the analytic zero is returned.  Off
+    them the symmetrization is evaluated directly; it cancels O(1) terms
+    down to the O(distance) result, so near a line the relative error
+    grows like 1e-16 / distance (6e-11 at 1e-6).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -596,22 +550,6 @@ def tilde_symbols(n: int, p: PlanePoint) -> tuple[complex, complex]:
     if dmin < 1e-12:
         # exact resonance line: both symbols carry the factor xi eta zeta
         return 0.0 + 0.0j, 0.0 + 0.0j
-    if dmin <= LINE_TOL:
-        # Taylor step off the analytic on-line zero, transverse to the line
-        line, t = _nearest_line(xi, eta)
-
-        def eval_at(s):
-            if line == "eta":
-                return (A_sym_raw(-(xi + s), xi, s),
-                        B_sym_raw(xi, s, -(xi + s)))
-            if line == "xi":
-                return (A_sym_raw(-(s + eta), s, eta),
-                        B_sym_raw(s, eta, -(s + eta)))
-            # zeta near 0: vary zeta = s at fixed xi - eta
-            x, e = xi + 0.5 * (zeta - s), eta + 0.5 * (zeta - s)
-            return A_sym_raw(s, x, e), B_sym_raw(x, e, s)
-
-        return _taylor_from_line(eval_at, (0.0, 0.0), t)
     return A_sym_raw(zeta, xi, eta), B_sym_raw(xi, eta, zeta)
 
 

@@ -178,7 +178,7 @@ def _even_limit(f, d=0.01):
 
 
 def test_symbol_line_limits():
-    # the eight closed-form line limits against numerical limits of the raw
+    # the twelve closed-form line limits against numerical limits of the raw
     # quotients, at several points along each line
     for x in (0.7, 2.0, 5.0, -3.0):
         holo = _holo_limits_eta0(x)
@@ -188,12 +188,10 @@ def test_symbol_line_limits():
         Ah0 = _holo_limits_xi0(x)[0]
         num = _even_limit(lambda s: complex(_symbols_holo_raw(s, x)[0]))
         assert abs(num - Ah0) <= 1e-6 * max(abs(Ah0), 1.0)
-        Aa0, Ca0 = _mixed_limits_eta0(x)
-        for i, want in ((0, Aa0), (2, Ca0)):
+        for i, want in enumerate(_mixed_limits_eta0(x)):
             num = _even_limit(lambda s: complex(_symbols_mixed_raw(x, s)[i]))
             assert abs(num - want) <= 1e-6 * max(abs(want), 1.0)
-        Ca1, Da1 = _mixed_limits_xi0(x)
-        for i, want in ((2, Ca1), (3, Da1)):
+        for i, want in enumerate(_mixed_limits_xi0(x)):
             num = _even_limit(lambda s: complex(_symbols_mixed_raw(s, x)[i]))
             assert abs(num - want) <= 1e-6 * max(abs(want), 1.0)
 
@@ -205,11 +203,13 @@ def test_resonance_sign_and_line_limit():
     # Omega / eta^2 converges to Lambda(xi) at first order in eta
     for x in (0.7, 3.0, 12.0):
         Lam = float(dispersion_kit(x)[3])
-        etas = np.array([1e-2, 1e-3, 1e-4])
+        etas = np.array([1e-2, 1e-3, 1e-4, 1e-6, 1e-8])
         errs = np.array([abs(float(omega_resonance(x, e)) / e ** 2 - Lam)
                          for e in etas])
         slope = np.polyfit(np.log(etas), np.log(errs), 1)[0]
         assert 0.8 <= slope <= 1.2
+        # and its first-order coefficient is resolved down to eta = 1e-8
+        assert np.isclose(errs[-1] / etas[-1], errs[-2] / etas[-2], rtol=1e-3)
     # Lambda stays strictly negative on the resolved frequency range
     xs = np.concatenate([np.linspace(0.01, 50, 4000),
                          -np.linspace(0.01, 50, 4000)])

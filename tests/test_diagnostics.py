@@ -76,11 +76,8 @@ def test_measure_full_row(grid):
 
 def test_drift_report():
     rows = [_record(t=float(i), E0=1.0 + 0.01 * i, I=2.0) for i in range(5)]
-    rep = drift_report(rows)
-    assert rep.rel_drift["E_ham"] == 0.0
-    assert rep.rel_drift["I"] == 0.0
-    assert rep.max_conserved_drift() == 0.0
-    assert np.isclose(rep.rates["E0"]["rate"], 0.01)
-    assert np.isclose(rep.rates["E0"]["max_dev"], 0.04)
+    drift = drift_report(rows)
+    assert drift["E_ham"] == 0.0
+    assert drift["I"] == 0.0
     with pytest.raises(ValueError):
         drift_report([])

@@ -8,7 +8,6 @@ from wavestrip.holo import holo_from_real, weighted_inner
 from wavestrip.dynamics import WaveState, diag_of, scale_state
 from wavestrip.integrator import step_rk4
 from wavestrip.normalform import (
-    LINE_TOL,
     SingularLineError,
     PlanePoint,
     dispersion_kit,
@@ -75,7 +74,8 @@ def test_symbol_systems_interior(rng):
 
 
 def test_symbols_near_line_continuity():
-    # values on both sides of the Taylor switchover agree to many digits
+    # the closed forms on both sides of eta = 0 average to the closed limit
+    # on the line
     for d in (2e-4, 5e-5):
         a = symbols_holo(1.7, d)
         b = symbols_holo(1.7, -d)
@@ -84,55 +84,111 @@ def test_symbols_near_line_continuity():
             assert abs(0.5 * (va + vb) - vm) < 1e-5 * max(abs(vm), 1.0)
 
 
-def _raw_symbols_mp(xi, eta):
-    """The raw closed forms of the seven symbols at 60 digits.
+def _mp_symbols(xi, eta):
+    """The raw closed forms of the seven symbols at the working precision.
 
-    Same expressions as ``_symbols_holo_raw`` and ``_symbols_mixed_raw``,
-    evaluated directly: at this precision neither the Omega cancellation
-    near a line nor the exponential prefactors cost any digit that matters.
+    The expressions of ``_symbols_holo_raw`` and ``_symbols_mixed_raw``
+    with the numerators written out, evaluated directly in mpmath: the
+    Omega cancellation near a line costs about twice as many digits as the
+    distance to the line has, which the working precision absorbs.
     """
+    x, e = mpmath.mpf(xi), mpmath.mpf(eta)
+    z = -(x + e)
+    Jx, Je, Jz = (s * mpmath.tanh(s) for s in (x, e, z))
+    Om = Jx ** 2 + Je ** 2 + Jz ** 2 - 2 * (Jx * Je + Je * Jz + Jz * Jx)
+    Ah = 2j * e * Jx * (Jz - Jx + Je) / Om
+    Bh = -2j * z * Jx * Je / Om
+    Ch = -1j * x * e * z * (Jz - Jx - Je) / Om
+    tx, te = mpmath.tanh(x), mpmath.tanh(e)
+    sig = 1 / (1 + mpmath.exp(-2 * z))
+    pol = 1 / (1 - mpmath.exp(-2 * z))
+    Aa = -sig * ((Je + e) * Bh / (z * te) + (Jx - x) * Ch / (x * z))
+    Ba = pol * ((Jz - (x - e)) * Bh / z
+                + (e * Jx - x * Je) * Ch / (x * e * z))
+    Ca = pol * ((e * Jx - x * Je) * Bh / (z * tx * te)
+                + (Jz - (x - e)) * Ch / z)
+    Da = -sig * ((Jx - x) * Bh / (z * tx) + (Je + e) * Ch / (e * z))
+    return (Ah, Bh, Ch), (Aa, Ba, Ca, Da)
+
+
+def _assert_close_to_mp(xi, eta, want_h, want_m, tol):
+    # error relative to the largest component of each symbol set
+    for got, want in ((symbols_holo(xi, eta), want_h),
+                      (symbols_mixed(xi, eta), want_m)):
+        want = [complex(v) for v in want]
+        err = np.max(np.abs(np.subtract(got, want)))
+        assert err <= tol * np.max(np.abs(want)), (xi, eta, err)
+
+
+def test_symbols_near_lines_match_high_precision():
+    # the closed forms carry no cancellation near xi = 0 or eta = 0: all
+    # seven symbols stay within 1e-12 of 60 digits down to distance 1e-14,
+    # on both lines and in all four sign quadrants
+    for t in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+        for base in (0.3, 1.3, 4.0, 20.0):
+            for sb, st in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                for xi, eta in ((sb * base, st * t), (st * t, sb * base)):
+                    with mpmath.workdps(60):
+                        want_h, want_m = _mp_symbols(xi, eta)
+                    _assert_close_to_mp(xi, eta, want_h, want_m, 1e-12)
+
+
+def test_line_limits_match_high_precision():
+    # on xi = 0 and eta = 0 the symbols are the twelve closed limits; the
+    # reference is the raw forms at 120 digits a distance 1e-30 off the
+    # line (at 60 digits and 1e-25 the Omega cancellation would leave
+    # about 10 digits); at |base| 400 nothing may overflow
+    for base in (0.3, 1.3, 4.0, 20.0, 400.0, -0.3, -1.3, -4.0, -20.0, -400.0):
+        for xi, eta in ((base, 0.0), (0.0, base)):
+            with mpmath.workdps(120):
+                off = mpmath.mpf("1e-30")
+                want_h, want_m = _mp_symbols(xi or off, eta or off)
+            _assert_close_to_mp(xi, eta, want_h, want_m, 1e-13)
+
+
+def _tilde_symbols_mp(n, xi, eta):
+    """``tilde_symbols`` at 60 digits: the same symmetrization of the
+    seven symbols at the exact plane point (xi, eta)."""
     with mpmath.workdps(60):
         x, e = mpmath.mpf(xi), mpmath.mpf(eta)
         z = -(x + e)
-        Jx, Je, Jz = (s * mpmath.tanh(s) for s in (x, e, z))
-        Om = Jx ** 2 + Je ** 2 + Jz ** 2 - 2 * (Jx * Je + Je * Jz + Jz * Jx)
-        Ah = 2j * e * Jx * (Jz - Jx + Je) / Om
-        Bh = -2j * z * Jx * Je / Om
-        Ch = -1j * x * e * z * (Jz - Jx - Je) / Om
-        tx, te = mpmath.tanh(x), mpmath.tanh(e)
-        sig = 1 / (1 + mpmath.exp(-2 * z))
-        pol = 1 / (1 - mpmath.exp(-2 * z))
-        Aa = -sig * ((Je + e) * Bh / (z * te) + (Jx - x) * Ch / (x * z))
-        Ba = pol * ((Jz - (x - e)) * Bh / z
-                    + (e * Jx - x * Je) * Ch / (x * e * z))
-        Ca = pol * ((e * Jx - x * Je) * Bh / (z * tx * te)
-                    + (Jz - (x - e)) * Ch / z)
-        Da = -sig * ((Jx - x) * Bh / (z * tx) + (Je + e) * Ch / (e * z))
-        return ([complex(v) for v in (Ah, Bh, Ch)],
-                [complex(v) for v in (Aa, Ba, Ca, Da)])
+        ex = lambda s: mpmath.exp(2 * s)
+
+        def B(u, v):
+            w = -(u + v)
+            (_, Bh, _), (_, Ba, _, _) = _mp_symbols(u, v)
+            return (ex(w) - 1) * w ** (2 * n) * (Bh + ex(v) * Ba)
+
+        def A(zw, u, v):
+            (_, _, Ch), (_, _, Ca, _) = _mp_symbols(u, v)
+            (Ah, _, _), (Aa, _, _, _) = _mp_symbols(zw, v)
+            Da = _mp_symbols(v, zw)[1][3]
+            return (zw ** (2 * n) * (ex(zw) - 1) * (Ch + ex(v) * Ca)
+                    + u ** (2 * n + 1) * (ex(u) + 1)
+                    * (Ah + ex(v) * Aa + ex(zw) * Da))
+
+        At = (A(z, x, e) + A(z, e, x) - A(-z, -x, -e) - A(-z, -e, -x)) / 4
+        Bt = sum(B(u, v) - B(-u, -v) for u, v in (
+            (x, e), (e, x), (x, z), (z, x), (e, z), (z, e))) / 12
+        return complex(At), complex(Bt)
 
 
-def test_near_line_taylor_matches_high_precision():
-    # within _TAYLOR_SWITCH (1e-4) of xi = 0 or eta = 0 both symbol sets take
-    # the limit-seeded Taylor path, the mixed set with Richardson-seeded
-    # components on either line; measured worst errors relative to the
-    # largest component: 1.7e-8 (holo) and 1.6e-7 (mixed)
-    pts = ((1.7, 3e-5), (1.7, -3e-5), (3e-5, 1.7), (-3e-5, 1.7),
-           (4e-5, -2.3), (0.8, 9e-5), (9e-5, -0.8))
-    for xi, eta in pts:
-        assert min(abs(xi), abs(eta)) < normalform._TAYLOR_SWITCH
-        want_h, want_m = _raw_symbols_mp(xi, eta)
-        for got, want in ((symbols_holo(xi, eta), want_h),
-                          (symbols_mixed(xi, eta), want_m)):
-            err = np.max(np.abs(np.subtract(got, want)))
-            assert err <= 1e-6 * np.max(np.abs(want)), (xi, eta)
+def test_tilde_symbols_near_lines_match_high_precision():
+    # direct evaluation near each of the three lines
+    for t in (1e-3, 1e-4, 1e-6):
+        for xi, eta in ((1.3, t), (t, 1.3), (1.3, -1.3 + t)):
+            for n in (1, 2):
+                got = tilde_symbols(n, PlanePoint(xi, eta))
+                want = _tilde_symbols_mp(n, xi, eta)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-9 * abs(w), (t, xi, eta, n)
 
 
 def test_system_residuals_near_output_line():
     # two points near zeta = 0 (zeta = -2.2e-3 and -5.2e-4), drawn by the
     # symbols kind's sampler at seeds 101 and 103 when d_min is not
-    # enforced: the 4x4 residuals, 1.7e-10 and 1.3e-8, exceed the interior
-    # tol 1e-10 but stay below the near-line tolerance
+    # enforced: the 4x4 residuals, 2.8e-11 and 1.3e-8 (the mixed forms'
+    # cancellation near zeta = 0), stay below the near-line tolerance
     for xi, eta in ((-3.2767258187644153, 3.278962751805082),
                     (28.187681385000403, -28.187161388887702)):
         r3, r4 = system_residuals(xi, eta)
@@ -144,9 +200,11 @@ def test_symbols_singular_output_line():
         symbols_holo(1.2, -1.2)
     with pytest.raises(SingularLineError):
         symbols_mixed(1.2, -1.2)
-    # off the line by any finite amount the values exist
-    symbols_holo(1.2, -1.2 + 1e-9)
-    symbols_mixed(1.2, -1.2 + 1e-9)
+    # off the line by any finite amount the values are finite; the mixed
+    # ones are not accurate this close (a factor of several hundred at
+    # zeta = -1e-9, ROADMAP item 3)
+    assert all(np.isfinite(v) for v in symbols_holo(1.2, -1.2 + 1e-9))
+    assert all(np.isfinite(v) for v in symbols_mixed(1.2, -1.2 + 1e-9))
 
 
 def test_tilde_symbols_properties():

@@ -10,6 +10,11 @@ directory, which ends up holding the config, the run's output files and its
 combined stdout/stderr (``log.txt``).  Every file that differs between the
 two trees, or exists in only one, is listed, as is every run whose exit
 status differs.  The exit status is 1 if anything differs and 0 otherwise.
+
+For a differing text file the listing says how large the difference is: the
+largest relative difference |a - b| / max(|a|, |b|) between corresponding
+numbers, per CSV column, per JSON path or per line of other text, and every
+place where the two differ other than in a number.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import filecmp
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -78,6 +84,73 @@ def _files(top: str) -> set:
             for d, _, names in os.walk(top) for f in names}
 
 
+_NUMBER = re.compile(
+    r"((?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.]))")
+
+
+def _json_leaves(value, path: str):
+    if isinstance(value, dict):
+        for key in value:
+            yield from _json_leaves(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            name = item.get("name", i) if isinstance(item, dict) else i
+            yield from _json_leaves(item, f"{path}[{name}]")
+    else:
+        yield path, json.dumps(value)
+
+
+def _tokens(name: str, text: str) -> list:
+    """(label, token) pairs of a text artifact; a token is a number or text.
+
+    CSV fields are labelled by their column, JSON leaves by their path, and
+    the pieces of other text (numbers and the text between them) by line.
+    """
+    if name.endswith(".json"):
+        return list(_json_leaves(json.loads(text), ""))
+    lines = text.splitlines()
+    if name.endswith(".csv"):
+        header = lines[0].split(",")
+        return [("header", lines[0])] + [
+            (header[i] if i < len(header) else f"column {i + 1}", field)
+            for line in lines[1:] for i, field in enumerate(line.split(","))]
+    return [(f"line {n}", piece) for n, line in enumerate(lines, 1)
+            for piece in _NUMBER.split(line)]
+
+
+def _number(token: str):
+    return float(token) if _NUMBER.fullmatch(token) else None
+
+
+def _how_different(name: str, a: bytes, b: bytes) -> str:
+    """The size of the difference between two versions of one file."""
+    try:
+        ta, tb = _tokens(name, a.decode()), _tokens(name, b.decode())
+    except (UnicodeDecodeError, ValueError, IndexError):
+        return "binary or unparsable"
+    if [label for label, _ in ta] != [label for label, _ in tb]:
+        return "layout differs"
+    worst = {}
+    text = []
+    for (label, x), (_, y) in zip(ta, tb):
+        if x == y:
+            continue
+        u, v = _number(x), _number(y)
+        if u is None or v is None:
+            if label not in text:
+                text.append(label)
+            continue
+        rel = abs(u - v) / (max(abs(u), abs(v)) or 1.0)
+        worst[label] = max(worst.get(label, 0.0), rel)
+    parts = []
+    if worst:
+        parts.append("numbers by up to " + ", ".join(
+            f"{rel:.1e} ({label})" for label, rel in worst.items()))
+    if text:
+        parts.append("text at " + ", ".join(text))
+    return "; ".join(parts)
+
+
 def compare(parent_src: str, change_src: str, work: str) -> int:
     bench = _bench_run()
     runs = _runs(bench)
@@ -96,9 +169,12 @@ def compare(parent_src: str, change_src: str, work: str) -> int:
         problems.append(f"only in {side}: {rel}")
     common = sorted(files["parent"] & files["change"])
     for rel in common:
-        if not filecmp.cmp(os.path.join(trees["parent"], rel),
-                           os.path.join(trees["change"], rel), shallow=False):
-            problems.append(f"differs: {rel}")
+        pa = os.path.join(trees["parent"], rel)
+        pc = os.path.join(trees["change"], rel)
+        if not filecmp.cmp(pa, pc, shallow=False):
+            with open(pa, "rb") as fa, open(pc, "rb") as fc:
+                how = _how_different(rel, fa.read(), fc.read())
+            problems.append(f"differs: {rel}: {how}")
     print(f"{len(runs)} runs per tree, {len(common)} files compared")
     for line in problems:
         print(line)
