@@ -113,6 +113,28 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
+# Per-kind conditions on the experiment values, each with the message for a
+# value that breaks it: the run would otherwise divide by zero, index past
+# its data, never finish drawing, or pass a verdict taken over nothing.
+_EXPERIMENT_RULES = {
+    "dispersion": [(lambda e: len(e["ks"]) > 0 and 0 not in e["ks"],
+                    "ks must list at least one nonzero mode"),
+                   (lambda e: e["amplitude"] > 0,
+                    "amplitude must be positive"),
+                   (lambda e: e["cycles"] > 0, "cycles must be positive")],
+    "taylor-audit": [(lambda e: e["n_states"] > 0,
+                      "n_states must be positive")],
+    "drift-scaling": [(lambda e: len(e["eps"]) == 2 and min(e["eps"]) > 0,
+                       "eps must be two positive amplitudes")],
+    "lifespan": [(lambda e: e["eps"] > 0, "eps must be positive")],
+    # a point d_min from all three lines, such as (d_min, d_min), has
+    # rho >= 1 + 2 d_min
+    "symbols": [(lambda e: e["n_points"] > 0, "n_points must be positive"),
+                (lambda e: e["rho_max"] > 1.0 + 2.0 * max(e["d_min"], 0.0),
+                 "rho_max must exceed 1 + 2 max(d_min, 0)")],
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -193,7 +215,11 @@ def load_config(path: str, kind: str) -> ExperimentConfig:
         # an object block overrides only the keys it names
         default = getattr(defaults, k)
         data[k] = {**default, **v} if isinstance(default, dict) else v
-    return replace(defaults, **data)
+    config = replace(defaults, **data)
+    for ok, message in _EXPERIMENT_RULES.get(kind, ()):
+        if not ok(config.experiment):
+            raise ConfigError(f"experiment.{message}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +261,22 @@ def read_snapshot(path: str) -> WaveState:
 
 
 def _write_table(path: str, header: str, rows) -> None:
-    """Text table: the header line, then one line per row, LF-terminated."""
-    text = "\n".join([header, *rows]) + "\n"
+    """Text table: the header line, then one line per row, LF-terminated.
+
+    Each row is a sequence of numbers: an int is written as it is, any
+    other number as the repr of its float, so every field reads back with
+    ``float()``.
+    """
+    lines = (",".join(str(v) if isinstance(v, int) else repr(float(v))
+                      for v in row) for row in rows)
+    text = "\n".join([header, *lines]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
 def write_series_csv(path: str, records) -> None:
     _write_table(path, ",".join(CSV_COLUMNS),
-                 (",".join(repr(float(getattr(r, c))) for c in CSV_COLUMNS)
-                  for r in records))
+                 ([getattr(r, c) for c in CSV_COLUMNS] for r in records))
 
 
 def _sha256(path: str) -> str:
@@ -379,7 +411,7 @@ def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
     rows = []
     for k in exp["ks"]:
         xi = 2 * np.pi * k / grid.L
-        omega = np.sqrt(g * xi * np.tanh(grid.h * xi))
+        omega = float(np.sqrt(g * xi * np.tanh(grid.h * xi)))
         W = holo_from_real(exp["amplitude"] * np.cos(k * (2 * np.pi / grid.L)
                                                      * grid.nodes), grid)
         state = WaveState(grid, W, np.zeros(grid.N, dtype=complex), g)
@@ -402,7 +434,7 @@ def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
         c = num / den
         measured = np.arccos(np.clip(c, -1.0, 1.0)) / solver.dt
         rel = abs(measured - omega) / omega
-        rows.append(f"{k},{measured!r},{omega!r},{rel!r}")
+        rows.append((k, measured, omega, rel))
         verdicts.append(Verdict(f"dispersion_k{k}", rel <= exp["tol"],
                                 rel, f"omega={omega!r}", exp["tol"]))
     _write_table(os.path.join(out_dir, "dispersion.csv"),
@@ -511,43 +543,39 @@ def _run_lifespan(config: ExperimentConfig, out_dir: str) -> list:
 
 
 def _run_symbols(config: ExperimentConfig, out_dir: str) -> list:
-    from .normalform import (PlanePoint, symbols_holo, symbols_mixed,
-                             system_residuals, omega_resonance)
+    from .normalform import (symbols_holo, symbols_mixed, system_residuals,
+                             omega_resonance)
     exp = config.experiment
+    n, rho_max = exp["n_points"], exp["rho_max"]
     rng = np.random.default_rng(config.seed)
-    worst3 = worst4 = 0.0
-    rows = []
-    n = 0
-    while n < exp["n_points"]:
-        xi, eta = rng.uniform(-exp["rho_max"], exp["rho_max"], 2)
-        p = PlanePoint(xi, eta)
-        # d_min bounds the distance to the nearest resonance line itself
-        if (min(abs(c) for c in p.coords()) < exp["d_min"]
-                or p.rho > exp["rho_max"]):
-            continue
-        r3, r4 = system_residuals(xi, eta)
-        worst3 = max(worst3, float(np.max(r3)))
-        worst4 = max(worst4, float(np.max(r4)))
-        if n < 50:
-            Ah, Bh, Ch = symbols_holo(xi, eta)
-            Aa, Ba, Ca, Da = symbols_mixed(xi, eta)
-            rows.append(",".join(repr(v) for v in (
-                xi, eta, Ah.imag, Bh.imag, Ch.imag, Aa.imag, Ba.imag,
-                Ca.imag, Da.imag, omega_resonance(xi, eta),
-                float(np.max(r3)), float(np.max(r4)))))
-        n += 1
-    # near-line probes at transverse distance 1e-3; the closed forms are
-    # evaluated there as everywhere off the lines
-    worst_line = 0.0
-    for base in np.linspace(0.6, 0.8 * exp["rho_max"], 25):
-        for (x, e) in ((base, 1e-3), (1e-3, base), (base, -base + 1e-3),
-                       (-base, 1e-3), (1e-3, -base), (-base, base - 1e-3)):
-            r3, r4 = system_residuals(x, e)
-            worst_line = max(worst_line, float(np.max(r3)), float(np.max(r4)))
+    # candidate pairs (xi, eta) in draw order, kept when d_min bounds their
+    # distance to the nearest resonance line and rho = 1 + max |coordinate|
+    # stays within rho_max
+    kept = np.empty((2, 0))
+    while kept.shape[1] < n:
+        xi, eta = rng.uniform(-rho_max, rho_max, (n, 2)).T
+        size = np.abs([xi, eta, xi + eta])
+        ok = ((size.min(axis=0) >= exp["d_min"])
+              & (1.0 + size.max(axis=0) <= rho_max))
+        kept = np.concatenate([kept, [xi[ok], eta[ok]]], axis=1)
+    xi, eta = kept[:, :n]
+    # the worst row of each system at each point
+    r3, r4 = (r.max(axis=0) for r in system_residuals(xi, eta))
+    x, e = xi[:50], eta[:50]
+    values = symbols_holo(x, e) + symbols_mixed(x, e)
+    rows = zip(x, e, *(v.imag for v in values), omega_resonance(x, e),
+               r3[:50], r4[:50])
+    # near-line probes at transverse distance 1e-3 from each of the three
+    # lines; the closed forms are evaluated there as everywhere off the lines
+    base = np.linspace(0.6, 0.8 * rho_max, 25)
+    t = np.full_like(base, 1e-3)
+    worst_line = max(np.max(r) for r in system_residuals(
+        np.concatenate([base, t, base, -base, t, -base]),
+        np.concatenate([t, base, -base + 1e-3, t, -base, base - 1e-3])))
     _write_table(os.path.join(out_dir, "symbols.csv"),
                  "xi,eta,Ah,Bh,Ch,Aa,Ba,Ca,Da,Omega,r3,r4", rows)
-    return [_at_most("system_3x3", worst3, exp["tol"]),
-            _at_most("system_4x4", worst4, exp["tol"]),
+    return [_at_most("system_3x3", np.max(r3), exp["tol"]),
+            _at_most("system_4x4", np.max(r4), exp["tol"]),
             _at_most("near_line", worst_line, exp["line_tol"])]
 
 

@@ -11,10 +11,10 @@ The module has three layers:
   (``dispersion_kit``, ``omega_resonance``) and the seven bilinear
   normal-form symbols obtained from the holomorphic 3x3 and mixed 4x4
   linear systems (``symbols_holo``, ``symbols_mixed``,
-  ``system_residuals``);
+  ``system_residuals``), all of which take scalars or arrays;
 * the quadratic normal-form change of variables (``nf_transform``) and the
   symmetrized cubic-energy symbols (``tilde_symbols``) with a generic
-  discrete trilinear evaluator (``TrilinearForm`` / ``trilinear_eval``);
+  discrete trilinear evaluator (``trilinear_eval``);
 * cubic-accurate energies of the diagonal variables: the normal-form
   energy (``nf_energy``), its high-frequency quadratic forms
   (``high_forms``), and the quasilinear modified energy
@@ -26,21 +26,22 @@ form (the cubic energy, ``trilinear_eval``) or anti-diagonal sums over
 j + k (``nf_transform``).
 
 Singular-line policy: the three lines xi = 0, eta = 0, zeta = 0 carry the
-resonances.  Off the lines every symbol is one closed form, evaluated
-without cancellation near xi = 0 and eta = 0: the differences of O(1)
-values of J there are formed by ``_J_excess`` as sums of terms of one
-sign.  On xi = 0 and eta = 0 the normal-form symbols take their
-closed limits, and the cubic-energy symbols (``tilde_symbols``) their
-analytic zero.  The output line zeta = 0 is a genuine simple pole of all
-three holomorphic symbols and of the mixed B^a/C^a; requesting those
-values raises :class:`SingularLineError`.  Near zeta = 0 the mixed forms
-still lose accuracy (``_symbols_on_lines``).
+resonances.  The seven symbols have one evaluation rule, ``_symbols``, for
+a point, a sample of points and the lattice table alike, so a point gets
+exactly its table entry.  Off the lines every symbol is one closed form,
+evaluated without cancellation near xi = 0 and eta = 0: the differences of
+O(1) values of J there are formed by ``_J_excess`` as sums of terms of one
+sign.  On xi = 0 and eta = 0 the normal-form symbols take their closed
+limits, and the cubic-energy symbols (``tilde_symbols``) their analytic
+zero.  The output line zeta = 0 is a genuine simple pole of all three
+holomorphic symbols and of the mixed B^a/C^a; requesting a value there
+raises :class:`SingularLineError`.  Near zeta = 0 the mixed forms still
+lose accuracy (``_symbols``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,7 +53,6 @@ from .dynamics import DiagState, WaveState, model_energies
 
 __all__ = [
     "SingularLineError",
-    "PlanePoint",
     "dispersion_kit",
     "omega_resonance",
     "symbols_holo",
@@ -60,7 +60,6 @@ __all__ = [
     "system_residuals",
     "nf_transform",
     "tilde_symbols",
-    "TrilinearForm",
     "trilinear_eval",
     "nf_energy",
     "high_forms",
@@ -69,25 +68,6 @@ __all__ = [
 
 class SingularLineError(ValueError):
     """Requested a symbol value on a line where it has a genuine pole."""
-
-
-@dataclass(frozen=True)
-class PlanePoint:
-    """Point on the resonance plane xi + eta + zeta = 0 (zeta derived)."""
-
-    xi: float
-    eta: float
-
-    @property
-    def zeta(self) -> float:
-        return -(self.xi + self.eta)
-
-    def coords(self) -> tuple[float, float, float]:
-        return (self.xi, self.eta, self.zeta)
-
-    @property
-    def rho(self) -> float:
-        return 1.0 + max(abs(self.xi), abs(self.eta), abs(self.zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +88,6 @@ def dispersion_kit(xi):
     Jp = t + 4.0 * xi * u / (1.0 + u) ** 2
     om = -np.sign(xi) * np.sqrt(J)
     Lam = Jp ** 2 - 4.0 * J
-    if xi.ndim == 0:
-        return float(J), float(Jp), float(om), float(Lam)
     return J, Jp, om, Lam
 
 
@@ -166,10 +144,7 @@ def omega_resonance(xi, eta):
     xi_largest = (x >= e) & (x >= z)
     a = np.where(xi_largest, eta, xi)
     b = np.where(xi_largest | (e >= z), zeta, eta)
-    out = _J_excess(a, b) ** 2 - 4.0 * _J(a) * _J(b)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _J_excess(a, b) ** 2 - 4.0 * _J(a) * _J(b)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +157,6 @@ def _symbols_holo_raw(xi, eta):
     Valid off the three lines; vectorized.  Singular (division by an Omega
     zero or a zeta pole) entries come back as inf/nan.
     """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
     zeta = -(xi + eta)
     Jx, Je = _J(xi), _J(eta)
     Om = omega_resonance(xi, eta)
@@ -195,17 +168,14 @@ def _symbols_holo_raw(xi, eta):
     return Ah, Bh, Ch
 
 
-def _symbols_mixed_raw(xi, eta):
+def _symbols_mixed_raw(xi, eta, Bh, Ch):
     """(A^a, B^a, C^a, D^a) evaluated at (xi, -eta), off the lines.
 
-    Closed forms in terms of B^h(xi, eta), C^h(xi, eta) with
+    Closed forms in terms of the caller's B^h(xi, eta), C^h(xi, eta) with
     zeta = -(xi + eta); the exponential prefactors are written through
     sigmoids of 2 zeta so that nothing overflows for large |zeta|.
     """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
     zeta = -(xi + eta)
-    _, Bh, Ch = _symbols_holo_raw(xi, eta)
     Jx, Je, Jz = _J(xi), _J(eta), _J(zeta)
     tx, te = np.tanh(xi), np.tanh(eta)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -261,15 +231,20 @@ def _mixed_limits_xi0(eta):
             -1j * common * plus / Lam)
 
 
-def _symbols_on_lines(raw, on_eta0, on_xi0, xi, eta, pole: str) -> tuple:
-    """Evaluation rule shared by :func:`symbols_holo` and :func:`symbols_mixed`.
+_SYMBOL_NAMES = ("Ah", "Bh", "Ch", "Aa", "Ba", "Ca", "Da")
 
-    Off the three lines the closed forms ``raw(xi, eta)`` are evaluated;
-    through :func:`_J_excess` they carry no cancellation near xi = 0 or
-    eta = 0.  On eta = 0 and xi = 0, where the quotients are 0/0, the closed
-    limits ``on_eta0(xi)`` and ``on_xi0(eta)`` are returned.  On zeta = 0
-    the symbols named by ``pole`` have a simple pole and
-    :class:`SingularLineError` is raised.
+
+def _symbols(xi, eta) -> tuple:
+    """The seven symbols (A^h, B^h, C^h, A^a, B^a, C^a, D^a): the one rule.
+
+    xi and eta are scalars or arrays that broadcast; scalars give numpy
+    scalars, arrays arrays of the broadcast shape.  Off the three lines the
+    closed forms are evaluated; through :func:`_J_excess` they carry no
+    cancellation near xi = 0 or eta = 0.  On eta = 0 and xi = 0, where the
+    quotients are 0/0, the closed limits are written in by boolean index.
+    If any point lies on zeta = 0, where A^h, B^h, C^h, B^a and C^a have a
+    simple pole, :class:`SingularLineError` is raised.  The mixed forms
+    take B^h and C^h from the same evaluation.
 
     Near zeta = 0 the mixed forms lose accuracy: each is a sum of terms of
     order 1/zeta^2 (the prefactor e^{2 zeta}/(e^{2 zeta} - 1) ~ 1/(2 zeta)
@@ -279,75 +254,85 @@ def _symbols_on_lines(raw, on_eta0, on_xi0, xi, eta, pole: str) -> tuple:
     and by a factor of several hundred at -1e-9; the holomorphic forms stay
     within 5e-16 at all four.
     """
-    xi, eta = float(xi), float(eta)
-    if xi + eta == 0.0:
-        raise SingularLineError(f"{pole} have a simple pole on zeta = 0")
-    if eta == 0.0:
-        return tuple(complex(v) for v in on_eta0(xi))
-    if xi == 0.0:
-        return tuple(complex(v) for v in on_xi0(eta))
-    return tuple(complex(v) for v in raw(xi, eta))
+    xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=float),
+                                  np.asarray(eta, dtype=float))
+    if np.any(xi + eta == 0.0):
+        raise SingularLineError("the normal-form symbols have a simple pole "
+                                "on zeta = 0")
+    on_eta0 = eta == 0.0
+    on_xi0 = xi == 0.0
+    off = ~(on_eta0 | on_xi0)
+    x, e = xi[off], eta[off]
+    holo = _symbols_holo_raw(x, e)
+    parts = ((off, holo + _symbols_mixed_raw(x, e, *holo[1:])),
+             (on_eta0, _holo_limits_eta0(xi[on_eta0])
+              + _mixed_limits_eta0(xi[on_eta0])),
+             (on_xi0, _holo_limits_xi0(eta[on_xi0])
+              + _mixed_limits_xi0(eta[on_xi0])))
+    out = [np.empty(xi.shape, dtype=complex) for _ in _SYMBOL_NAMES]
+    for where, values in parts:
+        for o, v in zip(out, values):
+            o[where] = v
+    return tuple(o[()] for o in out)
 
 
-def symbols_holo(xi: float, eta: float) -> tuple[complex, complex, complex]:
-    """Normal-form symbols (A^h, B^h, C^h) at a point of the plane.
+def symbols_holo(xi, eta) -> tuple:
+    """Normal-form symbols (A^h, B^h, C^h) at points of the plane.
 
-    Closed forms off the lines, closed limits on xi = 0 and eta = 0.  On
-    the output line zeta = 0 all three have simple poles and
-    :class:`SingularLineError` is raised.
+    Closed forms off the lines, closed limits on xi = 0 and eta = 0
+    (:func:`_symbols`); scalars or arrays.  On the output line zeta = 0 all
+    three have simple poles and :class:`SingularLineError` is raised.
     """
-    return _symbols_on_lines(_symbols_holo_raw, _holo_limits_eta0,
-                             _holo_limits_xi0, xi, eta, "(A^h, B^h, C^h)")
+    return _symbols(xi, eta)[:3]
 
 
-def symbols_mixed(xi: float, eta: float) -> tuple[complex, complex, complex, complex]:
+def symbols_mixed(xi, eta) -> tuple:
     """Mixed symbols (A^a, B^a, C^a, D^a) evaluated at (xi, -eta).
 
     Evaluated like :func:`symbols_holo`, with closed limits for all four
     on xi = 0 and on eta = 0.  B^a and C^a keep a genuine pole on
     zeta = 0.
     """
-    return _symbols_on_lines(_symbols_mixed_raw, _mixed_limits_eta0,
-                             _mixed_limits_xi0, xi, eta, "(B^a, C^a)")
+    return _symbols(xi, eta)[3:]
 
 
-def system_residuals(xi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+def system_residuals(xi, eta) -> tuple[np.ndarray, np.ndarray]:
     """Relative residuals of the defining 3x3 and 4x4 symbol systems.
 
     The computed symbols are substituted back into the linear systems they
     solve; the residual vectors are normalized by the largest row scale, so
-    values near machine precision certify the closed forms.
+    values near machine precision certify the closed forms.  xi and eta are
+    scalars or arrays that broadcast; r3[i] and r4[i] are the residuals of
+    row i, each of the broadcast shape.
     """
-    xi, eta = float(xi), float(eta)
+    xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=float),
+                                  np.asarray(eta, dtype=float))
     s = xi + eta
     tx, te, ts = np.tanh(xi), np.tanh(eta), np.tanh(s)
-    Ah, Bh, Ch = symbols_holo(xi, eta)
+    Ah, Bh, Ch, Aa, Ba, Ca, Da = _symbols(xi, eta)
     # A^h is not symmetric; the first-row constraint is pointwise, while the
     # remaining two involve the (xi, eta)-symmetrized combinations through
     # which the bilinear operator actually enters the equations.
     Ah_sw = symbols_holo(eta, xi)[0]
     xA = 0.5 * (xi * Ah + eta * Ah_sw)
     tA = 0.5 * (te * Ah + tx * Ah_sw)
-    rows3 = [
-        (s * Ah - 2.0 * eta * Bh - 2.0 * tx * Ch, 0.0),
-        (-xA + ts * Ch, 1j * xi * eta),
-        (-tA + ts * Bh, 0.0),
-    ]
-    scales3 = [
-        abs(s * Ah) + abs(2.0 * eta * Bh) + abs(2.0 * tx * Ch),
-        abs(xA) + abs(ts * Ch) + abs(xi * eta),
-        abs(tA) + abs(ts * Bh),
-    ]
+    rows3 = np.array([s * Ah - 2.0 * eta * Bh - 2.0 * tx * Ch,
+                      -xA + ts * Ch - 1j * xi * eta,
+                      -tA + ts * Bh])
+    scales3 = np.array([
+        np.abs(s * Ah) + np.abs(2.0 * eta * Bh) + np.abs(2.0 * tx * Ch),
+        np.abs(xA) + np.abs(ts * Ch) + np.abs(xi * eta),
+        np.abs(tA) + np.abs(ts * Bh),
+    ])
     # one global scale: rows whose entries all decay exponentially would
     # otherwise compare round-off noise against itself
-    scale3 = max(max(scales3), 1e-300)
-    r3 = np.array([abs(lhs - rhs) / scale3 for (lhs, rhs) in rows3])
+    r3 = np.abs(rows3) / np.maximum(scales3.max(axis=0), 1e-300)
 
-    Aa, Ba, Ca, Da = symbols_mixed(xi, eta)
-    M4 = np.array([[s, -eta, -tx, 0.0],
-                   [0.0, -xi, -te, s],
-                   [-xi, 0.0, ts, -eta],
-                   [-te, ts, 0.0, -tx]], dtype=complex)
+    zero = np.zeros(s.shape)
+    M4 = np.array([[s, -eta, -tx, zero],
+                   [zero, -xi, -te, s],
+                   [-xi, zero, ts, -eta],
+                   [-te, ts, zero, -tx]])
     # 1 - coth(s) and 1 - tanh(s) via expm1/sigmoid: both decay like
     # e^{-2s} and would otherwise round to zero against the unit part
     one_m_coth = -2.0 / np.expm1(2.0 * s)
@@ -355,11 +340,13 @@ def system_residuals(xi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     rhs4 = np.array([0.5j * one_m_coth * xi * eta,
                      -0.5j * one_m_coth * xi * eta,
                      0.5j * one_m_tanh * xi * eta,
-                     0.0])
+                     zero])
     v4 = np.array([Aa, Ba, Ca, Da])
-    resid4 = M4 @ v4 - rhs4
-    scale4 = max(float(np.max(np.abs(M4) @ np.abs(v4) + np.abs(rhs4))), 1e-300)
-    r4 = np.abs(resid4) / scale4
+    # M4 @ v4 at every point
+    resid4 = np.einsum("ij...,j...->i...", M4, v4) - rhs4
+    scale4 = (np.einsum("ij...,j...->i...", np.abs(M4), np.abs(v4))
+              + np.abs(rhs4))
+    r4 = np.abs(resid4) / np.maximum(scale4.max(axis=0), 1e-300)
     return r3, r4
 
 
@@ -393,12 +380,14 @@ def _band_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 def _holo_symbol_grids(band: int, kappa: float) -> dict:
     """Symbols on the lattice (xi, eta) = kappa (j, k), lines masked to 0.
 
-    The lattice never touches the singular lines because rows/columns with
-    j = 0, k = 0 or j + k = 0 are zeroed (their field coefficients vanish
-    for the mean-free inputs used here, and the zero output mode is left
-    out of every sum).  Off those lines every entry must be finite; a
-    non-finite one raises.  Only the (band, kappa) in use is kept: a new
-    one replaces the table.
+    The off-line entries are :func:`_symbols` at those points, so each is
+    bit for bit the value of a pointwise call there.  The lattice never
+    touches the singular lines because rows/columns with j = 0, k = 0 or
+    j + k = 0 are zeroed (their field coefficients vanish for the
+    mean-free inputs used here, and the zero output mode is left out of
+    every sum).  Off those lines every entry must be finite; a non-finite
+    one raises.  Only the (band, kappa) in use is kept: a new one replaces
+    the table.
     """
     cached = _symbol_cache.get((band, kappa))
     if cached is not None:
@@ -406,15 +395,16 @@ def _holo_symbol_grids(band: int, kappa: float) -> dict:
     j = np.arange(-band, band + 1, dtype=float)
     XI, ETA = np.meshgrid(kappa * j, kappa * j, indexing="ij")
     mask = (j[:, None] != 0) & (j != 0) & (j[:, None] + j != 0)
-    Ah, Bh, Ch = _symbols_holo_raw(XI, ETA)
-    Aa, Ba, Ca, Da = _symbols_mixed_raw(XI, ETA)
+    # each symbol's values are dropped once copied, so that the table
+    # reuses their memory instead of growing the heap past them
+    values = list(_symbols(XI[mask], ETA[mask]))
     out = {}
-    for name, arr in (("Ah", Ah), ("Bh", Bh), ("Ch", Ch),
-                      ("Aa", Aa), ("Ba", Ba), ("Ca", Ca), ("Da", Da)):
-        a = np.where(mask, arr, 0.0)
-        if not np.all(np.isfinite(a)):
+    for name in _SYMBOL_NAMES:
+        vals = values.pop(0)
+        if not np.all(np.isfinite(vals)):
             raise ValueError(f"non-finite {name} symbol at kappa {kappa!r}")
-        out[name] = a
+        out[name] = np.zeros(XI.shape, dtype=complex)
+        out[name][mask] = vals
     _symbol_cache.clear()
     _symbol_cache[(band, kappa)] = out
     return out
@@ -494,8 +484,7 @@ def nf_transform(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
 def _tilde_B_point(n: int, xi: float, eta: float) -> complex:
     """Unsymmetrized cubic-energy symbol tilde-B(xi, eta, zeta)."""
     zeta = -(xi + eta)
-    _, Bh, _ = symbols_holo(xi, eta)
-    _, Ba, _, _ = symbols_mixed(xi, eta)
+    _, Bh, _, _, Ba, _, _ = _symbols(xi, eta)
     return (np.exp(2.0 * zeta) - 1.0) * zeta ** (2 * n) * (
         Bh + np.exp(2.0 * eta) * Ba)
 
@@ -504,22 +493,20 @@ def _tilde_A_point(n: int, zw: float, xi: float, eta: float) -> complex:
     """Unsymmetrized tilde-A(zeta_W, xi, eta): W at the first slot."""
     t1 = 0.0
     if zw != 0.0:
-        _, _, Ch = symbols_holo(xi, eta)
-        _, _, Ca, _ = symbols_mixed(xi, eta)
+        _, _, Ch, _, _, Ca, _ = _symbols(xi, eta)
         t1 = zw ** (2 * n) * (np.exp(2.0 * zw) - 1.0) * (
             Ch + np.exp(2.0 * eta) * Ca)
     t2 = 0.0
     if xi != 0.0:
-        Ah, _, _ = symbols_holo(zw, eta)
-        Aa, _, _, _ = symbols_mixed(zw, eta)
-        _, _, _, Da = symbols_mixed(eta, zw)
+        Ah, _, _, Aa, _, _, _ = _symbols(zw, eta)
+        Da = _symbols(eta, zw)[6]
         t2 = xi ** (2 * n + 1) * (np.exp(2.0 * xi) + 1.0) * (
             Ah + np.exp(2.0 * eta) * Aa + np.exp(2.0 * zw) * Da)
     return t1 + t2
 
 
-def tilde_symbols(n: int, p: PlanePoint) -> tuple[complex, complex]:
-    """Symmetrized cubic-energy symbols (A~^sym, B~^sym) at a plane point.
+def tilde_symbols(n: int, xi: float, eta: float) -> tuple[complex, complex]:
+    """Symmetrized cubic-energy symbols (A~^sym, B~^sym) at (xi, eta).
 
     B~ is symmetrized over all permutations of (xi, eta, zeta); A~ over its
     two potential slots (the first coordinate carries the position
@@ -533,7 +520,7 @@ def tilde_symbols(n: int, p: PlanePoint) -> tuple[complex, complex]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    xi, eta, zeta = p.coords()
+    zeta = -(xi + eta)
 
     def A_sym_raw(zw, x, e):
         vals = [_tilde_A_point(n, zw, x, e), _tilde_A_point(n, zw, e, x),
@@ -557,31 +544,12 @@ def tilde_symbols(n: int, p: PlanePoint) -> tuple[complex, complex]:
 # discrete trilinear forms
 
 
-@dataclass(frozen=True)
-class TrilinearForm:
-    """Translation-invariant real trilinear form given by a plane symbol.
-
-    ``symbol(xi, eta, zeta)`` must accept arrays that broadcast to the
-    lattice (xi a column, eta a row).
-    """
-
-    symbol: Callable
-
-    def symmetry_defect(self, pts: Sequence[tuple[float, float]]) -> float:
-        """Max deviation of the symbol under swapping (xi, eta)."""
-        worst = 0.0
-        for (x, e) in pts:
-            z = -(x + e)
-            a = complex(np.asarray(self.symbol(x, e, z)))
-            b = complex(np.asarray(self.symbol(e, x, z)))
-            worst = max(worst, abs(a - b))
-        return worst
-
-
-def trilinear_eval(form: TrilinearForm, f1, f2, f3,
+def trilinear_eval(symbol: Callable, f1, f2, f3,
                    grid: SpectralGrid) -> float:
     """Discrete trilinear form L Re sum s(xi, eta, zeta) c1 c2 c3.
 
+    ``symbol(xi, eta, zeta)`` must accept arrays that broadcast to the
+    lattice (xi a column, eta a row).
     The sum runs over the dealiased band with zeta = -(xi + eta) folded into
     the band, and the symbol is evaluated at the physical wavenumbers
     xi = 2 pi j / L; the constant L is fixed so that the constant symbol 1
@@ -601,7 +569,7 @@ def trilinear_eval(form: TrilinearForm, f1, f2, f3,
                   to_spectrum(vals[2])[grid.neg_index][m % grid.N], 0.0)
     inband = np.abs(m) <= band
     xi = (2.0 * np.pi / grid.L) * np.arange(-band, band + 1)[:, None]
-    S = np.asarray(form.symbol(xi, xi.T, -(xi + xi.T)), dtype=complex)
+    S = np.asarray(symbol(xi, xi.T, -(xi + xi.T)), dtype=complex)
     total = grid.L * _hankel_form(
         sliding_window_view(np.where(inband, c3, 0.0), size), S, c1, c2)
     # the same reduction on absolute values: kept and dropped (out-of-band

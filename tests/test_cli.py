@@ -356,6 +356,80 @@ def test_symbols_interior_points_keep_off_the_lines(tmp_path, capsys):
     assert verdicts["system_4x4"]["measured"] <= 1e-12
 
 
+def test_symbols_passes_at_seeds_0_to_29(tmp_path):
+    for seed in range(30):
+        cfg = load_config(_write_config(tmp_path / "c.json", {"seed": seed}),
+                          "symbols")
+        assert run_experiment(cfg, str(tmp_path / f"s{seed}")) == 0, seed
+
+
+def test_symbols_samples_one_pair_per_draw(tmp_path):
+    # the sampled points are those of a loop drawing one (xi, eta) pair at a
+    # time and keeping it at least d_min from every line with rho <= rho_max
+    cfg = load_config(_write_config(tmp_path / "c.json", {"seed": 7}),
+                      "symbols")
+    out = tmp_path / "run"
+    assert run_experiment(cfg, str(out)) == 0
+    lines = (out / "symbols.csv").read_text().strip().split("\n")[1:]
+    got = [tuple(float(v) for v in line.split(",")[:2]) for line in lines]
+    rng = np.random.default_rng(7)
+    want = []
+    while len(want) < 50:
+        xi, eta = rng.uniform(-30.0, 30.0, 2)
+        size = (abs(xi), abs(eta), abs(xi + eta))
+        if min(size) >= 0.5 and 1.0 + max(size) <= 30.0:
+            want.append((xi, eta))
+    assert got == want
+
+
+def test_every_csv_field_parses_as_a_number(tmp_path):
+    runs = (
+        ("simulate", _simulate_config(tmp_path), "series.csv"),
+        ("dispersion", _write_config(tmp_path / "d.json", {
+            "grid": {"N": 32}, "experiment": {"ks": [1, 2], "cycles": 2.0}}),
+         "dispersion.csv"),
+        ("symbols", _write_config(tmp_path / "s.json", {
+            "experiment": {"n_points": 60}}), "symbols.csv"),
+    )
+    for kind, path, name in runs:
+        out = tmp_path / kind
+        assert run_experiment(load_config(path, kind), str(out)) in (0, 1)
+        lines = (out / name).read_text().strip().split("\n")
+        assert len(lines) > 1, kind
+        for line in lines[1:]:
+            for field in line.split(","):
+                float(field)
+    doc = json.loads((tmp_path / "dispersion" / "verdict.json").read_text())
+    for v in doc["verdicts"]:
+        float(v["target"].removeprefix("omega="))
+
+
+def test_degenerate_experiment_values_exit_2(tmp_path, capsys):
+    # each would divide by zero, index past its data, hang, or pass a
+    # verdict over nothing; each is one config error line and exit 2
+    cases = (
+        ("lifespan", {"eps": 0.0}),
+        ("dispersion", {"ks": [0]}),
+        ("dispersion", {"ks": []}),
+        ("dispersion", {"amplitude": 0.0}),
+        ("dispersion", {"cycles": 0.0}),
+        ("drift-scaling", {"eps": []}),
+        ("drift-scaling", {"eps": [0.04]}),
+        ("drift-scaling", {"eps": [0.04, 0.0]}),
+        ("drift-scaling", {"eps": [0.04, 0.02, 0.01]}),
+        ("taylor-audit", {"n_states": 0}),
+        ("symbols", {"n_points": 0}),
+        ("symbols", {"d_min": 0.5, "rho_max": 2.0}),
+    )
+    for i, (kind, experiment) in enumerate(cases):
+        p = _write_config(tmp_path / f"c{i}.json", {"experiment": experiment})
+        out = tmp_path / f"run{i}"
+        assert main([kind, "--config", p, "--out", str(out)]) == 2, experiment
+        err = capsys.readouterr().err
+        assert err.startswith("config error: experiment."), err
+        assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
 def test_verdict_checksums_only_own_artifacts(tmp_path):
     cfg = load_config(_simulate_config(tmp_path), "simulate")
     out = tmp_path / "run"

@@ -9,7 +9,6 @@ from wavestrip.dynamics import WaveState, diag_of, scale_state
 from wavestrip.integrator import step_rk4
 from wavestrip.normalform import (
     SingularLineError,
-    PlanePoint,
     dispersion_kit,
     omega_resonance,
     symbols_holo,
@@ -17,7 +16,6 @@ from wavestrip.normalform import (
     system_residuals,
     nf_transform,
     tilde_symbols,
-    TrilinearForm,
     trilinear_eval,
     nf_energy,
     high_forms,
@@ -64,8 +62,7 @@ def test_symbol_systems_interior(rng):
     count = 0
     while count < 60:
         xi, eta = rng.uniform(-25, 25, 2)
-        p = PlanePoint(xi, eta)
-        if min(abs(p.xi), abs(p.eta), abs(p.zeta)) < 0.5:
+        if min(abs(xi), abs(eta), abs(xi + eta)) < 0.5:
             continue
         r3, r4 = system_residuals(xi, eta)
         assert np.max(r3) < 1e-10, (xi, eta)
@@ -178,7 +175,7 @@ def test_tilde_symbols_near_lines_match_high_precision():
     for t in (1e-3, 1e-4, 1e-6):
         for xi, eta in ((1.3, t), (t, 1.3), (1.3, -1.3 + t)):
             for n in (1, 2):
-                got = tilde_symbols(n, PlanePoint(xi, eta))
+                got = tilde_symbols(n, xi, eta)
                 want = _tilde_symbols_mp(n, xi, eta)
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-9 * abs(w), (t, xi, eta, n)
@@ -207,29 +204,79 @@ def test_symbols_singular_output_line():
     assert all(np.isfinite(v) for v in symbols_mixed(1.2, -1.2 + 1e-9))
 
 
+def test_symbols_array_with_one_pole_raises():
+    xi = np.array([0.7, 1.2, -3.0])
+    eta = np.array([2.0, -1.2, 0.5])
+    for f in (symbols_holo, symbols_mixed, system_residuals):
+        with pytest.raises(SingularLineError):
+            f(xi, eta)
+        # broadcasting a scalar onto the pole as well
+        with pytest.raises(SingularLineError):
+            f(1.2, eta)
+
+
+def test_symbols_arrays_equal_scalar_calls(rng):
+    # points off the lines, on eta = 0 and on xi = 0, in one array; every
+    # entry equals the scalar call at its point bit for bit
+    xi, eta = rng.uniform(-25, 25, (2, 60))
+    eta[:10] = 0.0
+    xi[10:20] = 0.0
+    arrays = symbols_holo(xi, eta) + symbols_mixed(xi, eta)
+    r3, r4 = system_residuals(xi, eta)
+    assert all(a.shape == (60,) for a in arrays)
+    assert r3.shape == (3, 60) and r4.shape == (4, 60)
+    for i, (x, e) in enumerate(zip(xi, eta)):
+        scalars = symbols_holo(x, e) + symbols_mixed(x, e)
+        assert [a[i] for a in arrays] == list(scalars), (x, e)
+        s3, s4 = system_residuals(x, e)
+        assert np.array_equal(r3[:, i], s3)
+        # the 4x4 products may sum in another order; the residuals are
+        # relative, so 1e-24 is far below the round-off they measure
+        assert np.allclose(r4[:, i], s4, rtol=0.0, atol=1e-24)
+    # a scalar broadcasts against an array
+    row = symbols_holo(1.5, eta[20:25])
+    assert all(np.array_equal(a, b) for a, b in
+               zip(row, symbols_holo(np.full(5, 1.5), eta[20:25])))
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.125])
+def test_symbol_point_equals_table_entry(kappa):
+    # the table is built through the pointwise rule: a point returns its
+    # table entry bit for bit
+    band = 85
+    sym = _holo_symbol_grids(band, kappa)
+    names = ("Ah", "Bh", "Ch", "Aa", "Ba", "Ca", "Da")
+    idx = np.random.default_rng(5).integers(-band, band + 1, (400, 2))
+    for j, k in idx:
+        if j == 0 or k == 0 or j + k == 0:
+            continue
+        xi, eta = kappa * float(j), kappa * float(k)
+        got = symbols_holo(xi, eta) + symbols_mixed(xi, eta)
+        want = [sym[name][j + band, k + band] for name in names]
+        assert list(got) == want, (j, k)
+
+
 def test_tilde_symbols_properties():
     for n in (1, 2):
         # exact zero on the resonance lines
-        for p in (PlanePoint(1.5, 0.0), PlanePoint(0.0, 2.5),
-                  PlanePoint(2.0, -2.0)):
-            A, B = tilde_symbols(n, p)
+        for xi, eta in ((1.5, 0.0), (0.0, 2.5), (2.0, -2.0)):
+            A, B = tilde_symbols(n, xi, eta)
             assert A == 0.0 and B == 0.0
         # off the lines: purely imaginary and odd under reflection
-        p = PlanePoint(1.3, 0.9)
-        A, B = tilde_symbols(n, p)
+        A, B = tilde_symbols(n, 1.3, 0.9)
         assert abs(A.real) < 1e-12 * max(abs(A), 1e-30)
         assert abs(B.real) < 1e-12 * max(abs(B), 1e-30)
-        Am, Bm = tilde_symbols(n, PlanePoint(-1.3, -0.9))
+        Am, Bm = tilde_symbols(n, -1.3, -0.9)
         assert abs(Am + A) < 1e-10 * max(abs(A), 1e-30)
         assert abs(Bm + B) < 1e-10 * max(abs(B), 1e-30)
     with pytest.raises(ValueError):
-        tilde_symbols(0, PlanePoint(1.0, 1.0))
+        tilde_symbols(0, 1.0, 1.0)
 
 
 def test_tilde_symbols_vanish_linearly():
     # approaching a line the symmetrized symbols go to zero linearly
-    p1 = tilde_symbols(1, PlanePoint(2.0, 1e-2))
-    p2 = tilde_symbols(1, PlanePoint(2.0, 5e-3))
+    p1 = tilde_symbols(1, 2.0, 1e-2)
+    p2 = tilde_symbols(1, 2.0, 5e-3)
     for a, b in zip(p1, p2):
         assert 1.6 < abs(a) / abs(b) < 2.4
 
@@ -239,14 +286,13 @@ def test_trilinear_constant_symbol_is_quadrature(grid, rng):
     def one(xi, eta, zeta):
         return np.ones_like(xi)
 
-    form = TrilinearForm(one)
     fs = []
     for _ in range(3):
         c = np.zeros(grid.N)
         for k in range(1, 8):
             c += rng.uniform(-1, 1) * np.cos(k * grid.nodes + rng.uniform(0, 7))
         fs.append(c)
-    got = trilinear_eval(form, fs[0], fs[1], fs[2], grid)
+    got = trilinear_eval(one, fs[0], fs[1], fs[2], grid)
     want = float(np.sum(fs[0] * fs[1] * fs[2]) * grid.L / grid.N)
     assert np.isclose(got, want, rtol=1e-12)
 
@@ -255,12 +301,14 @@ def test_trilinear_homogeneity(grid):
     def sym(xi, eta, zeta):
         return np.tanh(xi) * np.tanh(eta) + 0.3 * zeta ** 2
 
-    form = TrilinearForm(sym)
     f = np.cos(grid.nodes + 0.4) + 0.5 * np.cos(3 * grid.nodes)
-    v1 = trilinear_eval(form, f, f, f, grid)
-    v2 = trilinear_eval(form, 2 * f, 2 * f, 2 * f, grid)
+    v1 = trilinear_eval(sym, f, f, f, grid)
+    v2 = trilinear_eval(sym, 2 * f, 2 * f, 2 * f, grid)
     assert np.isclose(v2, 8.0 * v1, rtol=1e-12)
-    assert form.symmetry_defect([(0.7, 1.9), (3.0, -1.2)]) < 1e-14
+    # the symbol is symmetric under swapping (xi, eta)
+    for xi, eta in ((0.7, 1.9), (3.0, -1.2)):
+        zeta = -(xi + eta)
+        assert abs(sym(xi, eta, zeta) - sym(eta, xi, zeta)) < 1e-14
 
 
 def test_trilinear_rejects_unresolved_mass(grid, rng):
@@ -270,7 +318,7 @@ def test_trilinear_rejects_unresolved_mass(grid, rng):
     # white spectrum: pairwise sums leave the dealias band with real weight
     f = rng.standard_normal(grid.N)
     with pytest.raises(ValueError):
-        trilinear_eval(TrilinearForm(one), f, f, f, grid)
+        trilinear_eval(one, f, f, f, grid)
 
 
 def test_weighted_form_matches_trilinear_route(grid):
@@ -289,8 +337,7 @@ def test_weighted_form_matches_trilinear_route(grid):
         m = -4.0 * n + 0.5 / np.cosh(zeta) ** 2
         return -2.0 * np.tanh(xi) * np.tanh(eta) * m
 
-    via_modes = trilinear_eval(TrilinearForm(sym), bW.real, bW.real,
-                               bW.real, grid)
+    via_modes = trilinear_eval(sym, bW.real, bW.real, bW.real, grid)
     assert np.isclose(direct, via_modes, rtol=1e-10)
     # and the packaged high-frequency form uses exactly this weight
     B_high, _ = high_forms(n, d)
@@ -459,9 +506,9 @@ def test_symbol_table_rejects_non_finite_entries(monkeypatch):
         assert all(np.all(np.isfinite(a)) for a in sym.values())
     raw = normalform._symbols_mixed_raw
 
-    def broken(xi, eta):
-        Aa, Ba, Ca, Da = raw(xi, eta)
-        Ba[1, 2] = np.inf
+    def broken(xi, eta, Bh, Ch):
+        Aa, Ba, Ca, Da = raw(xi, eta, Bh, Ch)
+        Ba[2] = np.inf
         return Aa, Ba, Ca, Da
 
     monkeypatch.setattr(normalform, "_symbols_mixed_raw", broken)
