@@ -127,6 +127,8 @@ _EXPERIMENT_RULES = {
     "drift-scaling": [(lambda e: len(e["eps"]) == 2 and min(e["eps"]) > 0,
                        "eps must be two positive amplitudes")],
     "lifespan": [(lambda e: e["eps"] > 0, "eps must be positive")],
+    "scaling-check": [(lambda e: e["lam"] != 1.0,
+                       "lam must not be 1, which compares a run with itself")],
     # a point d_min from all three lines, such as (d_min, d_min), has
     # rho >= 1 + 2 d_min
     "symbols": [(lambda e: e["n_points"] > 0, "n_points must be positive"),
@@ -420,6 +422,9 @@ def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
         # model's dispersion rather than the RK4 phase bias O((omega dt)^4)
         solver = _solver_config(config, grid, T_final=T, observer_stride=1,
                                 method=config.solver.get("method", "ifrk4"))
+        if solver.n_steps < 2:
+            raise ValueError(f"dispersion k={k}: the fit needs at least 2 "
+                             f"steps, experiment.cycles gives {solver.n_steps}")
         samples = []
 
         def obs(i, t, s, k=k):

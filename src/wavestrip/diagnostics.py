@@ -136,7 +136,7 @@ def control_norms(diag: DiagState) -> tuple[float, float]:
     for mask in _dyadic_block_masks(grid):
         block = from_spectrum(np.where(mask, c, 0.0))
         besov = max(besov, _l2(block, grid))
-    A = (_sup(bW) + _sup(diag.Y)
+    A = (_sup(bW) + _sup(bW / (1.0 + bW))
          + g ** -0.5 * max(_sup(Rh), besov))
     B = (np.sqrt(g) * bmo_proxy(_half_weight(bW, grid, 0.5), grid)
          + bmo_proxy(_half_weight(R, grid, 1.0), grid))

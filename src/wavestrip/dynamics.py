@@ -15,7 +15,7 @@ with ``J = |1 + W_alpha|^2`` and transport speed
 
 All nonlinear products are evaluated pointwise in physical space and
 dealiased (2/3 rule); rational factors are never series-expanded since J is
-bounded away from zero on valid states.
+bounded away from zero on valid states (:func:`require_valid`).
 """
 
 from __future__ import annotations
@@ -25,10 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import SpectralGrid, dealias, deriv, inv_tilbert, lh_apply, tilbert
+from .grid import (SpectralGrid, dealias, deriv, inv_tilbert, lh_apply,
+                   smooth_one_plus_T2, tilbert)
 from .holo import inner_h, pair_form, project, weighted_inner
 
 __all__ = [
+    "InvalidState",
+    "require_valid",
     "WaveState",
     "DiagState",
     "Coefficients",
@@ -59,11 +62,30 @@ def _samples(values, grid: SpectralGrid) -> np.ndarray:
     return v
 
 
+class InvalidState(ValueError):
+    """Samples that break the validity rule; the message is the reason."""
+
+
+def require_valid(grid: SpectralGrid, slope, finite, W=None) -> None:
+    """The validity rule of a state: raise :class:`InvalidState` if it fails.
+
+    ``slope`` is W_alpha (a non-finite W makes it nan), or bW for a diagonal
+    state, which has no ``W`` and so no bottom; ``finite`` holds the others.
+    """
+    J_min = float(np.min(np.abs(1.0 + slope) ** 2))
+    if not (np.isfinite(J_min) and all(np.isfinite(f).all() for f in finite)):
+        raise InvalidState("non-finite field values")
+    if not J_min >= 1e-12:
+        raise InvalidState(f"degenerate parametrization (min J = {J_min:.3e})")
+    if W is not None and not np.min(W.imag) > -grid.h:
+        raise InvalidState("surface touched the bottom")
+
+
 @dataclass(frozen=True)
 class WaveState:
     """Position/potential samples (W, Q) on one grid, with gravity and time.
 
-    The depth is ``grid.h``.
+    The depth is ``grid.h``.  Invalid samples raise :class:`InvalidState`.
     """
 
     grid: SpectralGrid
@@ -77,9 +99,10 @@ class WaveState:
         object.__setattr__(self, "Q", _samples(self.Q, self.grid))
         if not self.g > 0:
             raise ValueError("g must be positive")
-        J = np.abs(1.0 + deriv(self.W, self.grid)) ** 2
-        if np.min(J) <= 0:
-            raise ValueError("degenerate parametrization: J <= 0 somewhere")
+        # an infinite sample of W gives nan slopes, which the rule reports
+        with np.errstate(invalid="ignore"):
+            Wa = deriv(self.W, self.grid)
+        require_valid(self.grid, Wa, (self.Q,), self.W)
 
     def with_fields(self, Wv: np.ndarray, Qv: np.ndarray, t: Optional[float] = None) -> "WaveState":
         return WaveState(self.grid, Wv, Qv, self.g,
@@ -101,12 +124,7 @@ class DiagState:
         object.__setattr__(self, "R", _samples(self.R, self.grid))
         if not self.g > 0:
             raise ValueError("g must be positive")
-        if np.max(np.abs(self.Y)) >= 1.0:
-            raise ValueError("||Y||_inf >= 1: 1 + bW not invertible")
-
-    @property
-    def Y(self) -> np.ndarray:
-        return self.bW / (1.0 + self.bW)
+        require_valid(self.grid, self.bW, (self.bW, self.R))
 
 
 @dataclass(frozen=True)
@@ -148,8 +166,6 @@ def coefficients(grid: SpectralGrid, g: float, bW: np.ndarray,
     """
     one_pW = 1.0 + bW
     J = np.abs(one_pW) ** 2
-    if np.min(J) <= 0:
-        raise ValueError("degenerate state: J <= 0")
     Y = bW / one_pW
     Ybar = np.conj(Y)
     b = 2.0 * np.real(R - project(dealias(R * Ybar, grid), grid, "holo"))
@@ -159,7 +175,7 @@ def coefficients(grid: SpectralGrid, g: float, bW: np.ndarray,
     Ra = deriv(R, grid)
     a = 2.0 * np.imag(project(dealias(R * np.conj(Ra), grid), grid, "holo"))
     a = dealias(a, grid)
-    a1 = g * np.fft.ifft(np.fft.fft(bW.real) * grid.sech2).real
+    a1 = g * smooth_one_plus_T2(bW.real, grid)
     Ya = deriv(Y, grid)
     M = 2.0 * np.real(project(dealias(R * np.conj(Ya) - np.conj(Ra) * Y, grid),
                               grid, "holo"))
@@ -193,8 +209,6 @@ def rhs_full(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     Qa = deriv(Qv, grid)
     one_pW = 1.0 + Wa
     J = np.abs(one_pW) ** 2
-    if np.min(J) <= 0:
-        raise ValueError("degenerate state: J <= 0")
     F, _ = _real_mean_projection((Qa - np.conj(Qa)) / J, grid)
     Wt = -dealias(F * one_pW, grid)
     Qt = (-dealias(F * Qa, grid) + g * tilbert(Wv, grid)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -203,12 +204,24 @@ def test_drift_profile_is_band_limited_on_any_period():
             assert np.max(c[np.abs(grid.k) > 3]) < 1e-15, L
 
 
-def test_zero_duration_run_preserves_snapshot(tmp_path):
-    cfg = load_config(_simulate_config(tmp_path, T=0.0), "simulate")
-    out = tmp_path / "run"
-    assert run_experiment(cfg, str(out)) == 0
-    assert (out / "initial.snap").read_bytes() == \
-        (out / "final.snap").read_bytes()
+def test_zero_step_runs_exit_2(tmp_path, capsys):
+    # a run that takes no step would pass every verdict without testing
+    # anything; each is one error line and exit 2, with no artifact
+    cases = (
+        ("simulate", _simulate_config(tmp_path, T=0.0)),
+        ("lifespan", _write_config(tmp_path / "l.json", {
+            "grid": {"N": 32}, "experiment": {"horizon_factor": 0.0}})),
+        ("scaling-check", _write_config(tmp_path / "s.json", {
+            "grid": {"N": 32}, "experiment": {"T": 0.0}})),
+        ("drift-scaling", _write_config(tmp_path / "d.json", {
+            "grid": {"N": 32}, "experiment": {"T": 0.0}})),
+    )
+    for kind, p in cases:
+        out = tmp_path / kind
+        assert main([kind, "--config", p, "--out", str(out)]) == 2, kind
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and "takes no step" in err, err
+        assert not any(out.iterdir()), kind
 
 
 def test_repeated_runs_identical(tmp_path):
@@ -242,8 +255,7 @@ def test_main_exit_codes(tmp_path, capsys):
                  "--out", str(out)]) == 2
 
 
-def _one_error_line(capsys):
-    err = capsys.readouterr().err
+def _one_error_line(err):
     return (err.startswith("error: ") and "Traceback" not in err
             and len(err.strip().splitlines()) == 1)
 
@@ -270,12 +282,12 @@ def test_report_subcommand_exit_codes(tmp_path, capsys):
     csv = out / "series.csv"
     csv.write_text(csv.read_text().replace("0.0", "0.1", 1))
     assert main(["report", "--out", str(out)]) == 2
-    assert _one_error_line(capsys)
+    assert _one_error_line(capsys.readouterr().err)
     csv.unlink()
     assert main(["report", "--out", str(out)]) == 2
-    assert _one_error_line(capsys)
+    assert _one_error_line(capsys.readouterr().err)
     assert main(["report", "--out", str(tmp_path / "nowhere")]) == 2
-    assert _one_error_line(capsys)
+    assert _one_error_line(capsys.readouterr().err)
 
 
 def test_simulate_without_initial_data_exits_2(tmp_path, capsys):
@@ -284,7 +296,7 @@ def test_simulate_without_initial_data_exits_2(tmp_path, capsys):
                                                 "init": init})
         assert main(["simulate", "--config", p, "--out",
                      str(tmp_path / "run")]) == 2
-        assert _one_error_line(capsys)
+        assert _one_error_line(capsys.readouterr().err)
 
 
 def test_main_runtime_error_exits_2(tmp_path, capsys):
@@ -320,6 +332,55 @@ def test_step_abort_exits_2_with_one_error_line(tmp_path, capsys):
         assert err.count("step ") == 1
         assert read_snapshot(str(out / "last_good.snap")).grid.N == 32
         assert not (out / "verdict.json").exists()
+
+
+def _edited_snapshot(path, edit):
+    """A snapshot of a small state whose W samples ``edit`` changes in place."""
+    grid = make_grid(2 * np.pi, 32, 1.0)
+    write_snapshot(str(path), small_state(grid, eps=0.05))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    W = np.frombuffer(payload[:grid.N * 16], dtype="<c16").copy()
+    edit(W)
+    path.write_bytes(header + b"\n" + W.tobytes() + payload[grid.N * 16:])
+    return str(path)
+
+
+def _set_nan(W):
+    W[3] = np.nan
+
+
+def _below_bottom(W):
+    W -= 1.5j
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_set_nan, "non-finite field values"),
+    (_below_bottom, "surface touched the bottom"),
+])
+def test_invalid_snapshot_is_refused_at_load(tmp_path, capsys, edit, reason):
+    snap = _edited_snapshot(tmp_path / "bad.snap", edit)
+    p = _write_config(tmp_path / "c.json", {"init": {"snapshot": snap},
+                                            "solver": {"T_final": 1.0}})
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", p, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert caught == []
+    assert not (out / "initial.snap").exists()
+
+
+def test_dispersion_needs_two_steps(tmp_path, capsys):
+    # the three-term frequency fit sums over the interior samples of a run:
+    # one step has none; cycles 1e-9 takes no step at all
+    for cycles, message in ((0.03, "needs at least 2 steps"),
+                            (1e-9, "takes no step")):
+        p = _write_config(tmp_path / "c.json", {
+            "experiment": {"ks": [1], "cycles": cycles}})
+        assert main(["dispersion", "--config", p, "--out",
+                     str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and message in err, err
 
 
 def test_solver_cfl_rule(tmp_path, capsys):
@@ -420,6 +481,7 @@ def test_degenerate_experiment_values_exit_2(tmp_path, capsys):
         ("taylor-audit", {"n_states": 0}),
         ("symbols", {"n_points": 0}),
         ("symbols", {"d_min": 0.5, "rho_max": 2.0}),
+        ("scaling-check", {"lam": 1.0}),
     )
     for i, (kind, experiment) in enumerate(cases):
         p = _write_config(tmp_path / f"c{i}.json", {"experiment": experiment})
@@ -443,7 +505,7 @@ def test_verdict_checksums_only_own_artifacts(tmp_path):
 
 
 def test_main_out_precedence(tmp_path, monkeypatch):
-    p = _simulate_config(tmp_path, T=0.0)
+    p = _simulate_config(tmp_path)
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("WAVESTRIP_OUT", str(env_dir))
     assert main(["simulate", "--config", p]) == 0

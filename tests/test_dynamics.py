@@ -4,6 +4,7 @@ import pytest
 from wavestrip.grid import make_grid, deriv, dealias
 from wavestrip.holo import holo_from_real
 from wavestrip.dynamics import (
+    InvalidState,
     WaveState,
     DiagState,
     coefficients,
@@ -32,6 +33,37 @@ def test_state_validation(grid):
     z = np.zeros(grid.N, dtype=complex)
     with pytest.raises(ValueError):
         WaveState(grid, z, z, -1.0)
+    nan = z.copy()
+    nan[5] = np.nan
+    inf = z.copy()
+    inf[5] = np.inf
+    # W_alpha = -1 at alpha = pi/2: J = 0 there
+    flat_spot = holo_from_real(np.cos(grid.nodes), grid)
+    for W, Q, reason in ((nan, z, "non-finite"), (inf, z, "non-finite"),
+                         (z, nan, "non-finite"),
+                         (flat_spot, z, "degenerate parametrization"),
+                         (z - 1.0j, z, "touched the bottom")):
+        with pytest.raises(InvalidState, match=reason):
+            WaveState(grid, W, Q, 1.0)
+    # the diagonal record tests its slope bW directly
+    dip = z.copy()
+    dip[5] = -1.0
+    for bW, R, reason in ((nan, z, "non-finite"), (inf, z, "non-finite"),
+                          (z, inf, "non-finite"),
+                          (dip, z, "degenerate parametrization")):
+        with pytest.raises(InvalidState, match=reason):
+            DiagState(grid, bW, R, 1.0)
+
+
+def test_steep_valid_state_has_a_diagonal_state(grid):
+    # min Re W_alpha = -0.7, so min J = 0.09 and ||Y||_inf = 0.7/0.3 > 1:
+    # Y is a size in the control norm, not a validity bound
+    W = holo_from_real(0.35 * np.cos(2 * grid.nodes), grid)
+    Wa = deriv(W, grid)
+    assert np.isclose(np.min(Wa.real), -0.7)
+    d = diag_of(WaveState(grid, W, 0.01 * W, 1.0))
+    assert np.max(np.abs(d.bW / (1.0 + d.bW))) > 2.3
+    assert np.all(np.isfinite(rhs_diag(d)[0]))
 
 
 def test_state_shape_check(grid):

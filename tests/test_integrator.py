@@ -5,6 +5,7 @@ from wavestrip.grid import make_grid, to_spectrum
 from wavestrip.holo import holo_from_real, holomorphy_residual
 from wavestrip.conformal import SurfaceGraph, graph_to_holo
 from wavestrip.dynamics import WaveState, energy
+from wavestrip import integrator
 from wavestrip.integrator import (
     SolverConfig,
     StepAbort,
@@ -20,6 +21,11 @@ def test_solver_config_validation():
         SolverConfig(dt=0.0, T_final=1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T_final=-1.0)
+    # a run must take at least one step: T_final rounds to whole steps
+    for T_final in (0.0, 0.04, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="takes no step"):
+            SolverConfig(dt=0.1, T_final=T_final)
+    assert SolverConfig(dt=0.1, T_final=0.06).n_steps == 1
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T_final=1.0, observer_stride=0)
     with pytest.raises(ValueError):
@@ -85,6 +91,41 @@ def test_step_abort_carries_last_good(grid):
         evolve(state, config)
     assert exc.value.step_index >= 1
     assert isinstance(exc.value.last_good, WaveState)
+
+
+@pytest.mark.parametrize("method", ["rk4", "ifrk4"])
+def test_invalid_stage_state_aborts_the_step(grid, monkeypatch, method):
+    # a vector field that is non-finite at the first stage: the second stage
+    # state breaks the validity rule and is refused before the field is
+    # evaluated on it
+    calls = []
+
+    def nan_field(state):
+        calls.append(state)
+        nan = np.full(state.grid.N, np.nan, dtype=complex)
+        return nan, nan
+
+    monkeypatch.setattr(integrator, "rhs_full", nan_field)
+    state = small_state(grid)
+    with pytest.raises(StepAbort) as exc:
+        evolve(state, SolverConfig(dt=0.05, T_final=0.5, method=method))
+    assert exc.value.step_index == 1
+    assert exc.value.reason == "non-finite field values"
+    assert exc.value.last_good is state
+    assert len(calls) == 1
+
+
+def test_invalid_projected_state_aborts_the_step(grid, monkeypatch):
+    # a shell projection that moves the surface below the bottom
+    monkeypatch.setattr(integrator, "_project_to_invariant_shell",
+                        lambda s, E, I: s.with_fields(s.W - 2j, s.Q))
+    state = small_state(grid)
+    config = SolverConfig(dt=0.05, T_final=0.5, project_energy=True)
+    with pytest.raises(StepAbort) as exc:
+        evolve(state, config)
+    assert exc.value.step_index == 1
+    assert exc.value.reason == "surface touched the bottom"
+    assert exc.value.last_good is state
 
 
 def test_observer_stride(grid):
