@@ -67,6 +67,8 @@ CSV_COLUMNS = ("t", "E_ham", "E_repr", "I", "E0", "E1_NF", "E13_high",
 OUT_ENV_VAR = "WAVESTRIP_OUT"
 
 _SNAPSHOT_LAYOUT = "samples-complex128x2-le"
+_SNAPSHOT_SCHEMA = {"L": float, "N": int, "g": float, "h": float, "t": float,
+                    "layout": str}
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +125,10 @@ _EXPERIMENT_RULES = {
                     "amplitude must be positive"),
                    (lambda e: e["cycles"] > 0, "cycles must be positive")],
     "taylor-audit": [(lambda e: e["n_states"] > 0,
-                      "n_states must be positive")],
+                      "n_states must be positive"),
+                     (lambda e: e["modes"] >= 1, "modes must be at least 1"),
+                     (lambda e: e["c_min"] < e["c_max"],
+                      "c_min must be below c_max")],
     "drift-scaling": [(lambda e: len(e["eps"]) == 2 and min(e["eps"]) > 0,
                        "eps must be two positive amplitudes")],
     "lifespan": [(lambda e: e["eps"] > 0, "eps must be positive")],
@@ -251,8 +256,12 @@ def read_snapshot(path: str) -> WaveState:
         header_line = fh.readline()
         payload = fh.read()
     header = json.loads(header_line.decode("utf-8"))
-    if header.get("layout") != _SNAPSHOT_LAYOUT:
-        raise ValueError(f"unsupported snapshot layout {header.get('layout')!r}")
+    if not isinstance(header, dict) or header.keys() != _SNAPSHOT_SCHEMA.keys():
+        raise ValueError("snapshot header is not an object holding exactly "
+                         + ", ".join(sorted(_SNAPSHOT_SCHEMA)))
+    header = _coerce(header, _SNAPSHOT_SCHEMA, "snapshot header")
+    if header["layout"] != _SNAPSHOT_LAYOUT:
+        raise ValueError(f"unsupported snapshot layout {header['layout']!r}")
     grid = make_grid(header["L"], header["N"], header["h"])
     n_bytes = grid.N * 16
     if len(payload) != 2 * n_bytes:
@@ -287,6 +296,9 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+_VERDICT_KEYS = frozenset({"name", "pass", "measured", "target", "tol"})
 
 
 @dataclass(frozen=True)
@@ -649,13 +661,30 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> int:
 
 
 def emit_report(run_dir: str) -> str:
-    """Human-readable pass/fail summary of a finished run directory."""
+    """Human-readable pass/fail summary of a finished run directory.
+
+    Raises ``ValueError`` unless verdict.json is an object of a known kind
+    with a non-empty list of complete verdicts and the checksums of exactly
+    that kind's artifacts, each matching its file.
+    """
     verdict_path = os.path.join(run_dir, "verdict.json")
     if not os.path.isfile(verdict_path):
         raise FileNotFoundError(f"no verdict.json in {run_dir}")
     with open(verdict_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    for name, expected in doc.get("checksums", {}).items():
+    if not isinstance(doc, dict) or doc.get("kind") not in KINDS:
+        raise ValueError("verdict.json names no known experiment kind")
+    verdicts = doc.get("verdicts")
+    if not (isinstance(verdicts, list) and verdicts and all(
+            isinstance(v, dict) and _VERDICT_KEYS <= v.keys()
+            and isinstance(v["pass"], bool) for v in verdicts)):
+        raise ValueError("verdict.json holds no list of complete verdicts")
+    checksums = doc.get("checksums")
+    if not (isinstance(checksums, dict)
+            and set(checksums) == set(ARTIFACTS[doc["kind"]])):
+        raise ValueError(f"verdict.json does not checksum exactly the "
+                         f"{doc['kind']} artifacts")
+    for name, expected in checksums.items():
         path = os.path.join(run_dir, name)
         if not os.path.isfile(path):
             raise FileNotFoundError(f"missing artifact {name}")
@@ -664,11 +693,11 @@ def emit_report(run_dir: str) -> str:
             raise ValueError(f"checksum mismatch for {name}: "
                              f"{actual} != {expected}")
     lines = [f"experiment: {doc['kind']}"]
-    for v in doc["verdicts"]:
+    for v in verdicts:
         status = "PASS" if v["pass"] else "FAIL"
         lines.append(f"{status} {v['name']}: measured={v['measured']!r} "
                      f"target={v['target']} tol={v['tol']!r}")
-    overall = all(v["pass"] for v in doc["verdicts"])
+    overall = all(v["pass"] for v in verdicts)
     lines.append("overall: " + ("PASS" if overall else "FAIL"))
     return "\n".join(lines)
 

@@ -54,6 +54,12 @@ class SurfaceGraph:
         return float(np.max(np.abs(deriv(self.eta, self.grid))))
 
 
+# Entries per block of the phase matrix in :func:`trig_interp` (1 MiB of
+# complex values): a block holds as many points as fit, so up to N = 256 the
+# whole N x N matrix is one block, and beyond it the memory stays fixed.
+_INTERP_ENTRIES = 1 << 16
+
+
 def trig_interp(values: np.ndarray, grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of grid samples at points x."""
     c = to_spectrum(values)
@@ -62,8 +68,13 @@ def trig_interp(values: np.ndarray, grid: SpectralGrid, x: np.ndarray) -> np.nda
     c = c.copy()
     nyq = grid.N // 2
     c[nyq] = 0.5 * c[nyq]
-    phases = np.exp(1j * np.outer(x, grid.xi))
-    out = phases @ c + np.conj(phases[:, nyq]) * c[nyq]
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    block = max(1, _INTERP_ENTRIES // grid.N)
+    for start in range(0, len(x), block):
+        rows = slice(start, start + block)
+        phases = np.exp(1j * np.outer(x[rows], grid.xi))
+        out[rows] = phases @ c + np.conj(phases[:, nyq]) * c[nyq]
     if np.isrealobj(values):
         return out.real
     return out

@@ -155,7 +155,13 @@ class SpectralGrid:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """Mark a cached per-grid array read-only, so no caller can alter it."""
+    """Mark a cached per-grid array read-only, so no caller can alter it.
+
+    Every cached multiplier passes through here once per grid, so this is
+    where a value that is not finite at some grid wavenumber is refused.
+    """
+    if not np.all(np.isfinite(a)):
+        raise ValueError("multiplier is not finite at every grid wavenumber")
     a.setflags(write=False)
     return a
 
@@ -180,15 +186,13 @@ def from_spectrum(coeffs: np.ndarray) -> np.ndarray:
 def apply_multiplier(f: np.ndarray, m, grid: SpectralGrid) -> np.ndarray:
     """Apply a Fourier multiplier ``m`` to a sampled field.
 
-    ``m`` holds the per-mode values in FFT ordering.  Real input with a
-    symbol of proper parity comes back real (the tiny imaginary round-off is
-    dropped).
+    ``m`` holds the per-mode values in FFT ordering, all finite: the grid's
+    cached symbols are checked once, when they are built (:func:`_frozen`).
+    Real input with a symbol of proper parity comes back real (the tiny
+    imaginary round-off is dropped).
     """
-    mvals = np.asarray(m)
-    if not np.all(np.isfinite(mvals)):
-        raise ValueError("multiplier is not finite at every grid wavenumber")
     was_real = np.isrealobj(f)
-    out = from_spectrum(to_spectrum(f) * mvals)
+    out = from_spectrum(to_spectrum(f) * np.asarray(m))
     if was_real:
         # real-preserving symbols (odd-imaginary or even-real) give a real
         # result; verify rather than assume, so misuse surfaces in tests.

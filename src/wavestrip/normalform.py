@@ -13,8 +13,9 @@ The module has three layers:
   linear systems (``symbols_holo``, ``symbols_mixed``,
   ``system_residuals``), all of which take scalars or arrays;
 * the quadratic normal-form change of variables (``nf_transform``) and the
-  symmetrized cubic-energy symbols (``tilde_symbols``) with a generic
-  discrete trilinear evaluator (``trilinear_eval``);
+  symmetrized cubic-energy symbols (``tilde_symbols``, scalars or arrays)
+  with a generic discrete trilinear evaluator (``trilinear_eval``); summed
+  by it, they are the reference for the cubic part of ``nf_energy``;
 * cubic-accurate energies of the diagonal variables: the normal-form
   energy (``nf_energy``), its high-frequency quadratic forms
   (``high_forms``), and the quasilinear modified energy
@@ -481,63 +482,60 @@ def nf_transform(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
 # cubic energy symbols
 
 
-def _tilde_B_point(n: int, xi: float, eta: float) -> complex:
-    """Unsymmetrized cubic-energy symbol tilde-B(xi, eta, zeta)."""
+def _tilde_B(n: int, xi, eta):
+    """Unsymmetrized tilde-B(xi, eta, zeta), off the lines."""
     zeta = -(xi + eta)
     _, Bh, _, _, Ba, _, _ = _symbols(xi, eta)
     return (np.exp(2.0 * zeta) - 1.0) * zeta ** (2 * n) * (
         Bh + np.exp(2.0 * eta) * Ba)
 
 
-def _tilde_A_point(n: int, zw: float, xi: float, eta: float) -> complex:
-    """Unsymmetrized tilde-A(zeta_W, xi, eta): W at the first slot."""
-    t1 = 0.0
-    if zw != 0.0:
-        _, _, Ch, _, _, Ca, _ = _symbols(xi, eta)
-        t1 = zw ** (2 * n) * (np.exp(2.0 * zw) - 1.0) * (
-            Ch + np.exp(2.0 * eta) * Ca)
-    t2 = 0.0
-    if xi != 0.0:
-        Ah, _, _, Aa, _, _, _ = _symbols(zw, eta)
-        Da = _symbols(eta, zw)[6]
-        t2 = xi ** (2 * n + 1) * (np.exp(2.0 * xi) + 1.0) * (
-            Ah + np.exp(2.0 * eta) * Aa + np.exp(2.0 * zw) * Da)
+def _tilde_A(n: int, zw, xi, eta):
+    """Unsymmetrized tilde-A(zeta_W, xi, eta), W first, off the lines."""
+    _, _, Ch, _, _, Ca, _ = _symbols(xi, eta)
+    Ah, _, _, Aa, _, _, _ = _symbols(zw, eta)
+    Da = _symbols(eta, zw)[6]
+    t1 = zw ** (2 * n) * (np.exp(2.0 * zw) - 1.0) * (Ch + np.exp(2.0 * eta) * Ca)
+    t2 = xi ** (2 * n + 1) * (np.exp(2.0 * xi) + 1.0) * (
+        Ah + np.exp(2.0 * eta) * Aa + np.exp(2.0 * zw) * Da)
     return t1 + t2
 
 
-def tilde_symbols(n: int, xi: float, eta: float) -> tuple[complex, complex]:
+def tilde_symbols(n: int, xi, eta) -> tuple:
     """Symmetrized cubic-energy symbols (A~^sym, B~^sym) at (xi, eta).
 
-    B~ is symmetrized over all permutations of (xi, eta, zeta); A~ over its
-    two potential slots (the first coordinate carries the position
-    variable).  Both are then reflection-symmetrized, s(p) -> -s(-p), which
-    keeps them i x real.  On the resonance lines the symmetrized symbols
-    vanish identically -- they factor as xi eta zeta times a bounded
-    exponential-class symbol -- and the analytic zero is returned.  Off
-    them the symmetrization is evaluated directly; it cancels O(1) terms
-    down to the O(distance) result, so near a line the relative error
-    grows like 1e-16 / distance (6e-11 at 1e-6).
+    xi and eta are scalars or arrays that broadcast, as for
+    :func:`symbols_holo`.  B~ is symmetrized over all permutations of
+    (xi, eta, zeta); A~ over its two potential slots (the first coordinate
+    carries the position variable).  Both are then reflection-symmetrized,
+    s(p) -> -s(-p), which keeps them i x real.  They factor as xi eta zeta
+    times a bounded symbol, so within 1e-12 of a resonance line the
+    analytic zero is written in.  Off the lines the symmetrization cancels
+    O(1) terms down to the O(distance) result: near a line the relative
+    error grows like 1e-16 / distance (6e-11 at 1e-6).
+
+    Summed by :func:`trilinear_eval` at the unit-depth points (h xi, h eta)
+    they are the tested reference for :func:`_preflip_cubic`.  Their
+    e^{2 zeta} factors make the error grow with kappa band (kappa =
+    2 pi h / L, band = N // 3): 2e-13 at kappa band = 2, 1e-8 at 8, 0.1 at
+    17.  The pre-flip sums, free of such factors, evaluate the energy.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=float),
+                                  np.asarray(eta, dtype=float))
     zeta = -(xi + eta)
-
-    def A_sym_raw(zw, x, e):
-        vals = [_tilde_A_point(n, zw, x, e), _tilde_A_point(n, zw, e, x),
-                -_tilde_A_point(n, -zw, -x, -e), -_tilde_A_point(n, -zw, -e, -x)]
-        return sum(vals) / 4.0
-
-    def B_sym_raw(x, e, z):
-        acc = 0.0
-        for (u, v) in ((x, e), (e, x), (x, z), (z, x), (e, z), (z, e)):
-            acc += _tilde_B_point(n, u, v) - _tilde_B_point(n, -u, -v)
-        return acc / 12.0
-
-    dmin = min(abs(xi), abs(eta), abs(zeta))
-    if dmin < 1e-12:
-        # exact resonance line: both symbols carry the factor xi eta zeta
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    return A_sym_raw(zeta, xi, eta), B_sym_raw(xi, eta, zeta)
+    off = np.minimum(np.minimum(np.abs(xi), np.abs(eta)), np.abs(zeta)) >= 1e-12
+    x, e, z = xi[off], eta[off], zeta[off]
+    A = np.zeros(xi.shape, dtype=complex)
+    B = np.zeros(xi.shape, dtype=complex)
+    A[off] = (_tilde_A(n, z, x, e) + _tilde_A(n, z, e, x)
+              - _tilde_A(n, -z, -x, -e) - _tilde_A(n, -z, -e, -x)) / 4.0
+    acc = 0.0
+    for (u, v) in ((x, e), (e, x), (x, z), (z, x), (e, z), (z, e)):
+        acc += _tilde_B(n, u, v) - _tilde_B(n, -u, -v)
+    B[off] = acc / 12.0
+    return A[()], B[()]
 
 
 # ---------------------------------------------------------------------------

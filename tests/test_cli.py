@@ -278,6 +278,15 @@ def test_report_subcommand_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--out", str(failing)]) == 1
     assert capsys.readouterr().out.strip().endswith("overall: FAIL")
+    # documents of unknown kind, without a complete verdict list, or whose
+    # checksums leave out the kind's artifacts
+    good = json.loads((failing / "verdict.json").read_text())
+    no_pass = [{k: v for k, v in good["verdicts"][0].items() if k != "pass"}]
+    for doc in ({"checksums": {}}, dict(good, verdicts=no_pass), [good],
+                dict(good, checksums={}), dict(good, verdicts=[])):
+        (failing / "verdict.json").write_text(json.dumps(doc))
+        assert main(["report", "--out", str(failing)]) == 2, doc
+        assert _one_error_line(capsys.readouterr().err)
     # checksum mismatch, missing artifact, missing verdict.json
     csv = out / "series.csv"
     csv.write_text(csv.read_text().replace("0.0", "0.1", 1))
@@ -335,27 +344,51 @@ def test_step_abort_exits_2_with_one_error_line(tmp_path, capsys):
 
 
 def _edited_snapshot(path, edit):
-    """A snapshot of a small state whose W samples ``edit`` changes in place."""
+    """A snapshot of a small state whose header ``edit`` returns, after
+    changing its W samples in place."""
     grid = make_grid(2 * np.pi, 32, 1.0)
     write_snapshot(str(path), small_state(grid, eps=0.05))
     header, payload = path.read_bytes().split(b"\n", 1)
     W = np.frombuffer(payload[:grid.N * 16], dtype="<c16").copy()
-    edit(W)
+    header = json.dumps(edit(json.loads(header), W)).encode("utf-8")
     path.write_bytes(header + b"\n" + W.tobytes() + payload[grid.N * 16:])
     return str(path)
 
 
-def _set_nan(W):
+def _set_nan(header, W):
     W[3] = np.nan
+    return header
 
 
-def _below_bottom(W):
+def _below_bottom(header, W):
     W -= 1.5j
+    return header
+
+
+def _without_g(header, W):
+    del header["g"]
+    return header
+
+
+def _in_a_list(header, W):
+    return [header]
+
+
+def _text_time(header, W):
+    header["t"] = "0"
+    return header
+
+
+_BAD_HEADER = ("snapshot header is not an object holding exactly "
+               "L, N, g, h, layout, t")
 
 
 @pytest.mark.parametrize("edit, reason", [
     (_set_nan, "non-finite field values"),
     (_below_bottom, "surface touched the bottom"),
+    (_without_g, _BAD_HEADER),
+    (_in_a_list, _BAD_HEADER),
+    (_text_time, "snapshot header.t must be a number"),
 ])
 def test_invalid_snapshot_is_refused_at_load(tmp_path, capsys, edit, reason):
     snap = _edited_snapshot(tmp_path / "bad.snap", edit)
@@ -479,6 +512,8 @@ def test_degenerate_experiment_values_exit_2(tmp_path, capsys):
         ("drift-scaling", {"eps": [0.04, 0.0]}),
         ("drift-scaling", {"eps": [0.04, 0.02, 0.01]}),
         ("taylor-audit", {"n_states": 0}),
+        ("taylor-audit", {"modes": 0}),
+        ("taylor-audit", {"c_min": 0.5, "c_max": -0.9}),
         ("symbols", {"n_points": 0}),
         ("symbols", {"d_min": 0.5, "rho_max": 2.0}),
         ("scaling-check", {"lam": 1.0}),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,22 @@ def test_trig_interp_exact_on_modes(grid, rng):
                        atol=1e-12)
     # nodes reproduce the samples
     assert np.allclose(trig_interp(f, grid, grid.nodes), f, atol=1e-12)
+
+
+def test_trig_interp_memory_is_blocked():
+    # the phase matrix is built a block of rows at a time: at N = 2048 the
+    # whole N x N matrix alone would take 64 MiB
+    grid = make_grid(2 * np.pi, 2048, 1.0)
+    f = np.cos(3 * grid.nodes + 0.4)
+    x = grid.nodes + 0.1
+    tracemalloc.start()
+    try:
+        y = trig_interp(f, grid, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert np.allclose(y, np.cos(3 * x + 0.4), atol=1e-12)
 
 
 def test_flat_surface(grid):

@@ -281,6 +281,26 @@ def test_tilde_symbols_vanish_linearly():
         assert 1.6 < abs(a) / abs(b) < 2.4
 
 
+def test_tilde_symbols_arrays_equal_scalar_calls(rng):
+    # random points, and points on and within 1e-6 of each of the three
+    # lines, in one array: every entry equals the scalar call bit for bit
+    xi, eta = rng.uniform(-6, 6, (2, 40))
+    for t in (0.0, 1e-13, 1e-9, 1e-6):
+        for a in (1.3, -2.1):
+            xi = np.append(xi, [a, t, a, a])
+            eta = np.append(eta, [t, a, -a + t, -a - t])
+    for n in (1, 2):
+        A, B = tilde_symbols(n, xi, eta)
+        assert A.shape == B.shape == xi.shape
+        for i, (x, e) in enumerate(zip(xi, eta)):
+            a, b = tilde_symbols(n, x, e)
+            assert np.ndim(a) == 0 and A[i] == a and B[i] == b, (n, x, e)
+    # a scalar broadcasts against an array
+    row = tilde_symbols(1, 1.5, eta[:5])
+    assert all(np.array_equal(r, c) for r, c in
+               zip(row, tilde_symbols(1, np.full(5, 1.5), eta[:5])))
+
+
 def test_trilinear_constant_symbol_is_quadrature(grid, rng):
     # symbol 1 on real fields reproduces the plain product integral
     def one(xi, eta, zeta):
@@ -463,6 +483,29 @@ def test_preflip_cubic_matches_double_loop(n, rng):
     assert abs(want) > 1e-6
     assert np.isclose(_preflip_cubic(n, w, q, 1.3, grid), want,
                       rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("L, N, h", [(2 * np.pi, 24, 1.0),
+                                     (2 * np.pi, 12, 2.0),
+                                     (2 * np.pi, 24, 0.25)])
+def test_preflip_cubic_matches_tilde_symbols(L, N, h, rng):
+    # the paper's symmetrized symbols, summed by trilinear_eval at the
+    # unit-depth points (h xi, h eta), give the pre-flip cubic part:
+    # 2 (g h^-(2n+1) B~(w, w, w) + h^-(2n+2) A~(q, q, w)).  Their e^{2 zeta}
+    # factors cost up to 4e-9 of accuracy at kappa band = 8
+    grid = make_grid(L, N, h)
+    w = random_trace(grid, rng, scale=0.3, decay=1.0)
+    q = random_trace(grid, rng, scale=0.3, decay=1.0)
+    g = 1.3
+    for n in (1, 2):
+        TB = trilinear_eval(lambda x, e, z: tilde_symbols(n, h * x, h * e)[1],
+                            w, w, w, grid)
+        TA = trilinear_eval(lambda x, e, z: tilde_symbols(n, h * x, h * e)[0],
+                            q, q, w, grid)
+        want = 2.0 * (g * h ** -(2 * n + 1) * TB + h ** -(2 * n + 2) * TA)
+        assert abs(want) > 1.0
+        assert np.isclose(_preflip_cubic(n, w, q, g, grid), want,
+                          rtol=1e-7, atol=0.0), n
 
 
 def test_nf_energy_quadratic_dominance(grid):
