@@ -18,12 +18,13 @@ which stay uniform in the infinite-depth limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .grid import SpectralGrid, apply_multiplier, from_spectrum, to_spectrum
-from .holo import sobolev_norm, sobolev_weight
+from .holo import grid_sobolev_weight, sobolev_norm
 from .dynamics import WaveState, DiagState
 
 __all__ = [
@@ -66,11 +67,12 @@ class DiagnosticsRecord:
                 raise ValueError(f"non-finite diagnostic entry {f.name} = {v}")
 
 
-def _dyadic_block_masks(grid: SpectralGrid):
+@lru_cache(maxsize=16)
+def _dyadic_block_masks(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
     """Frequency masks: the low block |xi| < 1/h, then dyadic shells above.
 
     Shell j covers 1/h * 2^j <= |xi| < 1/h * 2^{j+1}; together with the low
-    block the masks partition the resolved spectrum.
+    block the masks partition the resolved spectrum.  Built once per grid.
     """
     axi = np.abs(grid.xi)
     cut = 1.0 / grid.h
@@ -80,7 +82,9 @@ def _dyadic_block_masks(grid: SpectralGrid):
     while lo <= top:
         masks.append((axi >= lo) & (axi < 2.0 * lo))
         lo *= 2.0
-    return masks
+    for mask in masks:
+        mask.setflags(write=False)
+    return tuple(masks)
 
 
 def _sup(values: np.ndarray) -> float:
@@ -99,8 +103,7 @@ def bmo_proxy(values: np.ndarray, grid: SpectralGrid) -> float:
     oscillation of the high-frequency part.
     """
     c = to_spectrum(values)
-    low_mask = np.abs(grid.xi) < 1.0 / grid.h
-    low = from_spectrum(np.where(low_mask, c, 0.0))
+    low = from_spectrum(np.where(_dyadic_block_masks(grid)[0], c, 0.0))
     high = np.asarray(values, dtype=complex) - low
     if np.isrealobj(values):
         low = low.real
@@ -120,7 +123,7 @@ def bmo_proxy(values: np.ndarray, grid: SpectralGrid) -> float:
 
 def _half_weight(values: np.ndarray, grid: SpectralGrid, s: float) -> np.ndarray:
     return apply_multiplier(np.asarray(values, dtype=complex),
-                            sobolev_weight(grid.xi, grid.h, s), grid)
+                            grid_sobolev_weight(grid, s), grid)
 
 
 def control_norms(diag: DiagState) -> tuple[float, float]:

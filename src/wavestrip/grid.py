@@ -122,16 +122,39 @@ class SpectralGrid:
         return _frozen(lh_symbol(self.xi, self.h))
 
     @cached_property
-    def project_coeffs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(interior mask, 2 - t - 1/t, 1/t - t) of the holomorphic projection.
+    def interior(self) -> np.ndarray:
+        """Boolean mask of the modes k != 0, N/2, which pair with a distinct -k."""
+        return _frozen((self.k != 0) & (np.abs(self.k) != self.nyquist_index))
 
-        t = tanh(h xi) on the interior modes k != 0, N/2; the two gauge modes
-        are excluded, see :func:`wavestrip.holo.project`.
+    @cached_property
+    def project_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Full-length coefficients (pa, pb) of the holomorphic projection.
+
+        (P u)_k = pa_k u_k + pb_k conj(u_{-k}): on the interior modes
+        pa = (2 - t - 1/t)/4 and pb = (1/t - t)/4 with t = tanh(h xi); on the
+        two gauge modes pa = 1/2 and pb = 0, see :func:`wavestrip.holo.project`.
         """
-        interior = (self.k != 0) & (np.abs(self.k) != self.nyquist_index)
-        t = self.tanh[interior]
-        return (_frozen(interior), _frozen(2.0 - t - 1.0 / t),
-                _frozen(1.0 / t - t))
+        inner = self.interior
+        t = self.tanh[inner]
+        pa = np.full(self.N, 0.5)
+        pb = np.zeros(self.N)
+        pa[inner] = 0.25 * (2.0 - t - 1.0 / t)
+        pb[inner] = 0.25 * (1.0 / t - t)
+        return _frozen(pa), _frozen(pb)
+
+    @cached_property
+    def tanh2(self) -> np.ndarray:
+        """|tilbert_symbol|^2: tanh(h xi)^2, 0 at Nyquist.
+
+        The weight of the Re part in the trace inner product taken by
+        Parseval, see :func:`wavestrip.holo.parseval_inner`.
+        """
+        return _frozen(np.abs(self.tilbert_symbol) ** 2)
+
+    @cached_property
+    def lh2(self) -> np.ndarray:
+        """Square of the L_h symbol: xi coth(h xi), 1/h at the mean."""
+        return _frozen(self.lh ** 2)
 
     @cached_property
     def sech2(self) -> np.ndarray:
@@ -173,14 +196,12 @@ def make_grid(L: float, N: int, h: float) -> SpectralGrid:
 
 def to_spectrum(values: np.ndarray) -> np.ndarray:
     """Fourier-series coefficients c_k of sampled values (FFT ordering)."""
-    values = np.asarray(values)
-    return np.fft.fft(values) / values.shape[-1]
+    return np.fft.fft(values, norm="forward")
 
 
 def from_spectrum(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_spectrum`."""
-    coeffs = np.asarray(coeffs)
-    return np.fft.ifft(coeffs * coeffs.shape[-1])
+    return np.fft.ifft(coeffs, norm="forward")
 
 
 def apply_multiplier(f: np.ndarray, m, grid: SpectralGrid) -> np.ndarray:
@@ -191,12 +212,12 @@ def apply_multiplier(f: np.ndarray, m, grid: SpectralGrid) -> np.ndarray:
     Real input with a symbol of proper parity comes back real (the tiny
     imaginary round-off is dropped).
     """
-    was_real = np.isrealobj(f)
-    out = from_spectrum(to_spectrum(f) * np.asarray(m))
-    if was_real:
+    f = np.asarray(f)
+    out = from_spectrum(to_spectrum(f) * m)
+    if f.dtype.kind != "c":
         # real-preserving symbols (odd-imaginary or even-real) give a real
         # result; verify rather than assume, so misuse surfaces in tests.
-        if np.max(np.abs(out.imag)) <= 1e-12 * max(1.0, np.max(np.abs(out.real))):
+        if np.abs(out.imag).max() <= 1e-12 * max(1.0, np.abs(out.real).max()):
             return out.real
     return out
 
@@ -258,9 +279,9 @@ def smooth_one_plus_T2(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 def dealias(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Zero all modes with |k| > N/3 (2/3 rule). Idempotent."""
-    was_real = np.isrealobj(f)
+    f = np.asarray(f)
     out = from_spectrum(to_spectrum(f) * grid.dealias_mask)
-    return out.real if was_real else out
+    return out if f.dtype.kind == "c" else out.real
 
 
 def dealias_band(grid: SpectralGrid) -> int:

@@ -19,6 +19,7 @@ The holomorphy residual is therefore measured modulo the ``Im`` mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,12 +36,16 @@ from .grid import (
 __all__ = [
     "holo_from_real",
     "holo_from_spectrum",
+    "project_spectrum",
     "project",
+    "trace_parts",
+    "parseval_inner",
     "inner_h",
     "weighted_inner",
     "pair_form",
     "norm_calH",
     "sobolev_weight",
+    "grid_sobolev_weight",
     "sobolev_norm",
     "holomorphy_residual",
     "flip_residual",
@@ -73,8 +78,8 @@ def flip_residual(values: np.ndarray, grid: SpectralGrid) -> float:
         rhs = np.exp(2.0 * grid.h * grid.xi) * c
     rhs = np.where(np.isfinite(rhs), rhs, 0.0)
     scale = float(np.max(np.abs(c))) or 1.0
-    mask = grid.project_coeffs[0] & (np.minimum(np.abs(c), np.abs(cneg))
-                                     > 2e-5 * scale)
+    mask = grid.interior & (np.minimum(np.abs(c), np.abs(cneg))
+                            > 2e-5 * scale)
     if not np.any(mask):
         return 0.0
     return float(np.max(np.abs(lhs[mask] - rhs[mask]) /
@@ -100,6 +105,16 @@ def holo_from_spectrum(coeffs_pos, grid: SpectralGrid) -> np.ndarray:
     return holo_from_real(from_spectrum(c).real, grid)
 
 
+def project_spectrum(c: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Spectrum of the holomorphic projection from the spectrum ``c``.
+
+    (P u)_k = pa_k u_k + pb_k conj(u_{-k}) with the grid's full-length
+    ``project_coeffs``, see :func:`project`.
+    """
+    pa, pb = grid.project_coeffs
+    return pa * c + pb * np.conj(c[grid.neg_index])
+
+
 def project(f: np.ndarray, grid: SpectralGrid,
             which: str = "holo") -> np.ndarray:
     """Holomorphic / antiholomorphic projection of a complex field.
@@ -108,21 +123,35 @@ def project(f: np.ndarray, grid: SpectralGrid,
 
         (P u)_k = 1/4 [(2 - t_k - 1/t_k) u_k + (1/t_k - t_k) conj(u_{-k})],
 
-    with t_k = tanh(h xi_k) for k != 0, N/2 (the grid's ``project_coeffs``).
-    On the two gauge modes, the mean (where T^{-1} is gauged to 0) and the
-    Nyquist mode, u_k is split evenly, so P + Pbar = identity including the
-    mean.
+    with t_k = tanh(h xi_k) for k != 0, N/2.  On the two gauge modes, the
+    mean (where T^{-1} is gauged to 0) and the Nyquist mode, u_k is split
+    evenly, so P + Pbar = identity including the mean.  Both cases are one
+    full-length product with the grid's ``project_coeffs``.
     """
     if which not in ("holo", "anti"):
         raise ValueError(f"which must be 'holo' or 'anti', got {which!r}")
     c = to_spectrum(np.asarray(f, dtype=np.complex128))
-    interior, a, b = grid.project_coeffs
-    cc = np.conj(c[grid.neg_index])
-    out = 0.5 * c
-    out[interior] = 0.25 * (a * c[interior] + b * cc[interior])
+    out = project_spectrum(c, grid)
     if which == "anti":
         out = c - out
     return from_spectrum(out)
+
+
+def trace_parts(c: np.ndarray, grid: SpectralGrid):
+    """Spectra of Re u and Im u from the spectrum ``c`` of a field u."""
+    cc = np.conj(c[grid.neg_index])
+    return 0.5 * (c + cc), -0.5j * (c - cc)
+
+
+def parseval_inner(u, v, w_re, w_im, grid: SpectralGrid) -> float:
+    """L Re sum_k [w_re Re-u_k conj(Re-v_k) + w_im Im-u_k conj(Im-v_k)].
+
+    ``u`` and ``v`` are :func:`trace_parts` pairs.  With w_re = ``grid.tanh2``
+    and w_im = 1 this is :func:`inner_h` by Parseval; with both weights
+    multiplied by ``grid.lh2`` it is <L_h u, L_h v>.
+    """
+    return grid.L * float(np.vdot(v[0], w_re * u[0]).real
+                          + np.vdot(v[1], w_im * u[1]).real)
 
 
 def inner_h(u: np.ndarray, v: np.ndarray, grid: SpectralGrid) -> float:
@@ -171,6 +200,15 @@ def sobolev_weight(xi: np.ndarray, h: float, s: float) -> np.ndarray:
     return (np.sqrt(1.0 + (h * np.asarray(xi, dtype=float)) ** 2) / h) ** s
 
 
+@lru_cache(maxsize=64)
+def grid_sobolev_weight(grid: SpectralGrid, s: float) -> np.ndarray:
+    """:func:`sobolev_weight` on the grid's wavenumbers, built once per
+    (grid, s) and read-only."""
+    w = sobolev_weight(grid.xi, grid.h, s)
+    w.setflags(write=False)
+    return w
+
+
 def sobolev_norm(f: np.ndarray, s: float, grid: SpectralGrid,
                  base: str = "l2") -> float:
     """Sobolev norm with the depth-uniform bracket weight.
@@ -180,8 +218,7 @@ def sobolev_norm(f: np.ndarray, s: float, grid: SpectralGrid,
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    w = sobolev_weight(grid.xi, grid.h, s)
-    c = to_spectrum(f) * w
+    c = to_spectrum(f) * grid_sobolev_weight(grid, s)
     if base == "l2":
         return float(np.sqrt(grid.L * np.sum(np.abs(c) ** 2)))
     if base == "holo":

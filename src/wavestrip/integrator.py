@@ -21,15 +21,16 @@ untouched), so states remain exact holomorphic traces modulo their means.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .grid import (SpectralGrid, dealias, dealias_band, deriv, from_spectrum,
                    tilbert, to_spectrum)
-from .holo import pair_form, project
-from .dynamics import (InvalidState, WaveState, energy, energy_gradient,
-                       momentum, momentum_gradient, require_valid, rhs_full)
+from .holo import parseval_inner, project, project_spectrum, trace_parts
+from .dynamics import (InvalidState, WaveState, energy, momentum,
+                       require_valid, rhs_full)
 
 __all__ = [
     "SolverConfig",
@@ -108,18 +109,23 @@ def _omega(grid: SpectralGrid, g: float) -> np.ndarray:
     return np.sqrt(g * grid.xi * grid.tanh)
 
 
+@lru_cache(maxsize=16)
 def _linear_propagator(grid: SpectralGrid, g: float, t: float):
     """Per-mode matrix exp(M t) for the linear system Wt = -Qa, Qt = g T W.
 
     M^2 = -omega^2 I, so exp(M t) = cos(omega t) I + t sinc(omega t) M; the
-    sinc form is exact at the zero mode as well.
+    sinc form is exact at the zero mode as well.  Built once per (grid, g, t)
+    and read-only: a run at fixed dt reuses two of them.
     """
     om = _omega(grid, g)
     c = np.cos(om * t)
     s = t * np.sinc(om * t / np.pi)  # sin(om t)/om, valid at om = 0
     m12 = -1j * grid.xi
     m21 = -1j * g * grid.tanh
-    return c, s * m12, s * m21
+    prop = (c, s * m12, s * m21)
+    for a in prop:
+        a.setflags(write=False)
+    return prop
 
 
 def _apply_propagator(prop, Wv, Qv):
@@ -205,6 +211,52 @@ def step_rk4(state: WaveState, dt: float, method: str = "rk4") -> WaveState:
     return state.with_fields(Wn, Qn, t=state.t + dt)
 
 
+def _shell_invariants(grid: SpectralGrid, g: float, cW: np.ndarray,
+                      cQ: np.ndarray, W: np.ndarray, Wa: np.ndarray):
+    """(E, I, D) of a state from the spectra of W and Q, by Parseval.
+
+    E and I are :func:`~wavestrip.dynamics.energy`'s first form and
+    :func:`~wavestrip.dynamics.momentum`; D is the spectrum of the dealiased
+    product W W_alpha of the cubic term, the one FFT here, taken from the
+    samples ``W`` and ``Wa`` = W_alpha.
+    """
+    D = grid.dealias_mask * to_spectrum(W * Wa)
+    pW = trace_parts(cW, grid)
+    pV = trace_parts(grid.inv_tilbert_symbol * (grid.ixi * cQ), grid)
+
+    def inner(u, v):
+        return parseval_inner(u, v, grid.tanh2, 1.0, grid)
+
+    quad = 0.25 * g * inner(pW, pW) - 0.25 * inner(trace_parts(cQ, grid), pV)
+    E = quad + 0.5 * g * inner(trace_parts(D, grid), pW)
+    return E, 0.5 * inner(pW, pV), D
+
+
+def _shell_gradients(grid: SpectralGrid, g: float, cW: np.ndarray,
+                     cQ: np.ndarray, W: np.ndarray, Wa: np.ndarray,
+                     D: np.ndarray):
+    """Spectra of the energy and momentum gradients, as (w, q) pairs.
+
+    :func:`~wavestrip.dynamics.energy_gradient` and
+    :func:`~wavestrip.dynamics.momentum_gradient` at the same state, with D
+    from :func:`_shell_invariants`; two FFTs, for conj(W) T[W_alpha].
+    """
+    mask = grid.dealias_mask
+    TWa = from_spectrum(grid.tilbert_symbol * (grid.ixi * cW))
+    corr = grid.inv_tilbert_symbol * project_spectrum(
+        mask * to_spectrum(np.conj(W) * TWa), grid)
+    V = grid.inv_tilbert_symbol * (grid.ixi * cQ)
+    return (mask * (cW + D - corr), cQ), (V / g, -cW)
+
+
+def _shell_form(p1, p2, g: float, grid: SpectralGrid) -> float:
+    """:func:`~wavestrip.holo.pair_form` of two (w, q) pairs of trace_parts."""
+    (w1, q1), (w2, q2) = p1, p2
+    return (0.5 * g * parseval_inner(w1, w2, grid.tanh2, 1.0, grid)
+            + 0.5 * parseval_inner(q1, q2, grid.tanh2 * grid.lh2, grid.lh2,
+                                   grid))
+
+
 def _project_to_invariant_shell(state: WaveState, E_target: float,
                                 I_target: float) -> WaveState:
     """Project onto the (energy, momentum) level set of the initial state.
@@ -227,21 +279,26 @@ def _project_to_invariant_shell(state: WaveState, E_target: float,
     that reuse it converge linearly; each step therefore corrects it by
     Broyden's rank-one rule from the residual it leaves, which makes the
     iteration superlinear at the cost of one (energy, momentum) evaluation.
+
+    The iteration runs on the spectra of W and Q: the invariants, the
+    gradients and the Gram matrix are Parseval sums, so an iterate costs
+    three FFTs (W and W_alpha back for the validity rule and the cubic
+    term, and their dealiased product).  Every iterate passes the validity
+    rule, its Q checked through its spectrum, and the result is a new
+    :class:`~wavestrip.dynamics.WaveState`.
     """
-    grid = state.grid
-
-    def form(p1, p2):
-        return pair_form(p1, p2, state.g, grid)
-
-    def residual(s):
-        return np.array([E_target - energy(s)[0], I_target - momentum(s)])
-
-    gE = energy_gradient(state)
-    gI = momentum_gradient(state)
-    mEI = form(gE, gI)
-    M = np.array([[form(gE, gE), mEI], [mEI, form(gI, gI)]])
+    grid, g = state.grid, state.g
+    cW, cQ = to_spectrum(state.W), to_spectrum(state.Q)
+    W, Wa = state.W, from_spectrum(grid.ixi * cW)
+    E, I, D = _shell_invariants(grid, g, cW, cQ, W, Wa)
+    gE, gI = _shell_gradients(grid, g, cW, cQ, W, Wa, D)
+    pE, pI = ([trace_parts(c, grid) for c in p] for p in (gE, gI))
+    mEI = _shell_form(pE, pI, g, grid)
+    M = np.array([[_shell_form(pE, pE, g, grid), mEI],
+                  [mEI, _shell_form(pI, pI, g, grid)]])
     tol = 1e-14 * max(abs(E_target), abs(I_target), 1e-300)
-    rhs = residual(state)
+    rhs = np.array([E_target - E, I_target - I])
+    moved = False
     for _ in range(4):
         if np.max(np.abs(rhs)) < tol:
             break
@@ -249,12 +306,17 @@ def _project_to_invariant_shell(state: WaveState, E_target: float,
             break
         ds = np.linalg.solve(M, rhs)
         a, b = ds
-        state = state.with_fields(state.W + a * gE[0] + b * gI[0],
-                                  state.Q + a * gE[1] + b * gI[1],
-                                  t=state.t)
-        rhs = residual(state)
+        cW = cW + a * gE[0] + b * gI[0]
+        cQ = cQ + a * gE[1] + b * gI[1]
+        W, Wa = from_spectrum(cW), from_spectrum(grid.ixi * cW)
+        require_valid(grid, Wa, (cQ,), W)
+        moved = True
+        E, I, D = _shell_invariants(grid, g, cW, cQ, W, Wa)
+        rhs = np.array([E_target - E, I_target - I])
         M -= np.outer(rhs, ds) / (ds @ ds)
-    return state
+    if not moved:
+        return state
+    return state.with_fields(W, from_spectrum(cQ), t=state.t)
 
 
 Observer = Callable[[int, float, WaveState], object]

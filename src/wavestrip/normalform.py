@@ -420,9 +420,10 @@ def _hankel_form(H: np.ndarray, S, c1: np.ndarray, c2: np.ndarray) -> float:
     H is the Hankel view (``sliding_window_view(weight, 2 band + 1)``) of a
     weight over the output frequency m = j + k, -2 band .. 2 band.
     """
-    # einsum keeps this small matrix-vector product out of the threaded
-    # BLAS, whose start-up would cost more than the product itself
-    return float(np.real(c1 @ np.einsum("jk,k->j", S * H, c2)))
+    # BLAS has no start-up cost here that einsum would avoid: the complex
+    # 171 x 171 mat-vec of N = 256 takes about 12 us by @ and 50-60 us by
+    # einsum on a 2-core Xeon, with the thread variables set to 1 or unset
+    return float(np.real(c1 @ ((S * H) @ c2)))
 
 
 def _antidiagonal_modes(P: np.ndarray) -> np.ndarray:

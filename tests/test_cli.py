@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -562,3 +564,17 @@ def test_run_scaling_kind(tmp_path):
     }), "scaling-check")
     out = tmp_path / "run"
     assert run_experiment(cfg, str(out)) == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy costs more than the whole setup of a run, so the
+    # command line must not load it, even indirectly
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys, wavestrip.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

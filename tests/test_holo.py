@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from wavestrip.grid import make_grid, dealias, lh_apply, tilbert, to_spectrum
+from wavestrip.grid import (make_grid, dealias, from_spectrum, lh_apply,
+                            tilbert, to_spectrum)
 from wavestrip.holo import (
     holo_from_real,
     holo_from_spectrum,
     project,
+    project_spectrum,
     inner_h,
     weighted_inner,
     norm_calH,
@@ -58,6 +60,28 @@ def test_projection_idempotent_and_fixes_traces(grid, rng):
     assert np.max(np.abs(d1[~gauge])) < 1e-12
     d2 = to_spectrum(project(P1, grid, "anti"))
     assert np.max(np.abs(d2[~gauge])) < 1e-12
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("h", [0.25, 1.0, 4.0])
+def test_projection_equals_per_mode_formula(N, h):
+    # project's full-length coefficient arrays reproduce the docstring's
+    # per-mode formula bit for bit, the mean and Nyquist modes included
+    grid = make_grid(2 * np.pi, N, h)
+    rng = np.random.default_rng(N + int(8 * h))
+    f = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    c = to_spectrum(f)
+    want = np.empty(N, dtype=complex)
+    for i, k in enumerate(grid.k):
+        cneg = np.conj(c[(-k) % N])
+        if k == 0 or abs(k) == N // 2:
+            want[i] = 0.5 * c[i]
+        else:
+            t = np.tanh(h * grid.xi[i])
+            want[i] = 0.25 * ((2.0 - t - 1.0 / t) * c[i] + (1.0 / t - t) * cneg)
+    assert np.array_equal(project_spectrum(c, grid), want)
+    assert np.array_equal(project(f, grid, "holo"), from_spectrum(want))
+    assert np.array_equal(project(f, grid, "anti"), from_spectrum(c - want))
 
 
 def test_projection_kills_conjugate_trace(grid, rng):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from wavestrip.grid import make_grid, to_spectrum
-from wavestrip.holo import holo_from_real, holomorphy_residual
+from wavestrip.grid import make_grid, from_spectrum, to_spectrum
+from wavestrip.holo import (holo_from_real, holomorphy_residual, pair_form,
+                            trace_parts)
 from wavestrip.conformal import SurfaceGraph, graph_to_holo
-from wavestrip.dynamics import WaveState, energy
+from wavestrip.dynamics import (WaveState, energy, energy_gradient, momentum,
+                                momentum_gradient)
+from wavestrip.cli import _drift_profile
 from wavestrip import integrator
 from wavestrip.integrator import (
     SolverConfig,
@@ -13,7 +16,7 @@ from wavestrip.integrator import (
     step_rk4,
     evolve,
 )
-from conftest import small_state
+from conftest import random_trace, small_state
 
 
 def test_solver_config_validation():
@@ -170,3 +173,87 @@ def test_energy_shell_projection_converges_at_large_amplitude():
     _, E = evolve(state, config, [lambda i, t, s: energy(s)[0]])
     assert len(E) > 30
     assert max(abs(e - E0) for e in E) <= 1e-12 * abs(E0)
+
+
+def _random_state(L, h, N=64, seed=0):
+    grid = make_grid(L, N, h)
+    rng = np.random.default_rng(seed)
+    scale = 0.2 * min(h, 1.0)
+    return WaveState(grid, random_trace(grid, rng, scale=scale),
+                     random_trace(grid, rng, scale=scale), 1.0)
+
+
+SHELL_CELLS = [(2 * np.pi, 1.0), (2 * np.pi, 0.125), (4 * np.pi, 1.0),
+               (2 * np.pi, 16.0)]
+
+
+@pytest.mark.parametrize("L, h", SHELL_CELLS)
+def test_shell_projection_invariants_by_parseval(L, h):
+    # the projection's spectral energy, momentum and Gram matrix are the
+    # physical-space energy, momentum and pair_form of the gradients
+    for seed in range(3):
+        s = _random_state(L, h, seed=seed)
+        grid, g = s.grid, s.g
+        cW, cQ = to_spectrum(s.W), to_spectrum(s.Q)
+        Wa = from_spectrum(grid.ixi * cW)
+        E, I, D = integrator._shell_invariants(grid, g, cW, cQ, s.W, Wa)
+        E_ref = energy(s)[0]
+        I_ref = momentum(s)
+        # the momentum of a random state can nearly cancel; both are held
+        # to the scale the projection's own tolerance uses
+        scale = max(abs(E_ref), abs(I_ref))
+        assert abs(E - E_ref) <= 1e-14 * scale
+        assert abs(I - I_ref) <= 1e-14 * scale
+        spec = integrator._shell_gradients(grid, g, cW, cQ, s.W, Wa, D)
+        parts = [[trace_parts(c, grid) for c in p] for p in spec]
+        phys = (energy_gradient(s), momentum_gradient(s))
+        for i in range(2):
+            for j in range(2):
+                got = integrator._shell_form(parts[i], parts[j], g, grid)
+                want = pair_form(phys[i], phys[j], g, grid)
+                scale = np.sqrt(pair_form(phys[i], phys[i], g, grid)
+                                * pair_form(phys[j], phys[j], g, grid))
+                assert abs(got - want) <= 1e-14 * scale, (i, j)
+
+
+@pytest.mark.parametrize("L, h", SHELL_CELLS)
+def test_shell_projection_lands_on_the_shell(L, h):
+    s = _random_state(L, h, seed=7)
+    E0, I0 = energy(s)[0], momentum(s)
+    moved = s.with_fields(1.001 * s.W, 0.998 * s.Q)
+    p = integrator._project_to_invariant_shell(moved, E0, I0)
+    scale = max(abs(E0), abs(I0))
+    assert abs(energy(p)[0] - E0) <= 1e-13 * scale
+    assert abs(momentum(p) - I0) <= 1e-13 * scale
+    assert p.t == moved.t and p.g == moved.g
+
+
+def test_shell_projection_fft_budget(monkeypatch):
+    # one projection call after an ifrk4 step at N = 256: 6 FFTs to set up,
+    # 3 per Newton iterate and 3 for the result's WaveState
+    grid = make_grid(2 * np.pi, 256, 1.0)
+    s0 = _drift_profile(0.05, grid, 1.0)
+    E0, I0 = energy(s0)[0], momentum(s0)
+    s = step_rk4(s0, suggest_dt(grid, 1.0, 0.5), "ifrk4")
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _fn=original, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    p = integrator._project_to_invariant_shell(s, E0, I0)
+    monkeypatch.undo()
+    assert p is not s
+    assert len(calls) <= 20
+    assert abs(energy(p)[0] - E0) <= 1e-13 * abs(E0)
+
+
+def test_linear_propagator_built_once():
+    grid = make_grid(2 * np.pi, 64, 1.0)
+    prop = integrator._linear_propagator(grid, 1.0, 0.05)
+    assert integrator._linear_propagator(make_grid(2 * np.pi, 64, 1.0),
+                                         1.0, 0.05) is prop
+    assert not any(a.flags.writeable for a in prop)
