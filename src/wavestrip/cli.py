@@ -34,7 +34,7 @@ import numpy as np
 
 from .grid import SpectralGrid, make_grid, to_spectrum
 from .holo import holo_from_real
-from .dynamics import WaveState, diag_of, scale_state
+from .dynamics import WaveState, diag_of, scale_state, stack_states, unstack
 from .integrator import SolverConfig, StepAbort, evolve, suggest_dt
 
 __all__ = [
@@ -342,10 +342,12 @@ def _write_verdicts(out_dir: str, kind: str, verdicts) -> None:
 
 
 def _modes_to_real(modes, grid: SpectralGrid) -> np.ndarray:
+    """Sum of the modes' cosines on the grid; amplitudes and phases shaped
+    (B, 1) give a stack of B fields."""
     out = np.zeros(grid.N)
     for m in modes:
-        out += m["amplitude"] * np.cos(m["k"] * (2 * np.pi / grid.L)
-                                       * grid.nodes + m.get("phase", 0.0))
+        out = out + m["amplitude"] * np.cos(m["k"] * (2 * np.pi / grid.L)
+                                            * grid.nodes + m.get("phase", 0.0))
     return out
 
 
@@ -417,19 +419,26 @@ def _run_simulate(config: ExperimentConfig, out_dir: str) -> list:
             _at_most("momentum_drift", mom_drift, exp["momentum_tol"])]
 
 
+def _stacks(n: int, solver: SolverConfig) -> list:
+    """Member indices that evolve as one stack: all n together, or one at a
+    time under the invariant-shell projection, which takes one member."""
+    return ([[j] for j in range(n)] if solver.project_energy
+            else [list(range(n))])
+
+
 def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
     grid = config.make_grid()
     exp = config.experiment
     g = config.g
-    verdicts = []
-    rows = []
-    for k in exp["ks"]:
+    ks = exp["ks"]
+    omegas, states, steps = [], [], []
+    for k in ks:
         xi = 2 * np.pi * k / grid.L
-        omega = float(np.sqrt(g * xi * np.tanh(grid.h * xi)))
+        omegas.append(float(np.sqrt(g * xi * np.tanh(grid.h * xi))))
         W = holo_from_real(exp["amplitude"] * np.cos(k * (2 * np.pi / grid.L)
                                                      * grid.nodes), grid)
-        state = WaveState(grid, W, np.zeros(grid.N, dtype=complex), g)
-        T = exp["cycles"] * 2 * np.pi / omega
+        states.append(WaveState(grid, W, np.zeros(grid.N, dtype=complex), g))
+        T = exp["cycles"] * 2 * np.pi / omegas[-1]
         # exact linear propagation: the measured frequency reflects the
         # model's dispersion rather than the RK4 phase bias O((omega dt)^4)
         solver = _solver_config(config, grid, T_final=T, observer_stride=1,
@@ -437,13 +446,38 @@ def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
         if solver.n_steps < 2:
             raise ValueError(f"dispersion k={k}: the fit needs at least 2 "
                              f"steps, experiment.cycles gives {solver.n_steps}")
-        samples = []
+        steps.append(solver.n_steps)
+    samples = [[] for _ in ks]
+    # the ks share dt: a stack runs to the fewest remaining steps, drops the
+    # members that are done and continues, which is bit for bit one run
+    for group in _stacks(len(ks), solver):
+        state = stack_states([states[j] for j in group])
+        done = 0
+        while group:
+            leg = min(steps[j] for j in group) - done
 
-        def obs(i, t, s, k=k):
-            samples.append(to_spectrum(s.W)[k % grid.N].real)
+            def obs(i, t, s, group=group, first=done == 0):
+                if i or first:
+                    c = to_spectrum(s.W).reshape(len(group), grid.N)
+                    for row, j in zip(c, group):
+                        samples[j].append(row[ks[j] % grid.N].real)
 
-        evolve(state, solver, [obs])
-        s = np.array(samples)
+            try:
+                state, _ = evolve(
+                    state, replace(solver, T_final=leg * solver.dt), [obs])
+            except StepAbort as exc:
+                raise StepAbort(exc.reason, done + exc.step_index,
+                                exc.last_good) from None
+            done += leg
+            keep = [r for r, j in enumerate(group) if steps[j] > done]
+            group = [group[r] for r in keep]
+            if group:
+                members = unstack(state)
+                state = stack_states([members[r] for r in keep])
+    verdicts = []
+    rows = []
+    for k, omega, s in zip(ks, omegas, samples):
+        s = np.array(s)
         # the sampled coefficient satisfies the three-term recurrence of a
         # pure cos(omega t) signal; least squares for cos(omega dt)
         num = float(np.sum(s[1:-1] * (s[2:] + s[:-2])))
@@ -459,31 +493,46 @@ def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
     return verdicts
 
 
-def _random_state(rng, grid: SpectralGrid, g: float, n_modes: int,
-                  c_lo: float, c_hi: float) -> WaveState:
-    """Random valid holomorphic state; min Im W lands in (c_lo, c_hi).
+def _random_states(rng, grid: SpectralGrid, g: float, n_modes: int,
+                   c_lo: float, c_hi: float, count: int) -> WaveState:
+    """A stack of ``count`` random valid holomorphic states; min Im W of
+    each lands in (c_lo, c_hi).
 
-    Amplitudes are drawn log-uniform and capped so the parametrization stays
-    regular (max slope < 0.8); states whose surface dips below the c_lo
-    depth are rescaled into range rather than rejected.
+    The states take their draws from ``rng`` one after another, in the order
+    of drawing one state at a time.  Amplitudes are drawn log-uniform and
+    capped so the parametrization stays regular (max slope < 0.8); states
+    whose surface dips below the c_lo depth are rescaled into range rather
+    than rejected.
     """
     from .grid import deriv
-    scale = 10.0 ** rng.uniform(-3.0, -0.3)
-    amps = scale * rng.uniform(-1.0, 1.0, n_modes) / (1 + np.arange(n_modes))
-    phases = rng.uniform(0, 2 * np.pi, n_modes)
+    draws = []
+    for _ in range(count):
+        scale = 10.0 ** rng.uniform(-3.0, -0.3)
+        amps = scale * rng.uniform(-1.0, 1.0, n_modes) / (1 + np.arange(n_modes))
+        phases = rng.uniform(0, 2 * np.pi, n_modes)
+        draws.append((amps, phases, scale * rng.uniform(-1.0, 1.0),
+                      rng.uniform(0, 2 * np.pi)))
+    amps, phases, q_amp, q_phase = (np.array(d)[..., None]
+                                    for d in zip(*draws))
     W = holo_from_real(_modes_to_real(
-        [{"k": k + 1, "amplitude": amps[k], "phase": phases[k]}
+        [{"k": k + 1, "amplitude": amps[:, k], "phase": phases[:, k]}
          for k in range(n_modes)], grid), grid)
-    slope = float(np.max(np.abs(deriv(W.real, grid))))
-    if slope > 0.8:
-        W = W * (0.8 / slope)
-    c_now = float(np.min(W.imag))
-    if c_now <= max(c_lo, -0.9 * grid.h):
-        W = W * (0.8 * c_lo / c_now)
+    # only the rows that need it are rescaled, each by its own factor
+    slope = np.max(np.abs(deriv(W.real, grid)), axis=-1)
+    steep = slope > 0.8
+    W[steep] = W[steep] * (0.8 / slope[steep])[:, None]
+    c_now = np.min(W.imag, axis=-1)
+    deep = c_now <= max(c_lo, -0.9 * grid.h)
+    W[deep] = W[deep] * (0.8 * c_lo / c_now[deep])[:, None]
     Q = holo_from_real(_modes_to_real(
-        [{"k": 1, "amplitude": scale * rng.uniform(-1.0, 1.0),
-          "phase": rng.uniform(0, 2 * np.pi)}], grid), grid)
+        [{"k": 1, "amplitude": q_amp, "phase": q_phase}], grid), grid)
     return WaveState(grid, W, Q, g)
+
+
+# States per taylor-audit stack: a block of 16 costs about what one state
+# does, while one stack of all 500 default states would take some 20 MiB
+# (and, past 256 KiB per array, move rows at round-off; see wavestrip.grid).
+_AUDIT_BLOCK = 16
 
 
 def _run_taylor_audit(config: ExperimentConfig, out_dir: str) -> list:
@@ -492,12 +541,14 @@ def _run_taylor_audit(config: ExperimentConfig, out_dir: str) -> list:
     exp = config.experiment
     rng = np.random.default_rng(config.seed)
     worst_margin = np.inf
-    for _ in range(exp["n_states"]):
-        state = _random_state(rng, grid, config.g, exp["modes"],
-                              exp["c_min"], exp["c_max"])
-        _, tmin, c, bound = taylor_field(state)
+    n = exp["n_states"]
+    for start in range(0, n, _AUDIT_BLOCK):
+        block = _random_states(rng, grid, config.g, exp["modes"],
+                               exp["c_min"], exp["c_max"],
+                               min(_AUDIT_BLOCK, n - start))
+        _, tmin, c, bound = taylor_field(block)
         margin = tmin - (bound - exp["slack"] * config.g)
-        worst_margin = min(worst_margin, margin)
+        worst_margin = min(worst_margin, float(np.min(margin)))
     return [Verdict("taylor_lower_bound", worst_margin >= 0.0,
                     worst_margin, ">= 0", exp["slack"])]
 
@@ -516,21 +567,22 @@ def _run_drift_scaling(config: ExperimentConfig, out_dir: str) -> list:
     exp = config.experiment
     grid = config.make_grid()
     g = config.g
+    states = [_drift_profile(eps, grid, g) for eps in exp["eps"]]
+    solver = _solver_config(config, grid, T_final=exp["T"],
+                            method=config.solver.get("method", "ifrk4"))
+
+    def obs(i, t, s):
+        # the normal-form energy takes one member at a time
+        return [(nf_energy(1, d), _E0(d.bW, d.R, g, grid))
+                for d in map(diag_of, unstack(s))]
+
     drifts = []
-    for eps in exp["eps"]:
-        state = _drift_profile(eps, grid, g)
-        solver = _solver_config(config, grid, T_final=exp["T"],
-                                method=config.solver.get("method", "ifrk4"))
-
-        def obs(i, t, s):
-            d = diag_of(s)
-            return (t, nf_energy(1, d),
-                    _E0(d.bW, d.R, g, grid))
-
-        _, rows = evolve(state, solver, [obs])
+    for group in _stacks(len(states), solver):
+        _, rows = evolve(stack_states([states[j] for j in group]), solver,
+                         [obs])
         rows = np.array(rows)
-        drifts.append((np.max(np.abs(rows[:, 1] - rows[0, 1])),
-                       np.max(np.abs(rows[:, 2] - rows[0, 2]))))
+        drifts += [np.max(np.abs(rows[:, r] - rows[0, r]), axis=0)
+                   for r in range(len(group))]
     nf_ratio = drifts[0][0] / drifts[1][0]
     e0_ratio = drifts[0][1] / drifts[1][1]
     return [_within("nf_drift_ratio", nf_ratio, *exp["nf_range"]),

@@ -100,7 +100,8 @@ def bmo_proxy(values: np.ndarray, grid: SpectralGrid) -> float:
 
     sup norm of the low-frequency part (|xi| < 1/h) plus the maximum, over
     grid-aligned dyadic windows of every size, of the windowed mean absolute
-    oscillation of the high-frequency part.
+    oscillation of the high-frequency part.  The windows are N/2^j samples
+    wide, for every j that leaves a whole number of at least 2 samples.
     """
     c = to_spectrum(values)
     low = from_spectrum(np.where(_dyadic_block_masks(grid)[0], c, 0.0))
@@ -117,6 +118,8 @@ def bmo_proxy(values: np.ndarray, grid: SpectralGrid) -> float:
         osc = np.abs(blocks - means).mean(axis=1)
         out_cand = float(np.max(osc))
         out = max(out, out_cand)
+        if width % 2:
+            break
         width //= 2
     return out
 

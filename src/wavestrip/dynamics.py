@@ -33,6 +33,8 @@ __all__ = [
     "InvalidState",
     "require_valid",
     "WaveState",
+    "stack_states",
+    "unstack",
     "DiagState",
     "Coefficients",
     "coefficients",
@@ -55,15 +57,25 @@ __all__ = [
 
 
 def _samples(values, grid: SpectralGrid) -> np.ndarray:
-    """Contiguous complex128 samples of one field, checked against the grid."""
+    """Contiguous complex128 samples of one field, shaped (N,), or of a
+    stack of B >= 1 fields, shaped (B, N); checked against the grid."""
     v = np.ascontiguousarray(np.asarray(values, dtype=np.complex128))
-    if v.shape != (grid.N,):
-        raise ValueError(f"expected {grid.N} samples, got {v.shape}")
+    if v.ndim not in (1, 2) or v.shape[-1] != grid.N or v.size == 0:
+        raise ValueError(f"expected {grid.N} samples or a stack of them, "
+                         f"got {v.shape}")
     return v
 
 
 class InvalidState(ValueError):
-    """Samples that break the validity rule; the message is the reason."""
+    """Samples that break the validity rule; the message is the reason.
+
+    ``member`` is the index of the failing member of a stack, the lowest
+    when several fail, and None for a single state.
+    """
+
+    def __init__(self, reason: str, member: Optional[int] = None):
+        super().__init__(reason)
+        self.member = member
 
 
 def require_valid(grid: SpectralGrid, slope, finite, W=None) -> None:
@@ -71,21 +83,38 @@ def require_valid(grid: SpectralGrid, slope, finite, W=None) -> None:
 
     ``slope`` is W_alpha (a non-finite W makes it nan), or bW for a diagonal
     state, which has no ``W`` and so no bottom; ``finite`` holds the others.
+    Each member of a stack is checked on its own, and the lowest-index
+    failing member is reported with its first failing reason.
     """
-    J_min = float(np.min(np.abs(1.0 + slope) ** 2))
-    if not (np.isfinite(J_min) and all(np.isfinite(f).all() for f in finite)):
-        raise InvalidState("non-finite field values")
+    J_min = (np.abs(1.0 + slope) ** 2).min(axis=-1)
+    finite_ok = np.isfinite(J_min)
+    for f in finite:
+        finite_ok = finite_ok & np.isfinite(f).all(axis=-1)
+    ok = finite_ok & (J_min >= 1e-12)
+    if W is not None:
+        ok = ok & (W.imag.min(axis=-1) > -grid.h)
+    if ok.all():
+        return
+    member = None
+    if ok.ndim:
+        member = int(np.argmin(ok))
+        J_min, finite_ok = J_min[member], finite_ok[member]
+    if not finite_ok:
+        raise InvalidState("non-finite field values", member)
     if not J_min >= 1e-12:
-        raise InvalidState(f"degenerate parametrization (min J = {J_min:.3e})")
-    if W is not None and not np.min(W.imag) > -grid.h:
-        raise InvalidState("surface touched the bottom")
+        raise InvalidState(f"degenerate parametrization (min J = "
+                           f"{float(J_min):.3e})", member)
+    raise InvalidState("surface touched the bottom", member)
 
 
 @dataclass(frozen=True)
 class WaveState:
     """Position/potential samples (W, Q) on one grid, with gravity and time.
 
-    The depth is ``grid.h``.  Invalid samples raise :class:`InvalidState`.
+    The depth is ``grid.h``.  W and Q are shaped (N,), or (B, N) for a
+    stack of B members that share the grid, g and t and evolve together;
+    see :func:`stack_states` and :func:`unstack`.  Invalid samples raise
+    :class:`InvalidState`.
     """
 
     grid: SpectralGrid
@@ -97,6 +126,9 @@ class WaveState:
     def __post_init__(self):
         object.__setattr__(self, "W", _samples(self.W, self.grid))
         object.__setattr__(self, "Q", _samples(self.Q, self.grid))
+        if self.W.shape != self.Q.shape:
+            raise ValueError(f"W and Q shapes differ: {self.W.shape} and "
+                             f"{self.Q.shape}")
         if not self.g > 0:
             raise ValueError("g must be positive")
         # an infinite sample of W gives nan slopes, which the rule reports
@@ -107,6 +139,29 @@ class WaveState:
     def with_fields(self, Wv: np.ndarray, Qv: np.ndarray, t: Optional[float] = None) -> "WaveState":
         return WaveState(self.grid, Wv, Qv, self.g,
                          self.t if t is None else t)
+
+
+def stack_states(states) -> WaveState:
+    """One stack of the single-member ``states``, which share one grid, g
+    and t; a lone state is returned as it is."""
+    first = states[0]
+    if len(states) == 1:
+        return first
+    if any((s.grid, s.g, s.t) != (first.grid, first.g, first.t)
+           or s.W.ndim != 1 for s in states):
+        raise ValueError("a stack takes single members on one grid with "
+                         "one g and t")
+    return WaveState(first.grid, np.stack([s.W for s in states]),
+                     np.stack([s.Q for s in states]), first.g, first.t)
+
+
+def unstack(state: WaveState) -> list:
+    """The members of a stack as single-member states; a single state is
+    its own one member."""
+    if state.W.ndim == 1:
+        return [state]
+    return [WaveState(state.grid, W, Q, state.g, state.t)
+            for W, Q in zip(state.W, state.Q)]
 
 
 @dataclass(frozen=True)
@@ -122,6 +177,9 @@ class DiagState:
     def __post_init__(self):
         object.__setattr__(self, "bW", _samples(self.bW, self.grid))
         object.__setattr__(self, "R", _samples(self.R, self.grid))
+        if self.bW.shape != self.R.shape:
+            raise ValueError(f"bW and R shapes differ: {self.bW.shape} and "
+                             f"{self.R.shape}")
         if not self.g > 0:
             raise ValueError("g must be positive")
         require_valid(self.grid, self.bW, (self.bW, self.R))
@@ -193,10 +251,10 @@ def _real_mean_projection(u: np.ndarray, grid: SpectralGrid):
     trace, so keeping it would push the flow off the constraint manifold at
     O(eps^3) per unit time.  Pinning the zero mode of F to be real (the one
     free convention constant of the periodic cell) keeps the right-hand side
-    exactly class-preserving.
+    exactly class-preserving.  The mean is taken per member of a stack.
     """
     p = project(dealias(u, grid), grid, "holo")
-    ci = 1j * float(np.mean(p).imag)
+    ci = 1j * np.mean(p, axis=-1, keepdims=True).imag
     return p - ci, ci
 
 
@@ -235,8 +293,9 @@ def rhs_diag(state: DiagState) -> tuple[np.ndarray, np.ndarray]:
 def taylor_field(state: WaveState) -> tuple[np.ndarray, float, float, float]:
     """Taylor-sign field g + frak_a with its certified lower bound.
 
-    Returns ``(field, min value, c, g(c+h))`` where ``c = min Im W``.  The
-    coefficients are taken at ``W_alpha`` as sampled (not dealiased) and
+    Returns ``(field, min value, c, g(c+h))`` where ``c = min Im W``; for a
+    stack the last three are per member.  The coefficients are taken at
+    ``W_alpha`` as sampled (not dealiased) and
     ``R = dealias(Q_alpha / (1 + W_alpha))``.
     """
     grid = state.grid
@@ -245,8 +304,8 @@ def taylor_field(state: WaveState) -> tuple[np.ndarray, float, float, float]:
     Qa = deriv(state.Q, grid)
     c = coefficients(grid, g, Wa, dealias(Qa / (1.0 + Wa), grid))
     field = g + c.frak_a
-    cmin = float(np.min(state.W.imag))
-    return field, float(np.min(field)), cmin, g * (cmin + state.grid.h)
+    cmin = np.min(state.W.imag, axis=-1)
+    return field, np.min(field, axis=-1), cmin, g * (cmin + grid.h)
 
 
 def energy(state: WaveState) -> tuple[float, float]:

@@ -15,6 +15,14 @@ Every Fourier symbol of the calculus, with its zero-mode and Nyquist
 conventions, is built once per grid as a read-only cached attribute of
 :class:`SpectralGrid`, and every transform goes through :func:`to_spectrum`
 and :func:`from_spectrum`.
+
+Transforms and multipliers act on the last axis, so a stack of fields
+shaped (B, N) goes through each operator in one call.  Its rows equal the
+single-field results bit for bit while a stacked array stays below numpy's
+256 KiB temporary-elision size (B N < 16384 complex samples); above it
+numpy evaluates some complex products in place, by another loop, and rows
+can move at round-off.  The real-output check of :func:`apply_multiplier`
+is taken over the whole stack.
 """
 
 from __future__ import annotations
@@ -250,7 +258,7 @@ def antideriv(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     c = to_spectrum(f)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(grid.xi != 0.0, c / grid.ixi, 0.0)
-    a[grid.nyquist_index] = 0.0
+    a[..., grid.nyquist_index] = 0.0
     return from_spectrum(a)
 
 

@@ -109,10 +109,11 @@ def project_spectrum(c: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Spectrum of the holomorphic projection from the spectrum ``c``.
 
     (P u)_k = pa_k u_k + pb_k conj(u_{-k}) with the grid's full-length
-    ``project_coeffs``, see :func:`project`.
+    ``project_coeffs``, see :func:`project`; ``c`` may be a stack of spectra
+    on the last axis.
     """
     pa, pb = grid.project_coeffs
-    return pa * c + pb * np.conj(c[grid.neg_index])
+    return pa * c + pb * np.conj(c[..., grid.neg_index])
 
 
 def project(f: np.ndarray, grid: SpectralGrid,
@@ -138,8 +139,9 @@ def project(f: np.ndarray, grid: SpectralGrid,
 
 
 def trace_parts(c: np.ndarray, grid: SpectralGrid):
-    """Spectra of Re u and Im u from the spectrum ``c`` of a field u."""
-    cc = np.conj(c[grid.neg_index])
+    """Spectra of Re u and Im u from the spectrum ``c`` of a field u (or a
+    stack of fields on the last axis)."""
+    cc = np.conj(c[..., grid.neg_index])
     return 0.5 * (c + cc), -0.5j * (c - cc)
 
 

@@ -16,6 +16,10 @@ itself contributes.
 After every step the holomorphic projection is re-applied to the fluctuating
 part of both fields (zero modes are gauge scalars and pass through
 untouched), so states remain exact holomorphic traces modulo their means.
+
+A step works on the last axis: a state holding a stack of B members takes
+the FFT calls of one member, and each row equals the single-member step bit
+for bit up to the stack size given in :mod:`wavestrip.grid`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .grid import (SpectralGrid, dealias, dealias_band, deriv, from_spectrum,
                    tilbert, to_spectrum)
 from .holo import parseval_inner, project, project_spectrum, trace_parts
 from .dynamics import (InvalidState, WaveState, energy, momentum,
-                       require_valid, rhs_full)
+                       require_valid, rhs_full, unstack)
 
 __all__ = [
     "SolverConfig",
@@ -78,7 +82,8 @@ class StepAbort(RuntimeError):
     """Raised by :func:`evolve` when a step produces an invalid state.
 
     Carries the ``reason``, the index of the failed step and the last good
-    state.
+    state; for a stack, the last good state of the failing member (the
+    lowest-index one when several fail), as a single-member state.
     """
 
     def __init__(self, reason: str, step_index: int, last_good: WaveState):
@@ -147,11 +152,12 @@ def _regauge(Wv: np.ndarray, Qv: np.ndarray, grid: SpectralGrid):
     |mean Im W| over T = 30 is 1.8e-18 (ifrk4) and 2.0e-18 (rk4).  The mean
     is kept rather than zeroed so that a state that starts with one (the
     conformal map's vertical offset) keeps it.  Holomorphy is always
-    understood modulo these means.
+    understood modulo these means.  The means are taken per member of a
+    stack.
     """
     out = []
     for v in (Wv, Qv):
-        v0 = np.mean(v)
+        v0 = np.mean(v, axis=-1, keepdims=True)
         out.append(dealias(project(v - v0, grid, "holo") + v0, grid))
     return out[0], out[1]
 
@@ -329,9 +335,14 @@ def evolve(state: WaveState, config: SolverConfig,
     Observers are called at step 0 and every ``observer_stride`` steps (and
     at the final step); any non-None return value is collected.  An invalid
     stage, new or projected state raises :class:`StepAbort` carrying the
-    index and the last good state.
+    index and the last good state.  A stack of states evolves as one state,
+    with one call per operator; the invariant-shell projection takes a
+    single member and refuses a stack.
     """
     records = []
+    if config.project_energy and state.W.ndim > 1:
+        raise ValueError("the invariant-shell projection takes a single "
+                         f"state, not a stack of {len(state.W)}")
     targets = ((energy(state)[0], momentum(state))
                if config.project_energy else None)
 
@@ -349,7 +360,9 @@ def evolve(state: WaveState, config: SolverConfig,
             if targets is not None:
                 new = _project_to_invariant_shell(new, *targets)
         except InvalidState as exc:
-            raise StepAbort(str(exc), i, current) from None
+            last_good = (current if exc.member is None
+                         else unstack(current)[exc.member])
+            raise StepAbort(str(exc), i, last_good) from None
         current = new
         if i % config.observer_stride == 0 or i == config.n_steps:
             notify(i, current)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -578,3 +579,99 @@ def test_cli_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_dispersion_stack_equals_one_run_per_k(tmp_path):
+    # the ks run as one stack that drops each member at its own horizon;
+    # every row equals the run of that k alone
+    rows = {}
+    for ks in ([1, 2, 5], [1], [2], [5]):
+        p = _write_config(tmp_path / "c.json", {"grid": {"N": 32},
+                                                "experiment": {"ks": ks}})
+        out = tmp_path / "-".join(map(str, ks))
+        assert main(["dispersion", "--config", p, "--out", str(out)]) == 0
+        lines = (out / "dispersion.csv").read_text().splitlines()[1:]
+        rows[tuple(ks)] = lines
+    assert rows[(1, 2, 5)] == rows[(1,)] + rows[(2,)] + rows[(5,)]
+
+
+@pytest.mark.parametrize("kind, experiment", [
+    ("dispersion", {"ks": [1, 2]}),
+    ("drift-scaling", {"T": 2.0}),
+])
+def test_stacked_kinds_run_the_shell_projection_one_member_at_a_time(
+        tmp_path, kind, experiment):
+    # the invariant-shell projection takes one member, so the members run in
+    # turn; with it off they run as one stack
+    verdicts = []
+    for project in (False, True):
+        p = _write_config(tmp_path / "c.json", {
+            "grid": {"N": 32}, "experiment": experiment,
+            "solver": {"project_energy": project}})
+        out = tmp_path / f"run{project}"
+        assert main([kind, "--config", p, "--out", str(out)]) in (0, 1)
+        doc = json.loads((out / "verdict.json").read_text())
+        verdicts.append([v["measured"] for v in doc["verdicts"]])
+    assert np.allclose(verdicts[0], verdicts[1], rtol=2e-2)
+
+
+def test_stack_abort_exits_2_with_a_one_member_snapshot(tmp_path, capsys,
+                                                        monkeypatch):
+    # dispersion at N = 32 runs ks 1, 2, 5 for 162, 102 and 63 steps: after
+    # step 63 the stack holds k = 1 and k = 2, and member 1 (k = 2) fails at
+    # step 80, in the second leg of the run
+    from wavestrip import integrator
+    real = integrator.rhs_full
+    grid = make_grid(2 * np.pi, 32, 1.0)
+    dt = suggest_dt(grid, 1.0, 0.5)
+
+    def field(state):
+        fW, fQ = real(state)
+        if state.W.ndim == 2 and state.t > 78.5 * dt:
+            fW = fW.copy()
+            fW[1] = np.nan
+        return fW, fQ
+
+    monkeypatch.setattr(integrator, "rhs_full", field)
+    p = _write_config(tmp_path / "c.json", {"grid": {"N": 32}})
+    out = tmp_path / "run"
+    assert main(["dispersion", "--config", p, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err.startswith("error: aborted at step 80: non-finite field "
+                          "values; last good state in ")
+    last = read_snapshot(str(out / "last_good.snap"))
+    assert last.W.shape == (32,) and np.isclose(last.t, 79 * dt)
+    c = np.abs(to_spectrum(last.W))
+    assert np.argmax(c[1:6]) + 1 == 2
+    assert not (out / "verdict.json").exists()
+
+
+@pytest.mark.parametrize("N", [18, 100])
+def test_simulate_on_a_grid_that_is_not_a_power_of_2(tmp_path, N):
+    # the ledger's bmo proxy uses the dyadic windows that divide N
+    p = _write_config(tmp_path / "c.json", {
+        "grid": {"N": N},
+        "init": {"surface_modes": [{"k": 1, "amplitude": 0.02}]},
+        "solver": {"T_final": 1.0}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", p, "--out", str(out)]) == 0
+    lines = (out / "series.csv").read_text().strip().split("\n")
+    col = lines[0].split(",").index("B_proxy")
+    assert all(float(line.split(",")[col]) > 0 for line in lines[1:])
+
+
+def test_taylor_audit_memory_is_blocked(tmp_path):
+    # the 500 default states are evaluated in stacks of a few: one stack of
+    # all of them peaks near 21 MiB at N = 128
+    from wavestrip.cli import _run_taylor_audit
+    cfg = load_config(_write_config(tmp_path / "c.json", {}), "taylor-audit")
+    _run_taylor_audit(cfg, str(tmp_path))   # warm the grid's caches
+    tracemalloc.start()
+    try:
+        verdicts = _run_taylor_audit(cfg, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert verdicts[0].passed

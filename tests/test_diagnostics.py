@@ -46,6 +46,22 @@ def test_bmo_proxy_oscillation_sandwich(grid):
         assert 0.1 * amp <= val <= 10.0 * amp
 
 
+@pytest.mark.parametrize("N, widths", [
+    (64, (64, 32, 16, 8, 4, 2)), (18, (18, 9)), (50, (50, 25)),
+    (100, (100, 50, 25)), (120, (120, 60, 30, 15))])
+def test_bmo_proxy_windows_divide_N(N, widths):
+    # the windows are the dyadic parts N/2^j of the cell that hold a whole
+    # number of samples; halving 25 to 12 would leave 100 = 8 x 12 + 4
+    grid = make_grid(2 * np.pi, N, 1.0)
+    v = np.cos(3 * grid.nodes + 0.2) + 0.3 * np.sin(7 * grid.nodes)
+    low = np.fft.ifft(np.where(np.abs(grid.xi) < 1.0, np.fft.fft(v), 0.0))
+    high = v - low.real
+    osc = [np.abs(b - b.mean()).mean()
+           for w in widths for b in high.reshape(N // w, w)]
+    assert np.isclose(bmo_proxy(v, grid),
+                      max(np.max(np.abs(low.real)), max(osc)), rtol=1e-13)
+
+
 def test_control_norms_zero_and_monotone(grid):
     z = np.zeros(grid.N, dtype=complex)
     from wavestrip.dynamics import DiagState

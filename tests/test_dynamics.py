@@ -20,6 +20,8 @@ from wavestrip.dynamics import (
     rhs_linearized,
     model_energies,
     scale_state,
+    stack_states,
+    unstack,
 )
 from conftest import small_state, random_trace
 
@@ -55,6 +57,44 @@ def test_state_validation(grid):
             DiagState(grid, bW, R, 1.0)
 
 
+def test_stack_validity_names_the_lowest_failing_member(grid):
+    z = np.zeros(grid.N, dtype=complex)
+    nan = z.copy()
+    nan[5] = np.nan
+    flat_spot = holo_from_real(np.cos(grid.nodes), grid)
+    ok = small_state(grid).W
+    # members 1 and 2 fail; member 1 is reported with its own first reason
+    for rows, reason in (((ok, z - 1.0j, nan), "touched the bottom"),
+                         ((ok, flat_spot, z - 1.0j),
+                          "degenerate parametrization"),
+                         ((ok, nan, flat_spot), "non-finite")):
+        with pytest.raises(InvalidState, match=reason) as exc:
+            WaveState(grid, np.stack(rows), np.stack([z, z, z]), 1.0)
+        assert exc.value.member == 1
+    with pytest.raises(InvalidState, match="non-finite") as exc:
+        WaveState(grid, np.stack([ok, ok]), np.stack([z, nan]), 1.0)
+    assert exc.value.member == 1
+    with pytest.raises(InvalidState) as exc:
+        WaveState(grid, nan, z, 1.0)
+    assert exc.value.member is None
+
+
+def test_stack_and_unstack(grid):
+    a, b = small_state(grid, eps=0.02), small_state(grid, eps=0.03)
+    s = stack_states([a, b])
+    assert s.W.shape == s.Q.shape == (2, grid.N)
+    for m, want in zip(unstack(s), (a, b)):
+        assert np.array_equal(m.W, want.W) and np.array_equal(m.Q, want.Q)
+        assert (m.grid, m.g, m.t) == (want.grid, want.g, want.t)
+    assert stack_states([a]) is a and unstack(a) == [a]
+    for other in (WaveState(grid, a.W, a.Q, 2.0),
+                  WaveState(grid, a.W, a.Q, 1.0, t=1.0),
+                  WaveState(make_grid(2 * np.pi, grid.N, 2.0), a.W, a.Q, 1.0),
+                  s):
+        with pytest.raises(ValueError, match="single members"):
+            stack_states([a, other])
+
+
 def test_steep_valid_state_has_a_diagonal_state(grid):
     # min Re W_alpha = -0.7, so min J = 0.09 and ||Y||_inf = 0.7/0.3 > 1:
     # Y is a size in the control norm, not a validity bound
@@ -77,6 +117,14 @@ def test_state_shape_check(grid):
     # real samples are stored as contiguous complex128
     state = WaveState(grid, np.zeros(2 * grid.N)[::2], z, 1.0)
     assert state.W.dtype == np.complex128 and state.W.flags.c_contiguous
+    # a stack holds B >= 1 rows of N samples, the same shape for both fields
+    stack = np.zeros((3, grid.N), dtype=complex)
+    for record in (WaveState, DiagState):
+        for a, b in ((stack, z), (z, stack), (stack, stack[:2]),
+                     (stack[:0], stack[:0]), (stack[None], stack[None])):
+            with pytest.raises(ValueError):
+                record(grid, a, b, 1.0)
+        assert record(grid, stack, stack, 1.0).t == 0.0
 
 
 def test_diag_of(grid):

@@ -6,7 +6,8 @@ from wavestrip.holo import (holo_from_real, holomorphy_residual, pair_form,
                             trace_parts)
 from wavestrip.conformal import SurfaceGraph, graph_to_holo
 from wavestrip.dynamics import (WaveState, energy, energy_gradient, momentum,
-                                momentum_gradient)
+                                momentum_gradient, rhs_full, stack_states,
+                                taylor_field)
 from wavestrip.cli import _drift_profile
 from wavestrip import integrator
 from wavestrip.integrator import (
@@ -228,13 +229,8 @@ def test_shell_projection_lands_on_the_shell(L, h):
     assert p.t == moved.t and p.g == moved.g
 
 
-def test_shell_projection_fft_budget(monkeypatch):
-    # one projection call after an ifrk4 step at N = 256: 6 FFTs to set up,
-    # 3 per Newton iterate and 3 for the result's WaveState
-    grid = make_grid(2 * np.pi, 256, 1.0)
-    s0 = _drift_profile(0.05, grid, 1.0)
-    E0, I0 = energy(s0)[0], momentum(s0)
-    s = step_rk4(s0, suggest_dt(grid, 1.0, 0.5), "ifrk4")
+def _count_ffts(monkeypatch, fn):
+    """fn()'s result and its number of np.fft.fft and np.fft.ifft calls."""
     calls = []
     for name in ("fft", "ifft"):
         original = getattr(np.fft, name)
@@ -244,10 +240,22 @@ def test_shell_projection_fft_budget(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    p = integrator._project_to_invariant_shell(s, E0, I0)
+    out = fn()
     monkeypatch.undo()
+    return out, len(calls)
+
+
+def test_shell_projection_fft_budget(monkeypatch):
+    # one projection call after an ifrk4 step at N = 256: 6 FFTs to set up,
+    # 3 per Newton iterate and 3 for the result's WaveState
+    grid = make_grid(2 * np.pi, 256, 1.0)
+    s0 = _drift_profile(0.05, grid, 1.0)
+    E0, I0 = energy(s0)[0], momentum(s0)
+    s = step_rk4(s0, suggest_dt(grid, 1.0, 0.5), "ifrk4")
+    p, count = _count_ffts(
+        monkeypatch, lambda: integrator._project_to_invariant_shell(s, E0, I0))
     assert p is not s
-    assert len(calls) <= 20
+    assert count <= 20
     assert abs(energy(p)[0] - E0) <= 1e-13 * abs(E0)
 
 
@@ -257,3 +265,88 @@ def test_linear_propagator_built_once():
     assert integrator._linear_propagator(make_grid(2 * np.pi, 64, 1.0),
                                          1.0, 0.05) is prop
     assert not any(a.flags.writeable for a in prop)
+
+
+def _stack_members(L, h, N):
+    grid = make_grid(L, N, h)
+    rng = np.random.default_rng(11)
+    scale = 0.02 * min(h, 1.0)
+    return [WaveState(grid, random_trace(grid, rng, scale=scale),
+                      random_trace(grid, rng, scale=scale), 1.0)
+            for _ in range(3)]
+
+
+@pytest.mark.parametrize("N", [64, 128])
+@pytest.mark.parametrize("L, h", [(2 * np.pi, 1.0), (4 * np.pi, 0.5)])
+def test_stack_matches_its_members_bit_for_bit(L, h, N):
+    members = _stack_members(L, h, N)
+    stack = stack_states(members)
+    dt = suggest_dt(stack.grid, 1.0, 0.5)
+    rows = {"rhs_full": rhs_full(stack),
+            "taylor_field": taylor_field(stack)}
+    for method in ("rk4", "ifrk4"):
+        s = step_rk4(stack, dt, method)
+        rows[method] = (s.W, s.Q)
+    for j, m in enumerate(members):
+        single = {"rhs_full": rhs_full(m), "taylor_field": taylor_field(m)}
+        for method in ("rk4", "ifrk4"):
+            s = step_rk4(m, dt, method)
+            single[method] = (s.W, s.Q)
+        for name, got in rows.items():
+            for a, b in zip(got, single[name]):
+                assert np.array_equal(a[j], b), (name, j)
+
+
+def test_stacked_step_costs_the_ffts_of_one_member(monkeypatch):
+    # the pinned counts of bench/tracer.py at N = 256: a stack of three
+    # makes the same transform calls as a single member
+    grid = make_grid(2 * np.pi, 256, 1.0)
+    members = [_drift_profile(eps, grid, 1.0) for eps in (0.05, 0.04, 0.03)]
+    stack = stack_states(members)
+    dt = suggest_dt(grid, 1.0, 0.5)
+    for method, pinned in (("rk4", 108), ("ifrk4", 152)):
+        for state in (members[0], stack):
+            _, count = _count_ffts(monkeypatch,
+                                   lambda: step_rk4(state, dt, method))
+            assert count == pinned, (method, state.W.shape)
+
+
+def _nan_in_member_1_after(t_bad):
+    """rhs_full, but non-finite in member 1 of a stack from time t_bad on."""
+    def field(state):
+        fW, fQ = rhs_full(state)
+        if state.W.ndim == 2 and state.t > t_bad:
+            fW = fW.copy()
+            fW[1] = np.nan
+        return fW, fQ
+    return field
+
+
+@pytest.mark.parametrize("method", ["rk4", "ifrk4"])
+def test_stack_abort_carries_the_failing_members_last_good(monkeypatch,
+                                                           method):
+    members = _stack_members(2 * np.pi, 1.0, 64)
+    dt = suggest_dt(members[0].grid, 1.0, 0.5)
+    # the stage states of step 3 start from t = 2 dt: the first stage of
+    # member 1 is non-finite there, and the second stage state is refused
+    monkeypatch.setattr(integrator, "rhs_full",
+                        _nan_in_member_1_after(1.5 * dt))
+    config = SolverConfig(dt=dt, T_final=10 * dt, method=method)
+    with pytest.raises(StepAbort) as exc:
+        evolve(stack_states(members), config)
+    assert exc.value.step_index == 3
+    assert exc.value.reason == "non-finite field values"
+    last = exc.value.last_good
+    # member 1 run alone (the patched field leaves single states alone)
+    want, _ = evolve(members[1], SolverConfig(dt=dt, T_final=2 * dt,
+                                              method=method))
+    assert last.W.shape == (64,) and last.t == want.t
+    assert np.array_equal(last.W, want.W)
+    assert np.array_equal(last.Q, want.Q)
+
+
+def test_stack_refuses_the_shell_projection(grid):
+    stack = stack_states([small_state(grid), small_state(grid, eps=0.01)])
+    config = SolverConfig(dt=0.05, T_final=0.5, project_energy=True)
+    with pytest.raises(ValueError, match="single state, not a stack of 2"):
+        evolve(stack, config)
