@@ -237,7 +237,9 @@ def write_snapshot(path: str, state: WaveState) -> None:
     """JSON header line + raw little-endian complex samples of W then Q.
 
     Samples, not spectra, so that a write/read cycle returns the state bit
-    for bit and a run continued from a snapshot matches an unbroken run.
+    for bit and, without the invariant-shell projection, a run continued
+    from a snapshot matches an unbroken run; under it the continued run
+    takes its shell targets from the snapshot.
     """
     grid = state.grid
     header = {
@@ -419,13 +421,6 @@ def _run_simulate(config: ExperimentConfig, out_dir: str) -> list:
             _at_most("momentum_drift", mom_drift, exp["momentum_tol"])]
 
 
-def _stacks(n: int, solver: SolverConfig) -> list:
-    """Member indices that evolve as one stack: all n together, or one at a
-    time under the invariant-shell projection, which takes one member."""
-    return ([[j] for j in range(n)] if solver.project_energy
-            else [list(range(n))])
-
-
 def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
     grid = config.make_grid()
     exp = config.experiment
@@ -448,32 +443,17 @@ def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
                              f"steps, experiment.cycles gives {solver.n_steps}")
         steps.append(solver.n_steps)
     samples = [[] for _ in ks]
-    # the ks share dt: a stack runs to the fewest remaining steps, drops the
-    # members that are done and continues, which is bit for bit one run
-    for group in _stacks(len(ks), solver):
-        state = stack_states([states[j] for j in group])
-        done = 0
-        while group:
-            leg = min(steps[j] for j in group) - done
 
-            def obs(i, t, s, group=group, first=done == 0):
-                if i or first:
-                    c = to_spectrum(s.W).reshape(len(group), grid.N)
-                    for row, j in zip(c, group):
-                        samples[j].append(row[ks[j] % grid.N].real)
+    def obs(i, t, s):
+        # the ks share dt and run as one stack to the longest horizon; each
+        # keeps its samples up to its own
+        c = to_spectrum(s.W).reshape(len(ks), grid.N)
+        for j, k in enumerate(ks):
+            if i <= steps[j]:
+                samples[j].append(c[j, k % grid.N].real)
 
-            try:
-                state, _ = evolve(
-                    state, replace(solver, T_final=leg * solver.dt), [obs])
-            except StepAbort as exc:
-                raise StepAbort(exc.reason, done + exc.step_index,
-                                exc.last_good) from None
-            done += leg
-            keep = [r for r, j in enumerate(group) if steps[j] > done]
-            group = [group[r] for r in keep]
-            if group:
-                members = unstack(state)
-                state = stack_states([members[r] for r in keep])
+    evolve(stack_states(states),
+           replace(solver, T_final=max(steps) * solver.dt), [obs])
     verdicts = []
     rows = []
     for k, omega, s in zip(ks, omegas, samples):
@@ -576,13 +556,10 @@ def _run_drift_scaling(config: ExperimentConfig, out_dir: str) -> list:
         return [(nf_energy(1, d), _E0(d.bW, d.R, g, grid))
                 for d in map(diag_of, unstack(s))]
 
-    drifts = []
-    for group in _stacks(len(states), solver):
-        _, rows = evolve(stack_states([states[j] for j in group]), solver,
-                         [obs])
-        rows = np.array(rows)
-        drifts += [np.max(np.abs(rows[:, r] - rows[0, r]), axis=0)
-                   for r in range(len(group))]
+    _, rows = evolve(stack_states(states), solver, [obs])
+    rows = np.array(rows)
+    # per member, the largest drift of each energy from its first row
+    drifts = np.max(np.abs(rows - rows[0]), axis=0)
     nf_ratio = drifts[0][0] / drifts[1][0]
     e0_ratio = drifts[0][1] / drifts[1][1]
     return [_within("nf_drift_ratio", nf_ratio, *exp["nf_range"]),

@@ -98,10 +98,11 @@ def _l2(values: np.ndarray, grid: SpectralGrid) -> float:
 def bmo_proxy(values: np.ndarray, grid: SpectralGrid) -> float:
     """Windowed mean-oscillation estimator for the bmo_h norm.
 
-    sup norm of the low-frequency part (|xi| < 1/h) plus the maximum, over
-    grid-aligned dyadic windows of every size, of the windowed mean absolute
-    oscillation of the high-frequency part.  The windows are N/2^j samples
-    wide, for every j that leaves a whole number of at least 2 samples.
+    The larger of two parts: the sup norm of the low-frequency part
+    (|xi| < 1/h), and the maximum, over grid-aligned dyadic windows of every
+    size, of the windowed mean absolute oscillation of the high-frequency
+    part.  The windows are N/2^j samples wide, for every j that leaves a
+    whole number of at least 2 samples.
     """
     c = to_spectrum(values)
     low = from_spectrum(np.where(_dyadic_block_masks(grid)[0], c, 0.0))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .grid import (SpectralGrid, dealias, deriv, inv_tilbert, lh_apply,
                    smooth_one_plus_T2, tilbert)
-from .holo import inner_h, pair_form, project, weighted_inner
+from .holo import inner_h, pair_form, project
 
 __all__ = [
     "InvalidState",
@@ -537,10 +537,10 @@ def model_energies(state: DiagState, pair, omega=None) -> tuple[float, float]:
     w, r = (np.asarray(p, dtype=np.complex128) for p in pair)
     weight = state.g + c.frak_a
     Lr = lh_apply(r, grid)
-    e2 = weighted_inner(w, w, weight, grid) + inner_h(Lr, Lr, grid)
+    e2 = inner_h(w, w, grid, weight) + inner_h(Lr, Lr, grid)
     if omega is None:
         omega = np.ones(grid.N)
     omega = np.asarray(omega, dtype=float)
-    e2w = (weighted_inner(w, w, weight * omega, grid)
-           + weighted_inner(Lr, Lr, omega, grid))
+    e2w = (inner_h(w, w, grid, weight * omega)
+           + inner_h(Lr, Lr, grid, omega))
     return e2, e2w

@@ -41,7 +41,6 @@ __all__ = [
     "trace_parts",
     "parseval_inner",
     "inner_h",
-    "weighted_inner",
     "pair_form",
     "norm_calH",
     "sobolev_weight",
@@ -156,27 +155,22 @@ def parseval_inner(u, v, w_re, w_im, grid: SpectralGrid) -> float:
                           + np.vdot(v[1], w_im * u[1]).real)
 
 
-def inner_h(u: np.ndarray, v: np.ndarray, grid: SpectralGrid) -> float:
+def inner_h(u: np.ndarray, v: np.ndarray, grid: SpectralGrid,
+            weight=None) -> float:
     """Depth-adapted inner product on boundary traces.
 
     <u, v> = integral( T Re u . T Re v + Im u . Im v ) d alpha, by the grid's
     trapezoidal (here: exact periodic) quadrature.  Blind to real constants.
+    A real ``weight`` (array or scalar) multiplies the integrand inside the
+    quadrature: <u, v>_weight.
     """
     tu = tilbert(u.real, grid)
     tv = tilbert(v.real, grid)
     integrand = tu * tv + u.imag * v.imag
-    return float(np.sum(integrand) * grid.L / grid.N)
-
-
-def weighted_inner(u: np.ndarray, v: np.ndarray, omega,
-                   grid: SpectralGrid) -> float:
-    """Weighted variant <u, v>_omega with a real weight inside the quadrature."""
-    omega = np.asarray(omega)
-    if np.iscomplexobj(omega):
-        raise ValueError("weight must be real")
-    tu = tilbert(u.real, grid)
-    tv = tilbert(v.real, grid)
-    integrand = (tu * tv + u.imag * v.imag) * omega
+    if weight is not None:
+        if np.iscomplexobj(weight):
+            raise ValueError("weight must be real")
+        integrand = integrand * weight
     return float(np.sum(integrand) * grid.L / grid.N)
 
 

@@ -34,7 +34,7 @@ from .grid import (SpectralGrid, dealias, dealias_band, deriv, from_spectrum,
                    tilbert, to_spectrum)
 from .holo import parseval_inner, project, project_spectrum, trace_parts
 from .dynamics import (InvalidState, WaveState, energy, momentum,
-                       require_valid, rhs_full, unstack)
+                       require_valid, rhs_full, stack_states, unstack)
 
 __all__ = [
     "SolverConfig",
@@ -336,15 +336,23 @@ def evolve(state: WaveState, config: SolverConfig,
     at the final step); any non-None return value is collected.  An invalid
     stage, new or projected state raises :class:`StepAbort` carrying the
     index and the last good state.  A stack of states evolves as one state,
-    with one call per operator; the invariant-shell projection takes a
-    single member and refuses a stack.
+    with one call per operator; under ``project_energy`` each member is
+    projected on its own onto the shell of its own initial energy and
+    momentum, so each row equals that member's run alone, bit for bit as a
+    stacked step does.
     """
     records = []
-    if config.project_energy and state.W.ndim > 1:
-        raise ValueError("the invariant-shell projection takes a single "
-                         f"state, not a stack of {len(state.W)}")
-    targets = ((energy(state)[0], momentum(state))
+    targets = ([(energy(m)[0], momentum(m)) for m in unstack(state)]
                if config.project_energy else None)
+
+    def project(s):
+        out = []
+        for j, (m, target) in enumerate(zip(unstack(s), targets)):
+            try:
+                out.append(_project_to_invariant_shell(m, *target))
+            except InvalidState as exc:
+                raise InvalidState(str(exc), j) from None
+        return stack_states(out)
 
     def notify(i, s):
         for obs in observers:
@@ -358,7 +366,7 @@ def evolve(state: WaveState, config: SolverConfig,
         try:
             new = step_rk4(current, config.dt, config.method)
             if targets is not None:
-                new = _project_to_invariant_shell(new, *targets)
+                new = project(new)
         except InvalidState as exc:
             last_good = (current if exc.member is None
                          else unstack(current)[exc.member])

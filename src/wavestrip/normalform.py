@@ -49,7 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (SpectralGrid, antideriv, dealias, dealias_band, deriv,
                    from_spectrum, inv_tilbert, smooth_one_plus_T2, to_spectrum)
-from .holo import inner_h, weighted_inner
+from .holo import inner_h
 from .dynamics import DiagState, WaveState, model_energies
 
 __all__ = [
@@ -701,8 +701,8 @@ def high_forms(n: int, diag: DiagState) -> tuple[float, float]:
     wminus = -4.0 * n * bW.real - 0.5 * smooth
     wd, rd = dn(bW), dn(R)
     Tird = inv_tilbert(deriv(rd, grid), grid)
-    B_high = weighted_inner(wd, wd, wplus, grid)
-    A_high = -weighted_inner(rd, Tird, wminus, grid)
+    B_high = inner_h(wd, wd, grid, wplus)
+    A_high = -inner_h(rd, Tird, grid, wminus)
     if n == 1:
         A_high -= 2.0 * inner_h(dealias(bW * rd, grid), Tird, grid)
     return B_high, A_high

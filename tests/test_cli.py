@@ -88,21 +88,30 @@ def test_snapshot_round_trip(tmp_path, grid):
 
 
 def test_snapshot_continues_a_run_bit_for_bit(tmp_path):
+    # for rk4, ifrk4 and a 2-member stack, whose members go to snapshots of
+    # their own; without the shell projection, whose targets a continued
+    # run would take from the snapshot
+    from wavestrip.dynamics import stack_states, unstack
     grid = make_grid(2 * np.pi, 64, 1.0)
-    state = small_state(grid, eps=0.05)
     dt = suggest_dt(grid, 1.0, 0.5)
+    one = small_state(grid, eps=0.05)
+    two = stack_states([one, small_state(grid, eps=0.03)])
+    for method, state in (("rk4", one), ("ifrk4", one), ("ifrk4", two)):
 
-    def run(s, steps):
-        config = SolverConfig(dt=dt, T_final=steps * dt, method="ifrk4")
-        return evolve(s, config)[0]
+        def run(s, steps):
+            config = SolverConfig(dt=dt, T_final=steps * dt, method=method)
+            return evolve(s, config)[0]
 
-    p = tmp_path / "mid.snap"
-    write_snapshot(str(p), run(state, 10))
-    resumed = run(read_snapshot(str(p)), 10)
-    straight = run(state, 20)
-    assert resumed.t == straight.t
-    assert np.array_equal(resumed.W, straight.W)
-    assert np.array_equal(resumed.Q, straight.Q)
+        members = []
+        for j, m in enumerate(unstack(run(state, 10))):
+            p = tmp_path / f"mid{j}.snap"
+            write_snapshot(str(p), m)
+            members.append(read_snapshot(str(p)))
+        resumed = run(stack_states(members), 10)
+        straight = run(state, 20)
+        assert resumed.t == straight.t
+        assert np.array_equal(resumed.W, straight.W), (method, state.W.shape)
+        assert np.array_equal(resumed.Q, straight.Q), (method, state.W.shape)
 
 
 def test_snapshot_rejects_corruption(tmp_path, grid):
@@ -581,28 +590,51 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_dispersion_stack_equals_one_run_per_k(tmp_path):
-    # the ks run as one stack that drops each member at its own horizon;
-    # every row equals the run of that k alone
-    rows = {}
-    for ks in ([1, 2, 5], [1], [2], [5]):
-        p = _write_config(tmp_path / "c.json", {"grid": {"N": 32},
-                                                "experiment": {"ks": ks}})
-        out = tmp_path / "-".join(map(str, ks))
-        assert main(["dispersion", "--config", p, "--out", str(out)]) == 0
-        lines = (out / "dispersion.csv").read_text().splitlines()[1:]
-        rows[tuple(ks)] = lines
-    assert rows[(1, 2, 5)] == rows[(1,)] + rows[(2,)] + rows[(5,)]
+def _evolve_shapes(monkeypatch):
+    """The shapes of W that the cli's evolve calls take, one per call."""
+    from wavestrip import cli
+    shapes = []
+
+    def recorded(state, solver, observers=()):
+        shapes.append(state.W.shape)
+        return evolve(state, solver, observers)
+
+    monkeypatch.setattr(cli, "evolve", recorded)
+    return shapes
+
+
+def test_dispersion_stack_equals_one_run_per_k(tmp_path, monkeypatch):
+    # the ks run as one stack in one evolve call to the longest horizon,
+    # each sampled up to its own, and under the shell projection each onto
+    # its own shell: every row equals the run of that k alone
+    shapes = _evolve_shapes(monkeypatch)
+    for config, N in (({"grid": {"N": 32}}, 32),
+                      ({"solver": {"project_energy": True}}, 128),
+                      ({"grid": {"N": 32}, "solver": {
+                          "project_energy": True, "method": "rk4"}}, 32)):
+        rows = {}
+        for ks in ([1, 2, 5], [1], [2], [5]):
+            p = _write_config(tmp_path / "c.json",
+                              {**config, "experiment": {"ks": ks}})
+            out = tmp_path / "-".join(map(str, ks))
+            # plain rk4's phase bias fails the tolerance (exit 1) at N = 32
+            assert main(["dispersion", "--config", p, "--out",
+                         str(out)]) in (0, 1)
+            lines = (out / "dispersion.csv").read_text().splitlines()[1:]
+            rows[tuple(ks)] = lines
+        assert shapes[-4:] == [(3, N), (N,), (N,), (N,)]
+        assert rows[(1, 2, 5)] == rows[(1,)] + rows[(2,)] + rows[(5,)]
 
 
 @pytest.mark.parametrize("kind, experiment", [
     ("dispersion", {"ks": [1, 2]}),
     ("drift-scaling", {"T": 2.0}),
 ])
-def test_stacked_kinds_run_the_shell_projection_one_member_at_a_time(
-        tmp_path, kind, experiment):
-    # the invariant-shell projection takes one member, so the members run in
-    # turn; with it off they run as one stack
+def test_stacked_kinds_run_the_shell_projection_as_one_stack(
+        tmp_path, monkeypatch, kind, experiment):
+    # with the invariant-shell projection on or off, the members run as one
+    # stack in one evolve call, and the verdicts barely move
+    shapes = _evolve_shapes(monkeypatch)
     verdicts = []
     for project in (False, True):
         p = _write_config(tmp_path / "c.json", {
@@ -612,14 +644,15 @@ def test_stacked_kinds_run_the_shell_projection_one_member_at_a_time(
         assert main([kind, "--config", p, "--out", str(out)]) in (0, 1)
         doc = json.loads((out / "verdict.json").read_text())
         verdicts.append([v["measured"] for v in doc["verdicts"]])
+    assert shapes == [(2, 32), (2, 32)]
     assert np.allclose(verdicts[0], verdicts[1], rtol=2e-2)
 
 
 def test_stack_abort_exits_2_with_a_one_member_snapshot(tmp_path, capsys,
                                                         monkeypatch):
-    # dispersion at N = 32 runs ks 1, 2, 5 for 162, 102 and 63 steps: after
-    # step 63 the stack holds k = 1 and k = 2, and member 1 (k = 2) fails at
-    # step 80, in the second leg of the run
+    # dispersion at N = 32 runs ks 1, 2, 5 as one stack for 162 steps (their
+    # own horizons are 162, 102 and 63), and member 1 (k = 2) fails at
+    # step 80
     from wavestrip import integrator
     real = integrator.rhs_full
     grid = make_grid(2 * np.pi, 32, 1.0)

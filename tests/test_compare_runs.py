@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -28,3 +29,24 @@ def test_difference_sizes_by_column_path_and_line():
         "numbers by up to 0.0e+00 (x)")
     assert how("out/a.csv", b"x\n1\n", b"x\n1,2\n") == "layout differs"
     assert how("final.snap", b"\xff\x00", b"\xfe\x00") == "binary or unparsable"
+
+
+def test_runs_include_the_extra_configs(monkeypatch):
+    # the plan's runs, then the projection on the stacked kinds (default N
+    # and rk4 at N = 32) and simulate at N = 100; loading bench/run.py puts
+    # bench on sys.path and stops bytecode writes, both undone afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    runs = compare_runs._runs(compare_runs._bench_run())
+    extra = [(kind, cfg) for label, kind, cfg in runs
+             if label.startswith("extra/")]
+    assert extra == list(compare_runs.EXTRA_RUNS)
+    assert len(runs) == 16 + len(extra)
+    for kind in ("dispersion", "drift-scaling"):
+        configs = [cfg for k, cfg in extra if k == kind]
+        assert [cfg["solver"] for cfg in configs] == [
+            {"project_energy": True},
+            {"project_energy": True, "method": "rk4"}]
+        assert [cfg.get("grid", {}).get("N") for cfg in configs] == [None, 32]
+    assert ("simulate", 100) in [(k, cfg.get("grid", {}).get("N"))
+                                 for k, cfg in extra]

@@ -62,6 +62,22 @@ def test_bmo_proxy_windows_divide_N(N, widths):
                       max(np.max(np.abs(low.real)), max(osc)), rtol=1e-13)
 
 
+def test_bmo_proxy_is_the_larger_part_not_the_sum():
+    # at h = 0.1 the low block holds |k| < 10: cos(x) is low, the k = 40
+    # oscillation high, and both parts are of comparable size
+    grid = make_grid(2 * np.pi, 128, 0.1)
+    x = grid.nodes
+    low, high = np.cos(x + 0.4), 0.8 * np.sin(40 * x + 0.3)
+    osc = max(np.abs(b - b.mean()).mean()
+              for w in (128, 64, 32, 16, 8, 4, 2)
+              for b in high.reshape(128 // w, w))
+    sup = np.max(np.abs(low))
+    assert 0.4 * sup < osc < sup
+    val = bmo_proxy(low + high, grid)
+    assert np.isclose(val, max(sup, osc), rtol=1e-13)
+    assert val < 0.8 * (sup + osc)
+
+
 def test_control_norms_zero_and_monotone(grid):
     z = np.zeros(grid.N, dtype=complex)
     from wavestrip.dynamics import DiagState

@@ -9,7 +9,6 @@ from wavestrip.holo import (
     project,
     project_spectrum,
     inner_h,
-    weighted_inner,
     norm_calH,
     pair_form,
     sobolev_weight,
@@ -116,10 +115,12 @@ def test_weighted_inner(grid, rng):
     u = random_trace(grid, rng)
     v = random_trace(grid, rng)
     ones = np.ones(grid.N)
-    assert np.isclose(weighted_inner(u, v, ones, grid), inner_h(u, v, grid),
-                      rtol=1e-12)
-    with pytest.raises(ValueError):
-        weighted_inner(u, v, 1j * ones, grid)
+    assert inner_h(u, v, grid, ones) == inner_h(u, v, grid)
+    w = 1.0 + 0.5 * np.cos(grid.nodes)
+    assert np.isclose(inner_h(u, v, grid, 2.0 * w),
+                      2.0 * inner_h(u, v, grid, w), rtol=1e-12)
+    with pytest.raises(ValueError, match="weight must be real"):
+        inner_h(u, v, grid, 1j * ones)
 
 
 def test_norm_calH(grid, rng):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from wavestrip.grid import make_grid, from_spectrum, to_spectrum
 from wavestrip.holo import (holo_from_real, holomorphy_residual, pair_form,
                             trace_parts)
 from wavestrip.conformal import SurfaceGraph, graph_to_holo
-from wavestrip.dynamics import (WaveState, energy, energy_gradient, momentum,
-                                momentum_gradient, rhs_full, stack_states,
-                                taylor_field)
+from wavestrip.dynamics import (InvalidState, WaveState, energy,
+                                energy_gradient, momentum, momentum_gradient,
+                                rhs_full, stack_states, taylor_field)
 from wavestrip.cli import _drift_profile
 from wavestrip import integrator
 from wavestrip.integrator import (
@@ -345,8 +347,47 @@ def test_stack_abort_carries_the_failing_members_last_good(monkeypatch,
     assert np.array_equal(last.Q, want.Q)
 
 
-def test_stack_refuses_the_shell_projection(grid):
-    stack = stack_states([small_state(grid), small_state(grid, eps=0.01)])
-    config = SolverConfig(dt=0.05, T_final=0.5, project_energy=True)
-    with pytest.raises(ValueError, match="single state, not a stack of 2"):
-        evolve(stack, config)
+@pytest.mark.parametrize("method", ["rk4", "ifrk4"])
+def test_projected_stack_matches_its_members_bit_for_bit(method):
+    # each member is projected onto the shell of its own initial energy and
+    # momentum, as when it runs alone
+    members = _stack_members(2 * np.pi, 1.0, 64)
+    dt = suggest_dt(members[0].grid, 1.0, 0.5)
+    config = SolverConfig(dt=dt, T_final=6 * dt, method=method,
+                          project_energy=True)
+    final, _ = evolve(stack_states(members), config)
+    for j, m in enumerate(members):
+        alone, _ = evolve(m, config)
+        assert np.array_equal(final.W[j], alone.W), j
+        assert np.array_equal(final.Q[j], alone.Q), j
+        assert not np.array_equal(
+            alone.W, evolve(m, replace(config, project_energy=False))[0].W)
+
+
+def test_projected_stack_abort_carries_the_failing_members_last_good(
+        monkeypatch):
+    members = _stack_members(2 * np.pi, 1.0, 64)
+    dt = suggest_dt(members[0].grid, 1.0, 0.5)
+    config = SolverConfig(dt=dt, T_final=10 * dt, method="ifrk4",
+                          project_energy=True)
+    want, _ = evolve(members[1], replace(config, T_final=2 * dt))
+    real = integrator._project_to_invariant_shell
+    calls = []
+
+    def project(state, E, I):
+        # three calls a step, in member order: the eighth is member 1 at
+        # step 3
+        calls.append(1)
+        if len(calls) == 8:
+            raise InvalidState("surface touched the bottom")
+        return real(state, E, I)
+
+    monkeypatch.setattr(integrator, "_project_to_invariant_shell", project)
+    with pytest.raises(StepAbort) as exc:
+        evolve(stack_states(members), config)
+    assert exc.value.step_index == 3
+    assert exc.value.reason == "surface touched the bottom"
+    last = exc.value.last_good
+    assert last.W.shape == (64,) and last.t == want.t
+    assert np.array_equal(last.W, want.W)
+    assert np.array_equal(last.Q, want.Q)

@@ -4,7 +4,7 @@ import pytest
 
 from wavestrip import normalform
 from wavestrip.grid import make_grid, deriv, to_spectrum
-from wavestrip.holo import holo_from_real, weighted_inner
+from wavestrip.holo import holo_from_real, inner_h
 from wavestrip.dynamics import WaveState, diag_of, scale_state
 from wavestrip.integrator import step_rk4
 from wavestrip.normalform import (
@@ -351,7 +351,7 @@ def test_weighted_form_matches_trilinear_route(grid):
     n = 1
     from wavestrip.grid import smooth_one_plus_T2
     wplus = -4.0 * n * bW.real + 0.5 * smooth_one_plus_T2(bW.real, grid)
-    direct = weighted_inner(bW, bW, wplus, grid)
+    direct = inner_h(bW, bW, grid, wplus)
 
     def sym(xi, eta, zeta):
         m = -4.0 * n + 0.5 / np.cosh(zeta) ** 2
@@ -602,6 +602,6 @@ def test_high_forms_n2_is_the_weighted_form(grid):
         bW = d.bW
         rd = deriv(d.R, grid)
         wminus = -8.0 * bW.real - 0.5 * smooth_one_plus_T2(bW.real, grid)
-        want = -weighted_inner(rd, inv_tilbert(deriv(rd, grid), grid),
-                               wminus, grid)
+        want = -inner_h(rd, inv_tilbert(deriv(rd, grid), grid), grid,
+                        wminus)
         assert np.isclose(high_forms(2, d)[1], want, rtol=1e-12, atol=0.0)

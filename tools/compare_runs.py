@@ -4,10 +4,11 @@
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories (the ones holding the
 ``wavestrip`` package) of the two trees.  Every (kind, config) pair of
-``bench/run.py``'s ``plan()``, for each workload at seeds 1 and 2, runs once
-per tree as a single-threaded ``python -m wavestrip.cli`` process in its own
-directory, which ends up holding the config, the run's output files and its
-combined stdout/stderr (``log.txt``).  Every file that differs between the
+``bench/run.py``'s ``plan()``, for each workload at seeds 1 and 2, and of
+``EXTRA_RUNS``, configs the plan never takes, runs once per tree as a
+single-threaded ``python -m wavestrip.cli`` process in its own directory,
+which ends up holding the config, the run's output files and its combined
+stdout/stderr (``log.txt``).  Every file that differs between the
 two trees, or exists in only one, is listed, as is every run whose exit
 status differs.  The exit status is 1 if anything differs and 0 otherwise.
 
@@ -33,6 +34,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 SEEDS = (1, 2)
 
+_PROJECT_RK4_32 = {"grid": {"N": 32},
+                   "solver": {"project_energy": True, "method": "rk4"}}
+# the invariant-shell projection on the stacked kinds, and simulate on a grid
+# that is not a power of 2
+EXTRA_RUNS = (
+    ("dispersion", {"solver": {"project_energy": True}}),
+    ("dispersion", _PROJECT_RK4_32),
+    ("drift-scaling", {"solver": {"project_energy": True}}),
+    ("drift-scaling", _PROJECT_RK4_32),
+    ("simulate", {"grid": {"N": 100},
+                  "init": {"surface_modes": [{"k": 1, "amplitude": 0.02}]},
+                  "solver": {"T_final": 5.0}}),
+)
+
 
 def _bench_run():
     """bench/run.py as a module (it imports its sibling ``tracer``)."""
@@ -46,12 +61,15 @@ def _bench_run():
 
 
 def _runs(bench) -> list:
-    """(label, kind, config) for every experiment of every workload and seed."""
+    """(label, kind, config) for every experiment of every workload and seed,
+    then for every extra run."""
     out = []
     for workload in bench.WORKLOADS:
         for seed in SEEDS:
             for i, (kind, cfg) in enumerate(bench.plan(workload, seed)):
                 out.append((f"{workload}-s{seed}/{i}-{kind}", kind, cfg))
+    for i, (kind, cfg) in enumerate(EXTRA_RUNS):
+        out.append((f"extra/{i}-{kind}", kind, cfg))
     return out
 
 
