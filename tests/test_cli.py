@@ -608,18 +608,20 @@ def test_dispersion_stack_equals_one_run_per_k(tmp_path, monkeypatch):
     # each sampled up to its own, and under the shell projection each onto
     # its own shell: every row equals the run of that k alone
     shapes = _evolve_shapes(monkeypatch)
-    for config, N in (({"grid": {"N": 32}}, 32),
-                      ({"solver": {"project_energy": True}}, 128),
-                      ({"grid": {"N": 32}, "solver": {
-                          "project_energy": True, "method": "rk4"}}, 32)):
+    # each config with its exit code: plain rk4's phase bias fails the
+    # tolerance (exit 1) at N = 32 for every k
+    for config, N, code in (
+            ({"grid": {"N": 32}}, 32, 0),
+            ({"solver": {"project_energy": True}}, 128, 0),
+            ({"grid": {"N": 32},
+              "solver": {"project_energy": True, "method": "rk4"}}, 32, 1)):
         rows = {}
         for ks in ([1, 2, 5], [1], [2], [5]):
             p = _write_config(tmp_path / "c.json",
                               {**config, "experiment": {"ks": ks}})
             out = tmp_path / "-".join(map(str, ks))
-            # plain rk4's phase bias fails the tolerance (exit 1) at N = 32
             assert main(["dispersion", "--config", p, "--out",
-                         str(out)]) in (0, 1)
+                         str(out)]) == code
             lines = (out / "dispersion.csv").read_text().splitlines()[1:]
             rows[tuple(ks)] = lines
         assert shapes[-4:] == [(3, N), (N,), (N,), (N,)]
