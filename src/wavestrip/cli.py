@@ -27,7 +27,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -60,9 +60,6 @@ ARTIFACTS = {
 }
 
 KINDS = tuple(ARTIFACTS)
-
-CSV_COLUMNS = ("t", "E_ham", "E_repr", "I", "E0", "E1_NF", "E13_high",
-               "taylor_min", "A_proxy", "B_proxy", "N1", "N2", "dt")
 
 OUT_ENV_VAR = "WAVESTRIP_OUT"
 
@@ -239,8 +236,10 @@ def write_snapshot(path: str, state: WaveState) -> None:
     Samples, not spectra, so that a write/read cycle returns the state bit
     for bit and, without the invariant-shell projection, a run continued
     from a snapshot matches an unbroken run; under it the continued run
-    takes its shell targets from the snapshot.
+    takes its shell targets from the snapshot.  A stack raises ValueError.
     """
+    if state.W.ndim != 1:
+        raise ValueError("a snapshot holds one state, not a stack")
     grid = state.grid
     header = {
         "L": grid.L, "N": grid.N, "g": state.g, "h": grid.h, "t": state.t,
@@ -288,8 +287,10 @@ def _write_table(path: str, header: str, rows) -> None:
 
 
 def write_series_csv(path: str, records) -> None:
-    _write_table(path, ",".join(CSV_COLUMNS),
-                 ([getattr(r, c) for c in CSV_COLUMNS] for r in records))
+    from .diagnostics import DiagnosticsRecord
+    columns = [f.name for f in fields(DiagnosticsRecord)]
+    _write_table(path, ",".join(columns),
+                 ([getattr(r, c) for c in columns] for r in records))
 
 
 def _sha256(path: str) -> str:

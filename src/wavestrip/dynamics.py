@@ -309,7 +309,7 @@ def taylor_field(state: WaveState) -> tuple[np.ndarray, float, float, float]:
 
 
 def energy(state: WaveState) -> tuple[float, float]:
-    """Hamiltonian energy in both displayed forms (they agree analytically).
+    """Hamiltonian energy in both forms (equal analytically), per member.
 
     E = g/4 <W,W> - 1/4 <Q, T^{-1} Q_alpha> + cubic, with the cubic term
     either g/2 <W W_alpha, W> or g/2 integral (Im W)^2 Re W_alpha d alpha.
@@ -322,13 +322,13 @@ def energy(state: WaveState) -> tuple[float, float]:
             - 0.25 * inner_h(Qv, inv_tilbert(Qa, grid), grid))
     WWa = dealias(Wv * deriv(Wv, grid), grid)
     cubic_inner = 0.5 * g * inner_h(WWa, Wv, grid)
-    cubic_quad = 0.5 * g * float(
-        np.sum(Wv.imag ** 2 * deriv(Wv, grid).real) * grid.L / grid.N)
+    cubic_quad = 0.5 * g * (np.sum(Wv.imag ** 2 * deriv(Wv, grid).real,
+                                   axis=-1) * grid.L / grid.N)
     return quad + cubic_inner, quad + cubic_quad
 
 
 def momentum(state: WaveState) -> float:
-    """Horizontal momentum I = 1/2 <W, T^{-1} Q_alpha>."""
+    """Horizontal momentum I = 1/2 <W, T^{-1} Q_alpha>, per member."""
     grid = state.grid
     Qa = deriv(state.Q, grid)
     return 0.5 * inner_h(state.W, inv_tilbert(Qa, grid), grid)

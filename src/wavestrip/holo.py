@@ -144,25 +144,25 @@ def trace_parts(c: np.ndarray, grid: SpectralGrid):
     return 0.5 * (c + cc), -0.5j * (c - cc)
 
 
-def parseval_inner(u, v, w_re, w_im, grid: SpectralGrid) -> float:
+def parseval_inner(u, v, w_re, w_im, grid: SpectralGrid):
     """L Re sum_k [w_re Re-u_k conj(Re-v_k) + w_im Im-u_k conj(Im-v_k)].
 
     ``u`` and ``v`` are :func:`trace_parts` pairs.  With w_re = ``grid.tanh2``
     and w_im = 1 this is :func:`inner_h` by Parseval; with both weights
-    multiplied by ``grid.lh2`` it is <L_h u, L_h v>.
+    multiplied by ``grid.lh2`` it is <L_h u, L_h v>.  One value per member.
     """
-    return grid.L * float(np.vdot(v[0], w_re * u[0]).real
-                          + np.vdot(v[1], w_im * u[1]).real)
+    return grid.L * (np.vecdot(v[0], w_re * u[0]).real
+                     + np.vecdot(v[1], w_im * u[1]).real)
 
 
 def inner_h(u: np.ndarray, v: np.ndarray, grid: SpectralGrid,
-            weight=None) -> float:
+            weight=None):
     """Depth-adapted inner product on boundary traces.
 
     <u, v> = integral( T Re u . T Re v + Im u . Im v ) d alpha, by the grid's
-    trapezoidal (here: exact periodic) quadrature.  Blind to real constants.
-    A real ``weight`` (array or scalar) multiplies the integrand inside the
-    quadrature: <u, v>_weight.
+    trapezoidal (here: exact periodic) quadrature, one value per member of a
+    stack.  Blind to real constants.  A real ``weight`` (array or scalar)
+    multiplies the integrand inside the quadrature: <u, v>_weight.
     """
     tu = tilbert(u.real, grid)
     tv = tilbert(v.real, grid)
@@ -171,7 +171,7 @@ def inner_h(u: np.ndarray, v: np.ndarray, grid: SpectralGrid,
         if np.iscomplexobj(weight):
             raise ValueError("weight must be real")
         integrand = integrand * weight
-    return float(np.sum(integrand) * grid.L / grid.N)
+    return np.sum(integrand, axis=-1) * grid.L / grid.N
 
 
 def pair_form(p1, p2, g: float, grid: SpectralGrid) -> float:

@@ -17,9 +17,9 @@ After every step the holomorphic projection is re-applied to the fluctuating
 part of both fields (zero modes are gauge scalars and pass through
 untouched), so states remain exact holomorphic traces modulo their means.
 
-A step works on the last axis: a state holding a stack of B members takes
-the FFT calls of one member, and each row equals the single-member step bit
-for bit up to the stack size given in :mod:`wavestrip.grid`.
+A step and the shell projection work on the last axis: a stack of B members
+takes the FFT calls of one member, and each row equals the single-member
+result bit for bit up to the stack size given in :mod:`wavestrip.grid`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .grid import (SpectralGrid, dealias, dealias_band, deriv, from_spectrum,
                    tilbert, to_spectrum)
 from .holo import parseval_inner, project, project_spectrum, trace_parts
 from .dynamics import (InvalidState, WaveState, energy, momentum,
-                       require_valid, rhs_full, stack_states, unstack)
+                       require_valid, rhs_full, unstack)
 
 __all__ = [
     "SolverConfig",
@@ -263,8 +263,8 @@ def _shell_form(p1, p2, g: float, grid: SpectralGrid) -> float:
                                    grid))
 
 
-def _project_to_invariant_shell(state: WaveState, E_target: float,
-                                I_target: float) -> WaveState:
+def _project_to_invariant_shell(state: WaveState, E_target,
+                                I_target) -> WaveState:
     """Project onto the (energy, momentum) level set of the initial state.
 
     The periodization of the decaying-line equations carries zero-mode
@@ -291,7 +291,10 @@ def _project_to_invariant_shell(state: WaveState, E_target: float,
     three FFTs (W and W_alpha back for the validity rule and the cubic
     term, and their dealiased product).  Every iterate passes the validity
     rule, its Q checked through its spectrum, and the result is a new
-    :class:`~wavestrip.dynamics.WaveState`.
+    :class:`~wavestrip.dynamics.WaveState`.  A stack runs as one batch with
+    one target pair per member; each member stops on its own rule, so its
+    row equals its projection alone and a member that never moves keeps its
+    samples.
     """
     grid, g = state.grid, state.g
     cW, cQ = to_spectrum(state.W), to_spectrum(state.Q)
@@ -300,29 +303,35 @@ def _project_to_invariant_shell(state: WaveState, E_target: float,
     gE, gI = _shell_gradients(grid, g, cW, cQ, W, Wa, D)
     pE, pI = ([trace_parts(c, grid) for c in p] for p in (gE, gI))
     mEI = _shell_form(pE, pI, g, grid)
-    M = np.array([[_shell_form(pE, pE, g, grid), mEI],
-                  [mEI, _shell_form(pI, pI, g, grid)]])
-    tol = 1e-14 * max(abs(E_target), abs(I_target), 1e-300)
-    rhs = np.array([E_target - E, I_target - I])
-    moved = False
+    M = np.stack([_shell_form(pE, pE, g, grid), mEI, mEI,
+                  _shell_form(pI, pI, g, grid)], -1).reshape(E.shape + (2, 2))
+    target = np.array([E_target, I_target]).T  # one (E, I) row per member
+    tol = 1e-14 * np.maximum(np.abs(target).max(-1), 1e-300)
+    rhs = target - np.array([E, I]).T
+    live, moved = np.ones(E.shape, bool), np.zeros(E.shape, bool)
     for _ in range(4):
-        if np.max(np.abs(rhs)) < tol:
+        live &= ~(np.abs(rhs).max(-1) < tol) & (np.abs(M).max((-2, -1)) > 0)
+        if live.any():
+            live[live] = ~(np.linalg.cond(M[live]) > 1e12)
+        if not live.any():
             break
-        if not np.max(np.abs(M)) > 0 or np.linalg.cond(M) > 1e12:
-            break
-        ds = np.linalg.solve(M, rhs)
-        a, b = ds
-        cW = cW + a * gE[0] + b * gI[0]
-        cQ = cQ + a * gE[1] + b * gI[1]
+        ds = np.zeros_like(rhs)
+        ds[live] = np.linalg.solve(M[live], rhs[live][..., None])[..., 0]
+        a, b, on = ds[..., :1], ds[..., 1:], live[..., None]
+        cW = np.where(on, cW + a * gE[0] + b * gI[0], cW)
+        cQ = np.where(on, cQ + a * gE[1] + b * gI[1], cQ)
         W, Wa = from_spectrum(cW), from_spectrum(grid.ixi * cW)
         require_valid(grid, Wa, (cQ,), W)
-        moved = True
+        moved |= live
         E, I, D = _shell_invariants(grid, g, cW, cQ, W, Wa)
-        rhs = np.array([E_target - E, I_target - I])
-        M -= np.outer(rhs, ds) / (ds @ ds)
-    if not moved:
+        rhs = target - np.array([E, I]).T
+        dd = np.where(live, np.vecdot(ds, ds), 1.0)
+        M -= rhs[..., :, None] * ds[..., None, :] / dd[..., None, None]
+    if not moved.any():
         return state
-    return state.with_fields(W, from_spectrum(cQ), t=state.t)
+    keep = moved[..., None]
+    return state.with_fields(np.where(keep, W, state.W),
+                             np.where(keep, from_spectrum(cQ), state.Q))
 
 
 Observer = Callable[[int, float, WaveState], object]
@@ -336,23 +345,14 @@ def evolve(state: WaveState, config: SolverConfig,
     at the final step); any non-None return value is collected.  An invalid
     stage, new or projected state raises :class:`StepAbort` carrying the
     index and the last good state.  A stack of states evolves as one state,
-    with one call per operator; under ``project_energy`` each member is
-    projected on its own onto the shell of its own initial energy and
-    momentum, so each row equals that member's run alone, bit for bit as a
-    stacked step does.
+    with one call per operator, the shell projection included: under
+    ``project_energy`` each member is projected onto the shell of its own
+    initial energy and momentum, so each row equals that member's run
+    alone, bit for bit as a stacked step does.
     """
     records = []
-    targets = ([(energy(m)[0], momentum(m)) for m in unstack(state)]
+    targets = ((energy(state)[0], momentum(state))
                if config.project_energy else None)
-
-    def project(s):
-        out = []
-        for j, (m, target) in enumerate(zip(unstack(s), targets)):
-            try:
-                out.append(_project_to_invariant_shell(m, *target))
-            except InvalidState as exc:
-                raise InvalidState(str(exc), j) from None
-        return stack_states(out)
 
     def notify(i, s):
         for obs in observers:
@@ -366,11 +366,10 @@ def evolve(state: WaveState, config: SolverConfig,
         try:
             new = step_rk4(current, config.dt, config.method)
             if targets is not None:
-                new = project(new)
+                new = _project_to_invariant_shell(new, *targets)
         except InvalidState as exc:
-            last_good = (current if exc.member is None
-                         else unstack(current)[exc.member])
-            raise StepAbort(str(exc), i, last_good) from None
+            raise StepAbort(str(exc), i,
+                            unstack(current)[exc.member or 0]) from None
         current = new
         if i % config.observer_stride == 0 or i == config.n_steps:
             notify(i, current)

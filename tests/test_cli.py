@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ import pytest
 from wavestrip.grid import make_grid, to_spectrum
 from wavestrip.holo import holo_from_real
 from wavestrip.dynamics import WaveState
+from wavestrip.diagnostics import DiagnosticsRecord
 from wavestrip.integrator import SolverConfig, evolve, suggest_dt
 from wavestrip.cli import (
-    CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
     _drift_profile,
@@ -27,6 +28,9 @@ from wavestrip.cli import (
     write_series_csv,
 )
 from conftest import small_state
+
+# the ledger's columns are the ledger row's fields
+COLUMNS = [f.name for f in fields(DiagnosticsRecord)]
 
 
 def _write_config(path, data):
@@ -114,6 +118,17 @@ def test_snapshot_continues_a_run_bit_for_bit(tmp_path):
         assert np.array_equal(resumed.Q, straight.Q), (method, state.W.shape)
 
 
+def test_snapshot_refuses_a_stack(tmp_path, grid):
+    # its header would say N over the B N samples of a stack
+    from wavestrip.dynamics import stack_states
+    stack = stack_states([small_state(grid, eps=0.02),
+                          small_state(grid, eps=0.03)])
+    p = tmp_path / "a.snap"
+    with pytest.raises(ValueError, match="not a stack"):
+        write_snapshot(str(p), stack)
+    assert not p.exists()
+
+
 def test_snapshot_rejects_corruption(tmp_path, grid):
     state = small_state(grid, eps=0.02)
     p = tmp_path / "a.snap"
@@ -135,12 +150,12 @@ def test_series_csv_format(tmp_path):
         pass
 
     row = Row()
-    for i, c in enumerate(CSV_COLUMNS):
+    for i, c in enumerate(COLUMNS):
         setattr(row, c, float(i))
     p = tmp_path / "s.csv"
     write_series_csv(str(p), [row])
     lines = p.read_text().strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == ",".join(COLUMNS)
     assert lines[1].split(",")[0] == "0.0"
 
 
@@ -198,10 +213,10 @@ def test_simulate_off_unit_cell(tmp_path):
     out = tmp_path / "run"
     assert run_experiment(load_config(path, "simulate"), str(out)) == 0
     lines = (out / "series.csv").read_text().strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == ",".join(COLUMNS)
     assert len(lines) > 2
     for line in lines[1:]:
-        row = dict(zip(CSV_COLUMNS, map(float, line.split(","))))
+        row = dict(zip(COLUMNS, map(float, line.split(","))))
         for name, value in row.items():
             assert np.isfinite(value), name
 

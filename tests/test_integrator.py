@@ -7,9 +7,9 @@ from wavestrip.grid import make_grid, from_spectrum, to_spectrum
 from wavestrip.holo import (holo_from_real, holomorphy_residual, pair_form,
                             trace_parts)
 from wavestrip.conformal import SurfaceGraph, graph_to_holo
-from wavestrip.dynamics import (InvalidState, WaveState, energy,
-                                energy_gradient, momentum, momentum_gradient,
-                                rhs_full, stack_states, taylor_field)
+from wavestrip.dynamics import (WaveState, energy, energy_gradient, momentum,
+                                momentum_gradient, rhs_full, stack_states,
+                                taylor_field)
 from wavestrip.cli import _drift_profile
 from wavestrip import integrator
 from wavestrip.integrator import (
@@ -285,12 +285,14 @@ def test_stack_matches_its_members_bit_for_bit(L, h, N):
     stack = stack_states(members)
     dt = suggest_dt(stack.grid, 1.0, 0.5)
     rows = {"rhs_full": rhs_full(stack),
-            "taylor_field": taylor_field(stack)}
+            "taylor_field": taylor_field(stack),
+            "energy": energy(stack), "momentum": (momentum(stack),)}
     for method in ("rk4", "ifrk4"):
         s = step_rk4(stack, dt, method)
         rows[method] = (s.W, s.Q)
     for j, m in enumerate(members):
-        single = {"rhs_full": rhs_full(m), "taylor_field": taylor_field(m)}
+        single = {"rhs_full": rhs_full(m), "taylor_field": taylor_field(m),
+                  "energy": energy(m), "momentum": (momentum(m),)}
         for method in ("rk4", "ifrk4"):
             s = step_rk4(m, dt, method)
             single[method] = (s.W, s.Q)
@@ -372,14 +374,13 @@ def test_projected_stack_abort_carries_the_failing_members_last_good(
                           project_energy=True)
     want, _ = evolve(members[1], replace(config, T_final=2 * dt))
     real = integrator._project_to_invariant_shell
-    calls = []
 
     def project(state, E, I):
-        # three calls a step, in member order: the eighth is member 1 at
-        # step 3
-        calls.append(1)
-        if len(calls) == 8:
-            raise InvalidState("surface touched the bottom")
+        # at step 3, member 1's energy target is 100 times its own: its
+        # first iterate puts the surface below the bottom, which the
+        # projection's own validity check on the stacked iterate refuses
+        if 2.5 * dt < state.t < 3.5 * dt:
+            E = E * np.array([1.0, 100.0, 1.0])
         return real(state, E, I)
 
     monkeypatch.setattr(integrator, "_project_to_invariant_shell", project)
@@ -391,3 +392,32 @@ def test_projected_stack_abort_carries_the_failing_members_last_good(
     assert last.W.shape == (64,) and last.t == want.t
     assert np.array_equal(last.W, want.W)
     assert np.array_equal(last.Q, want.Q)
+
+
+def test_projected_stack_costs_the_ffts_of_one_member(monkeypatch):
+    # two projected ifrk4 steps at N = 256: the stack of three makes the
+    # transform calls of a single member
+    grid = make_grid(2 * np.pi, 256, 1.0)
+    members = [_drift_profile(eps, grid, 1.0) for eps in (0.05, 0.04, 0.03)]
+    dt = suggest_dt(grid, 1.0, 0.5)
+    config = SolverConfig(dt=dt, T_final=2 * dt, method="ifrk4",
+                          project_energy=True)
+    counts = [_count_ffts(monkeypatch, lambda: evolve(s, config))[1]
+              for s in (members[0], stack_states(members))]
+    assert counts == [364, 364]
+
+
+def test_shell_projection_of_a_stack_is_per_member():
+    # member 0 is on its own shell and keeps its samples; member 1 is off
+    # its shell and is moved as it is alone
+    on = _random_state(2 * np.pi, 1.0, seed=3)
+    s = _random_state(2 * np.pi, 1.0, seed=4)
+    off = s.with_fields(1.001 * s.W, 0.998 * s.Q)
+    E = np.array([energy(on)[0], energy(s)[0]])
+    I = np.array([momentum(on), momentum(s)])
+    p = integrator._project_to_invariant_shell(stack_states([on, off]), E, I)
+    assert integrator._project_to_invariant_shell(on, E[0], I[0]) is on
+    alone = integrator._project_to_invariant_shell(off, E[1], I[1])
+    assert alone is not off
+    assert np.array_equal(p.W[0], on.W) and np.array_equal(p.Q[0], on.Q)
+    assert np.array_equal(p.W[1], alone.W) and np.array_equal(p.Q[1], alone.Q)
