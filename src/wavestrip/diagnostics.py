@@ -12,7 +12,8 @@ are not part of any proof, and the proxy is sandwiched between
 Littlewood-Paley block bounds on band-limited data (verified in the tests).
 
 Sobolev ladders use the inhomogeneous weights <D>_h = sqrt(1 + h^2 xi^2)/h,
-which stay uniform in the infinite-depth limit.
+which stay uniform in the infinite-depth limit.  Every measurement of a
+stack of states is taken per member, on the last axis.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class DiagnosticsRecord:
 
     ``E_ham`` is the Hamiltonian-form energy and ``E_repr`` its
     representation-form evaluation; ``I`` the momentum; ``taylor_min`` the
-    pointwise minimum of g + frak-a.
+    pointwise minimum of g + frak-a.  For a stack every field but ``t`` and
+    ``dt`` holds one value per member.
     """
 
     t: float
@@ -63,7 +65,7 @@ class DiagnosticsRecord:
     def validate(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
-            if not np.isfinite(v):
+            if not np.all(np.isfinite(v)):
                 raise ValueError(f"non-finite diagnostic entry {f.name} = {v}")
 
 
@@ -87,12 +89,14 @@ def _dyadic_block_masks(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
     return tuple(masks)
 
 
-def _sup(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values))) if values.size else 0.0
+def _sup(values: np.ndarray):
+    return np.max(np.abs(values), axis=-1)
 
 
-def _l2(values: np.ndarray, grid: SpectralGrid) -> float:
-    return float(np.linalg.norm(values)) * np.sqrt(grid.L / grid.N)
+def _l2(v: np.ndarray, grid: SpectralGrid):
+    # np.linalg.norm's sum of one complex member, per member
+    return (np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+            * np.sqrt(grid.L / grid.N))
 
 
 def bmo_proxy(values: np.ndarray, grid: SpectralGrid) -> float:
@@ -110,15 +114,14 @@ def bmo_proxy(values: np.ndarray, grid: SpectralGrid) -> float:
     if np.isrealobj(values):
         low = low.real
         high = high.real
-    out = _sup(np.asarray(low))
+    out = _sup(low)
     n = grid.N
     width = n
     while width >= 2:
-        blocks = high.reshape(n // width, width)
-        means = blocks.mean(axis=1, keepdims=True)
-        osc = np.abs(blocks - means).mean(axis=1)
-        out_cand = float(np.max(osc))
-        out = max(out, out_cand)
+        blocks = high.reshape(high.shape[:-1] + (n // width, width))
+        means = blocks.mean(axis=-1, keepdims=True)
+        osc = np.abs(blocks - means).mean(axis=-1)
+        out = np.maximum(out, np.max(osc, axis=-1))
         if width % 2:
             break
         width //= 2
@@ -132,22 +135,19 @@ def _half_weight(values: np.ndarray, grid: SpectralGrid, s: float) -> np.ndarray
 
 def control_norms(diag: DiagState) -> tuple[float, float]:
     """Pointwise control-norm proxies (A_proxy, B_proxy) of a state."""
-    grid = diag.grid
-    g = diag.g
-    bW = diag.bW
-    R = diag.R
+    grid, g, bW, R = diag.grid, diag.g, diag.bW, diag.R
     Rh = _half_weight(R, grid, 0.5)
     # Besov B^{0,inf}_2 piece: largest dyadic-block L^2 norm
     c = to_spectrum(Rh)
     besov = 0.0
     for mask in _dyadic_block_masks(grid):
         block = from_spectrum(np.where(mask, c, 0.0))
-        besov = max(besov, _l2(block, grid))
+        besov = np.maximum(besov, _l2(block, grid))
     A = (_sup(bW) + _sup(bW / (1.0 + bW))
-         + g ** -0.5 * max(_sup(Rh), besov))
+         + g ** -0.5 * np.maximum(_sup(Rh), besov))
     B = (np.sqrt(g) * bmo_proxy(_half_weight(bW, grid, 0.5), grid)
          + bmo_proxy(_half_weight(R, grid, 1.0), grid))
-    return float(A), float(B)
+    return A, B
 
 
 def sobolev_Nn(diag: DiagState, n: int) -> float:
@@ -161,7 +161,7 @@ def sobolev_Nn(diag: DiagState, n: int) -> float:
     grid = diag.grid
     nw = sobolev_norm(diag.bW, n - 1.0, grid, base="l2")
     nr = sobolev_norm(diag.R, n - 0.5, grid, base="l2")
-    return float(np.sqrt(diag.g * nw ** 2 + nr ** 2))
+    return np.sqrt(diag.g * nw ** 2 + nr ** 2)
 
 
 def measure(state: WaveState, dt: float = 0.0) -> DiagnosticsRecord:

@@ -414,13 +414,13 @@ def _zero_mode_anomaly_energy(state: WaveState, Wa: np.ndarray) -> float:
     Wv = state.W
     TWa = tilbert(Wa, grid)
     arg = dealias(np.conj(Wv) * TWa, grid)
-    mu2 = np.mean(project(arg, grid, "holo"))
+    mu2 = np.mean(project(arg, grid, "holo"), axis=-1, keepdims=True)
     inner = (tilbert(dealias(Wv * Wa, grid), grid) - arg
              - dealias(tilbert(np.conj(Wv), grid) * Wa, grid))
     gerbil = (project(dealias(inner, grid), grid, "holo")
               - dealias(tilbert(Wv, grid) * Wa, grid))
-    gamma1 = np.mean(gerbil)
-    return 2.0 * float(np.real(gamma1 + mu2))
+    gamma1 = np.mean(gerbil, axis=-1, keepdims=True)
+    return 2.0 * np.real(gamma1 + mu2)
 
 
 def hamiltonian_vf(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
@@ -444,7 +444,8 @@ def hamiltonian_vf(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     # every pairing in the structure route is blind to additive constants in
     # Q, so the zero mode of the Q row is a convention, not a prediction;
     # take it from the evolution equations
-    return dW, dQ - np.mean(dQ) + np.mean(rhs_full(state)[1])
+    return dW, (dQ - np.mean(dQ, axis=-1, keepdims=True)
+                + np.mean(rhs_full(state)[1], axis=-1, keepdims=True))
 
 
 def momentum_vf(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
@@ -458,7 +459,7 @@ def momentum_vf(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     """
     frame = _frame(state)
     Wa, Qa, J = frame
-    m_r = float(np.mean((1.0 + np.conj(Wa)) / J).real) - 1.0
+    m_r = np.mean((1.0 + np.conj(Wa)) / J, axis=-1, keepdims=True).real - 1.0
     rw, rq = _structure(state, frame, momentum_gradient(state))
     return rw - m_r * (1.0 + Wa), rq - m_r * Qa
 
@@ -475,10 +476,9 @@ def skew_check(state: WaveState, X, Y) -> float:
 
     MX = structure_matrix_apply(state, X)
     MY = structure_matrix_apply(state, Y)
-    num = abs(form(MX, Y) + form(X, MY))
-    nX = np.sqrt(max(form(X, X), 0.0))
-    nY = np.sqrt(max(form(Y, Y), 0.0))
-    return num / (nX * nY) if nX * nY > 0 else num
+    num = np.abs(form(MX, Y) + form(X, MY))
+    nXY = np.sqrt(form(X, X)) * np.sqrt(form(Y, Y))
+    return num / np.where(nXY > 0, nXY, 1.0)
 
 
 def rhs_linearized(state: WaveState, pair) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,9 @@ shaped (B, N) goes through each operator in one call.  Its rows equal the
 single-field results bit for bit while a stacked array stays below numpy's
 256 KiB temporary-elision size (B N < 16384 complex samples); above it
 numpy evaluates some complex products in place, by another loop, and rows
-can move at round-off.  The real-output check of :func:`apply_multiplier`
-is taken over the whole stack.
+can move at round-off.  A row that reaches BLAS must be contiguous: BLAS
+sums a strided row by another kernel, also at round-off.  The real-output
+check of :func:`apply_multiplier` is taken over the whole stack.
 """
 
 from __future__ import annotations

@@ -207,7 +207,7 @@ def grid_sobolev_weight(grid: SpectralGrid, s: float) -> np.ndarray:
 
 def sobolev_norm(f: np.ndarray, s: float, grid: SpectralGrid,
                  base: str = "l2") -> float:
-    """Sobolev norm with the depth-uniform bracket weight.
+    """Sobolev norm with the depth-uniform bracket weight, per member.
 
     base='l2'   : || <D>^s f ||_{L^2}     (used for graph-side quantities)
     base='holo' : sqrt(<v, v>) with v = <D>^s f in the trace inner product
@@ -216,10 +216,10 @@ def sobolev_norm(f: np.ndarray, s: float, grid: SpectralGrid,
         raise ValueError("s must be nonnegative")
     c = to_spectrum(f) * grid_sobolev_weight(grid, s)
     if base == "l2":
-        return float(np.sqrt(grid.L * np.sum(np.abs(c) ** 2)))
+        return np.sqrt(grid.L * np.sum(np.abs(c) ** 2, axis=-1))
     if base == "holo":
         vf = from_spectrum(c)
-        return float(np.sqrt(max(inner_h(vf, vf, grid), 0.0)))
+        return np.sqrt(inner_h(vf, vf, grid))
     raise ValueError(f"unknown base {base!r}")
 
 

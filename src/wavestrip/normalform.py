@@ -24,7 +24,7 @@ The module has three layers:
 Every mode sum runs on one lattice, the modes (j, k) of the dealiased band
 with output mode -(j + k), and is one of two reductions: a Hankel-weighted
 form (the cubic energy, ``trilinear_eval``) or anti-diagonal sums over
-j + k (``nf_transform``).
+j + k (``nf_transform``).  Functions of a state act per member of a stack.
 
 Singular-line policy: the three lines xi = 0, eta = 0, zeta = 0 carry the
 resonances.  The seven symbols have one evaluation rule, ``_symbols``, for
@@ -367,14 +367,15 @@ def _band_index(grid: SpectralGrid, band: int) -> np.ndarray:
 
 def _band_coeffs(values: np.ndarray, grid: SpectralGrid, band: int) -> np.ndarray:
     """Spectrum entries for integer modes -band..band as index m + band."""
-    return to_spectrum(values)[_band_index(grid, band)]
+    # np.take keeps each member's row contiguous: BLAS sums it as if alone
+    return np.take(to_spectrum(values), _band_index(grid, band), axis=-1)
 
 
 def _band_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Inverse of :func:`_band_coeffs`: samples whose spectrum is ``coeffs``
     on the band and zero off it."""
-    c = np.zeros(grid.N, dtype=complex)
-    c[_band_index(grid, len(coeffs) // 2)] = coeffs
+    c = np.zeros(coeffs.shape[:-1] + (grid.N,), dtype=complex)
+    c[..., _band_index(grid, coeffs.shape[-1] // 2)] = coeffs
     return from_spectrum(c)
 
 
@@ -414,32 +415,34 @@ def _holo_symbol_grids(band: int, kappa: float) -> dict:
 _symbol_cache: dict = {}
 
 
-def _hankel_form(H: np.ndarray, S, c1: np.ndarray, c2: np.ndarray) -> float:
-    """Re sum_{j,k} S[j, k] H[j, k] c1[j] c2[k] as c1 @ ((S * H) @ c2).
+def _hankel_form(H: np.ndarray, S, c1: np.ndarray, c2: np.ndarray):
+    """Re sum_{j,k} S[j, k] H[j, k] c1[j] c2[k], one value per member.
 
-    H is the Hankel view (``sliding_window_view(weight, 2 band + 1)``) of a
-    weight over the output frequency m = j + k, -2 band .. 2 band.
+    H is the Hankel view (``sliding_window_view(weight, 2 band + 1, -1)``) of
+    a weight over the output frequency m = j + k, -2 band .. 2 band.  On one
+    member ``np.matvec`` and ``np.vecdot`` give the bits of ``@``.
     """
     # BLAS has no start-up cost here that einsum would avoid: the complex
-    # 171 x 171 mat-vec of N = 256 takes about 12 us by @ and 50-60 us by
+    # 171 x 171 mat-vec of N = 256 takes about 12 us by BLAS and 50-60 us by
     # einsum on a 2-core Xeon, with the thread variables set to 1 or unset
-    return float(np.real(c1 @ ((S * H) @ c2)))
+    return np.real(np.vecdot(np.conj(c1), np.matvec(S * H, c2)))
 
 
 def _antidiagonal_modes(P: np.ndarray) -> np.ndarray:
     """Output modes sum_{j + k = m} P[j, k] for |m| <= band, index m + band.
 
-    A skewed copy of P turns its anti-diagonals into columns.
+    A skewed copy of P turns its anti-diagonals (last two axes) into columns.
     """
-    size = len(P)
+    lead, size = P.shape[:-2], P.shape[-1]
     band = size // 2
-    skew = np.pad(P, ((0, 0), (0, size))).ravel()[:size * (2 * size - 1)]
-    return skew.reshape(size, 2 * size - 1).sum(axis=0)[band:3 * band + 1]
+    skew = np.pad(P, ((0, 0),) * (P.ndim - 1) + ((0, size),))
+    skew = skew.reshape(lead + (-1,))[..., :size * (2 * size - 1)]
+    return skew.reshape(lead + (size, -1)).sum(axis=-2)[..., band:3 * band + 1]
 
 
 def _conj_flip(coeffs: np.ndarray) -> np.ndarray:
     """conj(f^(-xi)) on the symmetric band array (index m + band)."""
-    return np.conj(coeffs[::-1])
+    return np.conj(coeffs[..., ::-1])
 
 
 def nf_transform(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
@@ -461,14 +464,16 @@ def nf_transform(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     g = state.g / lam
     band = dealias_band(grid)
     sym = _holo_symbol_grids(band, _kappa(grid))
-    w = _band_coeffs(Wv - np.mean(Wv), grid, band) / lam
-    q = _band_coeffs(Qv - np.mean(Qv), grid, band) / lam ** 2
-    wbar = _conj_flip(w)
-    qbar = _conj_flip(q)
-    dW = (sym["Bh"] * np.outer(w, w) + sym["Ch"] * np.outer(q, q) / g
-          + sym["Ba"] * np.outer(w, wbar) + sym["Ca"] * np.outer(q, qbar) / g)
-    dQ = (sym["Ah"] * np.outer(w, q) + sym["Aa"] * np.outer(w, qbar)
-          + sym["Da"] * np.outer(q, wbar))
+    w = _band_coeffs(Wv - np.mean(Wv, -1, keepdims=True), grid, band) / lam
+    q = _band_coeffs(Qv - np.mean(Qv, -1, keepdims=True), grid, band) / lam**2
+    # outer products on the last axis: columns times rows
+    wc, qc = w[..., None], q[..., None]
+    wr, qr, wbr, qbr = (a[..., None, :] for a in
+                        (w, q, _conj_flip(w), _conj_flip(q)))
+    dW = (sym["Bh"] * (wc * wr) + sym["Ch"] * (qc * qr) / g
+          + sym["Ba"] * (wc * wbr) + sym["Ca"] * (qc * qbr) / g)
+    dQ = (sym["Ah"] * (wc * qr) + sym["Aa"] * (wc * qbr)
+          + sym["Da"] * (qc * wbr))
     Wt = Wv + lam * _band_samples(_antidiagonal_modes(dW), grid)
     Qt = Qv + lam ** 2 * _band_samples(_antidiagonal_modes(dQ), grid)
     return Wt, Qt
@@ -633,19 +638,20 @@ def _preflip_cubic(n: int, w: np.ndarray, q: np.ndarray, g: float,
     band = dealias_band(grid)
     size = 2 * band + 1
     sym = _holo_symbol_grids(band, kappa)
-    cw = _band_coeffs(w - np.mean(w), grid, band) / lam
-    cq = _band_coeffs(q - np.mean(q), grid, band) / lam ** 2
+    cw = _band_coeffs(w - np.mean(w, -1, keepdims=True), grid, band) / lam
+    cq = _band_coeffs(q - np.mean(q, -1, keepdims=True), grid, band) / lam**2
     cwb = _conj_flip(cw)
     cqb = _conj_flip(cq)
     # output frequency zeta = -kappa m for m = j + k in -2 band .. 2 band,
     # and the flip defects conj(c^)(-zeta) - c^(zeta) along m, 0 off the band
     zeta = -kappa * np.arange(-2 * band, 2 * band + 1, dtype=float)
-    dw = np.pad((cwb - cw)[::-1], band)
-    dq = np.pad((cqb - cq)[::-1], band)
+    pad = ((0, 0),) * (cw.ndim - 1) + ((band, band),)
+    dw = np.pad((cwb - cw)[..., ::-1], pad)
+    dq = np.pad((cqb - cq)[..., ::-1], pad)
     with np.errstate(divide="ignore", invalid="ignore"):
         coth = np.where(zeta == 0.0, 0.0, 1.0 / np.tanh(zeta))
-    Hw = sliding_window_view(zeta ** (2 * n) * dw, size)
-    Hq = sliding_window_view(coth * zeta ** (2 * n + 1) * dq, size)
+    Hw = sliding_window_view(zeta ** (2 * n) * dw, size, -1)
+    Hq = sliding_window_view(coth * zeta ** (2 * n + 1) * dq, size, -1)
     B_val = (_hankel_form(Hw, sym["Bh"], cw, cw)
              + _hankel_form(Hw, sym["Ba"], cw, cwb))
     A_val = (_hankel_form(Hw, sym["Ch"], cq, cq)
@@ -668,11 +674,8 @@ def nf_energy(n: int, diag: DiagState) -> float:
     potentials (the division by (i xi)(i eta)(i zeta) is realized by
     feeding antiderivatives to the pre-flip double sums).
     """
-    grid = diag.grid
+    grid, g, bW, R = diag.grid, diag.g, diag.bW, diag.R
     dn = _rung(n, grid)
-    g = diag.g
-    bW = diag.bW
-    R = diag.R
     wd, rd = dn(bW), dn(R)
     quad = _E0(wd, rd, g, grid)
     RWd = dn(dealias(R * bW, grid))
@@ -692,10 +695,8 @@ def high_forms(n: int, diag: DiagState) -> tuple[float, float]:
             transfer term + 2 <W R_alpha, T^{-1} d R_alpha> cancel, since
             d R = R_alpha, so neither is evaluated.
     """
-    grid = diag.grid
+    grid, bW, R = diag.grid, diag.bW, diag.R
     dn = _rung(n, grid)
-    bW = diag.bW
-    R = diag.R
     smooth = smooth_one_plus_T2(bW.real, grid)
     wplus = -4.0 * n * bW.real + 0.5 * smooth
     wminus = -4.0 * n * bW.real - 0.5 * smooth
@@ -716,10 +717,8 @@ def cubic_energy_high(n: int, diag: DiagState) -> float:
     n = 1 the finite-depth correction
     E^(3),a = -2 <W, W^2> + 2 <R, W T^{-1} R_alpha> is added.
     """
-    grid = diag.grid
+    grid, bW, R = diag.grid, diag.bW, diag.R
     dn = _rung(n, grid)
-    bW = diag.bW
-    R = diag.R
     pair = (dn(bW), dn(R))
     omega = smooth_one_plus_T2(bW.real, grid)
     e2, e2w = model_energies(diag, pair, omega)

@@ -33,3 +33,19 @@ def small_state(grid, eps=0.02, g=1.0):
     Q = holo_from_real(eps * (0.4 * np.sin(k0 * x + 2.1)
                               + 0.25 * np.sin(3 * k0 * x + 0.4)), grid)
     return WaveState(grid, W, Q, g)
+
+
+def count_ffts(monkeypatch, fn):
+    """fn()'s result and its number of np.fft.fft and np.fft.ifft calls."""
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _fn=original, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    out = fn()
+    monkeypatch.undo()
+    return out, len(calls)

@@ -27,7 +27,7 @@ from wavestrip.cli import (
     write_snapshot,
     write_series_csv,
 )
-from conftest import small_state
+from conftest import count_ffts, small_state
 
 # the ledger's columns are the ledger row's fields
 COLUMNS = [f.name for f in fields(DiagnosticsRecord)]
@@ -663,6 +663,37 @@ def test_stacked_kinds_run_the_shell_projection_as_one_stack(
         verdicts.append([v["measured"] for v in doc["verdicts"]])
     assert shapes == [(2, 32), (2, 32)]
     assert np.allclose(verdicts[0], verdicts[1], rtol=2e-2)
+
+
+def test_drift_scaling_row_costs_the_ffts_of_one_member(tmp_path,
+                                                        monkeypatch):
+    # each observer row takes one nf_energy call on the whole 2-member stack,
+    # and a row of the stack at N = 128 makes the transform calls of a row of
+    # one member
+    from wavestrip import cli, normalform
+    seen, nf_shapes = {}, []
+    real_nf = normalform.nf_energy
+
+    def spy(state, solver, observers=()):
+        seen["state"], seen["obs"] = state, observers[0]
+        seen["final"], seen["rows"] = evolve(state, solver, observers)
+        return seen["final"], seen["rows"]
+
+    def nf_energy(n, diag):
+        nf_shapes.append(diag.bW.shape)
+        return real_nf(n, diag)
+
+    monkeypatch.setattr(cli, "evolve", spy)
+    monkeypatch.setattr(normalform, "nf_energy", nf_energy)
+    p = _write_config(tmp_path / "c.json", {"grid": {"N": 128}})
+    assert main(["drift-scaling", "--config", p, "--out",
+                 str(tmp_path / "run")]) == 0
+    assert nf_shapes == [(2, 128)] * len(seen["rows"])
+    final = seen["final"]
+    member = WaveState(final.grid, final.W[0], final.Q[0], final.g, final.t)
+    counts = [count_ffts(monkeypatch, lambda: seen["obs"](0, s.t, s))[1]
+              for s in (member, final)]
+    assert counts == [48, 48]
 
 
 def test_stack_abort_exits_2_with_a_one_member_snapshot(tmp_path, capsys,

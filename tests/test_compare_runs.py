@@ -33,8 +33,9 @@ def test_difference_sizes_by_column_path_and_line():
 
 def test_runs_include_the_extra_configs(monkeypatch):
     # the plan's runs, then the projection on the stacked kinds (default N
-    # and rk4 at N = 32) and simulate at N = 100; loading bench/run.py puts
-    # bench on sys.path and stops bytecode writes, both undone afterwards
+    # and rk4 at N = 32), simulate at N = 100 and drift-scaling on the
+    # (2 pi, 0.25) and (3, 1) cells; loading bench/run.py puts bench on
+    # sys.path and stops bytecode writes, both undone afterwards
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     runs = compare_runs._runs(compare_runs._bench_run())
@@ -43,10 +44,12 @@ def test_runs_include_the_extra_configs(monkeypatch):
     assert extra == list(compare_runs.EXTRA_RUNS)
     assert len(runs) == 16 + len(extra)
     for kind in ("dispersion", "drift-scaling"):
-        configs = [cfg for k, cfg in extra if k == kind]
+        configs = [cfg for k, cfg in extra if k == kind][:2]
         assert [cfg["solver"] for cfg in configs] == [
             {"project_energy": True},
             {"project_energy": True, "method": "rk4"}]
         assert [cfg.get("grid", {}).get("N") for cfg in configs] == [None, 32]
     assert ("simulate", 100) in [(k, cfg.get("grid", {}).get("N"))
                                  for k, cfg in extra]
+    assert [cfg for k, cfg in extra if k == "drift-scaling"][2:] == [
+        {"grid": {"h": 0.25}}, {"grid": {"L": 3.0}}]

@@ -19,7 +19,7 @@ from wavestrip.integrator import (
     step_rk4,
     evolve,
 )
-from conftest import random_trace, small_state
+from conftest import count_ffts, random_trace, small_state
 
 
 def test_solver_config_validation():
@@ -231,22 +231,6 @@ def test_shell_projection_lands_on_the_shell(L, h):
     assert p.t == moved.t and p.g == moved.g
 
 
-def _count_ffts(monkeypatch, fn):
-    """fn()'s result and its number of np.fft.fft and np.fft.ifft calls."""
-    calls = []
-    for name in ("fft", "ifft"):
-        original = getattr(np.fft, name)
-
-        def counted(*args, _fn=original, **kwargs):
-            calls.append(1)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    out = fn()
-    monkeypatch.undo()
-    return out, len(calls)
-
-
 def test_shell_projection_fft_budget(monkeypatch):
     # one projection call after an ifrk4 step at N = 256: 6 FFTs to set up,
     # 3 per Newton iterate and 3 for the result's WaveState
@@ -254,7 +238,7 @@ def test_shell_projection_fft_budget(monkeypatch):
     s0 = _drift_profile(0.05, grid, 1.0)
     E0, I0 = energy(s0)[0], momentum(s0)
     s = step_rk4(s0, suggest_dt(grid, 1.0, 0.5), "ifrk4")
-    p, count = _count_ffts(
+    p, count = count_ffts(
         monkeypatch, lambda: integrator._project_to_invariant_shell(s, E0, I0))
     assert p is not s
     assert count <= 20
@@ -310,8 +294,8 @@ def test_stacked_step_costs_the_ffts_of_one_member(monkeypatch):
     dt = suggest_dt(grid, 1.0, 0.5)
     for method, pinned in (("rk4", 108), ("ifrk4", 152)):
         for state in (members[0], stack):
-            _, count = _count_ffts(monkeypatch,
-                                   lambda: step_rk4(state, dt, method))
+            _, count = count_ffts(monkeypatch,
+                                  lambda: step_rk4(state, dt, method))
             assert count == pinned, (method, state.W.shape)
 
 
@@ -402,7 +386,7 @@ def test_projected_stack_costs_the_ffts_of_one_member(monkeypatch):
     dt = suggest_dt(grid, 1.0, 0.5)
     config = SolverConfig(dt=dt, T_final=2 * dt, method="ifrk4",
                           project_energy=True)
-    counts = [_count_ffts(monkeypatch, lambda: evolve(s, config))[1]
+    counts = [count_ffts(monkeypatch, lambda: evolve(s, config))[1]
               for s in (members[0], stack_states(members))]
     assert counts == [364, 364]
 

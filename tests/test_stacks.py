@@ -1,0 +1,106 @@
+"""Every function of a state acts per member of a stack.
+
+A stack of B members on one grid goes through each public function of
+``dynamics``, ``diagnostics`` and ``normalform`` that takes a ``WaveState``
+or a ``DiagState`` (and through ``holo.sobolev_norm``) in one call, and
+member j of the result is that member's own call, bit for bit.
+``stack_states`` and ``unstack`` build and split the stacks themselves
+(``test_dynamics::test_stack_and_unstack``).
+"""
+
+from dataclasses import fields, is_dataclass
+
+import numpy as np
+import pytest
+
+from wavestrip.grid import SpectralGrid, make_grid
+from wavestrip.holo import sobolev_norm
+from wavestrip import diagnostics as dg
+from wavestrip import dynamics as dy
+from wavestrip import normalform as nf
+from conftest import random_trace
+
+B = 3
+
+# name -> f(state, diag, extras); extras are (X, Y, omega): two (w, q)
+# pairs and a real weight, one of each per member
+CASES = {
+    "diag_of": lambda s, d, x: dy.diag_of(s),
+    "rhs_full": lambda s, d, x: dy.rhs_full(s),
+    "rhs_diag": lambda s, d, x: dy.rhs_diag(d),
+    "taylor_field": lambda s, d, x: dy.taylor_field(s),
+    "energy": lambda s, d, x: dy.energy(s),
+    "momentum": lambda s, d, x: dy.momentum(s),
+    "energy_gradient": lambda s, d, x: dy.energy_gradient(s),
+    "momentum_gradient": lambda s, d, x: dy.momentum_gradient(s),
+    "hamiltonian_vf": lambda s, d, x: dy.hamiltonian_vf(s),
+    "momentum_vf": lambda s, d, x: dy.momentum_vf(s),
+    "structure_matrix_apply": lambda s, d, x: dy.structure_matrix_apply(
+        s, x[0]),
+    "skew_check": lambda s, d, x: dy.skew_check(s, x[0], x[1]),
+    "rhs_linearized": lambda s, d, x: dy.rhs_linearized(s, x[0]),
+    "scale_state": lambda s, d, x: dy.scale_state(s, 2.0),
+    "model_energies": lambda s, d, x: dy.model_energies(d, x[0], x[2]),
+    "control_norms": lambda s, d, x: dg.control_norms(d),
+    "sobolev_Nn-1": lambda s, d, x: dg.sobolev_Nn(d, 1),
+    "sobolev_Nn-2": lambda s, d, x: dg.sobolev_Nn(d, 2),
+    "measure": lambda s, d, x: dg.measure(s, 0.1),
+    "nf_transform": lambda s, d, x: nf.nf_transform(s),
+    "nf_energy-1": lambda s, d, x: nf.nf_energy(1, d),
+    "nf_energy-2": lambda s, d, x: nf.nf_energy(2, d),
+    "high_forms-1": lambda s, d, x: nf.high_forms(1, d),
+    "high_forms-2": lambda s, d, x: nf.high_forms(2, d),
+    "cubic_energy_high-1": lambda s, d, x: nf.cubic_energy_high(1, d),
+    "cubic_energy_high-2": lambda s, d, x: nf.cubic_energy_high(2, d),
+    "sobolev_norm-l2": lambda s, d, x: sobolev_norm(s.W, 1.5, s.grid),
+    "sobolev_norm-holo": lambda s, d, x: sobolev_norm(s.Q, 0.5, s.grid,
+                                                      base="holo"),
+}
+
+def _leaves(value, path=""):
+    """(path, leaf) pairs of a result: arrays, scalars and grids."""
+    if isinstance(value, SpectralGrid):
+        yield path, value
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from _leaves(getattr(value, f.name), f.name)
+    elif isinstance(value, (tuple, list)):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, np.asarray(value)
+
+
+def _member(extras, j):
+    return ((extras[0][0][j], extras[0][1][j]),
+            (extras[1][0][j], extras[1][1][j]), extras[2][j])
+
+
+@pytest.mark.parametrize("cell", [(2 * np.pi, 1.0), (2 * np.pi, 0.25),
+                                  (3.0, 1.0)], ids=["2pi-1", "2pi-0.25", "3-1"])
+@pytest.mark.parametrize("name", list(CASES))
+def test_stack_equals_its_members(name, cell):
+    L, h = cell
+    grid = make_grid(L, 64, h)
+    rng = np.random.default_rng(7)
+    scale = 0.02 * min(h, 1.0)
+
+    def traces():
+        return np.stack([random_trace(grid, rng, scale=scale)
+                         for _ in range(B)])
+
+    stack = dy.WaveState(grid, traces(), traces(), 1.0, t=0.5)
+    extras = ((traces(), traces()), (traces(), traces()),
+              1.0 + traces().real)
+    fn = CASES[name]
+    got = list(_leaves(fn(stack, dy.diag_of(stack), extras)))
+    for j, m in enumerate(dy.unstack(stack)):
+        want = list(_leaves(fn(m, dy.diag_of(m), _member(extras, j))))
+        assert [p for p, _ in got] == [p for p, _ in want]
+        for (path, a), (_, b) in zip(got, want):
+            if isinstance(b, SpectralGrid) or a.shape == b.shape:
+                # shared by the members: the grid, g, t, dt
+                assert np.all(a == b), (path, j)
+                continue
+            assert a.shape == (B,) + b.shape, (path, a.shape, b.shape)
+            assert np.array_equal(a[j], b), (path, j)

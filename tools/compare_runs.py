@@ -36,8 +36,9 @@ SEEDS = (1, 2)
 
 _PROJECT_RK4_32 = {"grid": {"N": 32},
                    "solver": {"project_energy": True, "method": "rk4"}}
-# the invariant-shell projection on the stacked kinds, and simulate on a grid
-# that is not a power of 2
+# the invariant-shell projection on the stacked kinds, simulate on a grid
+# that is not a power of 2, and drift-scaling on two cells whose unit-depth
+# image is not the default one (h = 0.25 and L = 3; their ranges fail)
 EXTRA_RUNS = (
     ("dispersion", {"solver": {"project_energy": True}}),
     ("dispersion", _PROJECT_RK4_32),
@@ -46,6 +47,8 @@ EXTRA_RUNS = (
     ("simulate", {"grid": {"N": 100},
                   "init": {"surface_modes": [{"k": 1, "amplitude": 0.02}]},
                   "solver": {"T_final": 5.0}}),
+    ("drift-scaling", {"grid": {"h": 0.25}}),
+    ("drift-scaling", {"grid": {"L": 3.0}}),
 )
 
 
