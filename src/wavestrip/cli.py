@@ -386,6 +386,25 @@ def _solver_config(config: ExperimentConfig, grid: SpectralGrid,
     return SolverConfig(**params)
 
 
+def _block_size(grid: SpectralGrid) -> int:
+    """States per stack of a taylor-audit or ledger block: 2048 samples, so
+    16 states at N = 128.
+
+    A block costs about what one state does.  B N stays far below the
+    B N < 16384 bound of wavestrip.grid, under which each row is bit for bit
+    its own call.
+    """
+    return max(1, 2048 // grid.N)
+
+
+# Most states per ledger block.  The ledger's (B, 2 band + 1, 2 band + 1)
+# Hankel temporaries grow as B N^2, as does the symbol-table build that sets
+# the heap's high-water mark before them.  The peak RSS of a simulate run
+# rises at most 2 MB with B <= 4 at N = 128 to 1024, but 4 to 45 MB with
+# B = 8 at N = 256 to 1024.
+_LEDGER_BLOCK_CAP = 4
+
+
 # ---------------------------------------------------------------------------
 # experiment kinds
 
@@ -406,8 +425,26 @@ def _run_simulate(config: ExperimentConfig, out_dir: str) -> list:
         project_energy=config.solver.get("project_energy", True))
     write_snapshot(os.path.join(out_dir, "initial.snap"), state)
     from .diagnostics import drift_report, measure
-    final, records = evolve(state, solver,
-                            [lambda i, t, s: measure(s, dt=solver.dt)])
+    block = min(_LEDGER_BLOCK_CAP, _block_size(grid))
+    pending, records = [], []
+
+    def flush():
+        # one ledger call on the kept states as a stack; each row keeps its
+        # own state's t
+        stack = WaveState(grid, np.stack([s.W for s in pending]),
+                          np.stack([s.Q for s in pending]), state.g)
+        records.extend(measure(stack, dt=solver.dt).rows(
+            [s.t for s in pending]))
+        pending.clear()
+
+    def obs(i, t, s):
+        pending.append(s)
+        if len(pending) == block:
+            flush()
+
+    final, _ = evolve(state, solver, [obs])
+    if pending:
+        flush()
     write_snapshot(os.path.join(out_dir, "final.snap"), final)
     write_series_csv(os.path.join(out_dir, "series.csv"), records)
     drift = drift_report(records)
@@ -510,12 +547,6 @@ def _random_states(rng, grid: SpectralGrid, g: float, n_modes: int,
     return WaveState(grid, W, Q, g)
 
 
-# States per taylor-audit stack: a block of 16 costs about what one state
-# does, while one stack of all 500 default states would take some 20 MiB
-# (and, past 256 KiB per array, move rows at round-off; see wavestrip.grid).
-_AUDIT_BLOCK = 16
-
-
 def _run_taylor_audit(config: ExperimentConfig, out_dir: str) -> list:
     from .dynamics import taylor_field
     grid = config.make_grid()
@@ -523,10 +554,11 @@ def _run_taylor_audit(config: ExperimentConfig, out_dir: str) -> list:
     rng = np.random.default_rng(config.seed)
     worst_margin = np.inf
     n = exp["n_states"]
-    for start in range(0, n, _AUDIT_BLOCK):
+    size = _block_size(grid)
+    for start in range(0, n, size):
         block = _random_states(rng, grid, config.g, exp["modes"],
                                exp["c_min"], exp["c_max"],
-                               min(_AUDIT_BLOCK, n - start))
+                               min(size, n - start))
         _, tmin, c, bound = taylor_field(block)
         margin = tmin - (bound - exp["slack"] * config.g)
         worst_margin = min(worst_margin, float(np.min(margin)))

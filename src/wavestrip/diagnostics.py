@@ -18,7 +18,7 @@ stack of states is taken per member, on the last axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -45,7 +45,7 @@ class DiagnosticsRecord:
     ``E_ham`` is the Hamiltonian-form energy and ``E_repr`` its
     representation-form evaluation; ``I`` the momentum; ``taylor_min`` the
     pointwise minimum of g + frak-a.  For a stack every field but ``t`` and
-    ``dt`` holds one value per member.
+    ``dt`` holds one value per member; :meth:`rows` splits it.
     """
 
     t: float
@@ -63,10 +63,24 @@ class DiagnosticsRecord:
     dt: float
 
     def validate(self) -> None:
+        """Raise ValueError, on one line, at the first non-finite entry (and,
+        in a stack, the first non-finite member of it)."""
         for f in fields(self):
             v = getattr(self, f.name)
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"non-finite diagnostic entry {f.name} = {v}")
+            bad = ~np.isfinite(v)
+            if np.any(bad):
+                j = int(np.argmax(bad))
+                where = f" (member {j})" if np.ndim(v) else ""
+                raise ValueError(f"non-finite diagnostic entry {f.name} = "
+                                 f"{np.ravel(v)[j]}{where}")
+
+    def rows(self, ts) -> list:
+        """One single-state record per member of a stacked record; member j
+        takes the time ``ts[j]``."""
+        split = [f.name for f in fields(self) if f.name not in ("t", "dt")]
+        return [replace(self, t=t, **{name: getattr(self, name)[j]
+                                      for name in split})
+                for j, t in enumerate(ts)]
 
 
 @lru_cache(maxsize=16)
@@ -161,7 +175,13 @@ def sobolev_Nn(diag: DiagState, n: int) -> float:
     grid = diag.grid
     nw = sobolev_norm(diag.bW, n - 1.0, grid, base="l2")
     nr = sobolev_norm(diag.R, n - 0.5, grid, base="l2")
-    return np.sqrt(diag.g * nw ** 2 + nr ** 2)
+    return np.sqrt(diag.g * _pow2(nw) + _pow2(nr))
+
+
+# x ** 2 of a float64 scalar is libm's pow(x, 2), of an array x * x; the two
+# differ in the last bit for about 1 value in 1200, so each member of a stack
+# is squared as a single-member call squares it
+_pow2 = np.vectorize(lambda v: v ** 2, otypes=[float])
 
 
 def measure(state: WaveState, dt: float = 0.0) -> DiagnosticsRecord:

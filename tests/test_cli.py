@@ -756,3 +756,165 @@ def test_taylor_audit_memory_is_blocked(tmp_path):
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
     assert verdicts[0].passed
+
+
+def _spy_simulate(tmp_path, monkeypatch, data, name="run"):
+    """Run ``simulate`` on ``data``; returns its exit code, its run directory
+    and every state its ledger was handed, with the step size."""
+    from wavestrip import cli
+    seen = []
+
+    def spy(state, solver, observers=()):
+        def keep(i, t, s):
+            seen.append((s, solver.dt))
+            return observers[0](i, t, s)
+        return evolve(state, solver, [keep])
+
+    monkeypatch.setattr(cli, "evolve", spy)
+    p = _write_config(tmp_path / f"{name}.json", data)
+    out = tmp_path / name
+    code = main(["simulate", "--config", p, "--out", str(out)])
+    monkeypatch.undo()
+    return code, out, seen
+
+
+@pytest.mark.parametrize("grid, T, rows", [
+    # the ledger workload's grid and horizon: 133 rows, 33 x 4 + 1
+    ({"N": 256}, 20.0, 133),
+    ({"N": 100}, 5.0, 22),
+    ({"N": 128, "L": 4 * np.pi, "h": 0.5}, 5.0, 17),
+])
+def test_blocked_ledger_equals_one_measure_call_per_row(tmp_path, monkeypatch,
+                                                        grid, T, rows):
+    # the ledger measures its states in blocks of 4; each row is bit for bit
+    # the row of one measure call on its own state, the partial last block
+    # included
+    from wavestrip import diagnostics
+    sizes = []
+    real = diagnostics.measure
+
+    def measure(s, dt=0.0):
+        sizes.append(s.W.shape[0])
+        return real(s, dt=dt)
+
+    monkeypatch.setattr(diagnostics, "measure", measure)
+    code, out, seen = _spy_simulate(tmp_path, monkeypatch, {
+        "grid": grid,
+        "init": {"surface_modes": [{"k": 1, "amplitude": 0.02},
+                                   {"k": 2, "amplitude": 0.005}],
+                 "velocity_modes": [{"k": 1, "amplitude": 0.005}]},
+        "solver": {"T_final": T}})
+    assert code == 0
+    assert len(seen) == rows
+    assert sizes == [4] * (rows // 4) + [rows % 4]
+    write_series_csv(str(tmp_path / "single.csv"),
+                     [real(s, dt=dt) for s, dt in seen])
+    assert ((out / "series.csv").read_bytes()
+            == (tmp_path / "single.csv").read_bytes())
+
+
+def _measure_spy(monkeypatch, calls):
+    """Patch diagnostics.measure to note, per call, its stack size, the FFT
+    calls it makes and whether evolve is still running."""
+    from wavestrip import cli, diagnostics
+    real_measure, real_evolve = diagnostics.measure, cli.evolve
+    state = {"evolving": False, "inside": False, "ffts": 0}
+    for fft_name in ("fft", "ifft"):
+        original = getattr(np.fft, fft_name)
+
+        def counted(*args, _fn=original, **kwargs):
+            state["ffts"] += state["inside"]
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, fft_name, counted)
+
+    def measure(s, dt=0.0):
+        state["inside"], state["ffts"] = True, 0
+        try:
+            return real_measure(s, dt=dt)
+        finally:
+            state["inside"] = False
+            calls.append((s.W.shape[0], state["ffts"], state["evolving"]))
+
+    def evolve_(*args, **kwargs):
+        state["evolving"] = True
+        try:
+            return real_evolve(*args, **kwargs)
+        finally:
+            state["evolving"] = False
+
+    monkeypatch.setattr(diagnostics, "measure", measure)
+    monkeypatch.setattr(cli, "evolve", evolve_)
+
+
+def test_simulate_ledger_costs_the_ffts_of_one_measure_call_per_block(
+        tmp_path, monkeypatch):
+    # 21 rows at N = 256 are six blocks (five of 4, then 1): six measure
+    # calls, each with the FFT calls of one call on one state
+    from wavestrip.diagnostics import measure
+    calls = []
+    _measure_spy(monkeypatch, calls)
+    p = _write_config(tmp_path / "c.json", {
+        "grid": {"N": 256},
+        "init": {"surface_modes": [{"k": 1, "amplitude": 0.02}]},
+        "solver": {"T_final": 3.0}})
+    assert main(["simulate", "--config", p, "--out",
+                 str(tmp_path / "run")]) == 0
+    monkeypatch.undo()
+    lines = (tmp_path / "run" / "series.csv").read_text().splitlines()
+    rows = len(lines) - 1
+    assert rows == 21
+    final = read_snapshot(str(tmp_path / "run" / "final.snap"))
+    one = count_ffts(monkeypatch, lambda: measure(final))[1]
+    assert one > 0
+    assert sum(ffts for _, ffts, _ in calls) == -(-rows // 4) * one
+
+
+def test_ledger_memory_is_bounded_for_any_horizon(tmp_path, monkeypatch):
+    # the ledger keeps at most one block of states: 27 rows (more than 2
+    # blocks of 4) are measured in stacks of at most 4, and the full blocks
+    # while evolve runs, not all at its end; N = 64 would allow blocks of 32
+    # by the sample count alone
+    calls = []
+    _measure_spy(monkeypatch, calls)
+    p = _write_config(tmp_path / "c.json", {
+        "grid": {"N": 64},
+        "init": {"surface_modes": [{"k": 1, "amplitude": 0.02}]},
+        "solver": {"T_final": 8.0}})
+    assert main(["simulate", "--config", p, "--out",
+                 str(tmp_path / "run")]) == 0
+    monkeypatch.undo()
+    sizes = [size for size, _, _ in calls]
+    assert sizes == [4] * 6 + [3]
+    assert [evolving for _, _, evolving in calls] == [True] * 6 + [False]
+
+
+def test_non_finite_ledger_entry_exits_2_with_one_error_line(
+        tmp_path, capsys, monkeypatch):
+    # member 1 of the second block (the row of step 5) has a non-finite
+    # E1_NF: it surfaces when that block is measured, after step 7, as one
+    # error line and exit 2, with no series or verdict
+    from wavestrip import normalform
+    real_nf = normalform.nf_energy
+    calls = []
+
+    def nf_energy(n, diag):
+        out = real_nf(n, diag)
+        calls.append(diag.bW.shape)
+        if len(calls) == 2:
+            out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(normalform, "nf_energy", nf_energy)
+    code, out, seen = _spy_simulate(tmp_path, monkeypatch, {
+        "grid": {"N": 256},
+        "init": {"surface_modes": [{"k": 1, "amplitude": 0.02}]},
+        "solver": {"T_final": 3.0}})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err), err
+    assert err == ("error: non-finite diagnostic entry E1_NF = nan "
+                   "(member 1)\n")
+    assert calls == [(4, 256)] * 2 and len(seen) == 8
+    assert not (out / "series.csv").exists()
+    assert not (out / "verdict.json").exists()

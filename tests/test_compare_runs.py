@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import sys
 
@@ -33,8 +34,9 @@ def test_difference_sizes_by_column_path_and_line():
 
 def test_runs_include_the_extra_configs(monkeypatch):
     # the plan's runs, then the projection on the stacked kinds (default N
-    # and rk4 at N = 32), simulate at N = 100 and drift-scaling on the
-    # (2 pi, 0.25) and (3, 1) cells; loading bench/run.py puts bench on
+    # and rk4 at N = 32), simulate at N = 100, drift-scaling on the
+    # (2 pi, 0.25) and (3, 1) cells and simulate at N = 1024 on the
+    # (4 pi, 0.5) cell; loading bench/run.py puts bench on
     # sys.path and stops bytecode writes, both undone afterwards
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
@@ -49,7 +51,7 @@ def test_runs_include_the_extra_configs(monkeypatch):
             {"project_energy": True},
             {"project_energy": True, "method": "rk4"}]
         assert [cfg.get("grid", {}).get("N") for cfg in configs] == [None, 32]
-    assert ("simulate", 100) in [(k, cfg.get("grid", {}).get("N"))
-                                 for k, cfg in extra]
+    assert [cfg["grid"] for k, cfg in extra if k == "simulate"] == [
+        {"N": 100}, {"N": 1024, "L": 4 * math.pi, "h": 0.5}]
     assert [cfg for k, cfg in extra if k == "drift-scaling"][2:] == [
         {"grid": {"h": 0.25}}, {"grid": {"L": 3.0}}]

@@ -113,3 +113,21 @@ def test_drift_report():
     assert drift["I"] == 0.0
     with pytest.raises(ValueError):
         drift_report([])
+
+
+def test_record_rows_split_a_stack():
+    # each row holds its member's values and its own t; dt is shared
+    values = {name: np.array([v, 2 * v]) for name, v in
+              vars(_record()).items() if name not in ("t", "dt")}
+    rows = _record(**values).rows([0.5, 0.75])
+    assert rows == [_record(t=0.5), _record(t=0.75, **{
+        name: 2 * v[0] for name, v in values.items()})]
+
+
+def test_record_validate_names_the_member_on_one_line():
+    with pytest.raises(ValueError) as exc:
+        _record(N1=np.array([1.0, np.inf, np.nan])).validate()
+    assert str(exc.value) == "non-finite diagnostic entry N1 = inf (member 1)"
+    with pytest.raises(ValueError) as exc:
+        _record(E_ham=np.nan).validate()
+    assert str(exc.value) == "non-finite diagnostic entry E_ham = nan"

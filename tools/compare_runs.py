@@ -37,8 +37,10 @@ SEEDS = (1, 2)
 _PROJECT_RK4_32 = {"grid": {"N": 32},
                    "solver": {"project_energy": True, "method": "rk4"}}
 # the invariant-shell projection on the stacked kinds, simulate on a grid
-# that is not a power of 2, and drift-scaling on two cells whose unit-depth
-# image is not the default one (h = 0.25 and L = 3; their ranges fail)
+# that is not a power of 2, drift-scaling on two cells whose unit-depth
+# image is not the default one (h = 0.25 and L = 3; their ranges fail), and
+# simulate at N = 1024 off the unit cell, whose 15 ledger rows are measured
+# in blocks of 2 and a last block of 1
 EXTRA_RUNS = (
     ("dispersion", {"solver": {"project_energy": True}}),
     ("dispersion", _PROJECT_RK4_32),
@@ -49,6 +51,9 @@ EXTRA_RUNS = (
                   "solver": {"T_final": 5.0}}),
     ("drift-scaling", {"grid": {"h": 0.25}}),
     ("drift-scaling", {"grid": {"L": 3.0}}),
+    ("simulate", {"grid": {"N": 1024, "L": 12.566370614359172, "h": 0.5},
+                  "init": {"surface_modes": [{"k": 1, "amplitude": 0.02}]},
+                  "solver": {"T_final": 1.5}}),
 )
 
 
