@@ -387,22 +387,48 @@ def _solver_config(config: ExperimentConfig, grid: SpectralGrid,
 
 
 def _block_size(grid: SpectralGrid) -> int:
-    """States per stack of a taylor-audit or ledger block: 2048 samples, so
-    16 states at N = 128.
+    """States per stacked evaluation: 4096 samples, so 32 states at N = 128,
+    16 at N = 256 and 4 at N = 1024.
 
-    A block costs about what one state does.  B N stays far below the
-    B N < 16384 bound of wavestrip.grid, under which each row is bit for bit
-    its own call.
+    taylor-audit's random states, the simulate ledger and the drift-scaling
+    observer take their blocks by this one rule.  A block costs about what
+    one state does, and no temporary of the ledger grows as B N^2: the
+    normal-form routines take one member at a time.  ``tools/ledger_probe.py``
+    times a ledger row and its memory against B: at 4096 samples rather
+    than 2048 a row costs 1.25 ms against 1.69 ms at N = 256 and 0.58
+    against 0.68 ms at N = 128, while 8192 gains nothing more at N = 256
+    (medians of three runs on a shared 2-core host).  B N stays below the
+    B N < 16384 bound of wavestrip.grid, under which each row is bit for
+    bit its own call.
     """
-    return max(1, 2048 // grid.N)
+    return max(1, 4096 // grid.N)
 
 
-# Most states per ledger block.  The ledger's (B, 2 band + 1, 2 band + 1)
-# Hankel temporaries grow as B N^2, as does the symbol-table build that sets
-# the heap's high-water mark before them.  The peak RSS of a simulate run
-# rises at most 2 MB with B <= 4 at N = 128 to 1024, but 4 to 45 MB with
-# B = 8 at N = 256 to 1024.
-_LEDGER_BLOCK_CAP = 4
+def _blocked(grid: SpectralGrid, g: float, evaluate) -> tuple:
+    """An observer that keeps the states it is handed and evaluates them a
+    block at a time, and the ``flush`` that evaluates what is left.
+
+    Once the kept members number ``_block_size(grid)`` or more,
+    ``evaluate(stack, ts)`` gets them as one stack, in the order they came
+    (a stacked observation member by member), with each member's time.  An
+    observation is never split between blocks, so at most one block (or
+    one observation, if that is larger) is held for any horizon.
+    """
+    kept = []
+
+    def flush():
+        if kept:
+            stack = WaveState(grid, np.concatenate([W for W, _, _ in kept]),
+                              np.concatenate([Q for _, Q, _ in kept]), g)
+            evaluate(stack, [t for W, _, t in kept for _ in W])
+            kept.clear()
+
+    def obs(i, t, s):
+        kept.append((s.W.reshape(-1, grid.N), s.Q.reshape(-1, grid.N), t))
+        if sum(len(W) for W, _, _ in kept) >= _block_size(grid):
+            flush()
+
+    return obs, flush
 
 
 # ---------------------------------------------------------------------------
@@ -425,26 +451,12 @@ def _run_simulate(config: ExperimentConfig, out_dir: str) -> list:
         project_energy=config.solver.get("project_energy", True))
     write_snapshot(os.path.join(out_dir, "initial.snap"), state)
     from .diagnostics import drift_report, measure
-    block = min(_LEDGER_BLOCK_CAP, _block_size(grid))
-    pending, records = [], []
-
-    def flush():
-        # one ledger call on the kept states as a stack; each row keeps its
-        # own state's t
-        stack = WaveState(grid, np.stack([s.W for s in pending]),
-                          np.stack([s.Q for s in pending]), state.g)
-        records.extend(measure(stack, dt=solver.dt).rows(
-            [s.t for s in pending]))
-        pending.clear()
-
-    def obs(i, t, s):
-        pending.append(s)
-        if len(pending) == block:
-            flush()
-
+    records = []
+    # one ledger call per block of kept states; each row keeps its own t
+    obs, flush = _blocked(grid, state.g, lambda stack, ts: records.extend(
+        measure(stack, dt=solver.dt).rows(ts)))
     final, _ = evolve(state, solver, [obs])
-    if pending:
-        flush()
+    flush()
     write_snapshot(os.path.join(out_dir, "final.snap"), final)
     write_series_csv(os.path.join(out_dir, "series.csv"), records)
     drift = drift_report(records)
@@ -584,14 +596,20 @@ def _run_drift_scaling(config: ExperimentConfig, out_dir: str) -> list:
     solver = _solver_config(config, grid, T_final=exp["T"],
                             method=config.solver.get("method", "ifrk4"))
 
-    def obs(i, t, s):
-        d = diag_of(s)
-        return nf_energy(1, d), _E0(d.bW, d.R, g, grid)
+    blocks = []
 
-    _, rows = evolve(stack_states(states), solver, [obs])
-    rows = np.array(rows)
-    # per energy and member, the largest drift from the first row
-    nf, e0 = np.max(np.abs(rows - rows[0]), axis=0)
+    def energies(stack, ts):
+        # (energy, observation, member) of the block's observations
+        d = diag_of(stack)
+        blocks.append(np.reshape([nf_energy(1, d), _E0(d.bW, d.R, g, grid)],
+                                 (2, -1, len(states))))
+
+    obs, flush = _blocked(grid, g, energies)
+    evolve(stack_states(states), solver, [obs])
+    flush()
+    rows = np.concatenate(blocks, axis=1)
+    # per energy and member, the largest drift from the first observation
+    nf, e0 = np.max(np.abs(rows - rows[:, :1]), axis=1)
     nf_ratio = nf[0] / nf[1]
     e0_ratio = e0[0] / e0[1]
     return [_within("nf_drift_ratio", nf_ratio, *exp["nf_range"]),

@@ -62,25 +62,42 @@ class DiagnosticsRecord:
     N2: float
     dt: float
 
-    def validate(self) -> None:
-        """Raise ValueError, on one line, at the first non-finite entry (and,
-        in a stack, the first non-finite member of it)."""
+    def _non_finite(self) -> str:
+        """The first non-finite entry (and, in a stack, the first non-finite
+        member of it) on one line, or '' if every entry is finite."""
         for f in fields(self):
             v = getattr(self, f.name)
             bad = ~np.isfinite(v)
             if np.any(bad):
                 j = int(np.argmax(bad))
                 where = f" (member {j})" if np.ndim(v) else ""
-                raise ValueError(f"non-finite diagnostic entry {f.name} = "
-                                 f"{np.ravel(v)[j]}{where}")
+                return (f"non-finite diagnostic entry {f.name} = "
+                        f"{np.ravel(v)[j]}{where}")
+        return ""
+
+    def validate(self) -> None:
+        """Raise ValueError, on one line, at the first non-finite entry (and,
+        in a stack, the first non-finite member of it)."""
+        bad = self._non_finite()
+        if bad:
+            raise ValueError(bad)
 
     def rows(self, ts) -> list:
         """One single-state record per member of a stacked record; member j
-        takes the time ``ts[j]``."""
+        takes the time ``ts[j]``.
+
+        The earliest row with a non-finite entry raises ValueError, on one
+        line, naming that entry and the row's time.
+        """
         split = [f.name for f in fields(self) if f.name not in ("t", "dt")]
-        return [replace(self, t=t, **{name: getattr(self, name)[j]
-                                      for name in split})
-                for j, t in enumerate(ts)]
+        out = [replace(self, t=t, **{name: getattr(self, name)[j]
+                                     for name in split})
+               for j, t in enumerate(ts)]
+        for row in out:
+            bad = row._non_finite()
+            if bad:
+                raise ValueError(f"{bad} at t = {row.t}")
+        return out
 
 
 @lru_cache(maxsize=16)
@@ -188,7 +205,9 @@ def measure(state: WaveState, dt: float = 0.0) -> DiagnosticsRecord:
     """Full ledger row for a state, on any cell (L, h).
 
     ``E1_NF`` is the n = 1 normal-form energy and ``E13_high`` the n = 1
-    quasilinear modified energy.
+    quasilinear modified energy.  The record is not checked here: a
+    non-finite entry raises where the record is split into rows
+    (:meth:`DiagnosticsRecord.rows`) or checked by ``validate``.
     """
     from .dynamics import diag_of, energy, momentum, taylor_field
     from .normalform import nf_energy, cubic_energy_high, _E0
@@ -198,7 +217,7 @@ def measure(state: WaveState, dt: float = 0.0) -> DiagnosticsRecord:
     _, tmin, _, _ = taylor_field(state)
     A, B = control_norms(d)
     e0 = _E0(d.bW, d.R, state.g, state.grid)
-    rec = DiagnosticsRecord(
+    return DiagnosticsRecord(
         t=state.t,
         E_ham=e_ham,
         E_repr=e_repr,
@@ -213,8 +232,6 @@ def measure(state: WaveState, dt: float = 0.0) -> DiagnosticsRecord:
         N2=sobolev_Nn(d, 2),
         dt=dt,
     )
-    rec.validate()
-    return rec
 
 
 _CONSERVED = ("E_ham", "E_repr", "I")

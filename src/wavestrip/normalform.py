@@ -24,7 +24,9 @@ The module has three layers:
 Every mode sum runs on one lattice, the modes (j, k) of the dealiased band
 with output mode -(j + k), and is one of two reductions: a Hankel-weighted
 form (the cubic energy, ``trilinear_eval``) or anti-diagonal sums over
-j + k (``nf_transform``).  Functions of a state act per member of a stack.
+j + k (``nf_transform``).  Functions of a state act per member of a stack;
+the lattice reductions take one member at a time, so no temporary of
+theirs grows as B N^2.
 
 Singular-line policy: the three lines xi = 0, eta = 0, zeta = 0 carry the
 resonances.  The seven symbols have one evaluation rule, ``_symbols``, for
@@ -415,29 +417,44 @@ def _holo_symbol_grids(band: int, kappa: float) -> dict:
 _symbol_cache: dict = {}
 
 
+def _members(c: np.ndarray) -> np.ndarray:
+    """The members of a stack of vectors (last axis), one per row; a lone
+    vector is one row."""
+    return c.reshape((-1,) + c.shape[-1:])
+
+
 def _hankel_form(H: np.ndarray, S, c1: np.ndarray, c2: np.ndarray):
     """Re sum_{j,k} S[j, k] H[j, k] c1[j] c2[k], one value per member.
 
     H is the Hankel view (``sliding_window_view(weight, 2 band + 1, -1)``) of
-    a weight over the output frequency m = j + k, -2 band .. 2 band.  On one
-    member ``np.matvec`` and ``np.vecdot`` give the bits of ``@``.
+    a weight over the output frequency m = j + k, -2 band .. 2 band, and
+    has the members of c1 and c2.  Each member is its own expression
+    ``Re vecdot(conj(c1), matvec(S * H, c2))``, so it keeps the bits of a
+    single-member call, and the one temporary ``S * H`` is a (2 band + 1)^2
+    table whatever the stack's size.
     """
     # BLAS has no start-up cost here that einsum would avoid: the complex
     # 171 x 171 mat-vec of N = 256 takes about 12 us by BLAS and 50-60 us by
-    # einsum on a 2-core Xeon, with the thread variables set to 1 or unset
-    return np.real(np.vecdot(np.conj(c1), np.matvec(S * H, c2)))
+    # einsum on a 2-core Xeon, with the thread variables set to 1 or unset.
+    # Forming S * H costs more than the mat-vec: one member at a time it
+    # takes 55-85 us at N = 256, against 80-87 us a member when a 16-member
+    # stack formed all its tables at once
+    size = c1.shape[-1]
+    forms = [np.real(np.vecdot(np.conj(a), np.matvec(S * h, b)))
+             for h, a, b in zip(H.reshape((-1, size, size)), _members(c1),
+                                _members(c2))]
+    return np.reshape(forms, c1.shape[:-1])[()]
 
 
 def _antidiagonal_modes(P: np.ndarray) -> np.ndarray:
     """Output modes sum_{j + k = m} P[j, k] for |m| <= band, index m + band.
 
-    A skewed copy of P turns its anti-diagonals (last two axes) into columns.
+    A skewed copy of the square P turns its anti-diagonals into columns.
     """
-    lead, size = P.shape[:-2], P.shape[-1]
+    size = P.shape[-1]
     band = size // 2
-    skew = np.pad(P, ((0, 0),) * (P.ndim - 1) + ((0, size),))
-    skew = skew.reshape(lead + (-1,))[..., :size * (2 * size - 1)]
-    return skew.reshape(lead + (size, -1)).sum(axis=-2)[..., band:3 * band + 1]
+    skew = np.pad(P, ((0, 0), (0, size))).reshape(-1)[:size * (2 * size - 1)]
+    return skew.reshape(size, -1).sum(axis=0)[band:3 * band + 1]
 
 
 def _conj_flip(coeffs: np.ndarray) -> np.ndarray:
@@ -456,7 +473,9 @@ def nf_transform(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     poles at zero output frequency, and the periodic cell has no continuum
     of modes there to cancel them, so the symbol table is 0 on j + k = 0.
     The sums run in the cell's unit-depth image (module docstring); the
-    corrections scale back by h for W and h^2 for Q.
+    corrections scale back by h for W and h^2 for Q.  The kernels are built
+    one member at a time, so the (2 band + 1)^2 tables they take do not
+    grow with a stack's size.
     """
     grid = state.grid
     lam = grid.h
@@ -466,16 +485,20 @@ def nf_transform(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     sym = _holo_symbol_grids(band, _kappa(grid))
     w = _band_coeffs(Wv - np.mean(Wv, -1, keepdims=True), grid, band) / lam
     q = _band_coeffs(Qv - np.mean(Qv, -1, keepdims=True), grid, band) / lam**2
-    # outer products on the last axis: columns times rows
-    wc, qc = w[..., None], q[..., None]
-    wr, qr, wbr, qbr = (a[..., None, :] for a in
-                        (w, q, _conj_flip(w), _conj_flip(q)))
-    dW = (sym["Bh"] * (wc * wr) + sym["Ch"] * (qc * qr) / g
-          + sym["Ba"] * (wc * wbr) + sym["Ca"] * (qc * qbr) / g)
-    dQ = (sym["Ah"] * (wc * qr) + sym["Aa"] * (wc * qbr)
-          + sym["Da"] * (qc * wbr))
-    Wt = Wv + lam * _band_samples(_antidiagonal_modes(dW), grid)
-    Qt = Qv + lam ** 2 * _band_samples(_antidiagonal_modes(dQ), grid)
+    dW, dQ = np.empty_like(_members(w)), np.empty_like(_members(q))
+    for j, (wj, qj) in enumerate(zip(_members(w), _members(q))):
+        # outer products: columns times rows
+        wc, qc = wj[:, None], qj[:, None]
+        wr, qr, wbr, qbr = (a[None, :] for a in
+                            (wj, qj, _conj_flip(wj), _conj_flip(qj)))
+        dW[j] = _antidiagonal_modes(
+            sym["Bh"] * (wc * wr) + sym["Ch"] * (qc * qr) / g
+            + sym["Ba"] * (wc * wbr) + sym["Ca"] * (qc * qbr) / g)
+        dQ[j] = _antidiagonal_modes(
+            sym["Ah"] * (wc * qr) + sym["Aa"] * (wc * qbr)
+            + sym["Da"] * (qc * wbr))
+    Wt = Wv + lam * _band_samples(dW.reshape(w.shape), grid)
+    Qt = Qv + lam ** 2 * _band_samples(dQ.reshape(q.shape), grid)
     return Wt, Qt
 
 
@@ -627,7 +650,9 @@ def _preflip_cubic(n: int, w: np.ndarray, q: np.ndarray, g: float,
     coth(zeta) zeta^{2n+1} times that of q for the A and D sums.  Each
     weight is therefore one vector over j + k, read as a Hankel matrix H (a
     strided view, zero where |j + k| exceeds the band), and each sum is the
-    form c1 @ ((S * H) @ c2), :func:`_hankel_form`.
+    form c1 @ ((S * H) @ c2), :func:`_hankel_form`, taken one member of a
+    stack at a time: a sum holds one (2 band + 1)^2 table however many
+    members the stack has.
 
     The sums run in the cell's unit-depth image (module docstring); the
     cubic part of E^n has scaling degree 4 - 2n, so it scales back by

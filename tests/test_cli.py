@@ -667,33 +667,51 @@ def test_stacked_kinds_run_the_shell_projection_as_one_stack(
 
 def test_drift_scaling_row_costs_the_ffts_of_one_member(tmp_path,
                                                         monkeypatch):
-    # each observer row takes one nf_energy call on the whole 2-member stack,
-    # and a row of the stack at N = 128 makes the transform calls of a row of
-    # one member
+    # the observer keeps the 2-member rows and evaluates them in blocks of
+    # 32 states at N = 128 (16 rows), one nf_energy call a block, plus one
+    # for the remainder; a block makes the transform calls of one member's
+    # row
     from wavestrip import cli, normalform
+    from wavestrip.dynamics import diag_of
     seen, nf_shapes = {}, []
-    real_nf = normalform.nf_energy
+    real_nf, real_blocked = normalform.nf_energy, cli._blocked
 
     def spy(state, solver, observers=()):
-        seen["state"], seen["obs"] = state, observers[0]
-        seen["final"], seen["rows"] = evolve(state, solver, observers)
-        return seen["final"], seen["rows"]
+        out = evolve(state, solver, observers)
+        # the observer sees step 0 and every step after it
+        seen["final"], seen["rows"] = out[0], solver.n_steps + 1
+        return out
+
+    def blocked(grid, g, evaluate):
+        seen["evaluate"] = evaluate
+        return real_blocked(grid, g, evaluate)
 
     def nf_energy(n, diag):
         nf_shapes.append(diag.bW.shape)
         return real_nf(n, diag)
 
     monkeypatch.setattr(cli, "evolve", spy)
+    monkeypatch.setattr(cli, "_blocked", blocked)
     monkeypatch.setattr(normalform, "nf_energy", nf_energy)
     p = _write_config(tmp_path / "c.json", {"grid": {"N": 128}})
     assert main(["drift-scaling", "--config", p, "--out",
                  str(tmp_path / "run")]) == 0
-    assert nf_shapes == [(2, 128)] * len(seen["rows"])
+    rows = seen["rows"]
+    assert rows % 16
+    assert nf_shapes == [(32, 128)] * (rows // 16) + [(2 * (rows % 16), 128)]
     final = seen["final"]
     member = WaveState(final.grid, final.W[0], final.Q[0], final.g, final.t)
-    counts = [count_ffts(monkeypatch, lambda: seen["obs"](0, s.t, s))[1]
-              for s in (member, final)]
-    assert counts == [48, 48]
+    block = WaveState(final.grid, np.concatenate([final.W] * 16),
+                      np.concatenate([final.Q] * 16), final.g, final.t)
+
+    def one_member():
+        d = diag_of(member)
+        return real_nf(1, d), normalform._E0(d.bW, d.R, d.g, d.grid)
+
+    counts = [count_ffts(monkeypatch, one_member)[1]]
+    counts += [count_ffts(monkeypatch, lambda: seen["evaluate"](
+        s, [s.t] * len(s.W)))[1] for s in (final, block)]
+    assert counts == [48, 48, 48]
 
 
 def test_stack_abort_exits_2_with_a_one_member_snapshot(tmp_path, capsys,
@@ -779,17 +797,19 @@ def _spy_simulate(tmp_path, monkeypatch, data, name="run"):
 
 
 @pytest.mark.parametrize("grid, T, rows", [
-    # the ledger workload's grid and horizon: 133 rows, 33 x 4 + 1
+    # the ledger workload's grid and horizon: 133 rows, 8 x 16 + 5
     ({"N": 256}, 20.0, 133),
     ({"N": 100}, 5.0, 22),
     ({"N": 128, "L": 4 * np.pi, "h": 0.5}, 5.0, 17),
 ])
 def test_blocked_ledger_equals_one_measure_call_per_row(tmp_path, monkeypatch,
                                                         grid, T, rows):
-    # the ledger measures its states in blocks of 4; each row is bit for bit
-    # the row of one measure call on its own state, the partial last block
+    # the ledger measures its states in blocks of _block_size (16 at
+    # N = 256, 40 at N = 100, 32 at N = 128); each row is bit for bit the
+    # row of one measure call on its own state, the partial last block
     # included
     from wavestrip import diagnostics
+    from wavestrip.cli import _block_size
     sizes = []
     real = diagnostics.measure
 
@@ -806,7 +826,8 @@ def test_blocked_ledger_equals_one_measure_call_per_row(tmp_path, monkeypatch,
         "solver": {"T_final": T}})
     assert code == 0
     assert len(seen) == rows
-    assert sizes == [4] * (rows // 4) + [rows % 4]
+    block = _block_size(seen[0][0].grid)
+    assert sizes == [block] * (rows // block) + [rows % block]
     write_series_csv(str(tmp_path / "single.csv"),
                      [real(s, dt=dt) for s, dt in seen])
     assert ((out / "series.csv").read_bytes()
@@ -849,8 +870,8 @@ def _measure_spy(monkeypatch, calls):
 
 def test_simulate_ledger_costs_the_ffts_of_one_measure_call_per_block(
         tmp_path, monkeypatch):
-    # 21 rows at N = 256 are six blocks (five of 4, then 1): six measure
-    # calls, each with the FFT calls of one call on one state
+    # 21 rows at N = 256 are two blocks (16, then 5): two measure calls,
+    # each with the FFT calls of one call on one state
     from wavestrip.diagnostics import measure
     calls = []
     _measure_spy(monkeypatch, calls)
@@ -867,33 +888,34 @@ def test_simulate_ledger_costs_the_ffts_of_one_measure_call_per_block(
     final = read_snapshot(str(tmp_path / "run" / "final.snap"))
     one = count_ffts(monkeypatch, lambda: measure(final))[1]
     assert one > 0
-    assert sum(ffts for _, ffts, _ in calls) == -(-rows // 4) * one
+    assert [size for size, _, _ in calls] == [16, 5]
+    assert sum(ffts for _, ffts, _ in calls) == 2 * one
 
 
 def test_ledger_memory_is_bounded_for_any_horizon(tmp_path, monkeypatch):
-    # the ledger keeps at most one block of states: 27 rows (more than 2
-    # blocks of 4) are measured in stacks of at most 4, and the full blocks
-    # while evolve runs, not all at its end; N = 64 would allow blocks of 32
-    # by the sample count alone
+    # the ledger keeps at most one block of states: 148 rows (more than 2
+    # blocks of 64 at N = 64) are measured in stacks of at most 64, and the
+    # full blocks while evolve runs, not all at its end
     calls = []
     _measure_spy(monkeypatch, calls)
     p = _write_config(tmp_path / "c.json", {
         "grid": {"N": 64},
         "init": {"surface_modes": [{"k": 1, "amplitude": 0.02}]},
-        "solver": {"T_final": 8.0}})
+        "solver": {"T_final": 45.0}})
     assert main(["simulate", "--config", p, "--out",
                  str(tmp_path / "run")]) == 0
     monkeypatch.undo()
     sizes = [size for size, _, _ in calls]
-    assert sizes == [4] * 6 + [3]
-    assert [evolving for _, _, evolving in calls] == [True] * 6 + [False]
+    assert sizes == [64] * 2 + [20]
+    assert [evolving for _, _, evolving in calls] == [True] * 2 + [False]
 
 
 def test_non_finite_ledger_entry_exits_2_with_one_error_line(
         tmp_path, capsys, monkeypatch):
-    # member 1 of the second block (the row of step 5) has a non-finite
-    # E1_NF: it surfaces when that block is measured, after step 7, as one
-    # error line and exit 2, with no series or verdict
+    # the rows of steps 5 and 9, in the first block of 16, have a
+    # non-finite E1_NF: the earlier one surfaces, named by its time, when
+    # that block is measured after step 15, as one error line and exit 2,
+    # with no series or verdict
     from wavestrip import normalform
     real_nf = normalform.nf_energy
     calls = []
@@ -901,8 +923,7 @@ def test_non_finite_ledger_entry_exits_2_with_one_error_line(
     def nf_energy(n, diag):
         out = real_nf(n, diag)
         calls.append(diag.bW.shape)
-        if len(calls) == 2:
-            out[1] = np.nan
+        out[[5, 9]] = np.nan
         return out
 
     monkeypatch.setattr(normalform, "nf_energy", nf_energy)
@@ -913,8 +934,8 @@ def test_non_finite_ledger_entry_exits_2_with_one_error_line(
     assert code == 2
     err = capsys.readouterr().err
     assert _one_error_line(err), err
+    assert calls == [(16, 256)] and len(seen) == 16
     assert err == ("error: non-finite diagnostic entry E1_NF = nan "
-                   "(member 1)\n")
-    assert calls == [(4, 256)] * 2 and len(seen) == 8
+                   f"at t = {seen[5][0].t}\n")
     assert not (out / "series.csv").exists()
     assert not (out / "verdict.json").exists()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -557,6 +559,36 @@ def test_symbol_table_rejects_non_finite_entries(monkeypatch):
     monkeypatch.setattr(normalform, "_symbols_mixed_raw", broken)
     with pytest.raises(ValueError, match="non-finite Ba"):
         _holo_symbol_grids(8, 0.5)
+
+
+@pytest.mark.parametrize("fn", [lambda s, d: nf_energy(1, d),
+                                lambda s, d: nf_transform(s)],
+                         ids=["nf_energy", "nf_transform"])
+def test_normal_form_memory_does_not_grow_with_the_stack(fn):
+    # the lattice tables are built one member at a time: a 16-member stack
+    # at N = 256 peaks below twice one member's peak plus a few (B, N)
+    # arrays, where 16 (2 band + 1)^2 tables would take 16 x 468 KB
+    grid = make_grid(2 * np.pi, 256, 1.0)
+    rng = np.random.default_rng(11)
+    B = 16
+
+    def traces():
+        return np.stack([random_trace(grid, rng, scale=0.02)
+                         for _ in range(B)])
+
+    stack = WaveState(grid, traces(), traces(), 1.0)
+    member = WaveState(grid, stack.W[0], stack.Q[0], 1.0)
+    peaks = []
+    for s in (member, stack):
+        d = diag_of(s)
+        fn(s, d)   # warm the symbol table
+        tracemalloc.start()
+        try:
+            fn(s, d)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0] + 8 * stack.W.nbytes, peaks
 
 
 def test_nf_energy_validation(grid):

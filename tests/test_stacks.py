@@ -13,6 +13,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
+from wavestrip.cli import _block_size
 from wavestrip.grid import SpectralGrid, make_grid
 from wavestrip.holo import sobolev_norm
 from wavestrip import diagnostics as dg
@@ -104,3 +105,23 @@ def test_stack_equals_its_members(name, cell):
                 continue
             assert a.shape == (B,) + b.shape, (path, a.shape, b.shape)
             assert np.array_equal(a[j], b), (path, j)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.25])
+@pytest.mark.parametrize("N", [256, 128])
+def test_wide_stack_measure_equals_its_members(N, h):
+    # a ledger block of _block_size(grid) random states, 16 at N = 256 and
+    # 32 at N = 128, 96 members in all: a stack/member difference that hits
+    # about 1 value in 1200 (12 fields a member) shows here and can pass
+    # the 3-member stacks above
+    grid = make_grid(2 * np.pi, N, h)
+    rng = np.random.default_rng(N + int(4 * h))
+    scales = 0.02 * min(h, 1.0) * 10.0 ** rng.uniform(-2.0, 0.0,
+                                                      _block_size(grid))
+
+    def traces():
+        return np.stack([random_trace(grid, rng, scale=s) for s in scales])
+
+    stack = dy.WaveState(grid, traces(), traces(), 1.0, t=0.5)
+    rows = dg.measure(stack, 0.1).rows([0.5] * len(scales))
+    assert rows == [dg.measure(m, 0.1) for m in dy.unstack(stack)]

@@ -40,7 +40,7 @@ _PROJECT_RK4_32 = {"grid": {"N": 32},
 # that is not a power of 2, drift-scaling on two cells whose unit-depth
 # image is not the default one (h = 0.25 and L = 3; their ranges fail), and
 # simulate at N = 1024 off the unit cell, whose 15 ledger rows are measured
-# in blocks of 2 and a last block of 1
+# in blocks of 4 and a last block of 3
 EXTRA_RUNS = (
     ("dispersion", {"solver": {"project_energy": True}}),
     ("dispersion", _PROJECT_RK4_32),
