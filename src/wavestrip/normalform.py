@@ -26,20 +26,23 @@ with output mode -(j + k), and is one of two reductions: a Hankel-weighted
 form (the cubic energy, ``trilinear_eval``) or anti-diagonal sums over
 j + k (``nf_transform``).  Functions of a state act per member of a stack;
 the lattice reductions take one member at a time, so no temporary of
-theirs grows as B N^2.
+theirs grows as B N^2.  Every symbol is i times a real function, so the
+lattice table holds that function: seven float64 (2 band + 1)^2 arrays,
+built a block of rows at a time, and the reductions put the factor i back
+(``_holo_symbol_grids``).
 
 Singular-line policy: the three lines xi = 0, eta = 0, zeta = 0 carry the
 resonances.  The seven symbols have one evaluation rule, ``_symbols``, for
 a point, a sample of points and the lattice table alike, so a point gets
-exactly its table entry.  Off the lines every symbol is one closed form,
-evaluated without cancellation near xi = 0 and eta = 0: the differences of
-O(1) values of J there are formed by ``_J_excess`` as sums of terms of one
-sign.  On xi = 0 and eta = 0 the normal-form symbols take their closed
-limits, and the cubic-energy symbols (``tilde_symbols``) their analytic
-zero.  The output line zeta = 0 is a genuine simple pole of all three
-holomorphic symbols and of the mixed B^a/C^a; requesting a value there
-raises :class:`SingularLineError`.  Near zeta = 0 the mixed forms still
-lose accuracy (``_symbols``).
+exactly 1j times its table entry.  Off the lines every symbol is one closed
+form, evaluated without cancellation near xi = 0 and eta = 0: the
+differences of O(1) values of J there are formed by ``_J_excess`` as sums
+of terms of one sign.  On xi = 0 and eta = 0 the normal-form symbols take
+their closed limits, and the cubic-energy symbols (``tilde_symbols``) their
+analytic zero.  The output line zeta = 0 is a genuine simple pole of all
+three holomorphic symbols and of the mixed B^a/C^a; requesting a value
+there raises :class:`SingularLineError`.  Near zeta = 0 the mixed forms
+still lose accuracy (``_symbols``).
 """
 
 from __future__ import annotations
@@ -382,38 +385,48 @@ def _band_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 
 def _holo_symbol_grids(band: int, kappa: float) -> dict:
-    """Symbols on the lattice (xi, eta) = kappa (j, k), lines masked to 0.
+    """Im S of the seven symbols on the lattice kappa (j, k), lines set to 0.
 
-    The off-line entries are :func:`_symbols` at those points, so each is
-    bit for bit the value of a pointwise call there.  The lattice never
-    touches the singular lines because rows/columns with j = 0, k = 0 or
-    j + k = 0 are zeroed (their field coefficients vanish for the
-    mean-free inputs used here, and the zero output mode is left out of
-    every sum).  Off those lines every entry must be finite; a non-finite
-    one raises.  Only the (band, kappa) in use is kept: a new one replaces
-    the table.
+    Every symbol is i times a real function, so the table holds that real
+    function: entry [j + band, k + band] of a name is Im of :func:`_symbols`
+    at kappa (j, k), bit for bit, and 1j times it is the pointwise value.
+    Each is a float64 (2 band + 1)^2 array, filled a block of lattice rows
+    at a time, with at most ``_SYMBOL_ENTRIES`` points a block, so the build
+    holds the table and one block's values.  The lattice never touches the
+    singular lines because rows/columns with j = 0, k = 0 or j + k = 0 are
+    zeroed (their field coefficients vanish for the mean-free inputs used
+    here, and the zero output mode is left out of every sum).  Off those
+    lines every entry must be finite and have real part exactly 0; any
+    other raises.  Only the (band, kappa) in use is kept: a new one
+    replaces the table.
     """
     cached = _symbol_cache.get((band, kappa))
     if cached is not None:
         return cached
-    j = np.arange(-band, band + 1, dtype=float)
-    XI, ETA = np.meshgrid(kappa * j, kappa * j, indexing="ij")
-    mask = (j[:, None] != 0) & (j != 0) & (j[:, None] + j != 0)
-    # each symbol's values are dropped once copied, so that the table
-    # reuses their memory instead of growing the heap past them
-    values = list(_symbols(XI[mask], ETA[mask]))
-    out = {}
-    for name in _SYMBOL_NAMES:
-        vals = values.pop(0)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"non-finite {name} symbol at kappa {kappa!r}")
-        out[name] = np.zeros(XI.shape, dtype=complex)
-        out[name][mask] = vals
     _symbol_cache.clear()
+    j = np.arange(-band, band + 1, dtype=float)
+    out = {name: np.zeros((j.size, j.size)) for name in _SYMBOL_NAMES}
+    rows = max(1, _SYMBOL_ENTRIES // j.size)
+    for start in range(0, j.size, rows):
+        jr = j[start:start + rows, None]
+        mask = (jr != 0) & (j != 0) & (jr + j != 0)
+        XI, ETA = np.broadcast_arrays(kappa * jr, kappa * j)
+        for name, vals in zip(_SYMBOL_NAMES, _symbols(XI[mask], ETA[mask])):
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"non-finite {name} symbol at kappa "
+                                 f"{kappa!r}")
+            if np.any(vals.real != 0.0):
+                raise ValueError(f"{name} symbol with a nonzero real part at "
+                                 f"kappa {kappa!r}")
+            out[name][start:start + rows][mask] = vals.imag
     _symbol_cache[(band, kappa)] = out
     return out
 
 
+# Lattice points per block of :func:`_holo_symbol_grids`: one block's
+# symbol values and their intermediates take about 1.1 MiB whatever the
+# band, beside a table of 1.6 MiB at N = 256 and 25 MiB at N = 1024
+_SYMBOL_ENTRIES = 1 << 12
 _symbol_cache: dict = {}
 
 
@@ -434,11 +447,11 @@ def _hankel_form(H: np.ndarray, S, c1: np.ndarray, c2: np.ndarray):
     table whatever the stack's size.
     """
     # BLAS has no start-up cost here that einsum would avoid: the complex
-    # 171 x 171 mat-vec of N = 256 takes about 12 us by BLAS and 50-60 us by
-    # einsum on a 2-core Xeon, with the thread variables set to 1 or unset.
-    # Forming S * H costs more than the mat-vec: one member at a time it
-    # takes 55-85 us at N = 256, against 80-87 us a member when a 16-member
-    # stack formed all its tables at once
+    # 171 x 171 mat-vec of N = 256 takes about 10 us by BLAS and 40-44 us by
+    # einsum on one core of a 2-core Xeon, with the thread variables set to
+    # 1.  Forming S * H costs more than the mat-vec: 47-50 us for a real
+    # symbol table, which numpy casts to complex on the fly, against 35-38 us
+    # for a complex one, so a whole form takes 67-88 us against 55-69 us
     size = c1.shape[-1]
     forms = [np.real(np.vecdot(np.conj(a), np.matvec(S * h, b)))
              for h, a, b in zip(H.reshape((-1, size, size)), _members(c1),
@@ -474,8 +487,9 @@ def nf_transform(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     of modes there to cancel them, so the symbol table is 0 on j + k = 0.
     The sums run in the cell's unit-depth image (module docstring); the
     corrections scale back by h for W and h^2 for Q.  The kernels are built
-    one member at a time, so the (2 band + 1)^2 tables they take do not
-    grow with a stack's size.
+    one member at a time from the table's imaginary parts, and each sum is
+    multiplied by 1j, so the (2 band + 1)^2 tables they take do not grow
+    with a stack's size.
     """
     grid = state.grid
     lam = grid.h
@@ -491,10 +505,11 @@ def nf_transform(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
         wc, qc = wj[:, None], qj[:, None]
         wr, qr, wbr, qbr = (a[None, :] for a in
                             (wj, qj, _conj_flip(wj), _conj_flip(qj)))
-        dW[j] = _antidiagonal_modes(
+        # the table holds Im S, so the sums are 1j times those of its terms
+        dW[j] = 1j * _antidiagonal_modes(
             sym["Bh"] * (wc * wr) + sym["Ch"] * (qc * qr) / g
             + sym["Ba"] * (wc * wbr) + sym["Ca"] * (qc * qbr) / g)
-        dQ[j] = _antidiagonal_modes(
+        dQ[j] = 1j * _antidiagonal_modes(
             sym["Ah"] * (wc * qr) + sym["Aa"] * (wc * qbr)
             + sym["Da"] * (qc * wbr))
     Wt = Wv + lam * _band_samples(dW.reshape(w.shape), grid)
@@ -677,13 +692,16 @@ def _preflip_cubic(n: int, w: np.ndarray, q: np.ndarray, g: float,
         coth = np.where(zeta == 0.0, 0.0, 1.0 / np.tanh(zeta))
     Hw = sliding_window_view(zeta ** (2 * n) * dw, size, -1)
     Hq = sliding_window_view(coth * zeta ** (2 * n + 1) * dq, size, -1)
-    B_val = (_hankel_form(Hw, sym["Bh"], cw, cw)
-             + _hankel_form(Hw, sym["Ba"], cw, cwb))
-    A_val = (_hankel_form(Hw, sym["Ch"], cq, cq)
-             + _hankel_form(Hw, sym["Ca"], cq, cqb)
-             + _hankel_form(Hq, sym["Ah"], cw, cq)
-             + _hankel_form(Hq, sym["Aa"], cw, cqb)
-             + _hankel_form(Hq, sym["Da"], cq, cwb))
+    # the table holds Im S: Re(c1 (i S o H) c2) = Re((i c1) (S o H) c2), and
+    # multiplying by 1j is exact
+    icw, icq = 1j * cw, 1j * cq
+    B_val = (_hankel_form(Hw, sym["Bh"], icw, cw)
+             + _hankel_form(Hw, sym["Ba"], icw, cwb))
+    A_val = (_hankel_form(Hw, sym["Ch"], icq, cq)
+             + _hankel_form(Hw, sym["Ca"], icq, cqb)
+             + _hankel_form(Hq, sym["Ah"], icw, cq)
+             + _hankel_form(Hq, sym["Aa"], icw, cqb)
+             + _hankel_form(Hq, sym["Da"], icq, cwb))
     return (2.0 * (grid.L / lam) * (g / lam * B_val + A_val)
             * lam ** (4 - 2 * n))
 

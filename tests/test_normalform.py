@@ -243,8 +243,8 @@ def test_symbols_arrays_equal_scalar_calls(rng):
 
 @pytest.mark.parametrize("kappa", [1.0, 0.125])
 def test_symbol_point_equals_table_entry(kappa):
-    # the table is built through the pointwise rule: a point returns its
-    # table entry bit for bit
+    # the table is built through the pointwise rule and holds Im S: a point
+    # returns 1j times its table entry bit for bit
     band = 85
     sym = _holo_symbol_grids(band, kappa)
     names = ("Ah", "Bh", "Ch", "Aa", "Ba", "Ca", "Da")
@@ -254,7 +254,7 @@ def test_symbol_point_equals_table_entry(kappa):
             continue
         xi, eta = kappa * float(j), kappa * float(k)
         got = symbols_holo(xi, eta) + symbols_mixed(xi, eta)
-        want = [sym[name][j + band, k + band] for name in names]
+        want = [1j * sym[name][j + band, k + band] for name in names]
         assert list(got) == want, (j, k)
 
 
@@ -419,7 +419,7 @@ def _nf_transform_loop(state):
             if m == 0 or abs(m) > band:
                 continue
             a, b = j + band, k + band
-            s = {name: sym[name][a, b] for name in
+            s = {name: 1j * sym[name][a, b] for name in
                  ("Ah", "Bh", "Ch", "Aa", "Ba", "Ca", "Da")}
             dW[m % grid.N] += (s["Bh"] * w[a] * w[b]
                                + s["Ch"] * q[a] * q[b] / g
@@ -464,7 +464,7 @@ def _preflip_cubic_loop(n, w, q, g, grid):
             if abs(z) > band:
                 continue
             a, b, c = j + band, k + band, z + band
-            s = {name: sym[name][a, b] for name in
+            s = {name: 1j * sym[name][a, b] for name in
                  ("Ah", "Bh", "Ch", "Aa", "Ba", "Ca", "Da")}
             ww = z ** (2 * n) * (cwb[c] - cw[c])
             coth_z = 1.0 / np.tanh(z) if z else 0.0
@@ -559,6 +559,40 @@ def test_symbol_table_rejects_non_finite_entries(monkeypatch):
     monkeypatch.setattr(normalform, "_symbols_mixed_raw", broken)
     with pytest.raises(ValueError, match="non-finite Ba"):
         _holo_symbol_grids(8, 0.5)
+
+
+def test_symbol_table_rejects_non_imaginary_entries(monkeypatch):
+    # the table stores Im S, which is the symbol only if Re S is exactly 0
+    symbols = normalform._symbols
+
+    def shifted(xi, eta):
+        out = list(symbols(xi, eta))
+        out[4] = out[4].copy()
+        out[4][2] += 1e-300
+        return tuple(out)
+
+    monkeypatch.setattr(normalform, "_symbols", shifted)
+    with pytest.raises(ValueError,
+                       match=r"Ba symbol .* real part at kappa 0\.5"):
+        _holo_symbol_grids(8, 0.5)
+
+
+def test_symbol_table_build_peak_is_one_table(monkeypatch):
+    # seven float64 (2 band + 1)^2 tables, built a block of rows at a time:
+    # the build holds the tables and one block's temporaries, not a complex
+    # copy of the whole lattice
+    monkeypatch.setattr(normalform, "_symbol_cache", {})
+    band = 512 // 3
+    tracemalloc.start()
+    try:
+        sym = _holo_symbol_grids(band, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(a.dtype == np.float64 for a in sym.values())
+    assert sum(a.size for a in sym.values()) == 7 * (2 * band + 1) ** 2
+    table = sum(a.nbytes for a in sym.values())
+    assert peak < 1.25 * table + 2 ** 18, (peak, table)
 
 
 @pytest.mark.parametrize("fn", [lambda s, d: nf_energy(1, d),

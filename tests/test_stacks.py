@@ -125,3 +125,33 @@ def test_wide_stack_measure_equals_its_members(N, h):
     stack = dy.WaveState(grid, traces(), traces(), 1.0, t=0.5)
     rows = dg.measure(stack, 0.1).rows([0.5] * len(scales))
     assert rows == [dg.measure(m, 0.1) for m in dy.unstack(stack)]
+
+
+def test_squares_where_pow_and_product_differ():
+    # a float64 scalar's ** 2 is libm pow(x, 2), an array's is x * x, and
+    # the two differ in the last bit for about 1 value in 1200: found by a
+    # scan, those values must square as a lone member squares them
+    v = np.random.default_rng(0).uniform(1e-3, 10.0, 200_000)
+    odd = v[np.array([np.float64(x) ** 2 for x in v]) != v * v]
+    if odd.size == 0:
+        pytest.skip("pow(x, 2) equals x * x on every value scanned")
+    assert np.array_equal(dg._pow2(odd), [np.float64(x) ** 2 for x in odd])
+    # members whose ladder norms come out otherwise when squared as one
+    # array: a stack of them gives each its own sobolev_Nn
+    grid = make_grid(2 * np.pi, 16, 1.0)
+    rng = np.random.default_rng(1)
+    g = 1.3
+    bW, R = (0.05 * (rng.standard_normal((1024, grid.N))
+                     + 1j * rng.standard_normal((1024, grid.N)))
+             for _ in range(2))
+    for n in (1, 2):
+        nw = sobolev_norm(bW, n - 1.0, grid)
+        nr = sobolev_norm(R, n - 0.5, grid)
+        lone = [np.sqrt(g * np.float64(a) ** 2 + np.float64(b) ** 2)
+                for a, b in zip(nw, nr)]
+        sel = np.flatnonzero(lone != np.sqrt(g * nw * nw + nr * nr))
+        assert sel.size > 0, n
+        got = dg.sobolev_Nn(dy.DiagState(grid, bW[sel], R[sel], g), n)
+        want = [dg.sobolev_Nn(dy.DiagState(grid, bW[j], R[j], g), n)
+                for j in sel]
+        assert np.array_equal(got, want), n

@@ -8,8 +8,11 @@ For every N in 128, 256, 512, 1024 and B in 1, 2, 4, 8, 16, 32 it times one
 the symbol table's caches) and prints the milliseconds per ledger row, that
 is the call's time over B, with the ``tracemalloc`` peak of one more call.
 B N is the block's sample count: ``cli._block_size`` takes 4096 of them,
-so a ledger block is the row of the table where B N = 4096.  BLAS runs on
-one thread, as in the benchmark, unless the thread variables say otherwise.
+so a ledger block is the row of the table where B N = 4096.  For every N it
+then prints the bytes of the normal-form symbol table and the
+``tracemalloc`` peak of one cold ``normalform._holo_symbol_grids`` call,
+which builds it.  BLAS runs on one thread, as in the benchmark, unless the
+thread variables say otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from wavestrip.cli import _drift_profile  # noqa: E402
 from wavestrip.diagnostics import measure  # noqa: E402
 from wavestrip.dynamics import stack_states  # noqa: E402
-from wavestrip.grid import make_grid  # noqa: E402
+from wavestrip.grid import dealias_band, make_grid  # noqa: E402
+from wavestrip import normalform  # noqa: E402
 
 NS = (128, 256, 512, 1024)
 BS = (1, 2, 4, 8, 16, 32)
@@ -58,6 +62,21 @@ def probe(N: int, B: int) -> tuple[float, float]:
     return 1e3 * float(np.median(times)) / B, peak / 2 ** 20
 
 
+def table_probe(N: int) -> tuple[float, float]:
+    """(table MiB, tracemalloc peak in MiB) of building the symbol table of
+    the unit cell at N from an empty cache."""
+    grid = make_grid(2 * np.pi, N, 1.0)
+    normalform._symbol_cache.clear()
+    tracemalloc.start()
+    try:
+        sym = normalform._holo_symbol_grids(dealias_band(grid),
+                                            normalform._kappa(grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sum(a.nbytes for a in sym.values()) / 2 ** 20, peak / 2 ** 20
+
+
 def main() -> int:
     print(f"{'N':>5} {'B':>3} {'B N':>6} {'ms/row':>8} {'peak MB':>8}")
     for N in NS:
@@ -65,6 +84,10 @@ def main() -> int:
             ms, peak = probe(N, B)
             print(f"{N:>5} {B:>3} {B * N:>6} {ms:>8.2f} {peak:>8.2f}",
                   flush=True)
+    print(f"\n{'N':>5} {'table MiB':>10} {'build peak MiB':>15}")
+    for N in NS:
+        table, peak = table_probe(N)
+        print(f"{N:>5} {table:>10.2f} {peak:>15.2f}", flush=True)
     return 0
 
 
