@@ -86,7 +86,8 @@ def require_valid(grid: SpectralGrid, slope, finite, W=None) -> None:
     Each member of a stack is checked on its own, and the lowest-index
     failing member is reported with its first failing reason.
     """
-    J_min = (np.abs(1.0 + slope) ** 2).min(axis=-1)
+    # squaring is monotone, so the square of the least |1 + slope| is min J
+    J_min = np.square(np.abs(1.0 + slope).min(axis=-1))
     finite_ok = np.isfinite(J_min)
     for f in finite:
         finite_ok = finite_ok & np.isfinite(f).all(axis=-1)
@@ -251,11 +252,13 @@ def _real_mean_projection(u: np.ndarray, grid: SpectralGrid):
     trace, so keeping it would push the flow off the constraint manifold at
     O(eps^3) per unit time.  Pinning the zero mode of F to be real (the one
     free convention constant of the periodic cell) keeps the right-hand side
-    exactly class-preserving.  The mean is taken per member of a stack.
+    exactly class-preserving.  The mean is taken per member of a stack, as
+    ``np.mean`` takes it: the complex sum divided by N.
     """
     p = project(dealias(u, grid), grid, "holo")
-    ci = 1j * np.mean(p, axis=-1, keepdims=True).imag
-    return p - ci, ci
+    ci = 1j * (p.sum(axis=-1, keepdims=True) / grid.N).imag
+    p -= ci
+    return p, ci
 
 
 def rhs_full(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
@@ -263,14 +266,24 @@ def rhs_full(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     grid = state.grid
     g = state.g
     Wv, Qv = state.W, state.Q
-    Wa = deriv(Wv, grid)
+    one_pW = deriv(Wv, grid)
+    one_pW += 1.0
     Qa = deriv(Qv, grid)
-    one_pW = 1.0 + Wa
-    J = np.abs(one_pW) ** 2
-    F, _ = _real_mean_projection((Qa - np.conj(Qa)) / J, grid)
-    Wt = -dealias(F * one_pW, grid)
-    Qt = (-dealias(F * Qa, grid) + g * tilbert(Wv, grid)
-          - project(dealias(np.abs(Qa) ** 2 / J, grid), grid, "holo"))
+    J = np.abs(one_pW)
+    np.square(J, out=J)
+    u = np.conj(Qa)
+    np.subtract(Qa, u, out=u)
+    u /= J
+    F, _ = _real_mean_projection(u, grid)
+    Wt = dealias(F * one_pW, grid)
+    np.negative(Wt, out=Wt)
+    u = np.abs(Qa)
+    np.square(u, out=u)
+    u /= J
+    Qt = dealias(F * Qa, grid)
+    np.negative(Qt, out=Qt)
+    Qt += g * tilbert(Wv, grid)
+    Qt -= project(dealias(u, grid), grid, "holo")
     return dealias(Wt, grid), dealias(Qt, grid)
 
 

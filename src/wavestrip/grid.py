@@ -16,14 +16,24 @@ conventions, is built once per grid as a read-only cached attribute of
 :class:`SpectralGrid`, and every transform goes through :func:`to_spectrum`
 and :func:`from_spectrum`.
 
+Every Fourier multiplier takes one transform path, :func:`_transform`: the
+forward FFT into a new buffer, the symbol multiplied into that buffer in
+place, and the inverse FFT written back into the same buffer (the ``out``
+argument of :func:`from_spectrum`).  So an operator allocates its output
+and nothing else, and still makes one ``numpy.fft.fft`` and one
+``numpy.fft.ifft`` call.  The in-place product ``c *= m`` is the same
+product as ``c * m``, bit for bit, for the bool, float and complex symbols
+used here, on a single field and on a stack; tests/test_grid.py pins it.
+
 Transforms and multipliers act on the last axis, so a stack of fields
 shaped (B, N) goes through each operator in one call.  Its rows equal the
 single-field results bit for bit while a stacked array stays below numpy's
 256 KiB temporary-elision size (B N < 16384 complex samples); above it
-numpy evaluates some complex products in place, by another loop, and rows
-can move at round-off.  A row that reaches BLAS must be contiguous: BLAS
-sums a strided row by another kernel, also at round-off.  The real-output
-check of :func:`apply_multiplier` is taken over the whole stack.
+numpy evaluates some complex products of an expression in place, by
+another loop, and rows can move at round-off.  A row that reaches BLAS must
+be contiguous: BLAS sums a strided row by another kernel, also at
+round-off.  The real-output check of :func:`apply_multiplier` is taken over
+the whole stack.
 """
 
 from __future__ import annotations
@@ -142,11 +152,12 @@ class SpectralGrid:
         (P u)_k = pa_k u_k + pb_k conj(u_{-k}): on the interior modes
         pa = (2 - t - 1/t)/4 and pb = (1/t - t)/4 with t = tanh(h xi); on the
         two gauge modes pa = 1/2 and pb = 0, see :func:`wavestrip.holo.project`.
+        Both are real and held as complex128, like :attr:`dealias_symbol`.
         """
         inner = self.interior
         t = self.tanh[inner]
-        pa = np.full(self.N, 0.5)
-        pb = np.zeros(self.N)
+        pa = np.full(self.N, 0.5 + 0j)
+        pb = np.zeros(self.N, np.complex128)
         pa[inner] = 0.25 * (2.0 - t - 1.0 / t)
         pb[inner] = 0.25 * (1.0 / t - t)
         return _frozen(pa), _frozen(pb)
@@ -181,6 +192,17 @@ class SpectralGrid:
         """Boolean mask keeping the 2/3-rule band |k| <= N/3."""
         return _frozen(np.abs(self.k) <= self.N // 3)
 
+    @cached_property
+    def dealias_symbol(self) -> np.ndarray:
+        """:attr:`dealias_mask` as a complex128 multiplier of ones and zeros.
+
+        A complex spectrum times it equals the spectrum times the mask bit
+        for bit, since numpy casts a bool or real operand of a complex
+        product to complex; a complex operand spares that cast, which at
+        N = 512 takes about as long as the product itself.
+        """
+        return _frozen(self.dealias_mask.astype(np.complex128))
+
     @property
     def nyquist_index(self) -> int:
         return self.N // 2
@@ -204,13 +226,28 @@ def make_grid(L: float, N: int, h: float) -> SpectralGrid:
 
 
 def to_spectrum(values: np.ndarray) -> np.ndarray:
-    """Fourier-series coefficients c_k of sampled values (FFT ordering)."""
-    return np.fft.fft(values, norm="forward")
+    """Fourier-series coefficients c_k of sampled values (FFT ordering).
+
+    The coefficients are complex128, written into a new array handed to the
+    FFT, which spares it working out the output's type and shape.
+    """
+    return np.fft.fft(values, norm="forward",
+                      out=np.empty(np.shape(values), np.complex128))
 
 
-def from_spectrum(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_spectrum`."""
-    return np.fft.ifft(coeffs, norm="forward")
+def from_spectrum(coeffs: np.ndarray, out=None) -> np.ndarray:
+    """Inverse of :func:`to_spectrum`, into ``out`` if given, which may be
+    ``coeffs`` itself."""
+    return np.fft.ifft(coeffs, norm="forward", out=out)
+
+
+def _transform(f: np.ndarray, m) -> np.ndarray:
+    """``from_spectrum(to_spectrum(f) * m)`` in one complex buffer: the
+    transform path of every Fourier multiplier (see the module docstring).
+    ``m`` acts on the last axis and must not broadcast ``f`` to more rows."""
+    c = to_spectrum(f)
+    c *= m
+    return from_spectrum(c, out=c)
 
 
 def apply_multiplier(f: np.ndarray, m, grid: SpectralGrid) -> np.ndarray:
@@ -222,7 +259,7 @@ def apply_multiplier(f: np.ndarray, m, grid: SpectralGrid) -> np.ndarray:
     imaginary round-off is dropped).
     """
     f = np.asarray(f)
-    out = from_spectrum(to_spectrum(f) * m)
+    out = _transform(f, m)
     if f.dtype.kind != "c":
         # real-preserving symbols (odd-imaginary or even-real) give a real
         # result; verify rather than assume, so misuse surfaces in tests.
@@ -289,7 +326,7 @@ def smooth_one_plus_T2(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 def dealias(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Zero all modes with |k| > N/3 (2/3 rule). Idempotent."""
     f = np.asarray(f)
-    out = from_spectrum(to_spectrum(f) * grid.dealias_mask)
+    out = _transform(f, grid.dealias_symbol)
     return out if f.dtype.kind == "c" else out.real
 
 

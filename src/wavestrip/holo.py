@@ -104,15 +104,23 @@ def holo_from_spectrum(coeffs_pos, grid: SpectralGrid) -> np.ndarray:
     return holo_from_real(from_spectrum(c).real, grid)
 
 
-def project_spectrum(c: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+def project_spectrum(c: np.ndarray, grid: SpectralGrid,
+                     out=None) -> np.ndarray:
     """Spectrum of the holomorphic projection from the spectrum ``c``.
 
     (P u)_k = pa_k u_k + pb_k conj(u_{-k}) with the grid's full-length
     ``project_coeffs``, see :func:`project`; ``c`` may be a stack of spectra
-    on the last axis.
+    on the last axis.  The result goes into ``out`` if given, which may be
+    ``c`` itself; the terms are combined in place, each product rounded as
+    in the expression above.
     """
     pa, pb = grid.project_coeffs
-    return pa * c + pb * np.conj(c[..., grid.neg_index])
+    flip = c[..., grid.neg_index]
+    np.conjugate(flip, out=flip)
+    np.multiply(pb, flip, out=flip)
+    out = np.multiply(pa, c, out=out)
+    out += flip
+    return out
 
 
 def project(f: np.ndarray, grid: SpectralGrid,
@@ -126,15 +134,19 @@ def project(f: np.ndarray, grid: SpectralGrid,
     with t_k = tanh(h xi_k) for k != 0, N/2.  On the two gauge modes, the
     mean (where T^{-1} is gauged to 0) and the Nyquist mode, u_k is split
     evenly, so P + Pbar = identity including the mean.  Both cases are one
-    full-length product with the grid's ``project_coeffs``.
+    full-length product with the grid's ``project_coeffs``.  As on the
+    transform path of :mod:`wavestrip.grid`, the spectrum's buffer takes
+    the projection and then the result ("anti" takes one more buffer).
     """
     if which not in ("holo", "anti"):
         raise ValueError(f"which must be 'holo' or 'anti', got {which!r}")
     c = to_spectrum(np.asarray(f, dtype=np.complex128))
-    out = project_spectrum(c, grid)
-    if which == "anti":
-        out = c - out
-    return from_spectrum(out)
+    if which == "holo":
+        p = project_spectrum(c, grid, out=c)
+    else:
+        p = project_spectrum(c, grid)
+        np.subtract(c, p, out=p)
+    return from_spectrum(p, out=p)
 
 
 def trace_parts(c: np.ndarray, grid: SpectralGrid):

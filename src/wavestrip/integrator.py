@@ -120,10 +120,11 @@ def _linear_propagator(grid: SpectralGrid, g: float, t: float):
 
     M^2 = -omega^2 I, so exp(M t) = cos(omega t) I + t sinc(omega t) M; the
     sinc form is exact at the zero mode as well.  Built once per (grid, g, t)
-    and read-only: a run at fixed dt reuses two of them.
+    and read-only: a run at fixed dt reuses two of them.  The real diagonal
+    is held as complex128, which multiplies a spectrum without a cast.
     """
     om = _omega(grid, g)
-    c = np.cos(om * t)
+    c = np.cos(om * t).astype(np.complex128)
     s = t * np.sinc(om * t / np.pi)  # sin(om t)/om, valid at om = 0
     m12 = -1j * grid.xi
     m21 = -1j * g * grid.tanh
@@ -134,11 +135,18 @@ def _linear_propagator(grid: SpectralGrid, g: float, t: float):
 
 
 def _apply_propagator(prop, Wv, Qv):
+    """exp(M t) (Wv, Qv): the spectra (c cW + a12 cQ, a21 cW + c cQ), each
+    product rounded as written, combined and transformed back in place."""
     c, a12, a21 = prop
     cW = to_spectrum(Wv)
     cQ = to_spectrum(Qv)
-    return (from_spectrum(c * cW + a12 * cQ),
-            from_spectrum(a21 * cW + c * cQ))
+    W = c * cW
+    Q = a12 * cQ
+    W += Q
+    np.multiply(a21, cW, out=Q)
+    np.multiply(c, cQ, out=cQ)
+    Q += cQ
+    return from_spectrum(W, out=W), from_spectrum(Q, out=Q)
 
 
 def _regauge(Wv: np.ndarray, Qv: np.ndarray, grid: SpectralGrid):
@@ -153,12 +161,14 @@ def _regauge(Wv: np.ndarray, Qv: np.ndarray, grid: SpectralGrid):
     is kept rather than zeroed so that a state that starts with one (the
     conformal map's vertical offset) keeps it.  Holomorphy is always
     understood modulo these means.  The means are taken per member of a
-    stack.
+    stack, as ``np.mean`` takes them: the complex sum divided by N.
     """
     out = []
     for v in (Wv, Qv):
-        v0 = np.mean(v, axis=-1, keepdims=True)
-        out.append(dealias(project(v - v0, grid, "holo") + v0, grid))
+        v0 = v.sum(axis=-1, keepdims=True) / grid.N
+        p = project(v - v0, grid, "holo")
+        p += v0
+        out.append(dealias(p, grid))
     return out[0], out[1]
 
 
@@ -166,8 +176,9 @@ def _nonlinear_residual_rhs(state: WaveState):
     """rhs_full minus the linear part (used by the integrating factor)."""
     grid = state.grid
     fW, fQ = rhs_full(state)
-    Qa = deriv(state.Q, grid)
-    return fW + Qa, fQ - state.g * tilbert(state.W, grid)
+    fW += deriv(state.Q, grid)
+    fQ -= state.g * tilbert(state.W, grid)
+    return fW, fQ
 
 
 def step_rk4(state: WaveState, dt: float, method: str = "rk4") -> WaveState:
@@ -226,7 +237,8 @@ def _shell_invariants(grid: SpectralGrid, g: float, cW: np.ndarray,
     product W W_alpha of the cubic term, the one FFT here, taken from the
     samples ``W`` and ``Wa`` = W_alpha.
     """
-    D = grid.dealias_mask * to_spectrum(W * Wa)
+    D = to_spectrum(W * Wa)
+    np.multiply(grid.dealias_symbol, D, out=D)
     pW = trace_parts(cW, grid)
     pV = trace_parts(grid.inv_tilbert_symbol * (grid.ixi * cQ), grid)
 
@@ -247,10 +259,12 @@ def _shell_gradients(grid: SpectralGrid, g: float, cW: np.ndarray,
     :func:`~wavestrip.dynamics.momentum_gradient` at the same state, with D
     from :func:`_shell_invariants`; two FFTs, for conj(W) T[W_alpha].
     """
-    mask = grid.dealias_mask
-    TWa = from_spectrum(grid.tilbert_symbol * (grid.ixi * cW))
-    corr = grid.inv_tilbert_symbol * project_spectrum(
-        mask * to_spectrum(np.conj(W) * TWa), grid)
+    mask = grid.dealias_symbol
+    TWa = grid.tilbert_symbol * (grid.ixi * cW)
+    from_spectrum(TWa, out=TWa)
+    corr = to_spectrum(np.conj(W) * TWa)
+    np.multiply(mask, corr, out=corr)
+    corr = grid.inv_tilbert_symbol * project_spectrum(corr, grid, out=corr)
     V = grid.inv_tilbert_symbol * (grid.ixi * cQ)
     return (mask * (cW + D - corr), cQ), (V / g, -cW)
 
@@ -298,7 +312,8 @@ def _project_to_invariant_shell(state: WaveState, E_target,
     """
     grid, g = state.grid, state.g
     cW, cQ = to_spectrum(state.W), to_spectrum(state.Q)
-    W, Wa = state.W, from_spectrum(grid.ixi * cW)
+    W, Wa = state.W, grid.ixi * cW
+    from_spectrum(Wa, out=Wa)
     E, I, D = _shell_invariants(grid, g, cW, cQ, W, Wa)
     gE, gI = _shell_gradients(grid, g, cW, cQ, W, Wa, D)
     pE, pI = ([trace_parts(c, grid) for c in p] for p in (gE, gI))
@@ -320,7 +335,8 @@ def _project_to_invariant_shell(state: WaveState, E_target,
         a, b, on = ds[..., :1], ds[..., 1:], live[..., None]
         cW = np.where(on, cW + a * gE[0] + b * gI[0], cW)
         cQ = np.where(on, cQ + a * gE[1] + b * gI[1], cQ)
-        W, Wa = from_spectrum(cW), from_spectrum(grid.ixi * cW)
+        W, Wa = from_spectrum(cW), grid.ixi * cW
+        from_spectrum(Wa, out=Wa)
         require_valid(grid, Wa, (cQ,), W)
         moved |= live
         E, I, D = _shell_invariants(grid, g, cW, cQ, W, Wa)

@@ -247,7 +247,8 @@ def _symbols(xi, eta) -> tuple:
     scalars, arrays arrays of the broadcast shape.  Off the three lines the
     closed forms are evaluated; through :func:`_J_excess` they carry no
     cancellation near xi = 0 or eta = 0.  On eta = 0 and xi = 0, where the
-    quotients are 0/0, the closed limits are written in by boolean index.
+    quotients are 0/0, the closed limits are written in by boolean index;
+    a line that holds no point costs nothing.
     If any point lies on zeta = 0, where A^h, B^h, C^h, B^a and C^a have a
     simple pole, :class:`SingularLineError` is raised.  The mixed forms
     take B^h and C^h from the same evaluation.
@@ -270,11 +271,13 @@ def _symbols(xi, eta) -> tuple:
     off = ~(on_eta0 | on_xi0)
     x, e = xi[off], eta[off]
     holo = _symbols_holo_raw(x, e)
-    parts = ((off, holo + _symbols_mixed_raw(x, e, *holo[1:])),
-             (on_eta0, _holo_limits_eta0(xi[on_eta0])
-              + _mixed_limits_eta0(xi[on_eta0])),
-             (on_xi0, _holo_limits_xi0(eta[on_xi0])
-              + _mixed_limits_xi0(eta[on_xi0])))
+    parts = [(off, holo + _symbols_mixed_raw(x, e, *holo[1:]))]
+    if on_eta0.any():
+        parts.append((on_eta0, _holo_limits_eta0(xi[on_eta0])
+                      + _mixed_limits_eta0(xi[on_eta0])))
+    if on_xi0.any():
+        parts.append((on_xi0, _holo_limits_xi0(eta[on_xi0])
+                      + _mixed_limits_xi0(eta[on_xi0])))
     out = [np.empty(xi.shape, dtype=complex) for _ in _SYMBOL_NAMES]
     for where, values in parts:
         for o, v in zip(out, values):

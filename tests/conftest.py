@@ -35,6 +35,13 @@ def small_state(grid, eps=0.02, g=1.0):
     return WaveState(grid, W, Q, g)
 
 
+def same_bits(a, b) -> bool:
+    """a and b have the same dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
 def count_ffts(monkeypatch, fn):
     """fn()'s result and its number of np.fft.fft and np.fft.ifft calls."""
     calls = []

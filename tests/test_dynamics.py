@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wavestrip.grid import make_grid, deriv, dealias
-from wavestrip.holo import holo_from_real
+from wavestrip.grid import make_grid, deriv, dealias, tilbert
+from wavestrip.holo import holo_from_real, project
 from wavestrip.dynamics import (
     InvalidState,
     WaveState,
@@ -23,7 +23,7 @@ from wavestrip.dynamics import (
     stack_states,
     unstack,
 )
-from conftest import small_state, random_trace
+from conftest import same_bits, small_state, random_trace
 
 
 def _zero_state(grid, g=1.0):
@@ -284,3 +284,32 @@ def test_model_energies_positive(grid, rng):
     e2, e2w = model_energies(d, pair)
     assert e2 > 0
     assert np.isclose(e2, e2w, rtol=1e-12)  # default weight is 1
+
+
+def _rhs_full_expression(state):
+    """rhs_full written as one expression per line, every temporary its own
+    array: the reference for the in-place evaluation."""
+    grid, g, Wv, Qv = state.grid, state.g, state.W, state.Q
+    Wa = deriv(Wv, grid)
+    Qa = deriv(Qv, grid)
+    one_pW = 1.0 + Wa
+    J = np.abs(one_pW) ** 2
+    p = project(dealias((Qa - np.conj(Qa)) / J, grid), grid, "holo")
+    F = p - 1j * np.mean(p, axis=-1, keepdims=True).imag
+    Wt = -dealias(F * one_pW, grid)
+    Qt = (-dealias(F * Qa, grid) + g * tilbert(Wv, grid)
+          - project(dealias(np.abs(Qa) ** 2 / J, grid), grid, "holo"))
+    return dealias(Wt, grid), dealias(Qt, grid)
+
+
+@pytest.mark.parametrize("N, B", [(64, None), (100, None), (512, None),
+                                  (100, 7), (128, 128)])
+def test_rhs_full_equals_its_expression(N, B):
+    grid = make_grid(2 * np.pi, N, 0.7)
+    rng = np.random.default_rng(N)
+    members = [WaveState(grid, random_trace(grid, rng, scale=0.02),
+                         random_trace(grid, rng, scale=0.02), 1.3)
+               for _ in range(B or 1)]
+    state = members[0] if B is None else stack_states(members)
+    for got, want in zip(rhs_full(state), _rhs_full_expression(state)):
+        assert same_bits(got, want)

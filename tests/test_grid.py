@@ -18,7 +18,19 @@ from wavestrip.grid import (
     dealias_band,
     product,
     _frozen,
+    _transform,
 )
+from conftest import count_ffts, same_bits
+
+# (N,) and (B, N) shapes of the in-place tests, up to B N = 16384, the
+# stack size below which a stacked row is bit for bit its own call
+SHAPES = [(8,), (100,), (128,), (512,), (2, 64), (7, 100), (32, 128),
+          (128, 128), (32, 512)]
+
+
+def _samples(rng, shape, complex_=True):
+    f = rng.standard_normal(shape)
+    return f + 1j * rng.standard_normal(shape) if complex_ else f
 
 
 def test_grid_validation():
@@ -160,9 +172,93 @@ def test_antideriv_inverts_deriv_on_fluctuations(grid):
 def test_symbols_built_once_per_grid(grid):
     assert grid.tilbert_symbol is grid.tilbert_symbol
     for name in ("tanh", "neg_index", "tilbert_symbol", "inv_tilbert_symbol",
-                 "lh", "sech2", "dealias_mask", "interior", "tanh2", "lh2"):
+                 "lh", "sech2", "dealias_mask", "dealias_symbol", "interior",
+                 "tanh2", "lh2"):
         assert not getattr(grid, name).flags.writeable, name
     assert grid.tilbert_symbol[grid.nyquist_index] == 0.0
     assert grid.inv_tilbert_symbol[0] == 0.0
     assert np.all(grid.k[grid.neg_index] == np.where(
         np.abs(grid.k) == grid.N // 2, grid.k, -grid.k))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("kind", ["bool", "float", "complex"])
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_transform_equals_the_expression(shape, kind, complex_input,
+                                         monkeypatch):
+    # the one transform path: fft into a new buffer, c *= m in place and
+    # ifft back into that buffer, bit for bit the allocating expression,
+    # in exactly one fft and one ifft
+    rng = np.random.default_rng(sum(shape) + len(kind))
+    N = shape[-1]
+    m = {"bool": rng.random(N) < 0.6,
+         "float": rng.standard_normal(N),
+         "complex": _samples(rng, N)}[kind]
+    f = _samples(rng, shape, complex_input)
+    want = from_spectrum(to_spectrum(f) * m)
+    got, ffts = count_ffts(monkeypatch, lambda: _transform(f, m))
+    assert ffts == 2
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_grid_symbols_through_the_transform_path(shape, monkeypatch):
+    # every cached symbol the operators multiply by, real input and complex
+    grid = make_grid(2 * np.pi, shape[-1], 0.7)
+    rng = np.random.default_rng(shape[-1])
+    for complex_input in (False, True):
+        f = _samples(rng, shape, complex_input)
+        for op, m in ((deriv, grid.ixi), (tilbert, grid.tilbert_symbol),
+                      (inv_tilbert, grid.inv_tilbert_symbol),
+                      (lh_apply, grid.lh), (smooth_one_plus_T2, grid.sech2),
+                      (dealias, grid.dealias_mask)):
+            want = from_spectrum(to_spectrum(f) * m)
+            got, ffts = count_ffts(monkeypatch, lambda: op(f, grid))
+            if np.isrealobj(got):   # real input, real-preserving symbol
+                want = want.real
+            assert ffts == 2, op.__name__
+            assert same_bits(got, want), op.__name__
+        g = _samples(rng, shape, complex_input)
+        want = from_spectrum(to_spectrum(f * g) * grid.dealias_mask)
+        got = product(f, g, grid)
+        assert same_bits(got, want if complex_input else want.real)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_in_place_product_forms(shape):
+    # the in-place and cast-free forms the operators and the step use, each
+    # against the expression it replaces
+    grid = make_grid(2 * np.pi, shape[-1], 0.7)
+    rng = np.random.default_rng(3 * shape[-1])
+    c, d = _samples(rng, shape), _samples(rng, shape)
+    # a real symbol held as complex128 multiplies as the real one does
+    pa, pb = grid.project_coeffs
+    for held, real in ((grid.dealias_symbol, grid.dealias_mask),
+                       (pa, pa.real.copy()), (pb, pb.real.copy())):
+        assert not held.imag.any()
+        assert same_bits(held * c, real * c)
+        out = c.copy()
+        np.multiply(held, out, out=out)   # output aliases the 2nd operand
+        assert same_bits(out, real * c)
+    # a spectrum times a complex symbol, out aliasing the 2nd operand
+    out = d.copy()
+    np.multiply(grid.tilbert_symbol, out, out=out)
+    assert same_bits(out, grid.tilbert_symbol * d)
+    # (Qa - conj Qa) / J and |Qa|^2 / J of rhs_full
+    J = np.abs(1.0 + d)
+    np.square(J, out=J)
+    assert same_bits(J, np.abs(1.0 + d) ** 2)
+    u = np.conj(c)
+    np.subtract(c, u, out=u)
+    u /= J
+    assert same_bits(u, (c - np.conj(c)) / J)
+    u = np.abs(c)
+    np.square(u, out=u)
+    u /= J
+    assert same_bits(u, np.abs(c) ** 2 / J)
+    # the least J of require_valid
+    assert same_bits(np.square(np.abs(1.0 + d).min(axis=-1)),
+                      (np.abs(1.0 + d) ** 2).min(axis=-1))
+    # a mean as np.mean takes it: the complex sum divided by N
+    assert same_bits(c.sum(axis=-1, keepdims=True) / shape[-1],
+                      np.mean(c, axis=-1, keepdims=True))

@@ -1,11 +1,13 @@
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from wavestrip.grid import make_grid, from_spectrum, to_spectrum
+from wavestrip.grid import (apply_multiplier, dealias, make_grid,
+                            from_spectrum, product, to_spectrum)
 from wavestrip.holo import (holo_from_real, holomorphy_residual, pair_form,
-                            trace_parts)
+                            project, trace_parts)
 from wavestrip.conformal import SurfaceGraph, graph_to_holo
 from wavestrip.dynamics import (WaveState, energy, energy_gradient, momentum,
                                 momentum_gradient, rhs_full, stack_states,
@@ -19,7 +21,7 @@ from wavestrip.integrator import (
     step_rk4,
     evolve,
 )
-from conftest import count_ffts, random_trace, small_state
+from conftest import count_ffts, random_trace, same_bits, small_state
 
 
 def test_solver_config_validation():
@@ -251,6 +253,72 @@ def test_linear_propagator_built_once():
     assert integrator._linear_propagator(make_grid(2 * np.pi, 64, 1.0),
                                          1.0, 0.05) is prop
     assert not any(a.flags.writeable for a in prop)
+
+
+@pytest.mark.parametrize("shape", [(64,), (100,), (512,), (7, 100),
+                                   (32, 512)])
+def test_apply_propagator_equals_its_expression(shape):
+    # the propagator combines its spectra in place, bit for bit the
+    # expression it stands for with the real cos diagonal
+    rng = np.random.default_rng(shape[-1])
+    y, k = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(2))
+    grid = make_grid(2 * np.pi, shape[-1], 0.7)
+    prop = integrator._linear_propagator(grid, 1.0, 0.0123)
+    c, a12, a21 = prop
+    c = c.real.copy()
+    cW, cQ = to_spectrum(y), to_spectrum(k)
+    W, Q = integrator._apply_propagator(prop, y, k)
+    assert same_bits(W, from_spectrum(c * cW + a12 * cQ))
+    assert same_bits(Q, from_spectrum(a21 * cW + c * cQ))
+
+
+def _held_arrays(*objects):
+    """The arrays of each object: a grid's cached ones, or a tuple's."""
+    out = []
+    for obj in objects:
+        for v in (vars(obj).values() if hasattr(obj, "__dict__") else obj):
+            out.extend(v if isinstance(v, tuple) else [v])
+    return [a for a in out if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("B", [None, 5])
+def test_operators_return_fresh_arrays(B):
+    # an in-place operator writes only into buffers of its own: its result
+    # shares no memory with its inputs or with a cached symbol, and its
+    # inputs keep their values
+    grid = make_grid(2 * np.pi, 64, 1.0)
+    rng = np.random.default_rng(7)
+    shape = (64,) if B is None else (B, 64)
+    f, g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(2))
+    r = rng.standard_normal(shape)
+    prop = integrator._linear_propagator(grid, 1.0, 0.05)
+    ops = {
+        "apply_multiplier": lambda: [apply_multiplier(f, grid.ixi, grid)],
+        "apply_multiplier real": lambda: [
+            apply_multiplier(r, grid.sech2, grid)],
+        "dealias": lambda: [dealias(f, grid)],
+        "dealias real": lambda: [dealias(r, grid)],
+        "product": lambda: [product(f, g, grid)],
+        "project holo": lambda: [project(f, grid, "holo")],
+        "project anti": lambda: [project(f, grid, "anti")],
+        "_apply_propagator": lambda: list(
+            integrator._apply_propagator(prop, f, g)),
+    }
+    for name, attr in vars(type(grid)).items():
+        if isinstance(attr, cached_property):
+            getattr(grid, name)   # build every cached symbol
+    inputs = [f, g, r]
+    held = inputs + _held_arrays(grid, prop)
+    before = [x.copy() for x in inputs]
+    for name, op in ops.items():
+        outs = op()
+        for i, out in enumerate(outs):
+            for x in held + outs[i + 1:]:
+                assert not np.shares_memory(out, x), name
+        for x, x0 in zip(inputs, before):
+            assert same_bits(x, x0), name
 
 
 def _stack_members(L, h, N):

@@ -28,7 +28,7 @@ from wavestrip.normalform import (
     _holo_symbol_grids,
     _preflip_cubic,
 )
-from conftest import small_state, random_trace
+from conftest import same_bits, small_state, random_trace
 
 
 def test_dispersion_kit_values():
@@ -575,6 +575,35 @@ def test_symbol_table_rejects_non_imaginary_entries(monkeypatch):
     with pytest.raises(ValueError,
                        match=r"Ba symbol .* real part at kappa 0\.5"):
         _holo_symbol_grids(8, 0.5)
+
+
+_LINE_HELPERS = ("_holo_limits_eta0", "_holo_limits_xi0",
+                 "_mixed_limits_eta0", "_mixed_limits_xi0")
+
+
+def test_symbols_skip_the_limits_of_an_empty_line(monkeypatch):
+    # the table's blocks hold no point on a line (their lines are zeroed),
+    # so a block evaluates none of the four line-limit helpers; a point on
+    # a line still gets its limit
+    calls = []
+    for name in _LINE_HELPERS:
+        def spy(x, _fn=getattr(normalform, name), _name=name):
+            calls.append(_name)
+            return _fn(x)
+        monkeypatch.setattr(normalform, name, spy)
+    monkeypatch.setattr(normalform, "_symbol_cache", {})
+    _holo_symbol_grids(40, 0.5)
+    xi, eta = np.meshgrid([-1.5, -0.25, 0.5, 2.0], [-0.75, 0.3, 1.25])
+    off = normalform._symbols(xi, eta)
+    assert calls == []
+    on = normalform._symbols(np.array([0.5, 0.0, 1.0]),
+                             np.array([0.0, 0.7, 0.4]))
+    assert set(calls) == set(_LINE_HELPERS)
+    monkeypatch.undo()
+    # the values are the same bits as with every helper evaluated
+    for got, x, e in ((off, xi, eta), (on, [0.5, 0.0, 1.0], [0.0, 0.7, 0.4])):
+        for a, b in zip(got, normalform._symbols(np.array(x), np.array(e))):
+            assert same_bits(a, b)
 
 
 def test_symbol_table_build_peak_is_one_table(monkeypatch):

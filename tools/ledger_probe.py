@@ -1,18 +1,32 @@
-"""Cost of one ledger row against the stack size B of a ``measure`` call.
+"""Cost of one ledger row against the stack size B of a ``measure`` call,
+of the normal-form symbol table, and of one time step.
 
     python3 tools/ledger_probe.py
 
-For every N in 128, 256, 512, 1024 and B in 1, 2, 4, 8, 16, 32 it times one
-``diagnostics.measure`` call on a stack of B small states in this process
-(the median of five calls, after a warm-up call that builds the grid's and
-the symbol table's caches) and prints the milliseconds per ledger row, that
-is the call's time over B, with the ``tracemalloc`` peak of one more call.
+It prints three tables in turn.  For every N in 128, 256, 512, 1024 and B
+in 1, 2, 4, 8, 16, 32 it times one ``diagnostics.measure`` call on a stack
+of B small states in this process (the median of five calls, after a
+warm-up call that builds the grid's and the symbol table's caches) and
+prints the milliseconds per ledger row, that is the call's time over B,
+with the ``tracemalloc`` peak of one more call.
 B N is the block's sample count: ``cli._block_size`` takes 4096 of them,
 so a ledger block is the row of the table where B N = 4096.  For every N it
 then prints the bytes of the normal-form symbol table and the
 ``tracemalloc`` peak of one cold ``normalform._holo_symbol_grids`` call,
-which builds it.  BLAS runs on one thread, as in the benchmark, unless the
-thread variables say otherwise.
+which builds it.
+
+The step table times one ``integrator.step_rk4`` call, ``rk4`` and
+``ifrk4``, for every N in 128, 256, 512, 1024 on one member and on a block
+of 4096 samples (B = 4096 / N members), in process CPU time, the median of
+seven rounds of a few calls each.  It counts the ``numpy.fft.fft`` and
+``numpy.fft.ifft`` calls of one step and times that many bare FFT pairs
+(``fft`` then ``ifft``, forward-normalized, on the same shape) in the same
+rounds, alternating with the steps, so the step's time outside the FFT
+calls shows without the tracer: the last column is 1 - FFT time / step
+time.
+
+BLAS runs on one thread, as in the benchmark, unless the thread variables
+say otherwise.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ import os
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -34,11 +49,14 @@ from wavestrip.cli import _drift_profile  # noqa: E402
 from wavestrip.diagnostics import measure  # noqa: E402
 from wavestrip.dynamics import stack_states  # noqa: E402
 from wavestrip.grid import dealias_band, make_grid  # noqa: E402
+from wavestrip.integrator import step_rk4, suggest_dt  # noqa: E402
 from wavestrip import normalform  # noqa: E402
 
 NS = (128, 256, 512, 1024)
 BS = (1, 2, 4, 8, 16, 32)
 REPEATS = 5
+BLOCK = 4096
+ROUNDS = 7
 
 
 def probe(N: int, B: int) -> tuple[float, float]:
@@ -77,6 +95,49 @@ def table_probe(N: int) -> tuple[float, float]:
     return sum(a.nbytes for a in sym.values()) / 2 ** 20, peak / 2 ** 20
 
 
+def _interleaved_us(runs) -> list:
+    """Median over ROUNDS rounds of each (fn, calls) of ``runs``, in us of
+    process CPU time per call; every round times each of them once, so all
+    see the same host load."""
+    times = [[] for _ in runs]
+    for _ in range(ROUNDS):
+        for (fn, calls), t in zip(runs, times):
+            start = time.process_time()
+            for _ in range(calls):
+                fn()
+            t.append((time.process_time() - start) / calls)
+    return [1e6 * float(np.median(t)) for t in times]
+
+
+def step_probe(N: int, B: int, method: str) -> tuple[float, int, float]:
+    """(us per step, FFT calls per step, us of as many bare FFT calls) of
+    one ``method`` step on a stack of B states at N (B = 1: one state)."""
+    grid = make_grid(2 * np.pi, N, 1.0)
+    states = [_drift_profile(0.02 * (1.0 + j / B), grid, 1.0)
+              for j in range(B)]
+    state = stack_states(states)
+    dt = suggest_dt(grid, 1.0, 0.5)
+
+    def step():
+        step_rk4(state, dt, method)
+
+    step()
+    with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft, \
+            mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft:
+        step()
+    ffts = fft.call_count + ifft.call_count
+    calls = max(1, 20000 // (N * B))
+    x = state.W
+
+    def pair():
+        np.fft.ifft(np.fft.fft(x, norm="forward"), norm="forward")
+
+    pair()
+    step_us, pair_us = _interleaved_us([(step, calls),
+                                        (pair, calls * ffts // 2)])
+    return step_us, ffts, pair_us * ffts / 2
+
+
 def main() -> int:
     print(f"{'N':>5} {'B':>3} {'B N':>6} {'ms/row':>8} {'peak MB':>8}")
     for N in NS:
@@ -88,6 +149,15 @@ def main() -> int:
     for N in NS:
         table, peak = table_probe(N)
         print(f"{N:>5} {table:>10.2f} {peak:>15.2f}", flush=True)
+    print(f"\n{'method':>6} {'N':>5} {'B':>3} {'us/step':>9} "
+          f"{'ffts':>5} {'fft us':>9} {'non-FFT':>8}")
+    for method in ("rk4", "ifrk4"):
+        for N in NS:
+            for B in (1, BLOCK // N):
+                us, ffts, fft_us = step_probe(N, B, method)
+                print(f"{method:>6} {N:>5} {B:>3} {us:>9.0f} {ffts:>5} "
+                      f"{fft_us:>9.0f} {1.0 - fft_us / us:>8.1%}",
+                      flush=True)
     return 0
 
 
