@@ -393,11 +393,7 @@ def _block_size(grid: SpectralGrid) -> int:
     taylor-audit's random states, the simulate ledger and the drift-scaling
     observer take their blocks by this one rule.  A block costs about what
     one state does, and no temporary of the ledger grows as B N^2: the
-    normal-form routines take one member at a time.  ``tools/ledger_probe.py``
-    times a ledger row and its memory against B: at 4096 samples rather
-    than 2048 a row costs 1.25 ms against 1.69 ms at N = 256 and 0.58
-    against 0.68 ms at N = 128, while 8192 gains nothing more at N = 256
-    (medians of three runs on a shared 2-core host).  B N stays below the
+    normal-form routines take one member at a time.  B N stays below the
     B N < 16384 bound of wavestrip.grid, under which each row is bit for
     bit its own call.
     """
@@ -588,7 +584,7 @@ def _drift_profile(eps: float, grid: SpectralGrid, g: float) -> WaveState:
 
 
 def _run_drift_scaling(config: ExperimentConfig, out_dir: str) -> list:
-    from .normalform import nf_energy, _E0
+    from .normalform import _nf_energy_terms
     exp = config.experiment
     grid = config.make_grid()
     g = config.g
@@ -599,9 +595,10 @@ def _run_drift_scaling(config: ExperimentConfig, out_dir: str) -> list:
     blocks = []
 
     def energies(stack, ts):
-        # (energy, observation, member) of the block's observations
-        d = diag_of(stack)
-        blocks.append(np.reshape([nf_energy(1, d), _E0(d.bW, d.R, g, grid)],
+        # (energy, observation, member) of the block's observations; E0 is
+        # nf_energy's first term
+        quad, cross, cubic = _nf_energy_terms(1, diag_of(stack))
+        blocks.append(np.reshape([quad + cross + cubic, quad],
                                  (2, -1, len(states))))
 
     obs, flush = _blocked(grid, g, energies)

@@ -198,8 +198,7 @@ class SpectralGrid:
 
         A complex spectrum times it equals the spectrum times the mask bit
         for bit, since numpy casts a bool or real operand of a complex
-        product to complex; a complex operand spares that cast, which at
-        N = 512 takes about as long as the product itself.
+        product to complex; a complex operand spares that cast.
         """
         return _frozen(self.dealias_mask.astype(np.complex128))
 

@@ -4,9 +4,9 @@ A trace ``u`` of a function holomorphic in the strip ``(-h, 0)`` and real on
 the bottom satisfies ``Im u = -T_h Re u``.  Traces are plain complex sample
 arrays on a :class:`~wavestrip.grid.SpectralGrid`, passed together with that
 grid.  This module builds such traces and provides the holomorphic /
-antiholomorphic projections, the depth-adapted inner products and norms, and
-residual checks for the constraint and for the two product identities used
-throughout the dynamics.
+antiholomorphic projections, the depth-adapted inner products (also from two
+spectra by Parseval) and norms, and residual checks for the constraint and
+for the two product identities used throughout the dynamics.
 
 Zero-mode conventions: the underlying space does not see real constants, so
 the mean of ``Re u`` is a gauge scalar excluded from every norm.  The mean of
@@ -36,9 +36,9 @@ from .grid import (
 __all__ = [
     "holo_from_real",
     "holo_from_spectrum",
+    "flip_combine",
     "project_spectrum",
     "project",
-    "trace_parts",
     "parseval_inner",
     "inner_h",
     "pair_form",
@@ -104,23 +104,27 @@ def holo_from_spectrum(coeffs_pos, grid: SpectralGrid) -> np.ndarray:
     return holo_from_real(from_spectrum(c).real, grid)
 
 
-def project_spectrum(c: np.ndarray, grid: SpectralGrid,
-                     out=None) -> np.ndarray:
-    """Spectrum of the holomorphic projection from the spectrum ``c``.
-
-    (P u)_k = pa_k u_k + pb_k conj(u_{-k}) with the grid's full-length
-    ``project_coeffs``, see :func:`project`; ``c`` may be a stack of spectra
-    on the last axis.  The result goes into ``out`` if given, which may be
-    ``c`` itself; the terms are combined in place, each product rounded as
-    in the expression above.
-    """
-    pa, pb = grid.project_coeffs
-    flip = c[..., grid.neg_index]
+def flip_combine(c: np.ndarray, coeffs, grid: SpectralGrid,
+                 out=None) -> np.ndarray:
+    """a_k c_k + b_k conj(c_{-k}) from a spectrum (or a stack of them) and
+    full-length symbols (a, b) = ``coeffs``, into ``out`` if given (``c``
+    itself allowed), each product rounded as written.  The flip and the
+    result are C-ordered like a stacked ``c``, so a reduction keeps row bits."""
+    a, b = coeffs
+    flip = np.take(c, grid.neg_index, axis=-1)
     np.conjugate(flip, out=flip)
-    np.multiply(pb, flip, out=flip)
-    out = np.multiply(pa, c, out=out)
+    np.multiply(b, flip, out=flip)
+    out = np.multiply(a, c, out=out)
     out += flip
     return out
+
+
+def project_spectrum(c: np.ndarray, grid: SpectralGrid,
+                     out=None) -> np.ndarray:
+    """Spectrum of the holomorphic projection from the spectrum ``c``:
+    :func:`flip_combine` with the grid's ``project_coeffs``, see
+    :func:`project`."""
+    return flip_combine(c, grid.project_coeffs, grid, out=out)
 
 
 def project(f: np.ndarray, grid: SpectralGrid,
@@ -149,22 +153,14 @@ def project(f: np.ndarray, grid: SpectralGrid,
     return from_spectrum(p, out=p)
 
 
-def trace_parts(c: np.ndarray, grid: SpectralGrid):
-    """Spectra of Re u and Im u from the spectrum ``c`` of a field u (or a
-    stack of fields on the last axis)."""
-    cc = np.conj(c[..., grid.neg_index])
-    return 0.5 * (c + cc), -0.5j * (c - cc)
-
-
-def parseval_inner(u, v, w_re, w_im, grid: SpectralGrid):
-    """L Re sum_k [w_re Re-u_k conj(Re-v_k) + w_im Im-u_k conj(Im-v_k)].
-
-    ``u`` and ``v`` are :func:`trace_parts` pairs.  With w_re = ``grid.tanh2``
-    and w_im = 1 this is :func:`inner_h` by Parseval; with both weights
-    multiplied by ``grid.lh2`` it is <L_h u, L_h v>.  One value per member.
-    """
-    return grid.L * (np.vecdot(v[0], w_re * u[0]).real
-                     + np.vecdot(v[1], w_im * u[1]).real)
+def parseval_inner(u: np.ndarray, dual: np.ndarray, grid: SpectralGrid):
+    """L Re sum_k conj(dual_k) u_k, one value per member.  With ``dual`` the
+    :func:`flip_combine` of v's spectrum under ((w_re + w_im)/2,
+    (w_re - w_im)/2) for real, even weights, it is by Parseval
+    L Re sum_k [w_re Re-u_k conj(Re-v_k) + w_im Im-u_k conj(Im-v_k)]:
+    :func:`inner_h` at (``grid.tanh2``, 1), <L_h u, L_h v> at ``grid.lh2``
+    times those."""
+    return grid.L * np.vecdot(dual, u).real
 
 
 def inner_h(u: np.ndarray, v: np.ndarray, grid: SpectralGrid,

@@ -1,21 +1,17 @@
-"""Explicit time stepping for the water-wave system.
+"""Explicit time stepping for the water-wave system, and the shell projection.
 
 Classical RK4 on :func:`~wavestrip.dynamics.rhs_full` is the baseline.  An
 integrating-factor variant ("ifrk4") applies the exact linear propagator
 
     exp(M_k t),  M_k = [[0, -i xi], [-i g tanh(h xi), 0]],
 
-per Fourier mode between RK4 stages, so the linear oscillation -- whose
-truncation error otherwise dominates long-time energy drift -- is integrated
-exactly and only the nonlinear remainder sees the RK4 error.  Long-horizon
-conservation runs should use it; at cfl = 0.5 plain RK4's linear amplitude
-error (omega dt)^6/144 per step accumulates to ~1e-5 relative energy drift
-per 100 time units, orders of magnitude above what the nonlinear dynamics
-itself contributes.
-
-After every step the holomorphic projection is re-applied to the fluctuating
-part of both fields (zero modes are gauge scalars and pass through
-untouched), so states remain exact holomorphic traces modulo their means.
+per Fourier mode between RK4 stages, so only the nonlinear remainder sees
+the RK4 error; long conservation runs should use it.  After every step the
+holomorphic projection is re-applied to the fluctuating part of both fields
+(zero modes are gauge scalars and pass through), so states stay exact
+holomorphic traces modulo their means.  Under ``project_energy`` each step
+is followed by the projection onto the initial (energy, momentum) shell,
+which works on spectra alone (:func:`_project_to_invariant_shell`).
 
 A step and the shell projection work on the last axis: a stack of B members
 takes the FFT calls of one member, and each row equals the single-member
@@ -30,9 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import (SpectralGrid, dealias, dealias_band, deriv, from_spectrum,
-                   tilbert, to_spectrum)
-from .holo import parseval_inner, project, project_spectrum, trace_parts
+from .grid import (SpectralGrid, _frozen, dealias, dealias_band, deriv,
+                   from_spectrum, tilbert, to_spectrum)
+from .holo import flip_combine, parseval_inner, project, project_spectrum
 from .dynamics import (InvalidState, WaveState, energy, momentum,
                        require_valid, rhs_full, unstack)
 
@@ -152,16 +148,10 @@ def _apply_propagator(prop, Wv, Qv):
 def _regauge(Wv: np.ndarray, Qv: np.ndarray, grid: SpectralGrid):
     """Re-project the fluctuating part onto dealiased holomorphic traces.
 
-    Both zero modes are preserved exactly as the step produced them: the Re
-    means are parametrization gauge, and the flow does not move the Im mean
-    of W.  :func:`~wavestrip.dynamics._real_mean_projection` pins the mean
-    of F real, so mean(Im W_t) = 0 exactly; on the drift profile at
-    eps = 0.1, N = 64, cfl 0.5, without the invariant-shell projection, max
-    |mean Im W| over T = 30 is 1.8e-18 (ifrk4) and 2.0e-18 (rk4).  The mean
-    is kept rather than zeroed so that a state that starts with one (the
-    conformal map's vertical offset) keeps it.  Holomorphy is always
-    understood modulo these means.  The means are taken per member of a
-    stack, as ``np.mean`` takes them: the complex sum divided by N.
+    Both zero modes pass through as the step produced them: the Re means are
+    gauge, and the Im mean of W, which the flow keeps, stays where a state
+    starts it (the conformal map's vertical offset).  The means are taken
+    per member, as ``np.mean`` takes them: the complex sum divided by N.
     """
     out = []
     for v in (Wv, Qv):
@@ -228,26 +218,30 @@ def step_rk4(state: WaveState, dt: float, method: str = "rk4") -> WaveState:
     return state.with_fields(Wn, Qn, t=state.t + dt)
 
 
+@lru_cache(maxsize=16)
+def _shell_weights(grid: SpectralGrid):
+    """:func:`~wavestrip.holo.parseval_inner`'s symbols of the trace inner
+    product and of <L_h u, L_h v>, built once per grid."""
+    pairs = ((grid.tanh2, 1.0), (grid.tanh2 * grid.lh2, grid.lh2))
+    return tuple(tuple(_frozen((0.5 * w).astype(np.complex128))
+                       for w in (r + i, r - i)) for r, i in pairs)
+
+
 def _shell_invariants(grid: SpectralGrid, g: float, cW: np.ndarray,
                       cQ: np.ndarray, W: np.ndarray, Wa: np.ndarray):
-    """(E, I, D) of a state from the spectra of W and Q, by Parseval.
-
-    E and I are :func:`~wavestrip.dynamics.energy`'s first form and
-    :func:`~wavestrip.dynamics.momentum`; D is the spectrum of the dealiased
-    product W W_alpha of the cubic term, the one FFT here, taken from the
-    samples ``W`` and ``Wa`` = W_alpha.
-    """
+    """(E, I, D) of a state from the spectra of W and Q, by Parseval:
+    :func:`~wavestrip.dynamics.energy`'s first form, the momentum, and the
+    spectrum of the dealiased cubic product W W_alpha, the one FFT here,
+    from the samples ``W`` and ``Wa`` = W_alpha."""
     D = to_spectrum(W * Wa)
     np.multiply(grid.dealias_symbol, D, out=D)
-    pW = trace_parts(cW, grid)
-    pV = trace_parts(grid.inv_tilbert_symbol * (grid.ixi * cQ), grid)
-
-    def inner(u, v):
-        return parseval_inner(u, v, grid.tanh2, 1.0, grid)
-
-    quad = 0.25 * g * inner(pW, pW) - 0.25 * inner(trace_parts(cQ, grid), pV)
-    E = quad + 0.5 * g * inner(trace_parts(D, grid), pW)
-    return E, 0.5 * inner(pW, pV), D
+    V = grid.inv_tilbert_symbol * (grid.ixi * cQ)
+    weights = _shell_weights(grid)[0]
+    dW, dV = flip_combine(cW, weights, grid), flip_combine(V, weights, grid)
+    quad = (0.25 * g * parseval_inner(cW, dW, grid)
+            - 0.25 * parseval_inner(cQ, dV, grid))
+    E = quad + 0.5 * g * parseval_inner(D, dW, grid)
+    return E, 0.5 * parseval_inner(V, dW, grid), D
 
 
 def _shell_gradients(grid: SpectralGrid, g: float, cW: np.ndarray,
@@ -269,46 +263,60 @@ def _shell_gradients(grid: SpectralGrid, g: float, cW: np.ndarray,
     return (mask * (cW + D - corr), cQ), (V / g, -cW)
 
 
-def _shell_form(p1, p2, g: float, grid: SpectralGrid) -> float:
-    """:func:`~wavestrip.holo.pair_form` of two (w, q) pairs of trace_parts."""
-    (w1, q1), (w2, q2) = p1, p2
-    return (0.5 * g * parseval_inner(w1, w2, grid.tanh2, 1.0, grid)
-            + 0.5 * parseval_inner(q1, q2, grid.tanh2 * grid.lh2, grid.lh2,
-                                   grid))
+def _shell_gram(grads, g: float, grid: SpectralGrid) -> np.ndarray:
+    """The 2x2 matrix of :func:`~wavestrip.holo.pair_form` between the two
+    (w, q) pairs of spectra ``grads``, by Parseval, one per member."""
+    (ww, wq) = _shell_weights(grid)
+    duals = [(flip_combine(w, ww, grid), flip_combine(q, wq, grid))
+             for w, q in grads]
+
+    def form(i, j):
+        return (0.5 * g * parseval_inner(grads[i][0], duals[j][0], grid)
+                + 0.5 * parseval_inner(grads[i][1], duals[j][1], grid))
+
+    mEI = form(1, 0)
+    return np.stack([form(0, 0), mEI, mEI, form(1, 1)],
+                    -1).reshape(np.shape(mEI) + (2, 2))
+
+
+def _solve_2x2(M: np.ndarray, rhs: np.ndarray):
+    """(ok, x) of a stack of 2x2 systems M x = rhs, entry by entry: x by
+    Cramer's rule, and ``ok`` where M's 2-norm condition number is at most
+    1e12.  With f = ||M||_F^2 and d = |det M| that number is
+    (f + sqrt((f - 2 d)(f + 2 d))) / (2 d), here compared without the
+    division and rooted factor by factor, so no entry is raised past its
+    square.  A singular or zero M is refused; its x is finite."""
+    m = M.reshape(M.shape[:-2] + (4,))
+    p, q, r, s = m[..., 0], m[..., 1], m[..., 2], m[..., 3]
+    f, det = p * p + q * q + r * r + s * s, p * s - q * r
+    d2 = 2.0 * np.abs(det)
+    ok = (f > 0) & (f + np.sqrt(np.abs(f - d2)) * np.sqrt(f + d2) <= 1e12 * d2)
+    det = np.where(ok, det, 1.0)[..., None]
+    # (s b0 - q b1, p b1 - r b0) / det
+    return ok, (m[..., ::-3] * rhs - m[..., 1:3] * rhs[..., ::-1]) / det
+
+
+def _where(on, new, old):
+    """np.where(on, new, old), which is ``new`` itself where all of on holds."""
+    return new if on.all() else np.where(on, new, old)
 
 
 def _project_to_invariant_shell(state: WaveState, E_target,
                                 I_target) -> WaveState:
     """Project onto the (energy, momentum) level set of the initial state.
 
-    The periodization of the decaying-line equations carries zero-mode
-    anomalies: only one real convention constant (the imaginary mean of the
-    transport coefficient) is free, and it cannot make the discrete flow
-    conserve both the fluid volume and the energy functional, so the energy
-    picks up a bounded, non-secular oscillation of relative size
-    O(amplitude^2), independent of N and dt.  For long-horizon conservation
-    runs the standard remedy is post-step projection onto the invariant
-    manifold; correcting along the energy gradient alone shifts the
-    momentum by the same tiny amount it removes from the energy, so the
-    correction lies in the span of both gradients and solves a 2x2 system
-    for the two coefficients.
-
-    The gradients and their symmetric Gram matrix are built once, at the
-    incoming state.  That matrix is only an O(amplitude^2)-accurate
-    Jacobian of the invariants along the two directions, so Newton steps
-    that reuse it converge linearly; each step therefore corrects it by
-    Broyden's rank-one rule from the residual it leaves, which makes the
-    iteration superlinear at the cost of one (energy, momentum) evaluation.
-
-    The iteration runs on the spectra of W and Q: the invariants, the
-    gradients and the Gram matrix are Parseval sums, so an iterate costs
-    three FFTs (W and W_alpha back for the validity rule and the cubic
-    term, and their dealiased product).  Every iterate passes the validity
-    rule, its Q checked through its spectrum, and the result is a new
-    :class:`~wavestrip.dynamics.WaveState`.  A stack runs as one batch with
-    one target pair per member; each member stops on its own rule, so its
-    row equals its projection alone and a member that never moves keeps its
-    samples.
+    The periodized flow leaves the energy a bounded O(amplitude^2)
+    oscillation, so long runs project after every step, along both
+    gradients.  Their Gram matrix is built once, at the incoming state;
+    each Newton step solves the 2x2 system in closed form (refused above
+    condition number 1e12) and corrects the matrix by Broyden's rank-one
+    rule.  A member stops after four steps or once both residuals are below
+    1e-14 of its larger target.  Everything runs on spectra, with Parseval
+    sums (:func:`~wavestrip.holo.parseval_inner`), so an iterate costs three
+    FFTs: W and W_alpha for the validity rule, which every iterate passes,
+    and their dealiased product.  A stack runs as one batch with one target
+    pair per member, each stopping on its own rule, so its row equals its
+    projection alone and a member that never moves keeps its samples.
     """
     grid, g = state.grid, state.g
     cW, cQ = to_spectrum(state.W), to_spectrum(state.Q)
@@ -316,25 +324,23 @@ def _project_to_invariant_shell(state: WaveState, E_target,
     from_spectrum(Wa, out=Wa)
     E, I, D = _shell_invariants(grid, g, cW, cQ, W, Wa)
     gE, gI = _shell_gradients(grid, g, cW, cQ, W, Wa, D)
-    pE, pI = ([trace_parts(c, grid) for c in p] for p in (gE, gI))
-    mEI = _shell_form(pE, pI, g, grid)
-    M = np.stack([_shell_form(pE, pE, g, grid), mEI, mEI,
-                  _shell_form(pI, pI, g, grid)], -1).reshape(E.shape + (2, 2))
+    M = _shell_gram((gE, gI), g, grid)
     target = np.array([E_target, I_target]).T  # one (E, I) row per member
     tol = 1e-14 * np.maximum(np.abs(target).max(-1), 1e-300)
     rhs = target - np.array([E, I]).T
     live, moved = np.ones(E.shape, bool), np.zeros(E.shape, bool)
     for _ in range(4):
-        live &= ~(np.abs(rhs).max(-1) < tol) & (np.abs(M).max((-2, -1)) > 0)
+        live &= ~(np.abs(rhs).max(-1) < tol)
         if live.any():
-            live[live] = ~(np.linalg.cond(M[live]) > 1e12)
+            ok, ds = _solve_2x2(M, rhs)
+            live &= ok
         if not live.any():
             break
-        ds = np.zeros_like(rhs)
-        ds[live] = np.linalg.solve(M[live], rhs[live][..., None])[..., 0]
-        a, b, on = ds[..., :1], ds[..., 1:], live[..., None]
-        cW = np.where(on, cW + a * gE[0] + b * gI[0], cW)
-        cQ = np.where(on, cQ + a * gE[1] + b * gI[1], cQ)
+        on = live[..., None]
+        ds = _where(on, ds, 0.0)
+        a, b = ds[..., :1], ds[..., 1:]
+        cW = _where(on, cW + a * gE[0] + b * gI[0], cW)
+        cQ = _where(on, cQ + a * gE[1] + b * gI[1], cQ)
         W, Wa = from_spectrum(cW), grid.ixi * cW
         from_spectrum(Wa, out=Wa)
         require_valid(grid, Wa, (cQ,), W)
@@ -346,8 +352,8 @@ def _project_to_invariant_shell(state: WaveState, E_target,
     if not moved.any():
         return state
     keep = moved[..., None]
-    return state.with_fields(np.where(keep, W, state.W),
-                             np.where(keep, from_spectrum(cQ), state.Q))
+    return state.with_fields(_where(keep, W, state.W),
+                             _where(keep, from_spectrum(cQ), state.Q))
 
 
 Observer = Callable[[int, float, WaveState], object]

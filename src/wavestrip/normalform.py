@@ -427,8 +427,7 @@ def _holo_symbol_grids(band: int, kappa: float) -> dict:
 
 
 # Lattice points per block of :func:`_holo_symbol_grids`: one block's
-# symbol values and their intermediates take about 1.1 MiB whatever the
-# band, beside a table of 1.6 MiB at N = 256 and 25 MiB at N = 1024
+# symbol values and intermediates take the same memory whatever the band
 _SYMBOL_ENTRIES = 1 << 12
 _symbol_cache: dict = {}
 
@@ -449,12 +448,8 @@ def _hankel_form(H: np.ndarray, S, c1: np.ndarray, c2: np.ndarray):
     single-member call, and the one temporary ``S * H`` is a (2 band + 1)^2
     table whatever the stack's size.
     """
-    # BLAS has no start-up cost here that einsum would avoid: the complex
-    # 171 x 171 mat-vec of N = 256 takes about 10 us by BLAS and 40-44 us by
-    # einsum on one core of a 2-core Xeon, with the thread variables set to
-    # 1.  Forming S * H costs more than the mat-vec: 47-50 us for a real
-    # symbol table, which numpy casts to complex on the fly, against 35-38 us
-    # for a complex one, so a whole form takes 67-88 us against 55-69 us
+    # a BLAS mat-vec, which beats einsum at every band; forming S * H costs
+    # more than the mat-vec itself
     size = c1.shape[-1]
     forms = [np.real(np.vecdot(np.conj(a), np.matvec(S * h, b)))
              for h, a, b in zip(H.reshape((-1, size, size)), _members(c1),
@@ -720,14 +715,21 @@ def nf_energy(n: int, diag: DiagState) -> float:
     potentials (the division by (i xi)(i eta)(i zeta) is realized by
     feeding antiderivatives to the pre-flip double sums).
     """
+    quad, cross, cubic = _nf_energy_terms(n, diag)
+    return quad + cross + cubic
+
+
+def _nf_energy_terms(n: int, diag: DiagState):
+    """The three terms of :func:`nf_energy`, which sums them in this order;
+    at n = 1 the first is E0(W, R)."""
     grid, g, bW, R = diag.grid, diag.g, diag.bW, diag.R
     dn = _rung(n, grid)
     wd, rd = dn(bW), dn(R)
     quad = _E0(wd, rd, g, grid)
     RWd = dn(dealias(R * bW, grid))
     cross = -2.0 * inner_h(RWd, inv_tilbert(deriv(rd, grid), grid), grid)
-    return quad + cross + _preflip_cubic(n, antideriv(bW, grid),
-                                         antideriv(R, grid), g, grid)
+    return quad, cross, _preflip_cubic(n, antideriv(bW, grid),
+                                       antideriv(R, grid), g, grid)
 
 
 def high_forms(n: int, diag: DiagState) -> tuple[float, float]:

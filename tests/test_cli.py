@@ -668,13 +668,13 @@ def test_stacked_kinds_run_the_shell_projection_as_one_stack(
 def test_drift_scaling_row_costs_the_ffts_of_one_member(tmp_path,
                                                         monkeypatch):
     # the observer keeps the 2-member rows and evaluates them in blocks of
-    # 32 states at N = 128 (16 rows), one nf_energy call a block, plus one
-    # for the remainder; a block makes the transform calls of one member's
-    # row
+    # 32 states at N = 128 (16 rows), one call of nf_energy's terms a block,
+    # plus one for the remainder, whose first term is the row's E0; a block
+    # makes the transform calls of one member's row
     from wavestrip import cli, normalform
     from wavestrip.dynamics import diag_of
     seen, nf_shapes = {}, []
-    real_nf, real_blocked = normalform.nf_energy, cli._blocked
+    real_nf, real_blocked = normalform._nf_energy_terms, cli._blocked
 
     def spy(state, solver, observers=()):
         out = evolve(state, solver, observers)
@@ -686,13 +686,13 @@ def test_drift_scaling_row_costs_the_ffts_of_one_member(tmp_path,
         seen["evaluate"] = evaluate
         return real_blocked(grid, g, evaluate)
 
-    def nf_energy(n, diag):
+    def nf_terms(n, diag):
         nf_shapes.append(diag.bW.shape)
         return real_nf(n, diag)
 
     monkeypatch.setattr(cli, "evolve", spy)
     monkeypatch.setattr(cli, "_blocked", blocked)
-    monkeypatch.setattr(normalform, "nf_energy", nf_energy)
+    monkeypatch.setattr(normalform, "_nf_energy_terms", nf_terms)
     p = _write_config(tmp_path / "c.json", {"grid": {"N": 128}})
     assert main(["drift-scaling", "--config", p, "--out",
                  str(tmp_path / "run")]) == 0
@@ -706,12 +706,12 @@ def test_drift_scaling_row_costs_the_ffts_of_one_member(tmp_path,
 
     def one_member():
         d = diag_of(member)
-        return real_nf(1, d), normalform._E0(d.bW, d.R, d.g, d.grid)
+        return normalform.nf_energy(1, d)
 
     counts = [count_ffts(monkeypatch, one_member)[1]]
     counts += [count_ffts(monkeypatch, lambda: seen["evaluate"](
         s, [s.t] * len(s.W)))[1] for s in (final, block)]
-    assert counts == [48, 48, 48]
+    assert counts == [36, 36, 36]
 
 
 def test_stack_abort_exits_2_with_a_one_member_snapshot(tmp_path, capsys,

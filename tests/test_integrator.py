@@ -7,7 +7,7 @@ import pytest
 from wavestrip.grid import (apply_multiplier, dealias, make_grid,
                             from_spectrum, product, to_spectrum)
 from wavestrip.holo import (holo_from_real, holomorphy_residual, pair_form,
-                            project, trace_parts)
+                            project)
 from wavestrip.conformal import SurfaceGraph, graph_to_holo
 from wavestrip.dynamics import (WaveState, energy, energy_gradient, momentum,
                                 momentum_gradient, rhs_full, stack_states,
@@ -210,11 +210,11 @@ def test_shell_projection_invariants_by_parseval(L, h):
         assert abs(E - E_ref) <= 1e-14 * scale
         assert abs(I - I_ref) <= 1e-14 * scale
         spec = integrator._shell_gradients(grid, g, cW, cQ, s.W, Wa, D)
-        parts = [[trace_parts(c, grid) for c in p] for p in spec]
         phys = (energy_gradient(s), momentum_gradient(s))
+        gram = integrator._shell_gram(spec, g, grid)
         for i in range(2):
             for j in range(2):
-                got = integrator._shell_form(parts[i], parts[j], g, grid)
+                got = gram[i, j]
                 want = pair_form(phys[i], phys[j], g, grid)
                 scale = np.sqrt(pair_form(phys[i], phys[i], g, grid)
                                 * pair_form(phys[j], phys[j], g, grid))
@@ -473,3 +473,35 @@ def test_shell_projection_of_a_stack_is_per_member():
     assert alone is not off
     assert np.array_equal(p.W[0], on.W) and np.array_equal(p.Q[0], on.Q)
     assert np.array_equal(p.W[1], alone.W) and np.array_equal(p.Q[1], alone.Q)
+
+
+def test_closed_form_2x2_matches_linalg():
+    # the projection's 2x2 guard and solve against np.linalg.cond > 1e12 and
+    # np.linalg.solve on random, near-singular, singular and zero stacks
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-100, 100, (300, 1, 1))
+    rand = rng.standard_normal((300, 2, 2)) * scale
+    u, v = rng.standard_normal((2, 300, 2))
+    near = (u[:, :, None] * v[:, None, :]
+            + 10.0 ** rng.uniform(-17, -5, (300, 1, 1))
+            * rng.standard_normal((300, 2, 2))) * scale
+    singular = np.array([[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 3.0]],
+                         [[1e-300, 0.0], [0.0, 0.0]], [[3.0, -3.0], [1.0, -1.0]]])
+    M = np.concatenate([rand, near, singular, np.zeros((3, 2, 2))])
+    rhs = rng.standard_normal((len(M), 2))
+    ok, x = integrator._solve_2x2(M, rhs)
+    cond = np.linalg.cond(M)
+    assert np.all(np.isfinite(x))
+    # the same members are refused, away from round-off of the bound
+    far = ~(np.abs(np.log10(cond / 1e12)) < 0.05)
+    assert far.sum() >= len(M) - 3
+    assert np.array_equal(ok[far], ~(cond[far] > 1e12))
+    assert not ok[-7:].any()
+    assert 0 < ok[300:600].sum() < 300
+    want = np.linalg.solve(M[ok], rhs[ok][..., None])[..., 0]
+    err = np.abs(x[ok] - want).max(-1) / np.abs(want).max(-1)
+    assert np.all(err <= 1e-15 * cond[ok] + 1e-15)
+    # entry by entry: a member alone gets its row's bits
+    for j in (0, 299, 450, len(M) - 1):
+        alone = integrator._solve_2x2(M[j], rhs[j])
+        assert alone[0] == ok[j] and same_bits(alone[1], x[j])

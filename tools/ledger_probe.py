@@ -1,9 +1,10 @@
 """Cost of one ledger row against the stack size B of a ``measure`` call,
-of the normal-form symbol table, and of one time step.
+of the normal-form symbol table, of one time step and of one shell
+projection.
 
     python3 tools/ledger_probe.py
 
-It prints three tables in turn.  For every N in 128, 256, 512, 1024 and B
+It prints four tables in turn.  For every N in 128, 256, 512, 1024 and B
 in 1, 2, 4, 8, 16, 32 it times one ``diagnostics.measure`` call on a stack
 of B small states in this process (the median of five calls, after a
 warm-up call that builds the grid's and the symbol table's caches) and
@@ -24,6 +25,13 @@ seven rounds of a few calls each.  It counts the ``numpy.fft.fft`` and
 rounds, alternating with the steps, so the step's time outside the FFT
 calls shows without the tracer: the last column is 1 - FFT time / step
 time.
+
+The projection table does the same for one
+``integrator._project_to_invariant_shell`` call, as ``simulate`` makes it:
+after one ``ifrk4`` step, onto the shells of the states before it, for
+every N in 128, 256, 512, 1024 on one member and on a 4096-sample block.
+It also counts the call's 2x2 solves (``integrator._solve_2x2`` calls),
+one per Newton iterate plus the one that stops the iteration.
 
 BLAS runs on one thread, as in the benchmark, unless the thread variables
 say otherwise.
@@ -47,10 +55,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from wavestrip.cli import _drift_profile  # noqa: E402
 from wavestrip.diagnostics import measure  # noqa: E402
-from wavestrip.dynamics import stack_states  # noqa: E402
+from wavestrip.dynamics import energy, momentum, stack_states  # noqa: E402
 from wavestrip.grid import dealias_band, make_grid  # noqa: E402
 from wavestrip.integrator import step_rk4, suggest_dt  # noqa: E402
-from wavestrip import normalform  # noqa: E402
+from wavestrip import integrator, normalform  # noqa: E402
 
 NS = (128, 256, 512, 1024)
 BS = (1, 2, 4, 8, 16, 32)
@@ -109,33 +117,49 @@ def _interleaved_us(runs) -> list:
     return [1e6 * float(np.median(t)) for t in times]
 
 
-def step_probe(N: int, B: int, method: str) -> tuple[float, int, float]:
-    """(us per step, FFT calls per step, us of as many bare FFT calls) of
-    one ``method`` step on a stack of B states at N (B = 1: one state)."""
-    grid = make_grid(2 * np.pi, N, 1.0)
-    states = [_drift_profile(0.02 * (1.0 + j / B), grid, 1.0)
-              for j in range(B)]
-    state = stack_states(states)
-    dt = suggest_dt(grid, 1.0, 0.5)
-
-    def step():
-        step_rk4(state, dt, method)
-
-    step()
+def _against_ffts(fn, x, solves=False) -> tuple:
+    """(us per call, FFT calls per call, us of as many bare FFT calls on the
+    shape of ``x``, and the call's 2x2 solves if ``solves``) of ``fn``."""
+    fn()
     with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft, \
-            mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft:
-        step()
+            mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft, \
+            mock.patch.object(integrator, "_solve_2x2",
+                              wraps=integrator._solve_2x2) as solve:
+        fn()
     ffts = fft.call_count + ifft.call_count
-    calls = max(1, 20000 // (N * B))
-    x = state.W
+    calls = max(1, 20000 // x.size)
 
     def pair():
         np.fft.ifft(np.fft.fft(x, norm="forward"), norm="forward")
 
     pair()
-    step_us, pair_us = _interleaved_us([(step, calls),
-                                        (pair, calls * ffts // 2)])
-    return step_us, ffts, pair_us * ffts / 2
+    us, pair_us = _interleaved_us([(fn, calls), (pair, calls * ffts // 2)])
+    return (us, ffts, pair_us * ffts / 2) + ((solve.call_count,) * solves)
+
+
+def _states(N: int, B: int):
+    grid = make_grid(2 * np.pi, N, 1.0)
+    return grid, stack_states([_drift_profile(0.02 * (1.0 + j / B), grid,
+                                              1.0) for j in range(B)])
+
+
+def step_probe(N: int, B: int, method: str) -> tuple[float, int, float]:
+    """(us per step, FFT calls per step, us of as many bare FFT calls) of
+    one ``method`` step on a stack of B states at N (B = 1: one state)."""
+    grid, state = _states(N, B)
+    dt = suggest_dt(grid, 1.0, 0.5)
+    return _against_ffts(lambda: step_rk4(state, dt, method), state.W)
+
+
+def projection_probe(N: int, B: int) -> tuple[float, int, float, int]:
+    """(us per call, FFT calls, us of as many bare FFT calls, 2x2 solves)
+    of one shell projection after an ``ifrk4`` step on B states at N."""
+    grid, state = _states(N, B)
+    E, I = energy(state)[0], momentum(state)
+    moved = step_rk4(state, suggest_dt(grid, 1.0, 0.5), "ifrk4")
+    return _against_ffts(
+        lambda: integrator._project_to_invariant_shell(moved, E, I),
+        moved.W, solves=True)
 
 
 def main() -> int:
@@ -158,6 +182,13 @@ def main() -> int:
                 print(f"{method:>6} {N:>5} {B:>3} {us:>9.0f} {ffts:>5} "
                       f"{fft_us:>9.0f} {1.0 - fft_us / us:>8.1%}",
                       flush=True)
+    print(f"\n{'N':>5} {'B':>3} {'us/call':>9} {'solves':>6} {'ffts':>5} "
+          f"{'fft us':>9} {'non-FFT':>8}")
+    for N in NS:
+        for B in (1, BLOCK // N):
+            us, ffts, fft_us, solves = projection_probe(N, B)
+            print(f"{N:>5} {B:>3} {us:>9.0f} {solves:>6} {ffts:>5} "
+                  f"{fft_us:>9.0f} {1.0 - fft_us / us:>8.1%}", flush=True)
     return 0
 
 
