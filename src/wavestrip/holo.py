@@ -109,7 +109,7 @@ def flip_combine(c: np.ndarray, coeffs, grid: SpectralGrid,
     """a_k c_k + b_k conj(c_{-k}) from a spectrum (or a stack of them) and
     full-length symbols (a, b) = ``coeffs``, into ``out`` if given (``c``
     itself allowed), each product rounded as written.  The flip and the
-    result are C-ordered like a stacked ``c``, so a reduction keeps row bits."""
+    result are C-ordered like a stack ``c``, so a reduction keeps row bits."""
     a, b = coeffs
     flip = np.take(c, grid.neg_index, axis=-1)
     np.conjugate(flip, out=flip)
@@ -121,9 +121,8 @@ def flip_combine(c: np.ndarray, coeffs, grid: SpectralGrid,
 
 def project_spectrum(c: np.ndarray, grid: SpectralGrid,
                      out=None) -> np.ndarray:
-    """Spectrum of the holomorphic projection from the spectrum ``c``:
-    :func:`flip_combine` with the grid's ``project_coeffs``, see
-    :func:`project`."""
+    """Spectrum of the holomorphic projection (:func:`project`) of the
+    spectrum ``c``: :func:`flip_combine` with the grid's ``project_coeffs``."""
     return flip_combine(c, grid.project_coeffs, grid, out=out)
 
 
@@ -156,10 +155,9 @@ def project(f: np.ndarray, grid: SpectralGrid,
 def parseval_inner(u: np.ndarray, dual: np.ndarray, grid: SpectralGrid):
     """L Re sum_k conj(dual_k) u_k, one value per member.  With ``dual`` the
     :func:`flip_combine` of v's spectrum under ((w_re + w_im)/2,
-    (w_re - w_im)/2) for real, even weights, it is by Parseval
-    L Re sum_k [w_re Re-u_k conj(Re-v_k) + w_im Im-u_k conj(Im-v_k)]:
-    :func:`inner_h` at (``grid.tanh2``, 1), <L_h u, L_h v> at ``grid.lh2``
-    times those."""
+    (w_re - w_im)/2) for real, even weights, it is by Parseval L Re sum_k
+    [w_re Re-u_k conj(Re-v_k) + w_im Im-u_k conj(Im-v_k)]: :func:`inner_h`
+    at (``grid.tanh2``, 1), <L_h u, L_h v> at ``grid.lh2`` times those."""
     return grid.L * np.vecdot(dual, u).real
 
 

@@ -5,13 +5,14 @@ integrating-factor variant ("ifrk4") applies the exact linear propagator
 
     exp(M_k t),  M_k = [[0, -i xi], [-i g tanh(h xi), 0]],
 
-per Fourier mode between RK4 stages, so only the nonlinear remainder sees
-the RK4 error; long conservation runs should use it.  After every step the
-holomorphic projection is re-applied to the fluctuating part of both fields
-(zero modes are gauge scalars and pass through), so states stay exact
-holomorphic traces modulo their means.  Under ``project_energy`` each step
-is followed by the projection onto the initial (energy, momentum) shell,
-which works on spectra alone (:func:`_project_to_invariant_shell`).
+per Fourier mode between RK4 stages, so the linear oscillation, whose
+truncation error otherwise dominates long-time energy drift, is exact and
+only the nonlinear remainder sees the RK4 error; long conservation runs
+should use it.  After every step the holomorphic projection is re-applied
+to the fluctuating part of both fields (zero modes are gauge scalars and
+pass through), so states stay holomorphic traces modulo their means.
+``project_energy`` adds the projection onto the initial (energy, momentum)
+shell, on spectra alone (:func:`_project_to_invariant_shell`).
 
 A step and the shell projection work on the last axis: a stack of B members
 takes the FFT calls of one member, and each row equals the single-member
@@ -236,8 +237,8 @@ def _shell_invariants(grid: SpectralGrid, g: float, cW: np.ndarray,
     D = to_spectrum(W * Wa)
     np.multiply(grid.dealias_symbol, D, out=D)
     V = grid.inv_tilbert_symbol * (grid.ixi * cQ)
-    weights = _shell_weights(grid)[0]
-    dW, dV = flip_combine(cW, weights, grid), flip_combine(V, weights, grid)
+    dW, dV = (flip_combine(c, _shell_weights(grid)[0], grid)
+              for c in (cW, V))
     quad = (0.25 * g * parseval_inner(cW, dW, grid)
             - 0.25 * parseval_inner(cQ, dV, grid))
     E = quad + 0.5 * g * parseval_inner(D, dW, grid)
@@ -266,38 +267,36 @@ def _shell_gradients(grid: SpectralGrid, g: float, cW: np.ndarray,
 def _shell_gram(grads, g: float, grid: SpectralGrid) -> np.ndarray:
     """The 2x2 matrix of :func:`~wavestrip.holo.pair_form` between the two
     (w, q) pairs of spectra ``grads``, by Parseval, one per member."""
-    (ww, wq) = _shell_weights(grid)
-    duals = [(flip_combine(w, ww, grid), flip_combine(q, wq, grid))
-             for w, q in grads]
+    duals = [[flip_combine(c, w, grid)
+              for c, w in zip(pair, _shell_weights(grid))] for pair in grads]
 
     def form(i, j):
         return (0.5 * g * parseval_inner(grads[i][0], duals[j][0], grid)
                 + 0.5 * parseval_inner(grads[i][1], duals[j][1], grid))
-
     mEI = form(1, 0)
     return np.stack([form(0, 0), mEI, mEI, form(1, 1)],
                     -1).reshape(np.shape(mEI) + (2, 2))
 
 
 def _solve_2x2(M: np.ndarray, rhs: np.ndarray):
-    """(ok, x) of a stack of 2x2 systems M x = rhs, entry by entry: x by
-    Cramer's rule, and ``ok`` where M's 2-norm condition number is at most
-    1e12.  With f = ||M||_F^2 and d = |det M| that number is
-    (f + sqrt((f - 2 d)(f + 2 d))) / (2 d), here compared without the
-    division and rooted factor by factor, so no entry is raised past its
-    square.  A singular or zero M is refused; its x is finite."""
+    """(ok, x) of a stack of 2x2 systems M x = rhs, entry by entry: x =
+    (s b0 - q b1, p b1 - r b0) / det M by Cramer's rule for
+    M = [[p, q], [r, s]], and ``ok`` where M's 2-norm condition number,
+    (f + sqrt((f - 2 d)(f + 2 d))) / (2 d) with f = ||M||_F^2 and
+    d = |det M|, is at most 1e12, compared without the division and rooted
+    factor by factor, so no entry is raised past its square.  A singular or
+    zero M is refused; its x is finite."""
     m = M.reshape(M.shape[:-2] + (4,))
     p, q, r, s = m[..., 0], m[..., 1], m[..., 2], m[..., 3]
     f, det = p * p + q * q + r * r + s * s, p * s - q * r
     d2 = 2.0 * np.abs(det)
     ok = (f > 0) & (f + np.sqrt(np.abs(f - d2)) * np.sqrt(f + d2) <= 1e12 * d2)
     det = np.where(ok, det, 1.0)[..., None]
-    # (s b0 - q b1, p b1 - r b0) / det
     return ok, (m[..., ::-3] * rhs - m[..., 1:3] * rhs[..., ::-1]) / det
 
 
 def _where(on, new, old):
-    """np.where(on, new, old), which is ``new`` itself where all of on holds."""
+    """np.where(on, new, old), or ``new`` itself where all of on holds."""
     return new if on.all() else np.where(on, new, old)
 
 
@@ -306,17 +305,20 @@ def _project_to_invariant_shell(state: WaveState, E_target,
     """Project onto the (energy, momentum) level set of the initial state.
 
     The periodized flow leaves the energy a bounded O(amplitude^2)
-    oscillation, so long runs project after every step, along both
-    gradients.  Their Gram matrix is built once, at the incoming state;
-    each Newton step solves the 2x2 system in closed form (refused above
-    condition number 1e12) and corrects the matrix by Broyden's rank-one
-    rule.  A member stops after four steps or once both residuals are below
-    1e-14 of its larger target.  Everything runs on spectra, with Parseval
-    sums (:func:`~wavestrip.holo.parseval_inner`), so an iterate costs three
-    FFTs: W and W_alpha for the validity rule, which every iterate passes,
-    and their dealiased product.  A stack runs as one batch with one target
-    pair per member, each stopping on its own rule, so its row equals its
-    projection alone and a member that never moves keeps its samples.
+    oscillation, so long runs project after every step, in the span of both
+    gradients: one alone would shift the other invariant.  Their Gram
+    matrix, built once at the incoming state, is only an
+    O(amplitude^2)-accurate Jacobian, so each Newton step solves the 2x2
+    system in closed form (refused above condition number 1e12) and
+    corrects it by Broyden's rank-one rule, which makes the iteration
+    superlinear.  A member stops after four steps or once both residuals
+    are below 1e-14 of its larger target.  All of it runs on spectra, with
+    Parseval sums (:func:`~wavestrip.holo.parseval_inner`), so an iterate
+    costs three FFTs: W and W_alpha for the validity rule, which every
+    iterate passes, and their dealiased product.  A stack is one batch with
+    one target pair per member, each stopping on its own rule, so its row
+    equals its projection alone, and a member that never moves keeps its
+    samples.
     """
     grid, g = state.grid, state.g
     cW, cQ = to_spectrum(state.W), to_spectrum(state.Q)
