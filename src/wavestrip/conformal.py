@@ -12,10 +12,18 @@ The construction is a fixed-point iteration: starting from ``Y_0 = eta``,
 alternate ``Re W = -T_h^{-1} Y`` (horizontal-translation gauge: mean
 ``Re W = 0``) with resampling ``Y <- eta(alpha + Re W(alpha))`` by
 trigonometric interpolation.  It contracts for small surface slope.
+
+Trigonometric interpolation at M points never forms the M x N matrix of
+phases exp(i x xi_k): :func:`trig_interp` factors each phase into one of
+m = ceil(sqrt(N)) and one of ceil(N / m) exponentials per point, so an
+iterate costs O(M sqrt(N)) exponentials and memory and O(M N) multiply-adds,
+and its result keeps its bits when L and the points scale by the same
+power of 2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,27 +62,49 @@ class SurfaceGraph:
         return float(np.max(np.abs(deriv(self.eta, self.grid))))
 
 
-# Entries per block of the phase matrix in :func:`trig_interp` (1 MiB of
-# complex values): a block holds as many points as fit, so up to N = 256 the
-# whole N x N matrix is one block, and beyond it the memory stays fixed.
-_INTERP_ENTRIES = 1 << 16
+def trig_interp(values: np.ndarray, grid: SpectralGrid,
+                x: np.ndarray) -> np.ndarray:
+    """Evaluate the trigonometric interpolant of grid samples at points x.
 
+    ``values`` holds one field or a stack of fields on its last axis; the
+    result has the stack's leading shape followed by ``x.shape``, and is
+    real for real values.  The Nyquist mode is split symmetrically between
+    -N/2 and +N/2, so the interpolant of real samples is real everywhere.
 
-def trig_interp(values: np.ndarray, grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of grid samples at points x."""
-    c = to_spectrum(values)
-    # Nyquist mode of a real signal is split symmetrically so the
-    # interpolant is real at arbitrary points.
-    c = c.copy()
-    nyq = grid.N // 2
-    c[nyq] = 0.5 * c[nyq]
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape, dtype=complex)
-    block = max(1, _INTERP_ENTRIES // grid.N)
-    for start in range(0, len(x), block):
-        rows = slice(start, start + block)
-        phases = np.exp(1j * np.outer(x[rows], grid.xi))
-        out[rows] = phases @ c + np.conj(phases[:, nyq]) * c[nyq]
+    The phase matrix exp(i x xi_k) is never formed.  With d = 2 pi / L,
+    m = ceil(sqrt(N)) and P = ceil(N / m), the mode k + N/2 = q m + r
+    (0 <= r < m, 0 <= q < P; the spectrum is padded with zeros to P m
+    modes) has the phase exp(i x d r) exp(i x d (q m - N/2)).  So a point
+    costs m + P complex exponentials, the sum over modes is one
+    vector-matrix product per point (BLAS gemv) with the spectrum reshaped
+    (P, m) and a product with the q phases summed per point, and memory is
+    O(M sqrt(N)) for M points.  A stack shares the phases, and each of its
+    rows is summed by the same calls as a single field, so it equals that
+    field's own call bit for bit.  Every phase comes from theta = x d, which
+    scaling L and x by the same power of 2 leaves unchanged, so the result
+    keeps its bits under dyadic scaling.
+    """
+    values = np.asarray(values)
+    N = grid.N
+    m = math.isqrt(N - 1) + 1
+    P = -(-N // m)
+    # modes k = -N/2, ..., N/2 - 1, then zeros; half of the Nyquist mode
+    # sits at -N/2 and the other half is added at +N/2 below
+    c = np.zeros(values.shape[:-1] + (P * m,), dtype=complex)
+    c[..., :N] = np.fft.fftshift(to_spectrum(values), axes=-1)
+    c[..., 0] *= 0.5
+    theta = np.asarray(x, dtype=float) * (2.0 * np.pi / grid.L)
+    Er = 1j * np.multiply.outer(theta, np.arange(m))
+    Eq = 1j * np.multiply.outer(theta, np.arange(P) * m - N // 2)
+    np.exp(Er, out=Er)
+    np.exp(Eq, out=Eq)
+    out = np.empty(c.shape[:-1] + theta.shape, dtype=complex)
+    for i in np.ndindex(c.shape[:-1]):
+        # one gemv per point: a 2-D product would be a gemm, whose first
+        # call in a process grows its resident set by its packing buffers
+        S = np.matmul(Er[..., None, :], c[i].reshape(P, m).T)[..., 0, :]
+        S *= Eq
+        out[i] = S.sum(-1) + np.conj(Eq[..., 0]) * c[i][0]
     if np.isrealobj(values):
         return out.real
     return out
@@ -139,18 +169,20 @@ def holo_to_graph(W: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
     Inverts ``X(alpha) = alpha + Re W(alpha)`` by Newton iteration with
     trigonometric interpolation (at most 60 steps, stopping once the sup
-    defect is below 1e-14), then evaluates ``Im W`` there.  Inverse of
+    defect is below 1e-14), then evaluates ``Im W`` there.  Each step
+    interpolates Re W and its derivative in one stacked
+    :func:`trig_interp` call, which builds the phases once.  Inverse of
     :func:`graph_to_holo` up to interpolation round-off.
     """
     x = grid.nodes
-    reW = W.real
-    d_reW = deriv(reW, grid)
+    reW = np.stack([W.real, deriv(W.real, grid)])
     alpha = x.copy()
     for _ in range(60):
-        F = alpha + trig_interp(reW, grid, alpha) - x
+        R, dR = trig_interp(reW, grid, alpha)
+        F = alpha + R - x
         if np.max(np.abs(F)) < 1e-14:
             break
-        alpha = alpha - F / (1.0 + trig_interp(d_reW, grid, alpha))
+        alpha = alpha - F / (1.0 + dR)
     return trig_interp(W.imag, grid, alpha)
 
 

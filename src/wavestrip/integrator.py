@@ -228,15 +228,24 @@ def _shell_weights(grid: SpectralGrid):
                        for w in (r + i, r - i)) for r, i in pairs)
 
 
+def _shell_velocity(grid: SpectralGrid, cQ: np.ndarray) -> np.ndarray:
+    """V = T^{-1}(i xi Q^), the spectrum both the momentum and the
+    momentum gradient read."""
+    return grid.inv_tilbert_symbol * (grid.ixi * cQ)
+
+
 def _shell_invariants(grid: SpectralGrid, g: float, cW: np.ndarray,
-                      cQ: np.ndarray, W: np.ndarray, Wa: np.ndarray):
+                      cQ: np.ndarray, W: np.ndarray, Wa: np.ndarray,
+                      V=None):
     """(E, I, D) of a state from the spectra of W and Q, by Parseval:
     :func:`~wavestrip.dynamics.energy`'s first form, the momentum, and the
     spectrum of the dealiased cubic product W W_alpha, the one FFT here,
-    from the samples ``W`` and ``Wa`` = W_alpha."""
+    from the samples ``W`` and ``Wa`` = W_alpha.  ``V`` is
+    :func:`_shell_velocity` of ``cQ``, computed here if not given."""
     D = to_spectrum(W * Wa)
     np.multiply(grid.dealias_symbol, D, out=D)
-    V = grid.inv_tilbert_symbol * (grid.ixi * cQ)
+    if V is None:
+        V = _shell_velocity(grid, cQ)
     dW, dV = (flip_combine(c, _shell_weights(grid)[0], grid)
               for c in (cW, V))
     quad = (0.25 * g * parseval_inner(cW, dW, grid)
@@ -247,12 +256,13 @@ def _shell_invariants(grid: SpectralGrid, g: float, cW: np.ndarray,
 
 def _shell_gradients(grid: SpectralGrid, g: float, cW: np.ndarray,
                      cQ: np.ndarray, W: np.ndarray, Wa: np.ndarray,
-                     D: np.ndarray):
+                     D: np.ndarray, V=None):
     """Spectra of the energy and momentum gradients, as (w, q) pairs.
 
     :func:`~wavestrip.dynamics.energy_gradient` and
     :func:`~wavestrip.dynamics.momentum_gradient` at the same state, with D
-    from :func:`_shell_invariants`; two FFTs, for conj(W) T[W_alpha].
+    (and ``V``, computed here if not given) as :func:`_shell_invariants`
+    takes them; two FFTs, for conj(W) T[W_alpha].
     """
     mask = grid.dealias_symbol
     TWa = grid.tilbert_symbol * (grid.ixi * cW)
@@ -260,7 +270,8 @@ def _shell_gradients(grid: SpectralGrid, g: float, cW: np.ndarray,
     corr = to_spectrum(np.conj(W) * TWa)
     np.multiply(mask, corr, out=corr)
     corr = grid.inv_tilbert_symbol * project_spectrum(corr, grid, out=corr)
-    V = grid.inv_tilbert_symbol * (grid.ixi * cQ)
+    if V is None:
+        V = _shell_velocity(grid, cQ)
     return (mask * (cW + D - corr), cQ), (V / g, -cW)
 
 
@@ -324,8 +335,9 @@ def _project_to_invariant_shell(state: WaveState, E_target,
     cW, cQ = to_spectrum(state.W), to_spectrum(state.Q)
     W, Wa = state.W, grid.ixi * cW
     from_spectrum(Wa, out=Wa)
-    E, I, D = _shell_invariants(grid, g, cW, cQ, W, Wa)
-    gE, gI = _shell_gradients(grid, g, cW, cQ, W, Wa, D)
+    V = _shell_velocity(grid, cQ)
+    E, I, D = _shell_invariants(grid, g, cW, cQ, W, Wa, V)
+    gE, gI = _shell_gradients(grid, g, cW, cQ, W, Wa, D, V)
     M = _shell_gram((gE, gI), g, grid)
     target = np.array([E_target, I_target]).T  # one (E, I) row per member
     tol = 1e-14 * np.maximum(np.abs(target).max(-1), 1e-300)

@@ -4,6 +4,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
     "compare_runs", os.path.join(ROOT, "tools", "compare_runs.py"))
@@ -55,3 +57,38 @@ def test_runs_include_the_extra_configs(monkeypatch):
         {"N": 100}, {"N": 1024, "L": 4 * math.pi, "h": 0.5}]
     assert [cfg for k, cfg in extra if k == "drift-scaling"][2:] == [
         {"grid": {"h": 0.25}}, {"grid": {"L": 3.0}}]
+
+
+def test_column_scale_of_a_near_zero_column():
+    # entry by entry a near-zero value reads as a large relative change;
+    # against the column's largest magnitude it reads at its true size
+    how = compare_runs._how_different
+    assert how("out/series.csv", b"E,I\n1.0,1e-17\n2.0,1.0\n",
+               b"E,I\n1.0,2e-17\n2.0,1.0\n") == (
+        "numbers by up to 5.0e-01 (I); "
+        "relative to the column's largest magnitude 1.0e-17 of 1.0e+00 (I)")
+
+
+def test_snapshot_differences_by_header_field_and_sample(tmp_path):
+    from wavestrip.cli import write_snapshot
+    from wavestrip.dynamics import WaveState
+    from wavestrip.grid import make_grid
+    from wavestrip.holo import holo_from_real
+
+    grid = make_grid(2 * math.pi, 16, 1.0)
+    W = holo_from_real(0.01 * np.cos(grid.nodes), grid)
+    Q = holo_from_real(0.005 * np.sin(grid.nodes), grid)
+    Q2 = Q.copy()
+    Q2[3] += 1e-6 * np.abs(Q).max()
+
+    def snap(name, state):
+        write_snapshot(str(tmp_path / name), state)
+        return (tmp_path / name).read_bytes()
+
+    a = snap("a.snap", WaveState(grid, W, Q, 1.0))
+    b = snap("b.snap", WaveState(grid, W, Q2, 1.0, t=2.0))
+    how = compare_runs._how_different
+    assert how("final.snap", a, b) == (
+        "header differs at t; samples by up to 1.0e-06 (Q) "
+        "of the field's largest |sample|")
+    assert how("final.snap", a, a[:-16]) == "binary or unparsable"

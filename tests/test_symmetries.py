@@ -4,7 +4,9 @@ Time reversal (W, Q) -> (W, -Q) with t -> -t, and the reflection
 alpha -> -alpha, which acts as (W, Q) -> (-conj W(-alpha), conj Q(-alpha)),
 map solutions onto solutions.  Neither needs a known answer or a fitted
 range: a rewrite of ``rhs_full``, the step or the shell projection that
-breaks one of them is wrong whatever the bounds say.
+breaks one of them is wrong whatever the bounds say.  Nor does spatial
+self-convergence: runs at N and 2N on one dt agree on the coarse band, and
+the gap shrinks faster with each doubling.
 """
 
 import numpy as np
@@ -12,9 +14,9 @@ import pytest
 
 from wavestrip.cli import _drift_profile
 from wavestrip.dynamics import energy, momentum, rhs_full, stack_states
-from wavestrip.grid import make_grid
-from wavestrip.integrator import (_project_to_invariant_shell, step_rk4,
-                                  suggest_dt)
+from wavestrip.grid import make_grid, to_spectrum
+from wavestrip.integrator import (SolverConfig, _project_to_invariant_shell,
+                                  evolve, step_rk4, suggest_dt)
 from conftest import same_bits
 
 DEPTHS = (0.25, 1.0, 20.0)
@@ -124,3 +126,25 @@ def test_round_trip_returns_at_fourth_order(method, min_ratio):
         errors.append(max(np.max(np.abs(state.W - s.W)),
                           np.max(np.abs(state.Q - s.Q))))
     assert errors[0] / errors[1] >= min_ratio, errors
+
+
+def test_runs_converge_spectrally_in_N():
+    # ifrk4 to T = 5 on N = 32, 64, 128, 256 with N = 256's cfl-0.5 step;
+    # the largest gap between the spectra of W (and of Q) of runs at N and
+    # 2N on the modes |k| < N/2.  At eps 0.1 the gaps are 3.7e-5, 2.0e-7,
+    # 1.1e-11 (Q: 7.7e-6, 4.4e-8, 1.6e-12), shrinking 175-191x, then
+    # 18000-28000x; the bounds are what eps 0.12 still meets (W: 78x, then
+    # 2700x; Q: 90x, then 4700x).  At eps 0.18 the N = 256 run aborts
+    dt = suggest_dt(make_grid(2 * np.pi, 256, 1.0), 1.0, 0.5)
+    solver = SolverConfig(dt=dt, T_final=5.0, method="ifrk4")
+    spectra = []
+    for N in (32, 64, 128, 256):
+        s, _ = evolve(_drift_profile(0.1, make_grid(2 * np.pi, N, 1.0), 1.0),
+                      solver)
+        spectra.append((N, to_spectrum(s.W), to_spectrum(s.Q)))
+    gaps = []
+    for (N, *coarse), (_, *fine) in zip(spectra, spectra[1:]):
+        k = np.arange(1 - N // 2, N // 2)  # negative k index from the end
+        gaps.append([np.abs(c[k] - f[k]).max() for c, f in zip(coarse, fine)])
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert np.all(ratios[0] >= 75) and np.all(ratios[1] >= 2500), gaps

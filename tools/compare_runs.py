@@ -15,7 +15,15 @@ status differs.  The exit status is 1 if anything differs and 0 otherwise.
 For a differing text file the listing says how large the difference is: the
 largest relative difference |a - b| / max(|a|, |b|) between corresponding
 numbers, per CSV column, per JSON path or per line of other text, and every
-place where the two differ other than in a number.
+place where the two differ other than in a number.  A CSV column whose
+largest |a - b| is smaller relative to the column's largest magnitude than
+entry by entry (a column with near-zero values) also gets that figure,
+with the magnitude itself: a column that is round-off throughout, such as
+the momentum of a symmetric surface, shows as such.  For a
+differing ``.snap`` file (``cli.write_snapshot``'s layout: a JSON header
+line, then the little-endian complex128 samples of W and of Q) it gives the
+header fields that differ and, for W and Q, the largest |a - b| relative to
+the field's largest |sample|.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ import re
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -151,29 +161,75 @@ def _number(token: str):
 def _how_different(name: str, a: bytes, b: bytes) -> str:
     """The size of the difference between two versions of one file."""
     try:
+        if name.endswith(".snap"):
+            return _snapshot_difference(_snapshot(a), _snapshot(b))
         ta, tb = _tokens(name, a.decode()), _tokens(name, b.decode())
-    except (UnicodeDecodeError, ValueError, IndexError):
+    except (ValueError, IndexError, KeyError, TypeError):
         return "binary or unparsable"
     if [label for label, _ in ta] != [label for label, _ in tb]:
         return "layout differs"
-    worst = {}
+    worst, delta, scale = {}, {}, {}
     text = []
     for (label, x), (_, y) in zip(ta, tb):
+        u, v = _number(x), _number(y)
+        if u is not None and v is not None:
+            scale[label] = max(scale.get(label, 0.0), abs(u), abs(v))
         if x == y:
             continue
-        u, v = _number(x), _number(y)
         if u is None or v is None:
             if label not in text:
                 text.append(label)
             continue
+        delta[label] = max(delta.get(label, 0.0), abs(u - v))
         rel = abs(u - v) / (max(abs(u), abs(v)) or 1.0)
         worst[label] = max(worst.get(label, 0.0), rel)
     parts = []
     if worst:
         parts.append("numbers by up to " + ", ".join(
             f"{rel:.1e} ({label})" for label, rel in worst.items()))
+    if name.endswith(".csv"):
+        column = [f"{d / scale[label]:.1e} of {scale[label]:.1e} ({label})"
+                  for label, d in delta.items()
+                  if d / (scale[label] or 1.0) < worst[label]]
+        if column:
+            parts.append("relative to the column's largest magnitude "
+                         + ", ".join(column))
     if text:
         parts.append("text at " + ", ".join(text))
+    return "; ".join(parts)
+
+
+def _snapshot(data: bytes):
+    """(header, {"W": samples, "Q": samples}) of a snapshot file."""
+    line, _, payload = data.partition(b"\n")
+    header = json.loads(line.decode())
+    n = 16 * header["N"]
+    if len(payload) != 2 * n:
+        raise ValueError("snapshot payload size does not match header")
+    return header, {"W": np.frombuffer(payload[:n], "<c16"),
+                    "Q": np.frombuffer(payload[n:], "<c16")}
+
+
+def _snapshot_difference(a, b) -> str:
+    """The header fields that differ, and the largest |a - b| of W and of Q
+    relative to the field's largest |sample|, of two :func:`_snapshot`s."""
+    (ha, fa), (hb, fb) = a, b
+    parts = []
+    header = [key for key in sorted(ha.keys() | hb.keys())
+              if ha.get(key) != hb.get(key)]
+    if header:
+        parts.append("header differs at " + ", ".join(header))
+    if ha["N"] == hb["N"]:
+        sizes = {}
+        for field in fa:
+            u, v = fa[field], fb[field]
+            if u.tobytes() != v.tobytes():
+                top = max(np.abs(u).max(), np.abs(v).max())
+                sizes[field] = np.abs(u - v).max() / (top or 1.0)
+        if sizes:
+            parts.append("samples by up to " + ", ".join(
+                f"{rel:.1e} ({field})" for field, rel in sizes.items())
+                + " of the field's largest |sample|")
     return "; ".join(parts)
 
 
