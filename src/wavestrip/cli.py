@@ -18,6 +18,13 @@ Experiment kinds:
     scaling-check   paired runs related by the spatial scaling symmetry
 
 ``waves report --out <dir>`` re-verifies a run's checksums and verdicts.
+
+``dispersion`` runs its ks and ``drift-scaling`` its two amplitudes as one
+stack in one ``evolve`` call, and ``taylor-audit`` draws its states in
+stacks.  Every stacked evaluation takes its block size from one rule,
+``_block_size``.  ``simulate`` measures its ledger a block at a time
+(``_blocked``), so it holds at most one block for any ``T_final``, and a
+non-finite ledger entry surfaces when its block is measured.
 """
 
 from __future__ import annotations
@@ -162,7 +169,14 @@ def _coerce(value, spec, path: str):
     if spec is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number")
-        return float(value)
+        # json reads NaN, Infinity and 1e400; an integer past 1e308 overflows
+        try:
+            value = float(value)
+        except OverflowError:
+            value = np.inf
+        if not np.isfinite(value):
+            raise ConfigError(f"{path} must be a finite number")
+        return value
     if spec is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path} must be an integer")

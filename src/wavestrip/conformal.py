@@ -36,7 +36,6 @@ __all__ = [
     "ConformalResult",
     "graph_to_holo",
     "trig_interp",
-    "surface_curve",
     "holo_to_graph",
     "norm_comparability",
 ]
@@ -143,25 +142,6 @@ def graph_to_holo(surface: SurfaceGraph) -> ConformalResult:
             f"conformal iteration did not reach tol=1.0e-12 in 200 "
             f"iterations (last residual {res:.3e}); slope too large?")
     return ConformalResult((X - alpha) + 1j * Y, res, it)
-
-
-@dataclass(frozen=True)
-class SurfaceCurve:
-    X: np.ndarray
-    Y: np.ndarray
-    min_dx: float
-
-    @property
-    def monotone(self) -> bool:
-        return self.min_dx > 0
-
-
-def surface_curve(W: np.ndarray, grid: SpectralGrid) -> SurfaceCurve:
-    """Sampled parametric curve Z(alpha) = alpha + W(alpha) with spacing report."""
-    X = grid.nodes + W.real
-    Y = W.imag
-    dX = np.diff(np.concatenate([X, [X[0] + grid.L]]))
-    return SurfaceCurve(X, Y, float(np.min(dX)))
 
 
 def holo_to_graph(W: np.ndarray, grid: SpectralGrid) -> np.ndarray:

@@ -185,7 +185,8 @@ def sobolev_Nn(diag: DiagState, n: int) -> float:
     """Sobolev ladder norm N_n = ||(g^{1/2} W, R)||_{H^{n-1} x H^{n-1/2}}, n >= 1.
 
     The n = 0 rung, the trace-space norm ||(W, Q)||_H of the
-    undifferentiated state, is :func:`wavestrip.holo.norm_calH`.
+    undifferentiated state, squared, is twice
+    :func:`wavestrip.holo.pair_form` of (W, Q) with itself.
     """
     if n < 1:
         raise ValueError("ladder norms on a DiagState need n >= 1")

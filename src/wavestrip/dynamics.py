@@ -539,7 +539,7 @@ def scale_state(state: WaveState, lam: float) -> WaveState:
                      state.g / lam, t=state.t)
 
 
-def model_energies(state: DiagState, pair, omega=None) -> tuple[float, float]:
+def model_energies(state: DiagState, pair, omega) -> tuple[float, float]:
     """Adapted quadratic energies of the linearized flow.
 
     E2_lin       = <w, w>_{g + frak_a} + <L r, L r>
@@ -551,8 +551,6 @@ def model_energies(state: DiagState, pair, omega=None) -> tuple[float, float]:
     weight = state.g + c.frak_a
     Lr = lh_apply(r, grid)
     e2 = inner_h(w, w, grid, weight) + inner_h(Lr, Lr, grid)
-    if omega is None:
-        omega = np.ones(grid.N)
     omega = np.asarray(omega, dtype=float)
     e2w = (inner_h(w, w, grid, weight * omega)
            + inner_h(Lr, Lr, grid, omega))

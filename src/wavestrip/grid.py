@@ -58,7 +58,6 @@ __all__ = [
     "smooth_one_plus_T2",
     "dealias",
     "dealias_band",
-    "product",
 ]
 
 
@@ -332,8 +331,3 @@ def dealias(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 def dealias_band(grid: SpectralGrid) -> int:
     """Largest retained integer mode number under the 2/3 rule."""
     return grid.N // 3
-
-
-def product(f: np.ndarray, g: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Pointwise product followed by dealiasing."""
-    return dealias(f * g, grid)

@@ -3,10 +3,10 @@
 A trace ``u`` of a function holomorphic in the strip ``(-h, 0)`` and real on
 the bottom satisfies ``Im u = -T_h Re u``.  Traces are plain complex sample
 arrays on a :class:`~wavestrip.grid.SpectralGrid`, passed together with that
-grid.  This module builds such traces and provides the holomorphic /
-antiholomorphic projections, the depth-adapted inner products (also from two
-spectra by Parseval) and norms, and residual checks for the constraint and
-for the two product identities used throughout the dynamics.
+grid.  This module builds such traces from a real part and provides the
+holomorphic / antiholomorphic projections, the depth-adapted inner products
+(also from two spectra by Parseval) and norms, and the residual of the
+constraint.
 
 Zero-mode conventions: the underlying space does not see real constants, so
 the mean of ``Re u`` is a gauge scalar excluded from every norm.  The mean of
@@ -18,38 +18,24 @@ The holomorphy residual is therefore measured modulo the ``Im`` mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import (
-    SpectralGrid,
-    dealias,
-    from_spectrum,
-    lh_apply,
-    tilbert,
-    to_spectrum,
-    product,
-)
+from .grid import SpectralGrid, from_spectrum, lh_apply, tilbert, to_spectrum
 
 __all__ = [
     "holo_from_real",
-    "holo_from_spectrum",
     "flip_combine",
     "project_spectrum",
     "project",
     "parseval_inner",
     "inner_h",
     "pair_form",
-    "norm_calH",
     "sobolev_weight",
     "grid_sobolev_weight",
     "sobolev_norm",
     "holomorphy_residual",
-    "flip_residual",
-    "IdentityReport",
-    "check_identities",
 ]
 
 
@@ -60,48 +46,10 @@ def holomorphy_residual(values: np.ndarray, grid: SpectralGrid) -> float:
     return float(np.max(np.abs(defect)))
 
 
-def flip_residual(values: np.ndarray, grid: SpectralGrid) -> float:
-    """Max relative defect of the spectral flip relation.
-
-    Holomorphic traces satisfy ``conj(u_hat(-xi)) = exp(2 h xi) u_hat(xi)``
-    mode by mode.  The positive-frequency side decays like ``exp(-2 h xi)``,
-    so once the smaller of the paired coefficients drops below 2e-5 times
-    the spectral scale, double-precision round-off (relative error
-    ``eps * scale / |u_hat|``) swamps the comparison; those modes are
-    skipped as unresolvable rather than counted as violations.
-    """
-    c = to_spectrum(values)
-    cneg = c[grid.neg_index]
-    lhs = np.conj(cneg)
-    with np.errstate(over="ignore"):
-        rhs = np.exp(2.0 * grid.h * grid.xi) * c
-    rhs = np.where(np.isfinite(rhs), rhs, 0.0)
-    scale = float(np.max(np.abs(c))) or 1.0
-    mask = grid.interior & (np.minimum(np.abs(c), np.abs(cneg))
-                            > 2e-5 * scale)
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(lhs[mask] - rhs[mask]) /
-                        np.maximum(np.abs(lhs[mask]), np.abs(rhs[mask]))))
-
-
 def holo_from_real(re: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Holomorphic trace with prescribed real part: u = re - i T_h re."""
     re = np.asarray(re, dtype=float)
     return re - 1j * tilbert(re, grid)
-
-
-def holo_from_spectrum(coeffs_pos, grid: SpectralGrid) -> np.ndarray:
-    """Holomorphic trace from prescribed Re-part coefficients c_1..c_m.
-
-    ``coeffs_pos[k-1]`` is the complex coefficient of ``exp(i k alpha)`` in
-    the real part (the conjugate mode is filled in automatically).
-    """
-    c = np.zeros(grid.N, dtype=np.complex128)
-    for k, a in enumerate(np.atleast_1d(coeffs_pos), start=1):
-        c[k] = a
-        c[-k] = np.conj(a)
-    return holo_from_real(from_spectrum(c).real, grid)
 
 
 def flip_combine(c: np.ndarray, coeffs, grid: SpectralGrid,
@@ -181,20 +129,11 @@ def inner_h(u: np.ndarray, v: np.ndarray, grid: SpectralGrid,
 
 
 def pair_form(p1, p2, g: float, grid: SpectralGrid) -> float:
-    """Energy pairing g/2 <w1, w2> + 1/2 <L_h q1, L_h q2> of two (w, q) pairs."""
+    """Energy pairing g/2 <w1, w2> + 1/2 <L_h q1, L_h q2> of two (w, q) pairs;
+    twice its value on one pair is the squared energy norm ||(w, q)||_H^2."""
     (w1, q1), (w2, q2) = p1, p2
     return (0.5 * g * inner_h(w1, w2, grid)
             + 0.5 * inner_h(lh_apply(q1, grid), lh_apply(q2, grid), grid))
-
-
-def norm_calH(pair, g: float, grid: SpectralGrid) -> float:
-    """Squared energy norm of a position/potential pair.
-
-    ||(W, Q)||^2 = g <W, W> + <L_h Q, L_h Q> = 2 pair_form((W, Q), (W, Q)).
-    """
-    if not g > 0:
-        raise ValueError("g must be positive")
-    return 2.0 * pair_form(pair, pair, g, grid)
 
 
 def sobolev_weight(xi: np.ndarray, h: float, s: float) -> np.ndarray:
@@ -227,43 +166,3 @@ def sobolev_norm(f: np.ndarray, s: float, grid: SpectralGrid,
         vf = from_spectrum(c)
         return np.sqrt(inner_h(vf, vf, grid))
     raise ValueError(f"unknown base {base!r}")
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Sup-norm residuals of the two Tilbert product identities."""
-
-    product_formula: float
-    projected_formula: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.product_formula <= 1e-9
-                and self.projected_formula <= 1e-9)
-
-
-def check_identities(u: np.ndarray, v: np.ndarray,
-                     grid: SpectralGrid) -> IdentityReport:
-    """Evaluate both product identities on a pair of holomorphic traces.
-
-    1. Summation formula (real fields f, g = Re u, Re v):
-           f T[g] + T[f] g = T[f g - T[f] T[g]]
-    2. Projected product identity (holomorphic u, v):
-           P[ T[u v] - conj(u) T[v] - T[conj(u)] v ] = T[u] v
-    """
-    f, gre = u.real, v.real
-    lhs1 = product(f, tilbert(gre, grid), grid) + product(tilbert(f, grid), gre, grid)
-    rhs1 = tilbert(product(f, gre, grid)
-                   - product(tilbert(f, grid), tilbert(gre, grid), grid), grid)
-    res1 = float(np.max(np.abs(lhs1 - rhs1)))
-
-    inner = (tilbert(product(u, v, grid), grid)
-             - product(np.conj(u), tilbert(v, grid), grid)
-             - product(tilbert(np.conj(u), grid), v, grid))
-    lhs2 = project(dealias(inner, grid), grid, "holo")
-    rhs2 = product(tilbert(u, grid), v, grid)
-    # both sides are mean-free up to gauge; compare modulo the constant
-    diff = lhs2 - rhs2
-    diff = diff - np.mean(diff)
-    res2 = float(np.max(np.abs(diff)))
-    return IdentityReport(res1, res2)

@@ -236,16 +236,14 @@ def _shell_velocity(grid: SpectralGrid, cQ: np.ndarray) -> np.ndarray:
 
 def _shell_invariants(grid: SpectralGrid, g: float, cW: np.ndarray,
                       cQ: np.ndarray, W: np.ndarray, Wa: np.ndarray,
-                      V=None):
+                      V: np.ndarray):
     """(E, I, D) of a state from the spectra of W and Q, by Parseval:
     :func:`~wavestrip.dynamics.energy`'s first form, the momentum, and the
     spectrum of the dealiased cubic product W W_alpha, the one FFT here,
     from the samples ``W`` and ``Wa`` = W_alpha.  ``V`` is
-    :func:`_shell_velocity` of ``cQ``, computed here if not given."""
+    :func:`_shell_velocity` of ``cQ``."""
     D = to_spectrum(W * Wa)
     np.multiply(grid.dealias_symbol, D, out=D)
-    if V is None:
-        V = _shell_velocity(grid, cQ)
     dW, dV = (flip_combine(c, _shell_weights(grid)[0], grid)
               for c in (cW, V))
     quad = (0.25 * g * parseval_inner(cW, dW, grid)
@@ -256,13 +254,13 @@ def _shell_invariants(grid: SpectralGrid, g: float, cW: np.ndarray,
 
 def _shell_gradients(grid: SpectralGrid, g: float, cW: np.ndarray,
                      cQ: np.ndarray, W: np.ndarray, Wa: np.ndarray,
-                     D: np.ndarray, V=None):
+                     D: np.ndarray, V: np.ndarray):
     """Spectra of the energy and momentum gradients, as (w, q) pairs.
 
     :func:`~wavestrip.dynamics.energy_gradient` and
     :func:`~wavestrip.dynamics.momentum_gradient` at the same state, with D
-    (and ``V``, computed here if not given) as :func:`_shell_invariants`
-    takes them; two FFTs, for conj(W) T[W_alpha].
+    and ``V`` as :func:`_shell_invariants` takes them; two FFTs, for
+    conj(W) T[W_alpha].
     """
     mask = grid.dealias_symbol
     TWa = grid.tilbert_symbol * (grid.ixi * cW)
@@ -270,8 +268,6 @@ def _shell_gradients(grid: SpectralGrid, g: float, cW: np.ndarray,
     corr = to_spectrum(np.conj(W) * TWa)
     np.multiply(mask, corr, out=corr)
     corr = grid.inv_tilbert_symbol * project_spectrum(corr, grid, out=corr)
-    if V is None:
-        V = _shell_velocity(grid, cQ)
     return (mask * (cW + D - corr), cQ), (V / g, -cW)
 
 
@@ -359,7 +355,8 @@ def _project_to_invariant_shell(state: WaveState, E_target,
         from_spectrum(Wa, out=Wa)
         require_valid(grid, Wa, (cQ,), W)
         moved |= live
-        E, I, D = _shell_invariants(grid, g, cW, cQ, W, Wa)
+        E, I, D = _shell_invariants(grid, g, cW, cQ, W, Wa,
+                                    _shell_velocity(grid, cQ))
         rhs = target - np.array([E, I]).T
         dd = np.where(live, np.vecdot(ds, ds), 1.0)
         M -= rhs[..., :, None] * ds[..., None, :] / dd[..., None, None]

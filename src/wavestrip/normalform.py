@@ -5,25 +5,21 @@ symmetry (``dynamics.scale_state``, lam = h) a cell (L, h) is the unit-depth
 cell of length L/h, with W/h, Q/h^2, g/h and band modes at xi = kappa j,
 kappa = 2 pi h / L.
 
-The module has three layers:
+The module has two layers:
 
 * closed-form dispersion/resonance algebra on the plane xi + eta + zeta = 0
   (``dispersion_kit``, ``omega_resonance``) and the seven bilinear
   normal-form symbols obtained from the holomorphic 3x3 and mixed 4x4
   linear systems (``symbols_holo``, ``symbols_mixed``,
   ``system_residuals``), all of which take scalars or arrays;
-* the quadratic normal-form change of variables (``nf_transform``) and the
-  symmetrized cubic-energy symbols (``tilde_symbols``, scalars or arrays)
-  with a generic discrete trilinear evaluator (``trilinear_eval``); summed
-  by it, they are the reference for the cubic part of ``nf_energy``;
-* cubic-accurate energies of the diagonal variables: the normal-form
-  energy (``nf_energy``), its high-frequency quadratic forms
-  (``high_forms``), and the quasilinear modified energy
-  (``cubic_energy_high``).
+* mode sums of a state over the symbol table: the quadratic normal-form
+  change of variables (``nf_transform``) and the cubic-accurate energies
+  of the diagonal variables, the normal-form energy (``nf_energy``) and
+  the quasilinear modified energy (``cubic_energy_high``).
 
 Every mode sum runs on one lattice, the modes (j, k) of the dealiased band
 with output mode -(j + k), and is one of two reductions: a Hankel-weighted
-form (the cubic energy, ``trilinear_eval``) or anti-diagonal sums over
+form (the cubic energy, ``_preflip_cubic``) or anti-diagonal sums over
 j + k (``nf_transform``).  Functions of a state act per member of a stack;
 the lattice reductions take one member at a time, so no temporary of
 theirs grows as B N^2.  Every symbol is i times a real function, so the
@@ -37,11 +33,10 @@ a point, a sample of points and the lattice table alike, so a point gets
 exactly 1j times its table entry.  Off the lines every symbol is one closed
 form, evaluated without cancellation near xi = 0 and eta = 0: the
 differences of O(1) values of J there are formed by ``_J_excess`` as sums
-of terms of one sign.  On xi = 0 and eta = 0 the normal-form symbols take
-their closed limits, and the cubic-energy symbols (``tilde_symbols``) their
-analytic zero.  The output line zeta = 0 is a genuine simple pole of all
-three holomorphic symbols and of the mixed B^a/C^a; requesting a value
-there raises :class:`SingularLineError`.  Near zeta = 0 the mixed forms
+of terms of one sign.  On xi = 0 and eta = 0 the symbols take their closed
+limits.  The output line zeta = 0 is a genuine simple pole of all three
+holomorphic symbols and of the mixed B^a/C^a; requesting a value there
+raises :class:`SingularLineError`.  Near zeta = 0 the mixed forms
 still lose accuracy (``_symbols``).
 """
 
@@ -65,10 +60,7 @@ __all__ = [
     "symbols_mixed",
     "system_residuals",
     "nf_transform",
-    "tilde_symbols",
-    "trilinear_eval",
     "nf_energy",
-    "high_forms",
     "cubic_energy_high",
 ]
 
@@ -256,10 +248,6 @@ def _symbols(xi, eta) -> tuple:
     Near zeta = 0 the mixed forms lose accuracy: each is a sum of terms of
     order 1/zeta^2 (the prefactor e^{2 zeta}/(e^{2 zeta} - 1) ~ 1/(2 zeta)
     times B^h/zeta and C^h/zeta) that cancel down to the simple pole.
-    Against 80-digit values, relative to the largest component, they are
-    off by 2.5e-10 at zeta = -2.2e-3, 8.6e-9 at -5.2e-4, 1.8e-4 at -1e-6
-    and by a factor of several hundred at -1e-9; the holomorphic forms stay
-    within 5e-16 at all four.
     """
     xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=float),
                                   np.asarray(eta, dtype=float))
@@ -521,111 +509,6 @@ def nf_transform(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# cubic energy symbols
-
-
-def _tilde_B(n: int, xi, eta):
-    """Unsymmetrized tilde-B(xi, eta, zeta), off the lines."""
-    zeta = -(xi + eta)
-    _, Bh, _, _, Ba, _, _ = _symbols(xi, eta)
-    return (np.exp(2.0 * zeta) - 1.0) * zeta ** (2 * n) * (
-        Bh + np.exp(2.0 * eta) * Ba)
-
-
-def _tilde_A(n: int, zw, xi, eta):
-    """Unsymmetrized tilde-A(zeta_W, xi, eta), W first, off the lines."""
-    _, _, Ch, _, _, Ca, _ = _symbols(xi, eta)
-    Ah, _, _, Aa, _, _, _ = _symbols(zw, eta)
-    Da = _symbols(eta, zw)[6]
-    t1 = zw ** (2 * n) * (np.exp(2.0 * zw) - 1.0) * (Ch + np.exp(2.0 * eta) * Ca)
-    t2 = xi ** (2 * n + 1) * (np.exp(2.0 * xi) + 1.0) * (
-        Ah + np.exp(2.0 * eta) * Aa + np.exp(2.0 * zw) * Da)
-    return t1 + t2
-
-
-def tilde_symbols(n: int, xi, eta) -> tuple:
-    """Symmetrized cubic-energy symbols (A~^sym, B~^sym) at (xi, eta).
-
-    xi and eta are scalars or arrays that broadcast, as for
-    :func:`symbols_holo`.  B~ is symmetrized over all permutations of
-    (xi, eta, zeta); A~ over its two potential slots (the first coordinate
-    carries the position variable).  Both are then reflection-symmetrized,
-    s(p) -> -s(-p), which keeps them i x real.  They factor as xi eta zeta
-    times a bounded symbol, so within 1e-12 of a resonance line the
-    analytic zero is written in.  Off the lines the symmetrization cancels
-    O(1) terms down to the O(distance) result: near a line the relative
-    error grows like 1e-16 / distance (6e-11 at 1e-6).
-
-    Summed by :func:`trilinear_eval` at the unit-depth points (h xi, h eta)
-    they are the tested reference for :func:`_preflip_cubic`.  Their
-    e^{2 zeta} factors make the error grow with kappa band (kappa =
-    2 pi h / L, band = N // 3): 2e-13 at kappa band = 2, 1e-8 at 8, 0.1 at
-    17.  The pre-flip sums, free of such factors, evaluate the energy.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=float),
-                                  np.asarray(eta, dtype=float))
-    zeta = -(xi + eta)
-    off = np.minimum(np.minimum(np.abs(xi), np.abs(eta)), np.abs(zeta)) >= 1e-12
-    x, e, z = xi[off], eta[off], zeta[off]
-    A = np.zeros(xi.shape, dtype=complex)
-    B = np.zeros(xi.shape, dtype=complex)
-    A[off] = (_tilde_A(n, z, x, e) + _tilde_A(n, z, e, x)
-              - _tilde_A(n, -z, -x, -e) - _tilde_A(n, -z, -e, -x)) / 4.0
-    acc = 0.0
-    for (u, v) in ((x, e), (e, x), (x, z), (z, x), (e, z), (z, e)):
-        acc += _tilde_B(n, u, v) - _tilde_B(n, -u, -v)
-    B[off] = acc / 12.0
-    return A[()], B[()]
-
-
-# ---------------------------------------------------------------------------
-# discrete trilinear forms
-
-
-def trilinear_eval(symbol: Callable, f1, f2, f3,
-                   grid: SpectralGrid) -> float:
-    """Discrete trilinear form L Re sum s(xi, eta, zeta) c1 c2 c3.
-
-    ``symbol(xi, eta, zeta)`` must accept arrays that broadcast to the
-    lattice (xi a column, eta a row).
-    The sum runs over the dealiased band with zeta = -(xi + eta) folded into
-    the band, and the symbol is evaluated at the physical wavenumbers
-    xi = 2 pi j / L; the constant L is fixed so that the constant symbol 1
-    on real fields reproduces the physical-space quadrature of f1 f2 f3.
-    Dropped (out-of-band) output contributions are accumulated and must
-    stay below 1e-12 of the total mass.
-    """
-    band = dealias_band(grid)
-    size = 2 * band + 1
-    vals = [np.asarray(f, dtype=complex) for f in (f1, f2, f3)]
-    c1 = _band_coeffs(vals[0], grid, band)
-    c2 = _band_coeffs(vals[1], grid, band)
-    # third coefficient at zeta = -m for m = j + k in -2 band .. 2 band, laid
-    # out like the flip defects of _preflip_cubic, where the grid resolves it
-    m = np.arange(-2 * band, 2 * band + 1)
-    c3 = np.where(np.abs(m) <= grid.N // 2,
-                  to_spectrum(vals[2])[grid.neg_index][m % grid.N], 0.0)
-    inband = np.abs(m) <= band
-    xi = (2.0 * np.pi / grid.L) * np.arange(-band, band + 1)[:, None]
-    S = np.asarray(symbol(xi, xi.T, -(xi + xi.T)), dtype=complex)
-    total = grid.L * _hankel_form(
-        sliding_window_view(np.where(inband, c3, 0.0), size), S, c1, c2)
-    # the same reduction on absolute values: kept and dropped (out-of-band
-    # but resolved, band < |zeta| <= N/2) spectral mass
-    a1, a2, a3 = np.abs(c1), np.abs(c2), np.abs(c3)
-    kept = _hankel_form(sliding_window_view(np.where(inband, a3, 0.0), size),
-                        1.0, a1, a2)
-    dropped = _hankel_form(sliding_window_view(np.where(inband, 0.0, a3), size),
-                           1.0, a1, a2)
-    if dropped > 1e-12 * max(kept, 1e-300):
-        raise ValueError(
-            f"unresolved output modes carry {dropped:.3e} of spectral mass")
-    return total
-
-
-# ---------------------------------------------------------------------------
 # cubic-accurate energies in the diagonal variables
 
 
@@ -730,31 +613,6 @@ def _nf_energy_terms(n: int, diag: DiagState):
     cross = -2.0 * inner_h(RWd, inv_tilbert(deriv(rd, grid), grid), grid)
     return quad, cross, _preflip_cubic(n, antideriv(bW, grid),
                                        antideriv(R, grid), g, grid)
-
-
-def high_forms(n: int, diag: DiagState) -> tuple[float, float]:
-    """High-frequency forms (B_high, A_high) of the normal-form energy.
-
-    n = 1:  B_high = <W, W>_{-4 Re W + 1/2 (1+T^2) Re W}
-            A_high = -<R, T^{-1} R_alpha>_{-4 Re W - 1/2 (1+T^2) Re W}
-                     - 2 <R W, T^{-1} R_alpha>
-    n = 2:  the weighted forms with d W, d R and weight coefficient
-            -8 Re W.  The cross term -2 <W d R, T^{-1} d R_alpha> and the
-            transfer term + 2 <W R_alpha, T^{-1} d R_alpha> cancel, since
-            d R = R_alpha, so neither is evaluated.
-    """
-    grid, bW, R = diag.grid, diag.bW, diag.R
-    dn = _rung(n, grid)
-    smooth = smooth_one_plus_T2(bW.real, grid)
-    wplus = -4.0 * n * bW.real + 0.5 * smooth
-    wminus = -4.0 * n * bW.real - 0.5 * smooth
-    wd, rd = dn(bW), dn(R)
-    Tird = inv_tilbert(deriv(rd, grid), grid)
-    B_high = inner_h(wd, wd, grid, wplus)
-    A_high = -inner_h(rd, Tird, grid, wminus)
-    if n == 1:
-        A_high -= 2.0 * inner_h(dealias(bW * rd, grid), Tird, grid)
-    return B_high, A_high
 
 
 def cubic_energy_high(n: int, diag: DiagState) -> float:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from wavestrip.grid import make_grid
-from wavestrip.holo import holo_from_real, holo_from_spectrum
+from wavestrip.holo import holo_from_real
 from wavestrip.dynamics import WaveState
+from reference import holo_from_spectrum
 
 
 @pytest.fixture

@@ -406,6 +406,11 @@ def _text_time(header, W):
     return header
 
 
+def _nan_time(header, W):
+    header["t"] = float("nan")
+    return header
+
+
 _BAD_HEADER = ("snapshot header is not an object holding exactly "
                "L, N, g, h, layout, t")
 
@@ -416,6 +421,7 @@ _BAD_HEADER = ("snapshot header is not an object holding exactly "
     (_without_g, _BAD_HEADER),
     (_in_a_list, _BAD_HEADER),
     (_text_time, "snapshot header.t must be a number"),
+    (_nan_time, "snapshot header.t must be a finite number"),
 ])
 def test_invalid_snapshot_is_refused_at_load(tmp_path, capsys, edit, reason):
     snap = _edited_snapshot(tmp_path / "bad.snap", edit)
@@ -552,6 +558,35 @@ def test_degenerate_experiment_values_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: experiment."), err
         assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
+def _config_error_line(tmp_path, capsys, data, name):
+    """stderr of a simulate run on ``data``, which must exit 2 unwritten."""
+    p = _write_config(tmp_path / f"{name}.json", data)
+    out = tmp_path / name
+    assert main(["simulate", "--config", p, "--out", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_nan_surface_amplitude_is_a_config_error(tmp_path, capsys):
+    # json reads NaN; the conformal start would iterate on it 200 times
+    data = {"grid": {"N": 64},
+            "init": {"surface_modes": [{"k": 1, "amplitude": float("nan")}]}}
+    assert _config_error_line(tmp_path, capsys, data, "nan") == (
+        "config error: init.surface_modes[0].amplitude must be a finite "
+        "number\n")
+
+
+def test_infinite_tolerance_is_a_config_error(tmp_path, capsys):
+    # an infinite tolerance passes any run, and its verdict.json would hold
+    # the non-standard literal Infinity; an integer past 1e308 overflows
+    init = {"surface_modes": [{"k": 1, "amplitude": 0.01}]}
+    for key, block, value in (("energy_tol", "experiment", float("inf")),
+                              ("T_final", "solver", 10 ** 400)):
+        data = {"grid": {"N": 64}, "init": init, block: {key: value}}
+        assert _config_error_line(tmp_path, capsys, data, key) == (
+            f"config error: {block}.{key} must be a finite number\n")
 
 
 def test_verdict_checksums_only_own_artifacts(tmp_path):

@@ -281,9 +281,9 @@ def test_model_energies_positive(grid, rng):
     state = small_state(grid, eps=0.02)
     d = diag_of(state)
     pair = (d.bW, d.R)
-    e2, e2w = model_energies(d, pair)
+    e2, e2w = model_energies(d, pair, np.ones(grid.N))
     assert e2 > 0
-    assert np.isclose(e2, e2w, rtol=1e-12)  # default weight is 1
+    assert np.isclose(e2, e2w, rtol=1e-12)  # weight 1
 
 
 def _rhs_full_expression(state):

@@ -6,7 +6,7 @@ import pytest
 
 from wavestrip import normalform
 from wavestrip.grid import make_grid, deriv, to_spectrum
-from wavestrip.holo import holo_from_real, inner_h
+from wavestrip.holo import inner_h
 from wavestrip.dynamics import WaveState, diag_of, scale_state
 from wavestrip.integrator import step_rk4
 from wavestrip.normalform import (
@@ -17,10 +17,7 @@ from wavestrip.normalform import (
     symbols_mixed,
     system_residuals,
     nf_transform,
-    tilde_symbols,
-    trilinear_eval,
     nf_energy,
-    high_forms,
     cubic_energy_high,
     _E0,
     _band_coeffs,
@@ -29,6 +26,7 @@ from wavestrip.normalform import (
     _preflip_cubic,
 )
 from conftest import same_bits, small_state, random_trace
+from reference import high_forms, tilde_pair, tilde_symbols, trilinear_eval
 
 
 def test_dispersion_kit_values():
@@ -149,26 +147,9 @@ def _tilde_symbols_mp(n, xi, eta):
     """``tilde_symbols`` at 60 digits: the same symmetrization of the
     seven symbols at the exact plane point (xi, eta)."""
     with mpmath.workdps(60):
-        x, e = mpmath.mpf(xi), mpmath.mpf(eta)
-        z = -(x + e)
-        ex = lambda s: mpmath.exp(2 * s)
-
-        def B(u, v):
-            w = -(u + v)
-            (_, Bh, _), (_, Ba, _, _) = _mp_symbols(u, v)
-            return (ex(w) - 1) * w ** (2 * n) * (Bh + ex(v) * Ba)
-
-        def A(zw, u, v):
-            (_, _, Ch), (_, _, Ca, _) = _mp_symbols(u, v)
-            (Ah, _, _), (Aa, _, _, _) = _mp_symbols(zw, v)
-            Da = _mp_symbols(v, zw)[1][3]
-            return (zw ** (2 * n) * (ex(zw) - 1) * (Ch + ex(v) * Ca)
-                    + u ** (2 * n + 1) * (ex(u) + 1)
-                    * (Ah + ex(v) * Aa + ex(zw) * Da))
-
-        At = (A(z, x, e) + A(z, e, x) - A(-z, -x, -e) - A(-z, -e, -x)) / 4
-        Bt = sum(B(u, v) - B(-u, -v) for u, v in (
-            (x, e), (e, x), (x, z), (z, x), (e, z), (z, e))) / 12
+        At, Bt = tilde_pair(n, mpmath.mpf(xi), mpmath.mpf(eta),
+                            lambda u, v: sum(_mp_symbols(u, v), ()),
+                            mpmath.exp)
         return complex(At), complex(Bt)
 
 

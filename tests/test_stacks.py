@@ -2,7 +2,8 @@
 
 A stack of B members on one grid goes through each public function of
 ``dynamics``, ``diagnostics`` and ``normalform`` that takes a ``WaveState``
-or a ``DiagState`` (and through ``holo.sobolev_norm``) in one call, and
+or a ``DiagState`` (and through ``holo.sobolev_norm`` and
+``reference.high_forms``) in one call, and
 member j of the result is that member's own call, bit for bit.
 ``stack_states`` and ``unstack`` build and split the stacks themselves
 (``test_dynamics::test_stack_and_unstack``).
@@ -20,6 +21,7 @@ from wavestrip import diagnostics as dg
 from wavestrip import dynamics as dy
 from wavestrip import normalform as nf
 from conftest import random_trace
+from reference import high_forms
 
 B = 3
 
@@ -49,8 +51,8 @@ CASES = {
     "nf_transform": lambda s, d, x: nf.nf_transform(s),
     "nf_energy-1": lambda s, d, x: nf.nf_energy(1, d),
     "nf_energy-2": lambda s, d, x: nf.nf_energy(2, d),
-    "high_forms-1": lambda s, d, x: nf.high_forms(1, d),
-    "high_forms-2": lambda s, d, x: nf.high_forms(2, d),
+    "high_forms-1": lambda s, d, x: high_forms(1, d),
+    "high_forms-2": lambda s, d, x: high_forms(2, d),
     "cubic_energy_high-1": lambda s, d, x: nf.cubic_energy_high(1, d),
     "cubic_energy_high-2": lambda s, d, x: nf.cubic_energy_high(2, d),
     "sobolev_norm-l2": lambda s, d, x: sobolev_norm(s.W, 1.5, s.grid),
