@@ -1,4 +1,4 @@
-"""Measurement layer: control-norm proxies, Sobolev ladders, drift ledgers.
+"""Measurement layer: control-norm proxies, Sobolev ladders, the ledger row.
 
 The two scale-invariant control norms of the well-posedness theory are
 
@@ -18,9 +18,8 @@ stack of states is taken per member, on the last axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "control_norms",
     "sobolev_Nn",
     "measure",
-    "drift_report",
 ]
 
 
@@ -45,7 +43,8 @@ class DiagnosticsRecord:
     ``E_ham`` is the Hamiltonian-form energy and ``E_repr`` its
     representation-form evaluation; ``I`` the momentum; ``taylor_min`` the
     pointwise minimum of g + frak-a.  For a stack every field but ``t`` and
-    ``dt`` holds one value per member; :meth:`rows` splits it.
+    ``dt`` holds one value per member; :meth:`table` lays the record out
+    as one row per member.
     """
 
     t: float
@@ -62,41 +61,23 @@ class DiagnosticsRecord:
     N2: float
     dt: float
 
-    def _non_finite(self) -> str:
-        """The first non-finite entry (and, in a stack, the first non-finite
-        member of it) on one line, or '' if every entry is finite."""
-        for f in fields(self):
-            v = getattr(self, f.name)
-            bad = ~np.isfinite(v)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                where = f" (member {j})" if np.ndim(v) else ""
-                return (f"non-finite diagnostic entry {f.name} = "
-                        f"{np.ravel(v)[j]}{where}")
-        return ""
-
-    def validate(self) -> None:
-        """Raise ValueError, on one line, at the first non-finite entry (and,
-        in a stack, the first non-finite member of it)."""
-        bad = self._non_finite()
-        if bad:
-            raise ValueError(bad)
-
-    def rows(self, ts) -> list:
-        """One single-state record per member of a stacked record; member j
-        takes the time ``ts[j]``.
+    def table(self, ts) -> np.ndarray:
+        """The ledger rows, one per member, as a (members, fields) float
+        array in field order: member j takes the time ``ts[j]``, and a
+        field that holds one value (``dt``, or any field of a single
+        state) is the same in every row.
 
         The earliest row with a non-finite entry raises ValueError, on one
-        line, naming that entry and the row's time.
+        line, naming its first such entry and the row's time.
         """
-        split = [f.name for f in fields(self) if f.name not in ("t", "dt")]
-        out = [replace(self, t=t, **{name: getattr(self, name)[j]
-                                     for name in split})
-               for j, t in enumerate(ts)]
-        for row in out:
-            bad = row._non_finite()
-            if bad:
-                raise ValueError(f"{bad} at t = {row.t}")
+        names = [f.name for f in fields(self)]
+        out = np.column_stack(np.broadcast_arrays(
+            *(ts if name == "t" else getattr(self, name) for name in names)))
+        bad = np.argwhere(~np.isfinite(out))
+        if len(bad):
+            j, i = bad[0]
+            raise ValueError(f"non-finite diagnostic entry {names[i]} = "
+                             f"{out[j, i]} at t = {float(out[j, 0])}")
         return out
 
 
@@ -207,8 +188,8 @@ def measure(state: WaveState, dt: float = 0.0) -> DiagnosticsRecord:
 
     ``E1_NF`` is the n = 1 normal-form energy and ``E13_high`` the n = 1
     quasilinear modified energy.  The record is not checked here: a
-    non-finite entry raises where the record is split into rows
-    (:meth:`DiagnosticsRecord.rows`) or checked by ``validate``.
+    non-finite entry raises where its table is taken
+    (:meth:`DiagnosticsRecord.table`).
     """
     from .dynamics import diag_of, energy, momentum, taylor_field
     from .normalform import nf_energy, cubic_energy_high, _E0
@@ -233,20 +214,3 @@ def measure(state: WaveState, dt: float = 0.0) -> DiagnosticsRecord:
         N2=sobolev_Nn(d, 2),
         dt=dt,
     )
-
-
-_CONSERVED = ("E_ham", "E_repr", "I")
-
-
-def drift_report(series: Sequence[DiagnosticsRecord]) -> dict:
-    """Max relative drifts of the conserved quantities of a series.
-
-    Each of E_ham, E_repr and I gets max |x(t) - x(0)| / max(|x(0)|, eps).
-    """
-    if len(series) == 0:
-        raise ValueError("empty diagnostics series")
-    rel = {}
-    for name in _CONSERVED:
-        x = np.array([getattr(r, name) for r in series])
-        rel[name] = float(np.max(np.abs(x - x[0])) / max(abs(x[0]), 1e-300))
-    return rel

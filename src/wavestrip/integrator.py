@@ -1,11 +1,12 @@
 """Explicit time stepping for the water-wave system, and the shell projection.
 
-Classical RK4 on :func:`~wavestrip.dynamics.rhs_full` is the baseline.  An
-integrating-factor variant ("ifrk4") applies the exact linear propagator
+Both methods run one RK4 tableau in Lawson form (:func:`step_rk4`): "rk4"
+on :func:`~wavestrip.dynamics.rhs_full` with the identity between stages,
+and the integrating-factor "ifrk4" with the exact linear propagator
 
     exp(M_k t),  M_k = [[0, -i xi], [-i g tanh(h xi), 0]],
 
-per Fourier mode between RK4 stages, so the linear oscillation, whose
+per Fourier mode between the stages, so the linear oscillation, whose
 truncation error otherwise dominates long-time energy drift, is exact and
 only the nonlinear remainder sees the RK4 error; long conservation runs
 should use it.  After every step the holomorphic projection is re-applied
@@ -22,7 +23,7 @@ result bit for bit up to the stack size given in :mod:`wavestrip.grid`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -172,49 +173,48 @@ def _nonlinear_residual_rhs(state: WaveState):
     return fW, fQ
 
 
+def _identity(W, Q):
+    return W, Q
+
+
 def step_rk4(state: WaveState, dt: float, method: str = "rk4") -> WaveState:
-    """One classical RK4 step (plain or integrating-factor variant)."""
+    """One RK4 step in Lawson form, re-projected and checked.
+
+    The classical tableau runs on a field between propagators E(dt/2) and
+    E(dt): "rk4" takes ``rhs_full`` and the identity, which is classical
+    RK4 bit for bit; "ifrk4" its nonlinear remainder and exp(M_k t).
+    """
     grid = state.grid
-    Wv, Qv = state.W, state.Q
-
     if method == "rk4":
-        def f(W, Q):
-            return rhs_full(state.with_fields(W, Q))
-
-        k1 = f(Wv, Qv)
-        k2 = f(Wv + 0.5 * dt * k1[0], Qv + 0.5 * dt * k1[1])
-        k3 = f(Wv + 0.5 * dt * k2[0], Qv + 0.5 * dt * k2[1])
-        k4 = f(Wv + dt * k3[0], Qv + dt * k3[1])
-        Wn = Wv + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        Qn = Qv + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        field, half, full = rhs_full, _identity, _identity
     elif method == "ifrk4":
-        # Lawson RK4: exact linear propagation between stages, classical RK4
-        # tableau on the twisted nonlinear remainder.
-        half = _linear_propagator(grid, state.g, 0.5 * dt)
-        full = _linear_propagator(grid, state.g, dt)
-
-        def n(W, Q):
-            return _nonlinear_residual_rhs(state.with_fields(W, Q))
-
-        k1 = n(Wv, Qv)
-        EW, EQ = _apply_propagator(half, Wv, Qv)
-        e1 = _apply_propagator(half, *k1)
-        k2 = n(EW + 0.5 * dt * e1[0], EQ + 0.5 * dt * e1[1])
-        k3 = n(EW + 0.5 * dt * k2[0], EQ + 0.5 * dt * k2[1])
-        FW, FQ = _apply_propagator(full, Wv, Qv)
-        h3 = _apply_propagator(half, *k3)
-        k4 = n(FW + dt * h3[0], FQ + dt * h3[1])
-        e1f = _apply_propagator(full, *k1)
-        h2 = _apply_propagator(half, *k2)
-        h3b = _apply_propagator(half, *k3)
-        Wn = FW + dt / 6.0 * (e1f[0] + 2 * h2[0] + 2 * h3b[0] + k4[0])
-        Qn = FQ + dt / 6.0 * (e1f[1] + 2 * h2[1] + 2 * h3b[1] + k4[1])
+        field = _nonlinear_residual_rhs
+        half, full = (partial(_apply_propagator,
+                              _linear_propagator(grid, state.g, t))
+                      for t in (0.5 * dt, dt))
     else:
         raise ValueError(f"unknown method {method!r}")
 
+    def n(W, Q):
+        return field(state.with_fields(W, Q))
+
+    Wv, Qv = state.W, state.Q
+    k1 = n(Wv, Qv)
+    EW, EQ = half(Wv, Qv)
+    e1 = half(*k1)
+    k2 = n(EW + 0.5 * dt * e1[0], EQ + 0.5 * dt * e1[1])
+    k3 = n(EW + 0.5 * dt * k2[0], EQ + 0.5 * dt * k2[1])
+    FW, FQ = full(Wv, Qv)
+    h3 = half(*k3)
+    k4 = n(FW + dt * h3[0], FQ + dt * h3[1])
+    e1f = full(*k1)
+    h2 = half(*k2)
+    h3b = half(*k3)  # = h3; ROADMAP item 2 drops it with the pinned counts
+    Wn = FW + dt / 6.0 * (e1f[0] + 2 * h2[0] + 2 * h3b[0] + k4[0])
+    Qn = FQ + dt / 6.0 * (e1f[1] + 2 * h2[1] + 2 * h3b[1] + k4[1])
+
     Wn, Qn = _regauge(Wn, Qn, grid)
-    # the constructor below evaluates the rule again; bench/tracer.py's
-    # pinned "rk4 step" and "ifrk4 step" FFT counts include both evaluations
+    # kept for the pinned FFT counts (with_fields repeats it): ROADMAP item 2
     require_valid(grid, deriv(Wn, grid), (Qn,), Wn)
     return state.with_fields(Wn, Qn, t=state.t + dt)
 
@@ -367,31 +367,28 @@ def _project_to_invariant_shell(state: WaveState, E_target,
                              _where(keep, from_spectrum(cQ), state.Q))
 
 
-Observer = Callable[[int, float, WaveState], object]
+Observer = Callable[[int, float, WaveState], None]
 
 
 def evolve(state: WaveState, config: SolverConfig,
-           observers: Sequence[Observer] = ()) -> tuple[WaveState, list]:
-    """Run to T_final with fixed dt; returns (final state, observer rows).
+           observers: Sequence[Observer] = ()) -> WaveState:
+    """Run to T_final with fixed dt; returns the final state.
 
-    Observers are called at step 0 and every ``observer_stride`` steps (and
-    at the final step); any non-None return value is collected.  An invalid
-    stage, new or projected state raises :class:`StepAbort` carrying the
-    index and the last good state.  A stack of states evolves as one state,
-    with one call per operator, the shell projection included: under
+    Observers are called for their effect at step 0 and every
+    ``observer_stride`` steps (and at the final step).  An invalid stage,
+    new or projected state raises :class:`StepAbort` carrying the index and
+    the last good state.  A stack of states evolves as one state, with one
+    call per operator, the shell projection included: under
     ``project_energy`` each member is projected onto the shell of its own
     initial energy and momentum, so each row equals that member's run
     alone, bit for bit as a stacked step does.
     """
-    records = []
     targets = ((energy(state)[0], momentum(state))
                if config.project_energy else None)
 
     def notify(i, s):
         for obs in observers:
-            row = obs(i, s.t, s)
-            if row is not None:
-                records.append(row)
+            obs(i, s.t, s)
 
     notify(0, state)
     current = state
@@ -406,4 +403,4 @@ def evolve(state: WaveState, config: SolverConfig,
         current = new
         if i % config.observer_stride == 0 or i == config.n_steps:
             notify(i, current)
-    return current, records
+    return current

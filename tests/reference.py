@@ -7,6 +7,8 @@
 * ``check_identities`` evaluates the two Tilbert product identities.
 * ``holo_from_spectrum`` builds a trace from prescribed Fourier
   coefficients; ``conftest.random_trace`` draws its test states with it.
+* ``classical_rk4`` and ``lawson_rk4`` are the two RK4 formulas that
+  ``integrator.step_rk4`` evaluates as one tableau, for "rk4" and "ifrk4".
 """
 
 import numpy as np
@@ -16,6 +18,8 @@ from wavestrip.grid import (dealias, dealias_band, deriv, from_spectrum,
                             inv_tilbert, smooth_one_plus_T2, tilbert,
                             to_spectrum)
 from wavestrip.holo import holo_from_real, inner_h, project
+from wavestrip.dynamics import rhs_full
+from wavestrip.integrator import _linear_propagator, _regauge
 from wavestrip.normalform import (_band_coeffs, _hankel_form, _rung,
                                   _symbols)
 
@@ -158,3 +162,54 @@ def high_forms(n, diag):
     if n == 1:
         A_high -= 2.0 * inner_h(dealias(bW * rd, grid), Tird, grid)
     return B_high, A_high
+
+
+def _regauged(state, dt, Wn, Qn):
+    return state.with_fields(*_regauge(Wn, Qn, state.grid), t=state.t + dt)
+
+
+def _shift(u, c, k):
+    """The pair u + c k, field by field."""
+    return [a + c * b for a, b in zip(u, k)]
+
+
+def classical_rk4(state, dt):
+    """One classical RK4 step on ``rhs_full``, re-projected."""
+    def f(u):
+        return rhs_full(state.with_fields(*u))
+
+    u = [state.W, state.Q]
+    k1 = f(u)
+    k2 = f(_shift(u, 0.5 * dt, k1))
+    k3 = f(_shift(u, 0.5 * dt, k2))
+    k4 = f(_shift(u, dt, k3))
+    return _regauged(state, dt, *(
+        v + dt / 6.0 * (a + 2 * b + 2 * c + d)
+        for v, a, b, c, d in zip(u, k1, k2, k3, k4)))
+
+
+def lawson_rk4(state, dt):
+    """One Lawson RK4 step, re-projected: classical RK4 on the nonlinear
+    remainder N = rhs_full - (-Q_alpha, g T W) in the frame of the linear
+    flow E(t) = exp(M t), each E applied to the spectra of (W, Q) as
+    (c W^ + a12 Q^, a21 W^ + c Q^)."""
+    grid, g = state.grid, state.g
+
+    def n(u):
+        fW, fQ = rhs_full(state.with_fields(*u))
+        return [fW + deriv(u[1], grid), fQ - g * tilbert(u[0], grid)]
+
+    def E(t, u):
+        c, a12, a21 = _linear_propagator(grid, g, t)
+        cW, cQ = (to_spectrum(v) for v in u)
+        return [from_spectrum(c * cW + a12 * cQ),
+                from_spectrum(a21 * cW + c * cQ)]
+
+    u = [state.W, state.Q]
+    k1 = n(u)
+    k2 = n(_shift(E(0.5 * dt, u), 0.5 * dt, E(0.5 * dt, k1)))
+    k3 = n(_shift(E(0.5 * dt, u), 0.5 * dt, k2))
+    k4 = n(_shift(E(dt, u), dt, E(0.5 * dt, k3)))
+    return _regauged(state, dt, *(
+        v + dt / 6.0 * (a + 2 * b + 2 * c + d) for v, a, b, c, d in zip(
+            E(dt, u), E(dt, k1), E(0.5 * dt, k2), E(0.5 * dt, k3), k4)))

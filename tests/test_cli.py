@@ -104,7 +104,7 @@ def test_snapshot_continues_a_run_bit_for_bit(tmp_path):
 
         def run(s, steps):
             config = SolverConfig(dt=dt, T_final=steps * dt, method=method)
-            return evolve(s, config)[0]
+            return evolve(s, config)
 
         members = []
         for j, m in enumerate(unstack(run(state, 10))):
@@ -146,17 +146,12 @@ def test_snapshot_rejects_corruption(tmp_path, grid):
 
 
 def test_series_csv_format(tmp_path):
-    class Row:
-        pass
-
-    row = Row()
-    for i, c in enumerate(COLUMNS):
-        setattr(row, c, float(i))
+    # one ledger table row per line, in the columns' order
     p = tmp_path / "s.csv"
-    write_series_csv(str(p), [row])
+    write_series_csv(str(p), np.arange(len(COLUMNS), dtype=float)[None])
     lines = p.read_text().strip().split("\n")
     assert lines[0] == ",".join(COLUMNS)
-    assert lines[1].split(",")[0] == "0.0"
+    assert lines[1].split(",")[:2] == ["0.0", "1.0"]
 
 
 def test_build_state_variants(tmp_path, grid):
@@ -201,6 +196,30 @@ def test_run_simulate_and_report(tmp_path):
     doc = json.loads((out / "verdict.json").read_text())
     assert set(doc["checksums"]) == {"initial.snap", "final.snap",
                                      "series.csv"}
+
+
+@pytest.mark.parametrize("velocity", [[], [{"k": 1, "amplitude": 0.005}]])
+def test_simulate_drifts_are_read_from_the_series(tmp_path, velocity):
+    # energy drift max |E - E(0)| / |E(0)|; momentum drift on the energy's
+    # scale when that is larger, as for a standing wave, whose I(0) is 0
+    p = _write_config(tmp_path / "c.json", {
+        "grid": {"N": 32},
+        "init": {"surface_modes": [{"k": 1, "amplitude": 0.02}],
+                 "velocity_modes": velocity},
+        "solver": {"T_final": 2.0}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", p, "--out", str(out)]) == 0
+    lines = (out / "series.csv").read_text().splitlines()
+    names = lines[0].split(",")
+    E, I = (np.array([float(line.split(",")[names.index(c)])
+                      for line in lines[1:]]) for c in ("E_ham", "I"))
+    doc = json.loads((out / "verdict.json").read_text())
+    measured = {v["name"]: v["measured"] for v in doc["verdicts"]}
+    assert measured == {
+        "energy_drift": np.max(np.abs(E - E[0])) / abs(E[0]),
+        "momentum_drift": (np.max(np.abs(I - I[0]))
+                           / max(abs(I[0]), abs(E[0])))}
+    assert measured["energy_drift"] > 0 and measured["momentum_drift"] > 0
 
 
 def test_simulate_off_unit_cell(tmp_path):
@@ -447,6 +466,33 @@ def test_dispersion_needs_two_steps(tmp_path, capsys):
                      str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert _one_error_line(err) and message in err, err
+
+
+@pytest.mark.parametrize("ks", [[16], [11], [-40]])
+def test_dispersion_refuses_a_mode_the_solver_removes(tmp_path, capsys, ks):
+    # at N = 32 the 2/3 rule keeps |k| <= 10: the Nyquist mode 16 samples
+    # zeros, and 11 or 40 (8 modulo 32) a mode the solver does not evolve
+    p = _write_config(tmp_path / "c.json", {"grid": {"N": 32},
+                                            "experiment": {"ks": [1, *ks]}})
+    out = tmp_path / "run"
+    assert main(["dispersion", "--config", p, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err), err
+    assert err == (f"error: dispersion k={ks[0]}: the solver removes modes "
+                   "past |k| = 10 at N = 32\n")
+    assert not (out / "verdict.json").exists()
+
+
+def test_dispersion_refuses_a_mode_too_small_to_fit(tmp_path, capsys):
+    # at amplitude 1e-170 the sampled coefficients square to 0 in float64
+    p = _write_config(tmp_path / "c.json",
+                      {"experiment": {"ks": [1], "amplitude": 1e-170}})
+    out = tmp_path / "run"
+    assert main(["dispersion", "--config", p, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err), err
+    assert "k=1: the mode's samples square to 0" in err
+    assert not (out / "verdict.json").exists()
 
 
 def test_solver_cfl_rule(tmp_path, capsys):
@@ -714,7 +760,7 @@ def test_drift_scaling_row_costs_the_ffts_of_one_member(tmp_path,
     def spy(state, solver, observers=()):
         out = evolve(state, solver, observers)
         # the observer sees step 0 and every step after it
-        seen["final"], seen["rows"] = out[0], solver.n_steps + 1
+        seen["final"], seen["rows"] = out, solver.n_steps + 1
         return out
 
     def blocked(grid, g, evaluate):
@@ -820,7 +866,7 @@ def _spy_simulate(tmp_path, monkeypatch, data, name="run"):
     def spy(state, solver, observers=()):
         def keep(i, t, s):
             seen.append((s, solver.dt))
-            return observers[0](i, t, s)
+            observers[0](i, t, s)
         return evolve(state, solver, [keep])
 
     monkeypatch.setattr(cli, "evolve", spy)
@@ -863,8 +909,8 @@ def test_blocked_ledger_equals_one_measure_call_per_row(tmp_path, monkeypatch,
     assert len(seen) == rows
     block = _block_size(seen[0][0].grid)
     assert sizes == [block] * (rows // block) + [rows % block]
-    write_series_csv(str(tmp_path / "single.csv"),
-                     [real(s, dt=dt) for s, dt in seen])
+    write_series_csv(str(tmp_path / "single.csv"), np.concatenate(
+        [real(s, dt=dt).table([s.t]) for s, dt in seen]))
     assert ((out / "series.csv").read_bytes()
             == (tmp_path / "single.csv").read_bytes())
 

@@ -10,7 +10,6 @@ from wavestrip.diagnostics import (
     control_norms,
     sobolev_Nn,
     measure,
-    drift_report,
 )
 from conftest import small_state
 
@@ -21,14 +20,6 @@ def _record(**overrides):
                 N1=1.0, N2=1.0, dt=0.1)
     base.update(overrides)
     return DiagnosticsRecord(**base)
-
-
-def test_record_validate():
-    _record().validate()
-    with pytest.raises(ValueError):
-        _record(E_ham=np.nan).validate()
-    with pytest.raises(ValueError):
-        _record(N2=np.inf).validate()
 
 
 def test_bmo_proxy_constant_and_zero(grid):
@@ -101,33 +92,38 @@ def test_sobolev_ladder(grid):
 
 def test_measure_full_row(grid):
     rec = measure(small_state(grid, eps=0.02), dt=0.05)
-    rec.validate()
-    assert rec.dt == 0.05
+    (row,) = rec.table([rec.t])
+    assert row[0] == rec.t and row[-1] == rec.dt == 0.05
     assert rec.E_ham > 0 and rec.taylor_min > 0
 
 
-def test_drift_report():
-    rows = [_record(t=float(i), E0=1.0 + 0.01 * i, I=2.0) for i in range(5)]
-    drift = drift_report(rows)
-    assert drift["E_ham"] == 0.0
-    assert drift["I"] == 0.0
-    with pytest.raises(ValueError):
-        drift_report([])
-
-
 def test_record_rows_split_a_stack():
-    # each row holds its member's values and its own t; dt is shared
+    # one row per member in field order: its own t, its member's values,
+    # and the shared dt in every row
     values = {name: np.array([v, 2 * v]) for name, v in
               vars(_record()).items() if name not in ("t", "dt")}
-    rows = _record(**values).rows([0.5, 0.75])
-    assert rows == [_record(t=0.5), _record(t=0.75, **{
-        name: 2 * v[0] for name, v in values.items()})]
+    table = _record(**values).table([0.5, 0.75])
+    assert list(vars(_record())) == ["t", *values, "dt"]
+    assert table.dtype == np.float64
+    assert np.array_equal(table, [[t, *(v[j] for v in values.values()), 0.1]
+                                  for j, t in enumerate([0.5, 0.75])])
+    # a single-state record gives its values to every row it is asked for
+    assert np.array_equal(_record().table([0.5, 0.75])[:, 1:],
+                          table[[0, 0], 1:])
 
 
-def test_record_validate_names_the_member_on_one_line():
+@pytest.mark.parametrize("record, ts, message", [
+    (_record(E_ham=np.nan), [0.0], "E_ham = nan at t = 0.0"),
+    (_record(N2=np.inf), [0.25], "N2 = inf at t = 0.25"),
+    (_record(dt=-np.inf), [0.5], "dt = -inf at t = 0.5"),
+    # the earliest row wins over an earlier field of a later row, and the
+    # first field within that row over a later one
+    (_record(E_ham=np.array([1.0, 1.0, np.nan]),
+             N1=np.array([1.0, np.inf, 1.0]),
+             N2=np.array([1.0, np.nan, 1.0])),
+     [0.5, 0.75, 1.0], "N1 = inf at t = 0.75"),
+])
+def test_record_table_names_the_earliest_non_finite_row(record, ts, message):
     with pytest.raises(ValueError) as exc:
-        _record(N1=np.array([1.0, np.inf, np.nan])).validate()
-    assert str(exc.value) == "non-finite diagnostic entry N1 = inf (member 1)"
-    with pytest.raises(ValueError) as exc:
-        _record(E_ham=np.nan).validate()
-    assert str(exc.value) == "non-finite diagnostic entry E_ham = nan"
+        record.table(ts)
+    assert str(exc.value) == f"non-finite diagnostic entry {message}"

@@ -22,6 +22,7 @@ from wavestrip.integrator import (
     evolve,
 )
 from conftest import count_ffts, random_trace, same_bits, small_state
+from reference import classical_rk4, lawson_rk4
 
 
 def test_solver_config_validation():
@@ -77,7 +78,7 @@ def test_ifrk4_exact_linear_phase(grid):
     omega = np.sqrt(g * k * np.tanh(grid.h * k))
     T = 3.0
     config = SolverConfig(dt=T / 20, T_final=T, method="ifrk4")
-    final, _ = evolve(state, config)
+    final = evolve(state, config)
     c = to_spectrum(final.W)[k]
     c0 = to_spectrum(state.W)[k]
     assert abs(c - c0 * np.cos(omega * T)) < 1e-12 * abs(c0) + 1e-22
@@ -140,19 +141,10 @@ def test_observer_stride(grid):
     state = small_state(grid, eps=0.01)
     calls = []
     config = SolverConfig(dt=0.05, T_final=0.5, observer_stride=3)
-    final, records = evolve(state, config, [lambda i, t, s: calls.append(i)])
+    final = evolve(state, config, [lambda i, t, s: calls.append(i)])
     # step 0, multiples of 3, and the final step
     assert calls == [0, 3, 6, 9, 10]
     assert np.isclose(final.t, 0.5)
-    assert records == []  # observer returned None
-
-
-def test_observer_records_collected(grid):
-    state = small_state(grid, eps=0.01)
-    config = SolverConfig(dt=0.05, T_final=0.2)
-    _, records = evolve(state, config, [lambda i, t, s: (i, t)])
-    assert len(records) == 5
-    assert records[0] == (0, 0.0)
 
 
 def test_energy_shell_projection(grid):
@@ -160,7 +152,7 @@ def test_energy_shell_projection(grid):
     E0 = energy(state)[0]
     config = SolverConfig(dt=suggest_dt(grid, 1.0, 0.5), T_final=5.0,
                           method="rk4", project_energy=True)
-    final, _ = evolve(state, config)
+    final = evolve(state, config)
     assert abs(energy(final)[0] - E0) < 1e-11 * abs(E0)
 
 
@@ -175,7 +167,8 @@ def test_energy_shell_projection_converges_at_large_amplitude():
     E0 = energy(state)[0]
     config = SolverConfig(dt=suggest_dt(grid, 1.0, 0.5), T_final=10.0,
                           method="ifrk4", project_energy=True)
-    _, E = evolve(state, config, [lambda i, t, s: energy(s)[0]])
+    E = []
+    evolve(state, config, [lambda i, t, s: E.append(energy(s)[0])])
     assert len(E) > 30
     assert max(abs(e - E0) for e in E) <= 1e-12 * abs(E0)
 
@@ -330,6 +323,25 @@ def _stack_members(L, h, N):
             for _ in range(3)]
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("L, N, h", [(2 * np.pi, 64, 1.0),
+                                     (2 * np.pi, 100, 0.25),
+                                     (4 * np.pi, 128, 0.5)])
+@pytest.mark.parametrize("method, formula", [("rk4", classical_rk4),
+                                             ("ifrk4", lawson_rk4)])
+def test_step_is_its_rk4_formula_bit_for_bit(method, formula, L, N, h,
+                                             stacked):
+    # both methods run one tableau: plain rk4 with the identity between
+    # stages is the classical formula, ifrk4 the Lawson one
+    members = _stack_members(L, h, N)
+    state = stack_states(members) if stacked else members[0]
+    dt = suggest_dt(state.grid, 1.0, 0.5)
+    got, want = step_rk4(state, dt, method), formula(state, dt)
+    assert got.W.tobytes() == want.W.tobytes()
+    assert got.Q.tobytes() == want.Q.tobytes()
+    assert got.t == want.t
+
+
 @pytest.mark.parametrize("N", [64, 128])
 @pytest.mark.parametrize("L, h", [(2 * np.pi, 1.0), (4 * np.pi, 0.5)])
 def test_stack_matches_its_members_bit_for_bit(L, h, N):
@@ -394,8 +406,8 @@ def test_stack_abort_carries_the_failing_members_last_good(monkeypatch,
     assert exc.value.reason == "non-finite field values"
     last = exc.value.last_good
     # member 1 run alone (the patched field leaves single states alone)
-    want, _ = evolve(members[1], SolverConfig(dt=dt, T_final=2 * dt,
-                                              method=method))
+    want = evolve(members[1], SolverConfig(dt=dt, T_final=2 * dt,
+                                           method=method))
     assert last.W.shape == (64,) and last.t == want.t
     assert np.array_equal(last.W, want.W)
     assert np.array_equal(last.Q, want.Q)
@@ -409,13 +421,13 @@ def test_projected_stack_matches_its_members_bit_for_bit(method):
     dt = suggest_dt(members[0].grid, 1.0, 0.5)
     config = SolverConfig(dt=dt, T_final=6 * dt, method=method,
                           project_energy=True)
-    final, _ = evolve(stack_states(members), config)
+    final = evolve(stack_states(members), config)
     for j, m in enumerate(members):
-        alone, _ = evolve(m, config)
+        alone = evolve(m, config)
         assert np.array_equal(final.W[j], alone.W), j
         assert np.array_equal(final.Q[j], alone.Q), j
         assert not np.array_equal(
-            alone.W, evolve(m, replace(config, project_energy=False))[0].W)
+            alone.W, evolve(m, replace(config, project_energy=False)).W)
 
 
 def test_projected_stack_abort_carries_the_failing_members_last_good(
@@ -424,7 +436,7 @@ def test_projected_stack_abort_carries_the_failing_members_last_good(
     dt = suggest_dt(members[0].grid, 1.0, 0.5)
     config = SolverConfig(dt=dt, T_final=10 * dt, method="ifrk4",
                           project_energy=True)
-    want, _ = evolve(members[1], replace(config, T_final=2 * dt))
+    want = evolve(members[1], replace(config, T_final=2 * dt))
     real = integrator._project_to_invariant_shell
 
     def project(state, E, I):

@@ -1,7 +1,8 @@
 """Every public name of the package is used by the package itself.
 
-A name in a module's ``__all__`` that no src code uses outside its own
-definition runs in no experiment: it is a test reference, which belongs in
+A name in a module's ``__all__``, or a public method or property of a class
+named there, that no src code uses outside its own definition runs in no
+experiment: it is a test reference, which belongs in
 ``tests/reference.py``, or dead code.  The names kept on purpose are listed
 with the ROADMAP item that rewrites or uses them.
 """
@@ -43,8 +44,24 @@ def _used(node, inside=()):
     return used
 
 
+def _trees():
+    return [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+
+
 def test_every_public_name_is_used_by_src():
-    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    trees = _trees()
     public = {name for tree in trees for name in _public(tree)}
     used = set().union(*(_used(tree) for tree in trees))
     assert public - used == set(KEPT)
+
+
+def test_every_public_member_of_a_public_class_is_used_by_src():
+    trees = _trees()
+    members = {f"{node.name}.{item.name}"
+               for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name in _public(tree)
+               for item in node.body
+               if isinstance(item, ast.FunctionDef)
+               and not item.name.startswith("_")}
+    used = set().union(*(_used(tree) for tree in trees))
+    assert {m for m in members if m.split(".")[1] not in used} == set()

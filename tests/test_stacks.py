@@ -125,8 +125,9 @@ def test_wide_stack_measure_equals_its_members(N, h):
         return np.stack([random_trace(grid, rng, scale=s) for s in scales])
 
     stack = dy.WaveState(grid, traces(), traces(), 1.0, t=0.5)
-    rows = dg.measure(stack, 0.1).rows([0.5] * len(scales))
-    assert rows == [dg.measure(m, 0.1) for m in dy.unstack(stack)]
+    table = dg.measure(stack, 0.1).table([0.5] * len(scales))
+    alone = [dg.measure(m, 0.1).table([m.t]) for m in dy.unstack(stack)]
+    assert table.tobytes() == np.concatenate(alone).tobytes()
 
 
 def test_squares_where_pow_and_product_differ():

@@ -139,8 +139,8 @@ def test_runs_converge_spectrally_in_N():
     solver = SolverConfig(dt=dt, T_final=5.0, method="ifrk4")
     spectra = []
     for N in (32, 64, 128, 256):
-        s, _ = evolve(_drift_profile(0.1, make_grid(2 * np.pi, N, 1.0), 1.0),
-                      solver)
+        s = evolve(_drift_profile(0.1, make_grid(2 * np.pi, N, 1.0), 1.0),
+                   solver)
         spectra.append((N, to_spectrum(s.W), to_spectrum(s.Q)))
     gaps = []
     for (N, *coarse), (_, *fine) in zip(spectra, spectra[1:]):
