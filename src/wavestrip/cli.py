@@ -6,7 +6,8 @@ directory: a fixed-schema CSV ledger, binary state snapshots, and a
 machine-readable ``verdict.json`` with checksummed pass/fail entries.
 Identical config + seed must produce byte-identical outputs.
 
-Experiment kinds:
+Experiment kinds, each one ``_KINDS`` entry holding its runner, the
+artifacts it checksums, its defaults and its rules:
 
     simulate        plain evolution with the conservation ledger
     dispersion      linear mode frequency vs sqrt(g xi tanh(h xi))
@@ -35,7 +36,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,20 +54,6 @@ __all__ = [
     "emit_report",
     "main",
 ]
-
-# Artifacts each experiment kind writes and checksums into verdict.json.
-ARTIFACTS = {
-    "simulate": ("initial.snap", "final.snap", "series.csv"),
-    "dispersion": ("dispersion.csv",),
-    "taylor-audit": (),
-    "drift-scaling": (),
-    "lifespan": ("final.snap",),
-    "symbols": ("symbols.csv",),
-    "conformal": (),
-    "scaling-check": (),
-}
-
-KINDS = tuple(ARTIFACTS)
 
 OUT_ENV_VAR = "WAVESTRIP_OUT"
 
@@ -99,50 +86,6 @@ _SCHEMA = {
     },
     "seed": int,
     "out": str,
-}
-
-# Per-kind experiment parameters, the "experiment" block of the schema; each
-# value's type (a list's element type) is also its schema.
-_EXPERIMENT_DEFAULTS = {
-    "simulate": {"energy_tol": 1e-8, "momentum_tol": 1e-8},
-    "dispersion": {"ks": [1, 2, 5], "amplitude": 1e-6, "tol": 1e-4,
-                   "cycles": 10.0},
-    "taylor-audit": {"n_states": 500, "c_min": -0.9, "c_max": 0.5,
-                     "modes": 6, "slack": 1e-9},
-    "drift-scaling": {"eps": [0.04, 0.02], "T": 20.0,
-                      "nf_range": [12.0, 20.0], "e0_range": [6.0, 10.0]},
-    "lifespan": {"eps": 0.05, "horizon_factor": 0.5, "growth_limit": 2.0},
-    "symbols": {"n_points": 1000, "d_min": 0.5, "rho_max": 30.0,
-                "tol": 1e-10, "line_tol": 1e-6},
-    "conformal": {"tol": 1e-8, "ratio_low": 0.25, "ratio_high": 4.0},
-    "scaling-check": {"lam": 2.0, "T": 10.0, "tol": 1e-10},
-}
-
-
-# Per-kind conditions on the experiment values, each with the message for a
-# value that breaks it: the run would otherwise divide by zero, index past
-# its data, never finish drawing, or pass a verdict taken over nothing.
-_EXPERIMENT_RULES = {
-    "dispersion": [(lambda e: len(e["ks"]) > 0 and 0 not in e["ks"],
-                    "ks must list at least one nonzero mode"),
-                   (lambda e: e["amplitude"] > 0,
-                    "amplitude must be positive"),
-                   (lambda e: e["cycles"] > 0, "cycles must be positive")],
-    "taylor-audit": [(lambda e: e["n_states"] > 0,
-                      "n_states must be positive"),
-                     (lambda e: e["modes"] >= 1, "modes must be at least 1"),
-                     (lambda e: e["c_min"] < e["c_max"],
-                      "c_min must be below c_max")],
-    "drift-scaling": [(lambda e: len(e["eps"]) == 2 and min(e["eps"]) > 0,
-                       "eps must be two positive amplitudes")],
-    "lifespan": [(lambda e: e["eps"] > 0, "eps must be positive")],
-    "scaling-check": [(lambda e: e["lam"] != 1.0,
-                       "lam must not be 1, which compares a run with itself")],
-    # a point d_min from all three lines, such as (d_min, d_min), has
-    # rho >= 1 + 2 d_min
-    "symbols": [(lambda e: e["n_points"] > 0, "n_points must be positive"),
-                (lambda e: e["rho_max"] > 1.0 + 2.0 * max(e["d_min"], 0.0),
-                 "rho_max must exceed 1 + 2 max(d_min, 0)")],
 }
 
 
@@ -212,7 +155,7 @@ class ExperimentConfig:
 
 def load_config(path: str, kind: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment config for the given kind."""
-    if kind not in KINDS:
+    if kind not in _KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -222,7 +165,7 @@ def load_config(path: str, kind: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     defaults = ExperimentConfig(kind,
-                                experiment=dict(_EXPERIMENT_DEFAULTS[kind]))
+                                experiment=dict(_KINDS[kind].experiment))
     schema = dict(_SCHEMA, experiment={
         k: [type(v[0])] if isinstance(v, list) else type(v)
         for k, v in defaults.experiment.items()})
@@ -234,7 +177,7 @@ def load_config(path: str, kind: str) -> ExperimentConfig:
         default = getattr(defaults, k)
         data[k] = {**default, **v} if isinstance(default, dict) else v
     config = replace(defaults, **data)
-    for ok, message in _EXPERIMENT_RULES.get(kind, ()):
+    for ok, message in _KINDS[kind].rules:
         if not ok(config.experiment):
             raise ConfigError(f"experiment.{message}")
     return config
@@ -317,36 +260,24 @@ def _sha256(path: str) -> str:
 _VERDICT_KEYS = frozenset({"name", "pass", "measured", "target", "tol"})
 
 
-@dataclass(frozen=True)
-class Verdict:
-    name: str
-    passed: bool
-    measured: float
-    target: str
-    tol: float
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "pass": bool(self.passed),
-                "measured": float(self.measured), "target": self.target,
-                "tol": float(self.tol)}
+def _verdict(name: str, passed, measured, target: str, tol) -> dict:
+    """One entry of verdict.json's list."""
+    return {"name": name, "pass": bool(passed), "measured": float(measured),
+            "target": target, "tol": float(tol)}
 
 
-def _at_most(name: str, measured, tol: float) -> Verdict:
-    return Verdict(name, measured <= tol, measured, "<= tol", tol)
+def _at_most(name: str, measured, tol: float) -> dict:
+    return _verdict(name, measured <= tol, measured, "<= tol", tol)
 
 
-def _within(name: str, measured, lo: float, hi: float) -> Verdict:
-    return Verdict(name, lo <= measured <= hi, measured, f"[{lo}, {hi}]", 0.0)
+def _within(name: str, measured, lo: float, hi: float) -> dict:
+    return _verdict(name, lo <= measured <= hi, measured, f"[{lo}, {hi}]", 0.0)
 
 
 def _write_verdicts(out_dir: str, kind: str, verdicts) -> None:
     checksums = {name: _sha256(os.path.join(out_dir, name))
-                 for name in ARTIFACTS[kind]}
-    doc = {
-        "kind": kind,
-        "verdicts": [v.as_dict() for v in verdicts],
-        "checksums": checksums,
-    }
+                 for name in _KINDS[kind].artifacts}
+    doc = {"kind": kind, "verdicts": verdicts, "checksums": checksums}
     with open(os.path.join(out_dir, "verdict.json"), "w",
               encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -390,12 +321,11 @@ def build_state(config: ExperimentConfig) -> WaveState:
 
 def _solver_config(config: ExperimentConfig, grid: SpectralGrid,
                    **overrides) -> SolverConfig:
-    params = dict(config.solver, **overrides)
+    params = {**_KINDS[config.kind].solver, **config.solver, **overrides}
     # the CFL step is computed even when dt is given, so cfl is validated
     suggested = suggest_dt(grid, config.g, params.pop("cfl", 0.5))
     if params.get("dt") is None:
         params["dt"] = suggested
-    params.setdefault("T_final", 10.0)
     return SolverConfig(**params)
 
 
@@ -452,12 +382,7 @@ def _run_simulate(config: ExperimentConfig, out_dir: str) -> list:
         raise ValueError("simulate needs a nonzero initial state (init."
                          "surface_modes, velocity_modes or snapshot)")
     grid = state.grid
-    # conservation-grade defaults: exact linear propagation plus post-step
-    # projection onto the initial (energy, momentum) level set
-    solver = _solver_config(
-        config, grid,
-        method=config.solver.get("method", "ifrk4"),
-        project_energy=config.solver.get("project_energy", True))
+    solver = _solver_config(config, grid)
     write_snapshot(os.path.join(out_dir, "initial.snap"), state)
     from .diagnostics import DiagnosticsRecord, measure
     blocks = []
@@ -497,10 +422,7 @@ def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
                                                      * grid.nodes), grid)
         states.append(WaveState(grid, W, np.zeros(grid.N, dtype=complex), g))
         T = exp["cycles"] * 2 * np.pi / omegas[-1]
-        # exact linear propagation: the measured frequency reflects the
-        # model's dispersion rather than the RK4 phase bias O((omega dt)^4)
-        solver = _solver_config(config, grid, T_final=T, observer_stride=1,
-                                method=config.solver.get("method", "ifrk4"))
+        solver = _solver_config(config, grid, T_final=T, observer_stride=1)
         if solver.n_steps < 2:
             raise ValueError(f"dispersion k={k}: the fit needs at least 2 "
                              f"steps, experiment.cycles gives {solver.n_steps}")
@@ -520,7 +442,9 @@ def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
     verdicts = []
     rows = []
     for k, omega, s in zip(ks, omegas, samples):
-        s = np.array(s)
+        # scaled by a power of two, exact in every product and sum, so that
+        # small amplitudes do not square into subnormals
+        s = np.ldexp(s, -np.frexp(np.max(np.abs(s)))[1])
         # the sampled coefficient satisfies the three-term recurrence of a
         # pure cos(omega t) signal; least squares for cos(omega dt)
         num = float(np.sum(s[1:-1] * (s[2:] + s[:-2])))
@@ -532,8 +456,8 @@ def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
         measured = np.arccos(np.clip(c, -1.0, 1.0)) / solver.dt
         rel = abs(measured - omega) / omega
         rows.append((k, measured, omega, rel))
-        verdicts.append(Verdict(f"dispersion_k{k}", rel <= exp["tol"],
-                                rel, f"omega={omega!r}", exp["tol"]))
+        verdicts.append(_verdict(f"dispersion_k{k}", rel <= exp["tol"],
+                                 rel, f"omega={omega!r}", exp["tol"]))
     _write_table(os.path.join(out_dir, "dispersion.csv"),
                  "k,measured,target,rel_dev", rows)
     return verdicts
@@ -590,8 +514,8 @@ def _run_taylor_audit(config: ExperimentConfig, out_dir: str) -> list:
         _, tmin, c, bound = taylor_field(block)
         margin = tmin - (bound - exp["slack"] * config.g)
         worst_margin = min(worst_margin, float(np.min(margin)))
-    return [Verdict("taylor_lower_bound", worst_margin >= 0.0,
-                    worst_margin, ">= 0", exp["slack"])]
+    return [_verdict("taylor_lower_bound", worst_margin >= 0.0,
+                     worst_margin, ">= 0", exp["slack"])]
 
 
 def _drift_profile(eps: float, grid: SpectralGrid, g: float) -> WaveState:
@@ -609,8 +533,7 @@ def _run_drift_scaling(config: ExperimentConfig, out_dir: str) -> list:
     grid = config.make_grid()
     g = config.g
     states = [_drift_profile(eps, grid, g) for eps in exp["eps"]]
-    solver = _solver_config(config, grid, T_final=exp["T"],
-                            method=config.solver.get("method", "ifrk4"))
+    solver = _solver_config(config, grid, T_final=exp["T"])
 
     blocks = []
 
@@ -640,8 +563,7 @@ def _run_lifespan(config: ExperimentConfig, out_dir: str) -> list:
     eps = exp["eps"]
     state = _drift_profile(eps, grid, config.g)
     T = exp["horizon_factor"] / eps ** 2
-    stride = config.solver.get("observer_stride", 20)
-    solver = _solver_config(config, grid, T_final=T, observer_stride=stride)
+    solver = _solver_config(config, grid, T_final=T)
     n1 = []
 
     def obs(i, t, s):
@@ -650,9 +572,8 @@ def _run_lifespan(config: ExperimentConfig, out_dir: str) -> list:
     final = evolve(state, solver, [obs])
     growth = max(n1) / n1[0]
     write_snapshot(os.path.join(out_dir, "final.snap"), final)
-    return [Verdict("lifespan_growth", growth <= exp["growth_limit"],
-                    growth, f"<= {exp['growth_limit']}",
-                    exp["growth_limit"])]
+    return [_verdict("lifespan_growth", growth <= exp["growth_limit"],
+                     growth, f"<= {exp['growth_limit']}", exp["growth_limit"])]
 
 
 def _run_symbols(config: ExperimentConfig, out_dir: str) -> list:
@@ -717,8 +638,7 @@ def _run_scaling_check(config: ExperimentConfig, out_dir: str) -> list:
     lam = exp["lam"]
     state = build_state(config)
     if not (state.W.any() or state.Q.any()):
-        grid = state.grid
-        state = _drift_profile(0.01, grid, config.g)
+        state = _drift_profile(0.01, state.grid, config.g)
     grid = state.grid
     scaled = scale_state(state, lam)
     solver = _solver_config(config, grid, T_final=exp["T"])
@@ -729,15 +649,82 @@ def _run_scaling_check(config: ExperimentConfig, out_dir: str) -> list:
     return [_at_most("scaling_agreement", max(errW, errQ), exp["tol"])]
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "dispersion": _run_dispersion,
-    "taylor-audit": _run_taylor_audit,
-    "drift-scaling": _run_drift_scaling,
-    "lifespan": _run_lifespan,
-    "symbols": _run_symbols,
-    "conformal": _run_conformal,
-    "scaling-check": _run_scaling_check,
+@dataclass(frozen=True)
+class _Kind:
+    """An experiment kind: its runner, the artifacts it checksums, its
+    experiment defaults (whose types, a list's element type, are the
+    schema), its rules with their messages, and its solver defaults."""
+
+    run: Callable
+    artifacts: tuple
+    experiment: dict
+    rules: tuple = ()
+    solver: dict = field(default_factory=dict)
+
+
+def _range_rule(key: str) -> tuple:
+    return (lambda e: len(e[key]) == 2 and e[key][0] <= e[key][1],
+            f"{key} must be two numbers, low <= high")
+
+
+# The rules refuse a value on which the run would divide by zero, index past
+# its data, never finish drawing, or pass a verdict taken over nothing or
+# fail one that nothing could pass.
+_KINDS = {
+    "simulate": _Kind(
+        _run_simulate, ("initial.snap", "final.snap", "series.csv"),
+        {"energy_tol": 1e-8, "momentum_tol": 1e-8},
+        # conservation-grade defaults: exact linear propagation plus
+        # post-step projection onto the initial (energy, momentum) level set
+        solver={"method": "ifrk4", "project_energy": True, "T_final": 10.0}),
+    "dispersion": _Kind(
+        _run_dispersion, ("dispersion.csv",),
+        {"ks": [1, 2, 5], "amplitude": 1e-6, "tol": 1e-4, "cycles": 10.0},
+        ((lambda e: len(e["ks"]) > 0 and 0 not in e["ks"],
+          "ks must list at least one nonzero mode"),
+         (lambda e: e["amplitude"] > 0, "amplitude must be positive"),
+         (lambda e: e["cycles"] > 0, "cycles must be positive")),
+        # exact linear propagation: the measured frequency reflects the
+        # model's dispersion rather than the RK4 phase bias O((omega dt)^4)
+        {"method": "ifrk4"}),
+    "taylor-audit": _Kind(
+        _run_taylor_audit, (),
+        {"n_states": 500, "c_min": -0.9, "c_max": 0.5, "modes": 6,
+         "slack": 1e-9},
+        ((lambda e: e["n_states"] > 0, "n_states must be positive"),
+         (lambda e: e["modes"] >= 1, "modes must be at least 1"),
+         (lambda e: e["c_min"] < e["c_max"], "c_min must be below c_max"))),
+    "drift-scaling": _Kind(
+        _run_drift_scaling, (),
+        {"eps": [0.04, 0.02], "T": 20.0, "nf_range": [12.0, 20.0],
+         "e0_range": [6.0, 10.0]},
+        ((lambda e: len(e["eps"]) == 2 and min(e["eps"]) > 0,
+          "eps must be two positive amplitudes"),
+         _range_rule("nf_range"), _range_rule("e0_range")),
+        {"method": "ifrk4"}),
+    "lifespan": _Kind(
+        _run_lifespan, ("final.snap",),
+        {"eps": 0.05, "horizon_factor": 0.5, "growth_limit": 2.0},
+        ((lambda e: e["eps"] > 0, "eps must be positive"),),
+        {"observer_stride": 20}),
+    "symbols": _Kind(
+        _run_symbols, ("symbols.csv",),
+        {"n_points": 1000, "d_min": 0.5, "rho_max": 30.0, "tol": 1e-10,
+         "line_tol": 1e-6},
+        # a point d_min from all three lines, such as (d_min, d_min), has
+        # rho >= 1 + 2 d_min
+        ((lambda e: e["n_points"] > 0, "n_points must be positive"),
+         (lambda e: e["rho_max"] > 1.0 + 2.0 * max(e["d_min"], 0.0),
+          "rho_max must exceed 1 + 2 max(d_min, 0)"))),
+    "conformal": _Kind(
+        _run_conformal, (),
+        {"tol": 1e-8, "ratio_low": 0.25, "ratio_high": 4.0},
+        ((lambda e: e["ratio_low"] <= e["ratio_high"],
+          "ratio_low must not exceed ratio_high"),)),
+    "scaling-check": _Kind(
+        _run_scaling_check, (), {"lam": 2.0, "T": 10.0, "tol": 1e-10},
+        ((lambda e: e["lam"] != 1.0,
+          "lam must not be 1, which compares a run with itself"),)),
 }
 
 
@@ -745,7 +732,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> int:
     """Run one experiment; returns 0 iff every verdict passed."""
     os.makedirs(out_dir, exist_ok=True)
     try:
-        verdicts = _RUNNERS[config.kind](config, out_dir)
+        verdicts = _KINDS[config.kind].run(config, out_dir)
     except StepAbort as exc:
         path = os.path.join(out_dir, "last_good.snap")
         write_snapshot(path, exc.last_good)
@@ -753,7 +740,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> int:
               f"last good state in {path}", file=sys.stderr)
         return 2
     _write_verdicts(out_dir, config.kind, verdicts)
-    return 0 if all(v.passed for v in verdicts) else 1
+    return 0 if all(v["pass"] for v in verdicts) else 1
 
 
 def emit_report(run_dir: str) -> str:
@@ -768,7 +755,8 @@ def emit_report(run_dir: str) -> str:
         raise FileNotFoundError(f"no verdict.json in {run_dir}")
     with open(verdict_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("kind") not in KINDS:
+    if not (isinstance(doc, dict) and isinstance(doc.get("kind"), str)
+            and doc["kind"] in _KINDS):
         raise ValueError("verdict.json names no known experiment kind")
     verdicts = doc.get("verdicts")
     if not (isinstance(verdicts, list) and verdicts and all(
@@ -777,7 +765,7 @@ def emit_report(run_dir: str) -> str:
         raise ValueError("verdict.json holds no list of complete verdicts")
     checksums = doc.get("checksums")
     if not (isinstance(checksums, dict)
-            and set(checksums) == set(ARTIFACTS[doc["kind"]])):
+            and set(checksums) == set(_KINDS[doc["kind"]].artifacts)):
         raise ValueError(f"verdict.json does not checksum exactly the "
                          f"{doc['kind']} artifacts")
     for name, expected in checksums.items():
@@ -801,7 +789,7 @@ def emit_report(run_dir: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="waves", description="water-wave experiment runner")
-    parser.add_argument("kind", choices=KINDS + ("report",))
+    parser.add_argument("kind", choices=(*_KINDS, "report"))
     parser.add_argument("--config")
     parser.add_argument("--out", default=None)
     parser.add_argument("--seed", type=int, default=None)

@@ -123,7 +123,7 @@ def test_hamiltonian_structure():
 def test_dispersion_relation(tmp_path):
     cfg = cli.ExperimentConfig(kind="dispersion",
                                experiment=dict(
-                                   cli._EXPERIMENT_DEFAULTS["dispersion"]))
+                                   cli._KINDS["dispersion"].experiment))
     out = tmp_path / "run"
     assert cli.run_experiment(cfg, str(out)) == 0
     doc = json.loads((out / "verdict.json").read_text())
@@ -218,7 +218,7 @@ def test_resonance_sign_and_line_limit():
 def test_quartic_drift_ratio(tmp_path):
     cfg = cli.ExperimentConfig(kind="drift-scaling",
                                experiment=dict(
-                                   cli._EXPERIMENT_DEFAULTS["drift-scaling"]))
+                                   cli._KINDS["drift-scaling"].experiment))
     out = tmp_path / "run"
     assert cli.run_experiment(cfg, str(out)) == 0
     doc = json.loads((out / "verdict.json").read_text())
@@ -315,7 +315,7 @@ def test_run_determinism(tmp_path):
         init={"surface_modes": [{"k": 1, "amplitude": 0.01, "phase": 0.2}],
               "velocity_modes": [{"k": 1, "amplitude": 0.005, "phase": 1.0}]},
         solver={"T_final": 2.0, "observer_stride": 4},
-        experiment=dict(cli._EXPERIMENT_DEFAULTS["simulate"]))
+        experiment=dict(cli._KINDS["simulate"].experiment))
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert cli.run_experiment(cfg, str(out1)) == 0
     assert cli.run_experiment(cfg, str(out2)) == 0

@@ -17,6 +17,7 @@ from wavestrip.integrator import SolverConfig, evolve, suggest_dt
 from wavestrip.cli import (
     ConfigError,
     ExperimentConfig,
+    _KINDS,
     _drift_profile,
     build_state,
     emit_report,
@@ -328,7 +329,8 @@ def test_report_subcommand_exit_codes(tmp_path, capsys):
     # checksums leave out the kind's artifacts
     good = json.loads((failing / "verdict.json").read_text())
     no_pass = [{k: v for k, v in good["verdicts"][0].items() if k != "pass"}]
-    for doc in ({"checksums": {}}, dict(good, verdicts=no_pass), [good],
+    for doc in ({"checksums": {}}, dict(good, kind=["simulate"]),
+                dict(good, verdicts=no_pass), [good],
                 dict(good, checksums={}), dict(good, verdicts=[])):
         (failing / "verdict.json").write_text(json.dumps(doc))
         assert main(["report", "--out", str(failing)]) == 2, doc
@@ -484,15 +486,29 @@ def test_dispersion_refuses_a_mode_the_solver_removes(tmp_path, capsys, ks):
 
 
 def test_dispersion_refuses_a_mode_too_small_to_fit(tmp_path, capsys):
-    # at amplitude 1e-170 the sampled coefficients square to 0 in float64
+    # at the smallest subnormal amplitude every sampled coefficient is 0
     p = _write_config(tmp_path / "c.json",
-                      {"experiment": {"ks": [1], "amplitude": 1e-170}})
+                      {"experiment": {"ks": [1], "amplitude": 5e-324}})
     out = tmp_path / "run"
     assert main(["dispersion", "--config", p, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert _one_error_line(err), err
     assert "k=1: the mode's samples square to 0" in err
     assert not (out / "verdict.json").exists()
+
+
+@pytest.mark.parametrize("amplitude", [1e-156, 1e-170])
+def test_dispersion_fits_a_mode_whose_squares_are_subnormal(tmp_path,
+                                                            amplitude):
+    # the sampled coefficients are below 1.5e-154, so their squares are
+    # subnormal or 0 unless the samples are rescaled before the fit
+    p = _write_config(tmp_path / "c.json",
+                      {"experiment": {"amplitude": amplitude}})
+    out = tmp_path / "run"
+    assert main(["dispersion", "--config", p, "--out", str(out)]) == 0
+    doc = json.loads((out / "verdict.json").read_text())
+    rels = [v["measured"] for v in doc["verdicts"]]
+    assert len(rels) == 3 and max(rels) <= 1e-12, rels
 
 
 def test_solver_cfl_rule(tmp_path, capsys):
@@ -606,6 +622,31 @@ def test_degenerate_experiment_values_exit_2(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1 and not out.exists()
 
 
+_RANGE = "must be two numbers, low <= high"
+
+
+@pytest.mark.parametrize("kind, experiment, message", [
+    ("drift-scaling", {"nf_range": [12.0]}, f"nf_range {_RANGE}"),
+    ("drift-scaling", {"nf_range": [12.0, 16.0, 20.0]}, f"nf_range {_RANGE}"),
+    ("drift-scaling", {"nf_range": [20.0, 12.0]}, f"nf_range {_RANGE}"),
+    ("drift-scaling", {"e0_range": [6.0]}, f"e0_range {_RANGE}"),
+    ("drift-scaling", {"e0_range": [6.0, 8.0, 10.0]}, f"e0_range {_RANGE}"),
+    ("drift-scaling", {"e0_range": [10.0, 6.0]}, f"e0_range {_RANGE}"),
+    ("conformal", {"ratio_low": 5.0}, "ratio_low must not exceed ratio_high"),
+], ids=["nf_1", "nf_3", "nf_reversed", "e0_1", "e0_3", "e0_reversed",
+        "ratio_reversed"])
+def test_malformed_range_is_a_config_error(tmp_path, capsys, kind, experiment,
+                                           message):
+    # a range of the wrong length would crash after the whole run, and a
+    # reversed one would run to a verdict that cannot pass
+    p = _write_config(tmp_path / "c.json",
+                      {"grid": {"N": 32}, "experiment": experiment})
+    out = tmp_path / "run"
+    assert main([kind, "--config", p, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: experiment.{message}\n"
+    assert not out.exists()
+
+
 def _config_error_line(tmp_path, capsys, data, name):
     """stderr of a simulate run on ``data``, which must exit 2 unwritten."""
     p = _write_config(tmp_path / f"{name}.json", data)
@@ -645,6 +686,31 @@ def test_verdict_checksums_only_own_artifacts(tmp_path):
     doc = json.loads((out / "verdict.json").read_text())
     assert set(doc["checksums"]) == {"initial.snap", "final.snap",
                                      "series.csv"}
+
+
+# a small config for each kind, N = 32 where it evolves
+_SMALL = {
+    "simulate": {"init": {"surface_modes": [{"k": 1, "amplitude": 0.01}]},
+                 "solver": {"T_final": 0.5}},
+    "dispersion": {"experiment": {"ks": [1], "cycles": 1.0}},
+    "taylor-audit": {"experiment": {"n_states": 4}},
+    "drift-scaling": {"experiment": {"T": 0.5}},
+    "lifespan": {"experiment": {"horizon_factor": 0.00125}},
+    "symbols": {"experiment": {"n_points": 20}},
+    "conformal": {},
+    "scaling-check": {"experiment": {"T": 0.5}},
+}
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_each_kind_writes_exactly_its_declared_artifacts(tmp_path, kind):
+    declared = _KINDS[kind].artifacts
+    p = _write_config(tmp_path / "c.json", {"grid": {"N": 32}, **_SMALL[kind]})
+    out = tmp_path / "run"
+    assert run_experiment(load_config(p, kind), str(out)) in (0, 1)
+    assert sorted(os.listdir(out)) == sorted([*declared, "verdict.json"])
+    doc = json.loads((out / "verdict.json").read_text())
+    assert sorted(doc["checksums"]) == sorted(declared)
 
 
 def test_main_out_precedence(tmp_path, monkeypatch):
@@ -854,7 +920,7 @@ def test_taylor_audit_memory_is_blocked(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
-    assert verdicts[0].passed
+    assert verdicts[0]["pass"]
 
 
 def _spy_simulate(tmp_path, monkeypatch, data, name="run"):

@@ -2,8 +2,8 @@
 
 A stack of B members on one grid goes through each public function of
 ``dynamics``, ``diagnostics`` and ``normalform`` that takes a ``WaveState``
-or a ``DiagState`` (and through ``holo.sobolev_norm`` and
-``reference.high_forms``) in one call, and
+or a ``DiagState`` (and through ``holo.sobolev_norm``,
+``holo.holomorphy_residual`` and ``reference.high_forms``) in one call, and
 member j of the result is that member's own call, bit for bit.
 ``stack_states`` and ``unstack`` build and split the stacks themselves
 (``test_dynamics::test_stack_and_unstack``).
@@ -16,7 +16,7 @@ import pytest
 
 from wavestrip.cli import _block_size
 from wavestrip.grid import SpectralGrid, make_grid
-from wavestrip.holo import sobolev_norm
+from wavestrip.holo import holomorphy_residual, sobolev_norm
 from wavestrip import diagnostics as dg
 from wavestrip import dynamics as dy
 from wavestrip import normalform as nf
@@ -58,6 +58,10 @@ CASES = {
     "sobolev_norm-l2": lambda s, d, x: sobolev_norm(s.W, 1.5, s.grid),
     "sobolev_norm-holo": lambda s, d, x: sobolev_norm(s.Q, 0.5, s.grid,
                                                       base="holo"),
+    # each member's Im W shifted by its own constant, which the residual
+    # ignores; a mean pooled over the stack would read as a defect
+    "holomorphy_residual": lambda s, d, x: holomorphy_residual(
+        s.W + 1j * x[2][..., :1], s.grid),
 }
 
 def _leaves(value, path=""):
