@@ -723,8 +723,9 @@ _KINDS = {
           "ratio_low must not exceed ratio_high"),)),
     "scaling-check": _Kind(
         _run_scaling_check, (), {"lam": 2.0, "T": 10.0, "tol": 1e-10},
-        ((lambda e: e["lam"] != 1.0,
-          "lam must not be 1, which compares a run with itself"),)),
+        ((lambda e: e["lam"] > 0, "lam must be positive"),
+         (lambda e: e["lam"] != 1.0,
+          "lam must not be 1, which compares a run with itself"))),
 }
 
 

@@ -171,11 +171,6 @@ class SpectralGrid:
         return _frozen(np.abs(self.tilbert_symbol) ** 2)
 
     @cached_property
-    def lh2(self) -> np.ndarray:
-        """Square of the L_h symbol: xi coth(h xi), 1/h at the mean."""
-        return _frozen(self.lh ** 2)
-
-    @cached_property
     def sech2(self) -> np.ndarray:
         """Smoothing symbol sech^2(h xi) in FFT ordering.
 

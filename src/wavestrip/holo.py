@@ -105,7 +105,7 @@ def parseval_inner(u: np.ndarray, dual: np.ndarray, grid: SpectralGrid):
     :func:`flip_combine` of v's spectrum under ((w_re + w_im)/2,
     (w_re - w_im)/2) for real, even weights, it is by Parseval L Re sum_k
     [w_re Re-u_k conj(Re-v_k) + w_im Im-u_k conj(Im-v_k)]: :func:`inner_h`
-    at (``grid.tanh2``, 1), <L_h u, L_h v> at ``grid.lh2`` times those."""
+    at (``grid.tanh2``, 1)."""
     return grid.L * np.vecdot(dual, u).real
 
 

@@ -13,7 +13,11 @@ should use it.  After every step the holomorphic projection is re-applied
 to the fluctuating part of both fields (zero modes are gauge scalars and
 pass through), so states stay holomorphic traces modulo their means.
 ``project_energy`` adds the projection onto the initial (energy, momentum)
-shell, on spectra alone (:func:`_project_to_invariant_shell`).
+shell (:func:`_project_to_invariant_shell`): on the plane of the two
+gradients the energy is an exact cubic and the momentum an exact quadratic
+in the two coordinates, so one batched pass of four FFT calls builds their
+coefficients, Newton's method solves each member's two scalar equations,
+and one result state is built and checked.
 
 A step and the shell projection work on the last axis: a stack of B members
 takes the FFT calls of one member, and each row equals the single-member
@@ -22,8 +26,10 @@ result bit for bit up to the stack size given in :mod:`wavestrip.grid`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -221,85 +227,151 @@ def step_rk4(state: WaveState, dt: float, method: str = "rk4") -> WaveState:
 
 @lru_cache(maxsize=16)
 def _shell_weights(grid: SpectralGrid):
-    """:func:`~wavestrip.holo.parseval_inner`'s symbols of the trace inner
-    product and of <L_h u, L_h v>, built once per grid."""
-    pairs = ((grid.tanh2, 1.0), (grid.tanh2 * grid.lh2, grid.lh2))
-    return tuple(tuple(_frozen((0.5 * w).astype(np.complex128))
-                       for w in (r + i, r - i)) for r, i in pairs)
+    """:func:`~wavestrip.holo.flip_combine`'s symbols under which
+    :func:`~wavestrip.holo.parseval_inner` is the trace inner product
+    :func:`~wavestrip.holo.inner_h`, built once per grid."""
+    return tuple(_frozen((0.5 * w).astype(np.complex128))
+                 for w in (grid.tanh2 + 1.0, grid.tanh2 - 1.0))
 
 
-def _shell_velocity(grid: SpectralGrid, cQ: np.ndarray) -> np.ndarray:
-    """V = T^{-1}(i xi Q^), the spectrum both the momentum and the
-    momentum gradient read."""
-    return grid.inv_tilbert_symbol * (grid.ixi * cQ)
+# the monomials a^m b^n, as (m, n), of a cubic in (a, b)
+_MONOMIALS = [(d - n, n) for d in range(4) for n in range(d + 1)]
 
 
-def _shell_invariants(grid: SpectralGrid, g: float, cW: np.ndarray,
-                      cQ: np.ndarray, W: np.ndarray, Wa: np.ndarray,
-                      V: np.ndarray):
-    """(E, I, D) of a state from the spectra of W and Q, by Parseval:
-    :func:`~wavestrip.dynamics.energy`'s first form, the momentum, and the
-    spectrum of the dealiased cubic product W W_alpha, the one FFT here,
-    from the samples ``W`` and ``Wa`` = W_alpha.  ``V`` is
-    :func:`_shell_velocity` of ``cQ``."""
-    D = to_spectrum(W * Wa)
-    np.multiply(grid.dealias_symbol, D, out=D)
-    dW, dV = (flip_combine(c, _shell_weights(grid)[0], grid)
-              for c in (cW, V))
-    quad = (0.25 * g * parseval_inner(cW, dW, grid)
-            - 0.25 * parseval_inner(cQ, dV, grid))
-    E = quad + 0.5 * g * parseval_inner(D, dW, grid)
-    return E, 0.5 * parseval_inner(V, dW, grid), D
+@lru_cache(maxsize=16)
+def _collector(g: float, dx: float) -> np.ndarray:
+    """The matrix taking the 47 pairings of :func:`_shell_polynomials` to
+    the ten coefficients of E and then the ten of I, in :data:`_MONOMIALS`
+    order, for gravity ``g`` and node spacing ``dx``.
 
-
-def _shell_gradients(grid: SpectralGrid, g: float, cW: np.ndarray,
-                     cQ: np.ndarray, W: np.ndarray, Wa: np.ndarray,
-                     D: np.ndarray, V: np.ndarray):
-    """Spectra of the energy and momentum gradients, as (w, q) pairs.
-
-    :func:`~wavestrip.dynamics.energy_gradient` and
-    :func:`~wavestrip.dynamics.momentum_gradient` at the same state, with D
-    and ``V`` as :func:`_shell_invariants` takes them; two FFTs, for
-    conj(W) T[W_alpha].
+    The pairings are the 5 x 4 trace inner products <u_i, v_k> of
+    u = (W, dE_W, dI_W, V(Q), V(W)) and v = (W, dE_W, dI_W, Q), row by row,
+    then the 27 sums Re sum w_i w_j,alpha conj(d_k) over the samples w, the
+    slopes and the dealiased duals d of the W-directions.  On the plane
+    each direction is a linear form in x = (1, a, b): W' = x . (W, dE_W,
+    dI_W), the rows of ``xw``, and Q' = (x0 + x1) Q - x2 W, the rows of
+    ``yq`` for its Q and W parts.  E takes g/4 <w_i, w_k>,
+    -1/4 <V(y_j), y_k> and g/2 dx times each cubic sum; I takes
+    1/2 <V(y_j), w_k>.  Each adds its weight times the product of its
+    directions' forms to the coefficients: the term x_i x_j (x_k) of the
+    product is a^m b^n with m ones and n twos among i j (k).
     """
-    mask = grid.dealias_symbol
-    TWa = grid.tilbert_symbol * (grid.ixi * cW)
-    from_spectrum(TWa, out=TWa)
-    corr = to_spectrum(np.conj(W) * TWa)
-    np.multiply(mask, corr, out=corr)
+    xw = np.eye(3)
+    yq = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+
+    def column(weight, *forms):
+        col = np.zeros(len(_MONOMIALS))
+        for idx in product(range(3), repeat=len(forms)):
+            col[_MONOMIALS.index((idx.count(1), idx.count(2)))] += np.prod(
+                [f[i] for f, i in zip(forms, idx)])
+        return weight * col
+
+    def pair(i, k):
+        return 4 * i + k
+    E, I = np.zeros((2, len(_MONOMIALS), 47))
+    for i, k in product(range(3), repeat=2):
+        E[:, pair(i, k)] = column(0.25 * g, xw[i], xw[k])
+    for j, (k, v) in product(range(2), ((0, 3), (1, 0))):
+        E[:, pair(3 + j, v)] = column(-0.25, yq[j], yq[k])
+    for j, k in product(range(2), range(3)):
+        I[:, pair(3 + j, k)] = column(0.5, yq[j], xw[k])
+    for n, idx in enumerate(product(range(3), repeat=3)):
+        E[:, 20 + n] = column(0.5 * g * dx, *xw[list(idx)])
+    return _frozen(np.concatenate((E, I)))
+
+
+def _cubic(c, a: float, b: float):
+    """(p, dp/da, dp/db) at (a, b) of the cubic p with the coefficients
+    ``c`` in :data:`_MONOMIALS` order, in floats."""
+    aa, ab, bb = a * a, a * b, b * b
+    p = (c[0] + c[1] * a + c[2] * b + c[3] * aa + c[4] * ab + c[5] * bb
+         + c[6] * aa * a + c[7] * aa * b + c[8] * a * bb + c[9] * bb * b)
+    pa = (c[1] + 2 * c[3] * a + c[4] * b + 3 * c[6] * aa + 2 * c[7] * ab
+          + c[8] * bb)
+    pb = (c[2] + c[4] * a + 2 * c[5] * b + c[7] * aa + 2 * c[8] * ab
+          + 3 * c[9] * bb)
+    return p, pa, pb
+
+
+def _shell_polynomials(state: WaveState):
+    """Each member's ten coefficients of E(a, b) and ten of I(a, b) on the
+    plane x + a dE + b dI, one row a member, and the samples of dE_W and
+    dI_W.
+
+    There W' = W + a dE_W + b dI_W and Q' = (1 + a) Q - b W, and both
+    :func:`~wavestrip.dynamics.energy`'s first form, g/4 <W', W'>
+    - 1/4 <Q', V(Q')> + g/2 <D(W'), W'> with V(Q) = T^{-1} Q_alpha and D(W)
+    the dealiased W W_alpha, and the momentum 1/2 <V(Q'), W'> are sums of
+    pairings of the directions (:func:`_collector`).  Four FFT calls, each
+    for the whole stack: W and Q; W_alpha and T W_alpha; W W_alpha and
+    conj(W) T W_alpha, for dE_W; the samples, slopes and dealiased duals of
+    the directions.
+    """
+    grid, g = state.grid, state.g
+    mask, ixi, W = grid.dealias_symbol, grid.ixi, state.W
+    cW, cQ = to_spectrum(np.array((W, state.Q)))
+    dW = ixi * cW
+    slopes = np.array((dW, grid.tilbert_symbol * dW))
+    Wa, TWa = from_spectrum(slopes, out=slopes)
+    D, corr = spectra = to_spectrum(np.array((W * Wa, np.conj(W) * TWa)))
+    np.multiply(mask, spectra, out=spectra)
     corr = grid.inv_tilbert_symbol * project_spectrum(corr, grid, out=corr)
-    return (mask * (cW + D - corr), cQ), (V / g, -cW)
+    V = grid.inv_tilbert_symbol * (ixi * np.array((cQ, cW)))
+    X = np.array((cW, mask * (cW + D - corr), V[0] / g, cQ))
+    # <u, v> is parseval_inner(u, dual of v)
+    dual = flip_combine(X, _shell_weights(grid), grid)
+    P = parseval_inner(np.concatenate((X[:3], V))[:, None], dual[None], grid)
+    f = np.concatenate((X[1:3], ixi * X[1:3], mask * dual[:3]))
+    from_spectrum(f, out=f)
+    w, wa = np.array((W, f[0], f[1])), np.array((Wa, f[2], f[3]))
+    C = np.vecdot(f[4:], (w[:, None] * wa[None])[:, :, None]).real
+    lead = W.shape[:-1]
+    entries = np.concatenate((P.reshape((20,) + lead),
+                              C.reshape((27,) + lead)))
+    entries = np.ascontiguousarray(entries.reshape(47, -1).T)
+    return np.vecdot(entries[:, None], _collector(g, grid.L / grid.N)), f[:2]
 
 
-def _shell_gram(grads, g: float, grid: SpectralGrid) -> np.ndarray:
-    """The 2x2 matrix of :func:`~wavestrip.holo.pair_form` between the two
-    (w, q) pairs of spectra ``grads``, by Parseval, one per member."""
-    duals = [[flip_combine(c, w, grid)
-              for c, w in zip(pair, _shell_weights(grid))] for pair in grads]
-
-    def form(i, j):
-        return (0.5 * g * parseval_inner(grads[i][0], duals[j][0], grid)
-                + 0.5 * parseval_inner(grads[i][1], duals[j][1], grid))
-    mEI = form(1, 0)
-    return np.stack([form(0, 0), mEI, mEI, form(1, 1)],
-                    -1).reshape(np.shape(mEI) + (2, 2))
-
-
-def _solve_2x2(M: np.ndarray, rhs: np.ndarray):
-    """(ok, x) of a stack of 2x2 systems M x = rhs, entry by entry: x =
+def _solve_2x2(M, rhs):
+    """(ok, x) of the 2x2 system M x = rhs in floats: x =
     (s b0 - q b1, p b1 - r b0) / det M by Cramer's rule for
-    M = [[p, q], [r, s]], and ``ok`` where M's 2-norm condition number,
+    M = ((p, q), (r, s)), and ``ok`` where M's 2-norm condition number,
     (f + sqrt((f - 2 d)(f + 2 d))) / (2 d) with f = ||M||_F^2 and
     d = |det M|, is at most 1e12, compared without the division and rooted
     factor by factor, so no entry is raised past its square.  A singular or
     zero M is refused; its x is finite."""
-    m = M.reshape(M.shape[:-2] + (4,))
-    p, q, r, s = m[..., 0], m[..., 1], m[..., 2], m[..., 3]
+    (p, q), (r, s) = M
+    b0, b1 = rhs
     f, det = p * p + q * q + r * r + s * s, p * s - q * r
-    d2 = 2.0 * np.abs(det)
-    ok = (f > 0) & (f + np.sqrt(np.abs(f - d2)) * np.sqrt(f + d2) <= 1e12 * d2)
-    det = np.where(ok, det, 1.0)[..., None]
-    return ok, (m[..., ::-3] * rhs - m[..., 1:3] * rhs[..., ::-1]) / det
+    d2 = 2.0 * abs(det)
+    ok = f > 0 and (f + math.sqrt(abs(f - d2)) * math.sqrt(f + d2)
+                    <= 1e12 * d2)
+    det = det if ok else 1.0
+    return ok, ((s * b0 - q * b1) / det, (p * b1 - r * b0) / det)
+
+
+def _shell_newton(c, E_target: float, I_target: float):
+    """(a, b) where Newton's method on E(a, b) = E_target, I(a, b) =
+    I_target stops, for the coefficients ``c`` of E and I, or None if it
+    takes no step: it stops once both residuals are below 1e-14 of the
+    larger target, when the Jacobian's condition number passes 1e12, or
+    after four steps."""
+    tol = 1e-14 * max(abs(E_target), abs(I_target), 1e-300)
+    cE, cI = c[:10], c[10:]
+    a = b = 0.0
+    ab = None
+    for _ in range(4):
+        e, ea, eb = _cubic(cE, a, b)
+        i, ia, ib = _cubic(cI, a, b)
+        rhs = (E_target - e, I_target - i)
+        if abs(rhs[0]) < tol and abs(rhs[1]) < tol:
+            break
+        ok, (da, db) = _solve_2x2(((ea, eb), (ia, ib)), rhs)
+        if not ok:
+            break
+        a, b = a + da, b + db
+        ab = (a, b)
+    return ab
 
 
 def _where(on, new, old):
@@ -313,58 +385,32 @@ def _project_to_invariant_shell(state: WaveState, E_target,
 
     The periodized flow leaves the energy a bounded O(amplitude^2)
     oscillation, so long runs project after every step, in the span of both
-    gradients: one alone would shift the other invariant.  Their Gram
-    matrix, built once at the incoming state, is only an
-    O(amplitude^2)-accurate Jacobian, so each Newton step solves the 2x2
-    system in closed form (refused above condition number 1e12) and
-    corrects it by Broyden's rank-one rule, which makes the iteration
-    superlinear.  A member stops after four steps or once both residuals
-    are below 1e-14 of its larger target.  All of it runs on spectra, with
-    Parseval sums (:func:`~wavestrip.holo.parseval_inner`), so an iterate
-    costs three FFTs: W and W_alpha for the validity rule, which every
-    iterate passes, and their dealiased product.  A stack is one batch with
-    one target pair per member, each stopping on its own rule, so its row
-    equals its projection alone, and a member that never moves keeps its
-    samples.
+    gradients: one alone would shift the other invariant.  On that plane
+    x + a dE + b dI the energy is an exact cubic and the momentum an exact
+    quadratic in (a, b) (:func:`_shell_polynomials`), so Newton's method
+    runs on their coefficients with the exact Jacobian and lands on the
+    shell to round-off (:func:`_shell_newton`: a 1e-14 stop, refusal above
+    condition number 1e12, at most four steps).  The result is built in
+    physical space, W + a dE_W + b dI_W and (1 + a) Q - b W, and only its
+    WaveState checks it: two FFT calls beside the polynomials' four.  A
+    stack is one batch with one target pair per member, each solved on its
+    own, so its row equals its projection alone, and a member that never
+    moves keeps its samples.
     """
-    grid, g = state.grid, state.g
-    cW, cQ = to_spectrum(state.W), to_spectrum(state.Q)
-    W, Wa = state.W, grid.ixi * cW
-    from_spectrum(Wa, out=Wa)
-    V = _shell_velocity(grid, cQ)
-    E, I, D = _shell_invariants(grid, g, cW, cQ, W, Wa, V)
-    gE, gI = _shell_gradients(grid, g, cW, cQ, W, Wa, D, V)
-    M = _shell_gram((gE, gI), g, grid)
-    target = np.array([E_target, I_target]).T  # one (E, I) row per member
-    tol = 1e-14 * np.maximum(np.abs(target).max(-1), 1e-300)
-    rhs = target - np.array([E, I]).T
-    live, moved = np.ones(E.shape, bool), np.zeros(E.shape, bool)
-    for _ in range(4):
-        live &= ~(np.abs(rhs).max(-1) < tol)
-        if live.any():
-            ok, ds = _solve_2x2(M, rhs)
-            live &= ok
-        if not live.any():
-            break
-        on = live[..., None]
-        ds = _where(on, ds, 0.0)
-        a, b = ds[..., :1], ds[..., 1:]
-        cW = _where(on, cW + a * gE[0] + b * gI[0], cW)
-        cQ = _where(on, cQ + a * gE[1] + b * gI[1], cQ)
-        W, Wa = from_spectrum(cW), grid.ixi * cW
-        from_spectrum(Wa, out=Wa)
-        require_valid(grid, Wa, (cQ,), W)
-        moved |= live
-        E, I, D = _shell_invariants(grid, g, cW, cQ, W, Wa,
-                                    _shell_velocity(grid, cQ))
-        rhs = target - np.array([E, I]).T
-        dd = np.where(live, np.vecdot(ds, ds), 1.0)
-        M -= rhs[..., :, None] * ds[..., None, :] / dd[..., None, None]
-    if not moved.any():
+    coefficients, (w1, w2) = _shell_polynomials(state)
+    targets = np.empty((len(coefficients), 2))
+    targets[:, 0], targets[:, 1] = E_target, I_target
+    steps = [_shell_newton(c, *t) for c, t in zip(coefficients.tolist(),
+                                                   targets.tolist())]
+    if all(ab is None for ab in steps):
         return state
-    keep = moved[..., None]
-    return state.with_fields(_where(keep, W, state.W),
-                             _where(keep, from_spectrum(cQ), state.Q))
+    lead = state.W.shape[:-1] + (1,)
+    moved = np.array([ab is not None for ab in steps]).reshape(lead)
+    a, b = np.array([ab or (0.0, 0.0) for ab in steps]).T.reshape((2,) + lead)
+    W = state.W + a * w1 + b * w2
+    Q = (1.0 + a) * state.Q - b * state.W
+    return state.with_fields(_where(moved, W, state.W),
+                             _where(moved, Q, state.Q))
 
 
 Observer = Callable[[int, float, WaveState], None]

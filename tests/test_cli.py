@@ -622,6 +622,19 @@ def test_degenerate_experiment_values_exit_2(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("lam", [0.0, -2.0])
+def test_scaling_check_refuses_a_lam_that_is_not_positive(tmp_path, capsys,
+                                                          lam):
+    # scale_state refuses such a lam; the config refuses it first, so no
+    # run directory is made
+    p = _write_config(tmp_path / "c.json", {"experiment": {"lam": lam}})
+    out = tmp_path / "run"
+    assert main(["scaling-check", "--config", p, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: experiment.lam must be positive\n"
+    assert not out.exists()
+
+
 _RANGE = "must be two numbers, low <= high"
 
 

@@ -173,7 +173,7 @@ def test_symbols_built_once_per_grid(grid):
     assert grid.tilbert_symbol is grid.tilbert_symbol
     for name in ("tanh", "neg_index", "tilbert_symbol", "inv_tilbert_symbol",
                  "lh", "sech2", "dealias_mask", "dealias_symbol", "interior",
-                 "tanh2", "lh2"):
+                 "tanh2"):
         assert not getattr(grid, name).flags.writeable, name
     assert grid.tilbert_symbol[grid.nyquist_index] == 0.0
     assert grid.inv_tilbert_symbol[0] == 0.0

@@ -4,7 +4,8 @@ A stack of B members on one grid goes through each public function of
 ``dynamics``, ``diagnostics`` and ``normalform`` that takes a ``WaveState``
 or a ``DiagState`` (and through ``holo.sobolev_norm``,
 ``holo.holomorphy_residual`` and ``reference.high_forms``) in one call, and
-member j of the result is that member's own call, bit for bit.
+member j of the result is that member's own call, bit for bit, and so
+does the invariant-shell projection of ``integrator`` on a ledger block.
 ``stack_states`` and ``unstack`` build and split the stacks themselves
 (``test_dynamics::test_stack_and_unstack``).
 """
@@ -20,7 +21,8 @@ from wavestrip.holo import holomorphy_residual, sobolev_norm
 from wavestrip import diagnostics as dg
 from wavestrip import dynamics as dy
 from wavestrip import normalform as nf
-from conftest import random_trace
+from wavestrip.integrator import _project_to_invariant_shell
+from conftest import random_trace, same_bits
 from reference import high_forms
 
 B = 3
@@ -132,6 +134,31 @@ def test_wide_stack_measure_equals_its_members(N, h):
     table = dg.measure(stack, 0.1).table([0.5] * len(scales))
     alone = [dg.measure(m, 0.1).table([m.t]) for m in dy.unstack(stack)]
     assert table.tobytes() == np.concatenate(alone).tobytes()
+
+
+@pytest.mark.parametrize("h", [1.0, 0.25])
+@pytest.mark.parametrize("N", [256, 128])
+def test_wide_stack_shell_projection_equals_its_members(N, h):
+    # a block of _block_size(grid) random members moved off their shells:
+    # each row of the projected stack is that member's own projection, bit
+    # for bit, where a split of 1 value in 1200 in the per-member solve or
+    # the stacked coefficients would show
+    grid = make_grid(2 * np.pi, N, h)
+    rng = np.random.default_rng(2 * N + int(4 * h))
+    scales = 0.2 * min(h, 1.0) * 10.0 ** rng.uniform(-2.0, 0.0,
+                                                     _block_size(grid))
+
+    def traces():
+        return np.stack([random_trace(grid, rng, scale=s) for s in scales])
+
+    s = dy.WaveState(grid, traces(), traces(), 1.0, t=0.5)
+    E, I = dy.energy(s)[0], dy.momentum(s)
+    moved = s.with_fields(1.001 * s.W, 0.998 * s.Q)
+    p = _project_to_invariant_shell(moved, E, I)
+    for j, m in enumerate(dy.unstack(moved)):
+        alone = _project_to_invariant_shell(m, E[j], I[j])
+        assert alone is not m, j
+        assert same_bits(p.W[j], alone.W) and same_bits(p.Q[j], alone.Q), j
 
 
 def test_squares_where_pow_and_product_differ():

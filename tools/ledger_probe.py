@@ -20,8 +20,8 @@ The step table times one ``integrator.step_rk4`` call, ``rk4`` and
 ``ifrk4``, for every N in 128, 256, 512, 1024 on one member and on a block
 of 4096 samples (B = 4096 / N members), in process CPU time, the median of
 seven rounds of a few calls each.  It counts the ``numpy.fft.fft`` and
-``numpy.fft.ifft`` calls of one step and times that many bare FFT pairs
-(``fft`` then ``ifft``, forward-normalized, on the same shape) in the same
+``numpy.fft.ifft`` calls of one step and times the same calls made bare
+(forward-normalized, on arrays of the shapes each call took) in the same
 rounds, alternating with the steps, so the step's time outside the FFT
 calls shows without the tracer: the last column is 1 - FFT time / step
 time.
@@ -30,8 +30,9 @@ The projection table does the same for one
 ``integrator._project_to_invariant_shell`` call, as ``simulate`` makes it:
 after one ``ifrk4`` step, onto the shells of the states before it, for
 every N in 128, 256, 512, 1024 on one member and on a 4096-sample block.
-It also counts the call's 2x2 solves (``integrator._solve_2x2`` calls),
-one per Newton iterate plus the one that stops the iteration.
+It also counts the Newton steps of each member's polynomial solve, as the
+``integrator._solve_2x2`` calls of the call over B: each step solves one
+2x2 system (a refused system ends the member's iteration without a step).
 
 BLAS runs on one thread, as in the benchmark, unless the thread variables
 say otherwise.
@@ -118,23 +119,35 @@ def _interleaved_us(runs) -> list:
 
 
 def _against_ffts(fn, x, solves=False) -> tuple:
-    """(us per call, FFT calls per call, us of as many bare FFT calls on the
-    shape of ``x``, and the call's 2x2 solves if ``solves``) of ``fn``."""
+    """(us per call, FFT calls per call, us of the same FFT calls made bare,
+    and the call's 2x2 solves if ``solves``) of ``fn``: each ``numpy.fft``
+    call of one ``fn`` call is recorded with its input's shape and replayed,
+    forward-normalized, on an array of that shape."""
     fn()
-    with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft, \
-            mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft, \
+    made = []
+
+    def recording(transform):
+        def call(a, *args, **kwargs):
+            made.append((transform, np.shape(a)))
+            return transform(a, *args, **kwargs)
+        return call
+
+    with mock.patch.object(np.fft, "fft", recording(np.fft.fft)), \
+            mock.patch.object(np.fft, "ifft", recording(np.fft.ifft)), \
             mock.patch.object(integrator, "_solve_2x2",
                               wraps=integrator._solve_2x2) as solve:
         fn()
-    ffts = fft.call_count + ifft.call_count
+    inputs = [(transform, np.ones(shape, np.complex128))
+              for transform, shape in made]
     calls = max(1, 20000 // x.size)
 
-    def pair():
-        np.fft.ifft(np.fft.fft(x, norm="forward"), norm="forward")
+    def bare():
+        for transform, a in inputs:
+            transform(a, norm="forward")
 
-    pair()
-    us, pair_us = _interleaved_us([(fn, calls), (pair, calls * ffts // 2)])
-    return (us, ffts, pair_us * ffts / 2) + ((solve.call_count,) * solves)
+    bare()
+    us, fft_us = _interleaved_us([(fn, calls), (bare, calls)])
+    return (us, len(made), fft_us) + ((solve.call_count,) * solves)
 
 
 def _states(N: int, B: int):
@@ -144,22 +157,24 @@ def _states(N: int, B: int):
 
 
 def step_probe(N: int, B: int, method: str) -> tuple[float, int, float]:
-    """(us per step, FFT calls per step, us of as many bare FFT calls) of
+    """(us per step, FFT calls per step, us of the same FFT calls bare) of
     one ``method`` step on a stack of B states at N (B = 1: one state)."""
     grid, state = _states(N, B)
     dt = suggest_dt(grid, 1.0, 0.5)
     return _against_ffts(lambda: step_rk4(state, dt, method), state.W)
 
 
-def projection_probe(N: int, B: int) -> tuple[float, int, float, int]:
-    """(us per call, FFT calls, us of as many bare FFT calls, 2x2 solves)
-    of one shell projection after an ``ifrk4`` step on B states at N."""
+def projection_probe(N: int, B: int) -> tuple[float, int, float, float]:
+    """(us per call, FFT calls, us of the same FFT calls bare, Newton steps
+    per member) of one shell projection after an ``ifrk4`` step on B
+    states at N."""
     grid, state = _states(N, B)
     E, I = energy(state)[0], momentum(state)
     moved = step_rk4(state, suggest_dt(grid, 1.0, 0.5), "ifrk4")
-    return _against_ffts(
+    us, ffts, fft_us, solves = _against_ffts(
         lambda: integrator._project_to_invariant_shell(moved, E, I),
         moved.W, solves=True)
+    return us, ffts, fft_us, solves / B
 
 
 def main() -> int:
@@ -182,12 +197,12 @@ def main() -> int:
                 print(f"{method:>6} {N:>5} {B:>3} {us:>9.0f} {ffts:>5} "
                       f"{fft_us:>9.0f} {1.0 - fft_us / us:>8.1%}",
                       flush=True)
-    print(f"\n{'N':>5} {'B':>3} {'us/call':>9} {'solves':>6} {'ffts':>5} "
+    print(f"\n{'N':>5} {'B':>3} {'us/call':>9} {'newton':>6} {'ffts':>5} "
           f"{'fft us':>9} {'non-FFT':>8}")
     for N in NS:
         for B in (1, BLOCK // N):
-            us, ffts, fft_us, solves = projection_probe(N, B)
-            print(f"{N:>5} {B:>3} {us:>9.0f} {solves:>6} {ffts:>5} "
+            us, ffts, fft_us, steps = projection_probe(N, B)
+            print(f"{N:>5} {B:>3} {us:>9.0f} {steps:>6.2f} {ffts:>5} "
                   f"{fft_us:>9.0f} {1.0 - fft_us / us:>8.1%}", flush=True)
     return 0
 
