@@ -160,7 +160,8 @@ def load_config(path: str, kind: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -755,7 +756,10 @@ def emit_report(run_dir: str) -> str:
     if not os.path.isfile(verdict_path):
         raise FileNotFoundError(f"no verdict.json in {run_dir}")
     with open(verdict_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("verdict.json is nested too deeply") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("kind"), str)
             and doc["kind"] in _KINDS):
         raise ValueError("verdict.json names no known experiment kind")

@@ -162,6 +162,17 @@ class SpectralGrid:
         return _frozen(pa), _frozen(pb)
 
     @cached_property
+    def parseval_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~wavestrip.holo.flip_combine`'s symbols
+        ((tanh2 + 1)/2, (tanh2 - 1)/2), under which
+        :func:`~wavestrip.holo.parseval_inner` is the trace inner product
+        :func:`~wavestrip.holo.inner_h`.  Both are real and held as
+        complex128, like :attr:`project_coeffs`.
+        """
+        return tuple(_frozen((0.5 * w).astype(np.complex128))
+                     for w in (self.tanh2 + 1.0, self.tanh2 - 1.0))
+
+    @cached_property
     def tanh2(self) -> np.ndarray:
         """|tilbert_symbol|^2: tanh(h xi)^2, 0 at Nyquist.
 
@@ -184,7 +195,7 @@ class SpectralGrid:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean mask keeping the 2/3-rule band |k| <= N/3."""
-        return _frozen(np.abs(self.k) <= self.N // 3)
+        return _frozen(np.abs(self.k) <= dealias_band(self))
 
     @cached_property
     def dealias_symbol(self) -> np.ndarray:

@@ -104,8 +104,9 @@ def parseval_inner(u: np.ndarray, dual: np.ndarray, grid: SpectralGrid):
     """L Re sum_k conj(dual_k) u_k, one value per member.  With ``dual`` the
     :func:`flip_combine` of v's spectrum under ((w_re + w_im)/2,
     (w_re - w_im)/2) for real, even weights, it is by Parseval L Re sum_k
-    [w_re Re-u_k conj(Re-v_k) + w_im Im-u_k conj(Im-v_k)]: :func:`inner_h`
-    at (``grid.tanh2``, 1)."""
+    [w_re Re-u_k conj(Re-v_k) + w_im Im-u_k conj(Im-v_k)], and under
+    ``grid.parseval_weights``, where (w_re, w_im) = (``grid.tanh2``, 1), it
+    is :func:`inner_h`."""
     return grid.L * np.vecdot(dual, u).real
 
 

@@ -14,10 +14,10 @@ to the fluctuating part of both fields (zero modes are gauge scalars and
 pass through), so states stay holomorphic traces modulo their means.
 ``project_energy`` adds the projection onto the initial (energy, momentum)
 shell (:func:`_project_to_invariant_shell`): on the plane of the two
-gradients the energy is an exact cubic and the momentum an exact quadratic
-in the two coordinates, so one batched pass of four FFT calls builds their
-coefficients, Newton's method solves each member's two scalar equations,
-and one result state is built and checked.
+gradients, in x = (1, a, b), the energy is E = G[x, x] + T[x, x, x] and
+the momentum I = H[x, x], two Gram forms and a cubic form that one batched
+pass of four FFT calls builds.  Newton's method solves each member's two
+scalar equations, and a solve that stops off the shell is refused.
 
 A step and the shell projection work on the last axis: a stack of B members
 takes the FFT calls of one member, and each row equals the single-member
@@ -68,6 +68,9 @@ class SolverConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if np.isfinite(self.T_final) and np.isinf(self.T_final / self.dt):
+            raise ValueError(f"T_final {self.T_final!r} takes more steps of "
+                             f"dt {self.dt!r} than can be counted")
         # a run of no step would pass every verdict without testing anything
         if not (np.isfinite(self.T_final) and self.n_steps >= 1):
             raise ValueError(f"T_final {self.T_final!r} takes no step of "
@@ -225,59 +228,21 @@ def step_rk4(state: WaveState, dt: float, method: str = "rk4") -> WaveState:
     return state.with_fields(Wn, Qn, t=state.t + dt)
 
 
-@lru_cache(maxsize=16)
-def _shell_weights(grid: SpectralGrid):
-    """:func:`~wavestrip.holo.flip_combine`'s symbols under which
-    :func:`~wavestrip.holo.parseval_inner` is the trace inner product
-    :func:`~wavestrip.holo.inner_h`, built once per grid."""
-    return tuple(_frozen((0.5 * w).astype(np.complex128))
-                 for w in (grid.tanh2 + 1.0, grid.tanh2 - 1.0))
-
-
 # the monomials a^m b^n, as (m, n), of a cubic in (a, b)
 _MONOMIALS = [(d - n, n) for d in range(4) for n in range(d + 1)]
 
 
-@lru_cache(maxsize=16)
-def _collector(g: float, dx: float) -> np.ndarray:
-    """The matrix taking the 47 pairings of :func:`_shell_polynomials` to
-    the ten coefficients of E and then the ten of I, in :data:`_MONOMIALS`
-    order, for gravity ``g`` and node spacing ``dx``.
+def _monomial_sums(degree: int) -> np.ndarray:
+    """The 0/1 matrix, one row a monomial of :data:`_MONOMIALS`, adding the
+    flattened entries of a form of ``degree`` in x = (1, a, b) into its
+    coefficients: a^m b^n takes each entry with m 1s and n 2s as indices."""
+    sums = np.zeros((len(_MONOMIALS), 3 ** degree))
+    for col, idx in enumerate(product(range(3), repeat=degree)):
+        sums[_MONOMIALS.index((idx.count(1), idx.count(2))), col] = 1.0
+    return _frozen(sums)
 
-    The pairings are the 5 x 4 trace inner products <u_i, v_k> of
-    u = (W, dE_W, dI_W, V(Q), V(W)) and v = (W, dE_W, dI_W, Q), row by row,
-    then the 27 sums Re sum w_i w_j,alpha conj(d_k) over the samples w, the
-    slopes and the dealiased duals d of the W-directions.  On the plane
-    each direction is a linear form in x = (1, a, b): W' = x . (W, dE_W,
-    dI_W), the rows of ``xw``, and Q' = (x0 + x1) Q - x2 W, the rows of
-    ``yq`` for its Q and W parts.  E takes g/4 <w_i, w_k>,
-    -1/4 <V(y_j), y_k> and g/2 dx times each cubic sum; I takes
-    1/2 <V(y_j), w_k>.  Each adds its weight times the product of its
-    directions' forms to the coefficients: the term x_i x_j (x_k) of the
-    product is a^m b^n with m ones and n twos among i j (k).
-    """
-    xw = np.eye(3)
-    yq = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
 
-    def column(weight, *forms):
-        col = np.zeros(len(_MONOMIALS))
-        for idx in product(range(3), repeat=len(forms)):
-            col[_MONOMIALS.index((idx.count(1), idx.count(2)))] += np.prod(
-                [f[i] for f, i in zip(forms, idx)])
-        return weight * col
-
-    def pair(i, k):
-        return 4 * i + k
-    E, I = np.zeros((2, len(_MONOMIALS), 47))
-    for i, k in product(range(3), repeat=2):
-        E[:, pair(i, k)] = column(0.25 * g, xw[i], xw[k])
-    for j, (k, v) in product(range(2), ((0, 3), (1, 0))):
-        E[:, pair(3 + j, v)] = column(-0.25, yq[j], yq[k])
-    for j, k in product(range(2), range(3)):
-        I[:, pair(3 + j, k)] = column(0.5, yq[j], xw[k])
-    for n, idx in enumerate(product(range(3), repeat=3)):
-        E[:, 20 + n] = column(0.5 * g * dx, *xw[list(idx)])
-    return _frozen(np.concatenate((E, I)))
+_SUMS2, _SUMS3 = _monomial_sums(2), _monomial_sums(3)
 
 
 def _cubic(c, a: float, b: float):
@@ -298,14 +263,17 @@ def _shell_polynomials(state: WaveState):
     plane x + a dE + b dI, one row a member, and the samples of dE_W and
     dI_W.
 
-    There W' = W + a dE_W + b dI_W and Q' = (1 + a) Q - b W, and both
-    :func:`~wavestrip.dynamics.energy`'s first form, g/4 <W', W'>
-    - 1/4 <Q', V(Q')> + g/2 <D(W'), W'> with V(Q) = T^{-1} Q_alpha and D(W)
-    the dealiased W W_alpha, and the momentum 1/2 <V(Q'), W'> are sums of
-    pairings of the directions (:func:`_collector`).  Four FFT calls, each
-    for the whole stack: W and Q; W_alpha and T W_alpha; W W_alpha and
-    conj(W) T W_alpha, for dE_W; the samples, slopes and dealiased duals of
-    the directions.
+    In x = (1, a, b) the plane's directions are (w_i, q_i) = (W, Q),
+    (dE_W, Q) and (dI_W, -W), so :func:`~wavestrip.dynamics.energy`'s
+    first form is E = G[x, x] + T[x, x, x] and the momentum I = H[x, x]:
+    G = g/4 <w_i, w_k> - 1/4 <V(q_i), q_k> and H = 1/2 <V(q_i), w_k>, V the
+    inverse Tilbert transform of d/dalpha, from one Gram block of (w, V(q))
+    against the duals of (w, q), and T = g/2 dx Re sum w_i w_j,alpha
+    conj(d_k) over the samples, slopes and dealiased duals d of the w.
+    :data:`_SUMS2` and :data:`_SUMS3` add each form into its monomials.
+    Four FFT calls for the stack: W and Q; W_alpha and its Tilbert
+    transform; their products with W and conj(W); the w's samples, slopes
+    and duals.
     """
     grid, g = state.grid, state.g
     mask, ixi, W = grid.dealias_symbol, grid.ixi, state.W
@@ -316,20 +284,25 @@ def _shell_polynomials(state: WaveState):
     D, corr = spectra = to_spectrum(np.array((W * Wa, np.conj(W) * TWa)))
     np.multiply(mask, spectra, out=spectra)
     corr = grid.inv_tilbert_symbol * project_spectrum(corr, grid, out=corr)
-    V = grid.inv_tilbert_symbol * (ixi * np.array((cQ, cW)))
-    X = np.array((cW, mask * (cW + D - corr), V[0] / g, cQ))
+    q = np.array((cQ, cQ, -cW))
+    Vq = grid.inv_tilbert_symbol * (ixi * q)
+    w = np.array((cW, mask * (cW + D - corr), Vq[0] / g))
     # <u, v> is parseval_inner(u, dual of v)
-    dual = flip_combine(X, _shell_weights(grid), grid)
-    P = parseval_inner(np.concatenate((X[:3], V))[:, None], dual[None], grid)
-    f = np.concatenate((X[1:3], ixi * X[1:3], mask * dual[:3]))
+    dual = flip_combine(np.concatenate((w, q)), grid.parseval_weights, grid)
+    P = parseval_inner(np.concatenate((w, Vq))[:, None], dual[None], grid)
+    f = np.concatenate((w[1:], ixi * w[1:], mask * dual[:3]))
     from_spectrum(f, out=f)
-    w, wa = np.array((W, f[0], f[1])), np.array((Wa, f[2], f[3]))
-    C = np.vecdot(f[4:], (w[:, None] * wa[None])[:, :, None]).real
-    lead = W.shape[:-1]
-    entries = np.concatenate((P.reshape((20,) + lead),
-                              C.reshape((27,) + lead)))
-    entries = np.ascontiguousarray(entries.reshape(47, -1).T)
-    return np.vecdot(entries[:, None], _collector(g, grid.L / grid.N)), f[:2]
+    ws, wa = np.array((W, f[0], f[1])), np.array((Wa, f[2], f[3]))
+    C = np.vecdot(f[4:], (ws[:, None] * wa[None])[:, :, None]).real
+
+    def monomials(form, sums):
+        """A form's coefficients, from its entries as one row a member."""
+        rows = np.ascontiguousarray(form.reshape(sums.shape[1], -1).T)
+        return np.vecdot(rows[:, None], sums)
+    E = (monomials(0.25 * g * P[:3, :3] - 0.25 * P[3:, 3:], _SUMS2)
+         + monomials((0.5 * g * grid.L / grid.N) * C, _SUMS3))
+    I = monomials(0.5 * P[3:, :3], _SUMS2)
+    return np.concatenate((E, I), axis=-1), f[:2]
 
 
 def _solve_2x2(M, rhs):
@@ -389,28 +362,38 @@ def _project_to_invariant_shell(state: WaveState, E_target,
     x + a dE + b dI the energy is an exact cubic and the momentum an exact
     quadratic in (a, b) (:func:`_shell_polynomials`), so Newton's method
     runs on their coefficients with the exact Jacobian and lands on the
-    shell to round-off (:func:`_shell_newton`: a 1e-14 stop, refusal above
-    condition number 1e12, at most four steps).  The result is built in
-    physical space, W + a dE_W + b dI_W and (1 + a) Q - b W, and only its
-    WaveState checks it: two FFT calls beside the polynomials' four.  A
-    stack is one batch with one target pair per member, each solved on its
-    own, so its row equals its projection alone, and a member that never
-    moves keeps its samples.
+    shell to round-off (:func:`_shell_newton`).  The result, W + a dE_W +
+    b dI_W and (1 + a) Q - b W, is checked by its WaveState (two FFT calls
+    beside the polynomials' four); then a member whose last iterate misses
+    a target by over 1e-10 of the larger one stopped off the shell, and
+    raises :class:`~wavestrip.dynamics.InvalidState`.  Each member is solved
+    on its own, so a stack's row equals its projection alone, and a member
+    that never moves keeps its samples.
     """
     coefficients, (w1, w2) = _shell_polynomials(state)
     targets = np.empty((len(coefficients), 2))
     targets[:, 0], targets[:, 1] = E_target, I_target
-    steps = [_shell_newton(c, *t) for c, t in zip(coefficients.tolist(),
-                                                   targets.tolist())]
-    if all(ab is None for ab in steps):
-        return state
-    lead = state.W.shape[:-1] + (1,)
-    moved = np.array([ab is not None for ab in steps]).reshape(lead)
-    a, b = np.array([ab or (0.0, 0.0) for ab in steps]).T.reshape((2,) + lead)
-    W = state.W + a * w1 + b * w2
-    Q = (1.0 + a) * state.Q - b * state.W
-    return state.with_fields(_where(moved, W, state.W),
-                             _where(moved, Q, state.Q))
+    cases = list(zip(coefficients.tolist(), targets.tolist()))
+    steps = [_shell_newton(c, *t) for c, t in cases]
+    ends = [ab or (0.0, 0.0) for ab in steps]
+    result = state
+    if any(ab is not None for ab in steps):
+        lead = state.W.shape[:-1] + (1,)
+        moved = np.array([ab is not None for ab in steps]).reshape(lead)
+        a, b = np.array(ends).T.reshape((2,) + lead)
+        W = state.W + a * w1 + b * w2
+        Q = (1.0 + a) * state.Q - b * state.W
+        result = state.with_fields(_where(moved, W, state.W),
+                                   _where(moved, Q, state.Q))
+    for member, ((c, (E, I)), (a, b)) in enumerate(zip(cases, ends)):
+        miss = max(abs(E - _cubic(c[:10], a, b)[0]),
+                   abs(I - _cubic(c[10:], a, b)[0]))
+        off = miss / max(abs(E), abs(I), 1e-300)
+        if off > 1e-10:
+            raise InvalidState(f"shell projection stopped off the shell "
+                               f"(relative residual {off:.1e})",
+                               member if state.W.ndim > 1 else None)
+    return result
 
 
 Observer = Callable[[int, float, WaveState], None]

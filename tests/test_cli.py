@@ -302,6 +302,10 @@ def test_main_exit_codes(tmp_path, capsys):
                  "--out", str(out)]) == 2
 
 
+# nested past the parser's recursion limit
+_DEEP = "[" * 100000 + "]" * 100000
+
+
 def _one_error_line(err):
     return (err.startswith("error: ") and "Traceback" not in err
             and len(err.strip().splitlines()) == 1)
@@ -335,6 +339,11 @@ def test_report_subcommand_exit_codes(tmp_path, capsys):
         (failing / "verdict.json").write_text(json.dumps(doc))
         assert main(["report", "--out", str(failing)]) == 2, doc
         assert _one_error_line(capsys.readouterr().err)
+    # a document nested past the parser's recursion limit
+    (failing / "verdict.json").write_text(_DEEP)
+    assert main(["report", "--out", str(failing)]) == 2
+    assert capsys.readouterr().err == (
+        "error: verdict.json is nested too deeply\n")
     # checksum mismatch, missing artifact, missing verdict.json
     csv = out / "series.csv"
     csv.write_text(csv.read_text().replace("0.0", "0.1", 1))
@@ -687,6 +696,36 @@ def test_infinite_tolerance_is_a_config_error(tmp_path, capsys):
         data = {"grid": {"N": 64}, "init": init, block: {key: value}}
         assert _config_error_line(tmp_path, capsys, data, key) == (
             f"config error: {block}.{key} must be a finite number\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (b'{"g": 1.0}\xff', "config is not valid JSON: 'utf-8' codec can't"),
+    (f'{{"grid": {_DEEP}}}'.encode(),
+     "config is not valid JSON: maximum recursion depth exceeded"),
+], ids=["not_utf8", "nested"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, text,
+                                             message):
+    p = tmp_path / "c.json"
+    p.write_bytes(text)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}"), err
+    assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
+def test_step_count_past_any_integer_exits_2(tmp_path, capsys):
+    # T_final / dt overflows to inf, which no integer step count holds
+    p = _write_config(tmp_path / "c.json", {
+        "grid": {"N": 32},
+        "init": {"surface_modes": [{"k": 1, "amplitude": 0.01}]},
+        "solver": {"dt": 1e-300, "T_final": 1e300}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", p, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: T_final 1e+300 takes more steps of dt 1e-300 than can be "
+        "counted\n")
+    assert not any(out.iterdir())
 
 
 def test_verdict_checksums_only_own_artifacts(tmp_path):

@@ -175,6 +175,9 @@ def test_symbols_built_once_per_grid(grid):
                  "lh", "sech2", "dealias_mask", "dealias_symbol", "interior",
                  "tanh2"):
         assert not getattr(grid, name).flags.writeable, name
+    for name in ("project_coeffs", "parseval_weights"):
+        assert getattr(grid, name) is getattr(grid, name), name
+        assert not any(a.flags.writeable for a in getattr(grid, name)), name
     assert grid.tilbert_symbol[grid.nyquist_index] == 0.0
     assert grid.inv_tilbert_symbol[0] == 0.0
     assert np.all(grid.k[grid.neg_index] == np.where(

@@ -3,7 +3,9 @@ import pytest
 
 from wavestrip.grid import make_grid, from_spectrum, lh_apply, to_spectrum
 from wavestrip.holo import (
+    flip_combine,
     holo_from_real,
+    parseval_inner,
     project,
     project_spectrum,
     inner_h,
@@ -100,6 +102,18 @@ def test_inner_h_single_mode(grid):
         u = holo_from_real(np.cos(k * grid.nodes), grid)
         want = grid.L * np.tanh(grid.h * k) ** 2
         assert np.isclose(inner_h(u, u, grid), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.125, 1.0, 16.0])
+def test_parseval_inner_under_the_grids_weights_is_inner_h(h, rng):
+    # generic complex samples, the Nyquist mode included
+    grid = make_grid(2 * np.pi, 64, h)
+    u, v = rng.standard_normal((2, grid.N)) + 1j * rng.standard_normal(
+        (2, grid.N))
+    dual = flip_combine(to_spectrum(v), grid.parseval_weights, grid)
+    want = inner_h(u, v, grid)
+    assert abs(parseval_inner(to_spectrum(u), dual, grid) - want) <= (
+        1e-13 * np.sqrt(inner_h(u, u, grid) * inner_h(v, v, grid)))
 
 
 def test_inner_h_blind_to_constants(grid, rng):

@@ -35,6 +35,9 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match="takes no step"):
             SolverConfig(dt=0.1, T_final=T_final)
     assert SolverConfig(dt=0.1, T_final=0.06).n_steps == 1
+    # T_final / dt overflows to inf, which no integer step count holds
+    with pytest.raises(ValueError, match="than can be counted"):
+        SolverConfig(dt=1e-300, T_final=1e300)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T_final=1.0, observer_stride=0)
     with pytest.raises(ValueError):
@@ -433,8 +436,10 @@ def test_projected_stack_matches_its_members_bit_for_bit(method):
             alone.W, evolve(m, replace(config, project_energy=False)).W)
 
 
-def test_projected_stack_abort_carries_the_failing_members_last_good(
-        monkeypatch):
+def _abort_with_member_1_off_its_shell(monkeypatch, factor, stacked=True):
+    """The StepAbort of a projected ifrk4 run of :func:`_stack_members`
+    whose member 1 gets ``factor`` times its own energy target at step 3,
+    run as the stack or alone; checks its step and last good state."""
     members = _stack_members(2 * np.pi, 1.0, 64)
     dt = suggest_dt(members[0].grid, 1.0, 0.5)
     config = SolverConfig(dt=dt, T_final=10 * dt, method="ifrk4",
@@ -443,22 +448,37 @@ def test_projected_stack_abort_carries_the_failing_members_last_good(
     real = integrator._project_to_invariant_shell
 
     def project(state, E, I):
-        # at step 3, member 1's energy target is 1e4 times its own: its
-        # projected surface lies below the bottom, which the check of the
-        # stacked result refuses
         if 2.5 * dt < state.t < 3.5 * dt:
-            E = E * np.array([1.0, 1e4, 1.0])
+            E = E * (np.array([1.0, factor, 1.0]) if stacked else factor)
         return real(state, E, I)
 
     monkeypatch.setattr(integrator, "_project_to_invariant_shell", project)
     with pytest.raises(StepAbort) as exc:
-        evolve(stack_states(members), config)
+        evolve(stack_states(members) if stacked else members[1], config)
     assert exc.value.step_index == 3
-    assert exc.value.reason == "surface touched the bottom"
     last = exc.value.last_good
     assert last.W.shape == (64,) and last.t == want.t
     assert np.array_equal(last.W, want.W)
     assert np.array_equal(last.Q, want.Q)
+    return exc.value
+
+
+def test_projected_stack_abort_carries_the_failing_members_last_good(
+        monkeypatch):
+    # 1e4 times its energy puts member 1's projected surface below the
+    # bottom, which the check of the stacked result refuses
+    abort = _abort_with_member_1_off_its_shell(monkeypatch, 1e4)
+    assert abort.reason == "surface touched the bottom"
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_projection_that_stops_off_the_shell_aborts(monkeypatch, stacked):
+    # 100 times its energy: Newton, capped at four steps, ends on a valid
+    # surface far off that shell (E about 104 E0), which the projection
+    # refuses, alone or in the stack
+    abort = _abort_with_member_1_off_its_shell(monkeypatch, 100.0, stacked)
+    assert abort.reason.startswith(
+        "shell projection stopped off the shell (relative residual ")
 
 
 def test_projected_stack_costs_the_ffts_of_one_member(monkeypatch):

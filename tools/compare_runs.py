@@ -50,7 +50,8 @@ _PROJECT_RK4_32 = {"grid": {"N": 32},
 # that is not a power of 2, drift-scaling on two cells whose unit-depth
 # image is not the default one (h = 0.25 and L = 3; their ranges fail), and
 # simulate at N = 1024 off the unit cell, whose 15 ledger rows are measured
-# in blocks of 4 and a last block of 3
+# in blocks of 4 and a last block of 3, and simulate at graph amplitude 0.2,
+# where the projection's Newton solve takes two or three steps
 EXTRA_RUNS = (
     ("dispersion", {"solver": {"project_energy": True}}),
     ("dispersion", _PROJECT_RK4_32),
@@ -64,6 +65,10 @@ EXTRA_RUNS = (
     ("simulate", {"grid": {"N": 1024, "L": 12.566370614359172, "h": 0.5},
                   "init": {"surface_modes": [{"k": 1, "amplitude": 0.02}]},
                   "solver": {"T_final": 1.5}}),
+    ("simulate", {"grid": {"N": 64},
+                  "init": {"surface_modes": [{"k": 1, "amplitude": 0.2}],
+                           "velocity_modes": [{"k": 1, "amplitude": 0.01}]},
+                  "solver": {"T_final": 10.0}}),
 )
 
 
