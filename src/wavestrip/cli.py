@@ -289,11 +289,15 @@ def _write_verdicts(out_dir: str, kind: str, verdicts) -> None:
 # initial data and runs
 
 
-def _modes_to_real(modes, grid: SpectralGrid) -> np.ndarray:
+def _modes_to_real(modes, grid: SpectralGrid, what: str) -> np.ndarray:
     """Sum of the modes' cosines on the grid; amplitudes and phases shaped
-    (B, 1) give a stack of B fields."""
+    (B, 1) give a stack of B fields.  A mode past the dealiased band, which
+    the solver removes, is refused; ``what`` names the modes in the error."""
     out = np.zeros(grid.N)
     for m in modes:
+        if abs(m["k"]) > dealias_band(grid):
+            raise ValueError(f"{what} k={m['k']}: the solver removes modes "
+                             f"past |k| = {dealias_band(grid)} at N = {grid.N}")
         out = out + m["amplitude"] * np.cos(m["k"] * (2 * np.pi / grid.L)
                                             * grid.nodes + m.get("phase", 0.0))
     return out
@@ -309,12 +313,13 @@ def build_state(config: ExperimentConfig) -> WaveState:
     velocity = config.init.get("velocity_modes", [])
     if surface:
         from .conformal import SurfaceGraph, graph_to_holo
-        eta = _modes_to_real(surface, grid)
+        eta = _modes_to_real(surface, grid, "init.surface_modes")
         W = graph_to_holo(SurfaceGraph(grid, eta)).W
     else:
         W = np.zeros(grid.N, dtype=complex)
     if velocity:
-        Q = holo_from_real(_modes_to_real(velocity, grid), grid)
+        Q = holo_from_real(
+            _modes_to_real(velocity, grid, "init.velocity_modes"), grid)
     else:
         Q = np.zeros(grid.N, dtype=complex)
     return WaveState(grid, W, Q, config.g)
@@ -414,13 +419,10 @@ def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
     ks = exp["ks"]
     omegas, states, steps = [], [], []
     for k in ks:
-        if abs(k) > dealias_band(grid):
-            raise ValueError(f"dispersion k={k}: the solver removes modes past"
-                             f" |k| = {dealias_band(grid)} at N = {grid.N}")
         xi = 2 * np.pi * k / grid.L
         omegas.append(float(np.sqrt(g * xi * np.tanh(grid.h * xi))))
-        W = holo_from_real(exp["amplitude"] * np.cos(k * (2 * np.pi / grid.L)
-                                                     * grid.nodes), grid)
+        W = holo_from_real(_modes_to_real(
+            [{"k": k, "amplitude": exp["amplitude"]}], grid, "dispersion"), grid)
         states.append(WaveState(grid, W, np.zeros(grid.N, dtype=complex), g))
         T = exp["cycles"] * 2 * np.pi / omegas[-1]
         solver = _solver_config(config, grid, T_final=T, observer_stride=1)
@@ -487,7 +489,7 @@ def _random_states(rng, grid: SpectralGrid, g: float, n_modes: int,
                                     for d in zip(*draws))
     W = holo_from_real(_modes_to_real(
         [{"k": k + 1, "amplitude": amps[:, k], "phase": phases[:, k]}
-         for k in range(n_modes)], grid), grid)
+         for k in range(n_modes)], grid, "experiment.modes"), grid)
     # only the rows that need it are rescaled, each by its own factor
     slope = np.max(np.abs(deriv(W.real, grid)), axis=-1)
     steep = slope > 0.8
@@ -496,7 +498,8 @@ def _random_states(rng, grid: SpectralGrid, g: float, n_modes: int,
     deep = c_now <= max(c_lo, -0.9 * grid.h)
     W[deep] = W[deep] * (0.8 * c_lo / c_now[deep])[:, None]
     Q = holo_from_real(_modes_to_real(
-        [{"k": 1, "amplitude": q_amp, "phase": q_phase}], grid), grid)
+        [{"k": 1, "amplitude": q_amp, "phase": q_phase}], grid,
+        "experiment.modes"), grid)
     return WaveState(grid, W, Q, g)
 
 
@@ -623,7 +626,7 @@ def _run_conformal(config: ExperimentConfig, out_dir: str) -> list:
         {"k": 1, "amplitude": 0.05, "phase": 0.0},
         {"k": 2, "amplitude": 0.02, "phase": 0.0},
     ]
-    eta = _modes_to_real(surface, grid)
+    eta = _modes_to_real(surface, grid, "init.surface_modes")
     graph = SurfaceGraph(grid, eta)
     result = graph_to_holo(graph)
     back = holo_to_graph(result.W, grid)
@@ -826,6 +829,9 @@ def main(argv=None) -> int:
             print(emit_report(out_dir))
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     return status
 

@@ -166,8 +166,8 @@ def sobolev_Nn(diag: DiagState, n: int) -> float:
     """Sobolev ladder norm N_n = ||(g^{1/2} W, R)||_{H^{n-1} x H^{n-1/2}}, n >= 1.
 
     The n = 0 rung, the trace-space norm ||(W, Q)||_H of the
-    undifferentiated state, squared, is twice
-    :func:`wavestrip.holo.pair_form` of (W, Q) with itself.
+    undifferentiated state, squared, is g <W, W> + <L_h Q, L_h Q> in the
+    trace inner product :func:`wavestrip.holo.inner_h`.
     """
     if n < 1:
         raise ValueError("ladder norms on a DiagState need n >= 1")

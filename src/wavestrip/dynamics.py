@@ -27,7 +27,7 @@ import numpy as np
 
 from .grid import (SpectralGrid, dealias, deriv, inv_tilbert, lh_apply,
                    smooth_one_plus_T2, tilbert)
-from .holo import inner_h, pair_form, project
+from .holo import inner_h, project
 
 __all__ = [
     "InvalidState",
@@ -40,17 +40,9 @@ __all__ = [
     "coefficients",
     "diag_of",
     "rhs_full",
-    "rhs_diag",
     "taylor_field",
     "energy",
     "momentum",
-    "energy_gradient",
-    "momentum_gradient",
-    "hamiltonian_vf",
-    "momentum_vf",
-    "structure_matrix_apply",
-    "skew_check",
-    "rhs_linearized",
     "model_energies",
     "scale_state",
 ]
@@ -243,8 +235,8 @@ def coefficients(grid: SpectralGrid, g: float, bW: np.ndarray,
     return Coefficients(F=F, b=b, J=J, Y=Y, a=a, a1=a1, M=M, d=d)
 
 
-def _real_mean_projection(u: np.ndarray, grid: SpectralGrid):
-    """P[u] with its cell mean pinned real, and the imaginary constant removed.
+def _real_mean_projection(u: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """P[u] with its cell mean pinned real.
 
     Depth-gauge convention of the transport speed F = P[(Q_a - conj Q_a)/J]
     and of its linearization: the projection assigns F a complex cell mean,
@@ -258,7 +250,7 @@ def _real_mean_projection(u: np.ndarray, grid: SpectralGrid):
     p = project(dealias(u, grid), grid, "holo")
     ci = 1j * (p.sum(axis=-1, keepdims=True) / grid.N).imag
     p -= ci
-    return p, ci
+    return p
 
 
 def rhs_full(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +266,7 @@ def rhs_full(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     u = np.conj(Qa)
     np.subtract(Qa, u, out=u)
     u /= J
-    F, _ = _real_mean_projection(u, grid)
+    F = _real_mean_projection(u, grid)
     Wt = dealias(F * one_pW, grid)
     np.negative(Wt, out=Wt)
     u = np.abs(Qa)
@@ -285,22 +277,6 @@ def rhs_full(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     Qt += g * tilbert(Wv, grid)
     Qt -= project(dealias(u, grid), grid, "holo")
     return dealias(Wt, grid), dealias(Qt, grid)
-
-
-def rhs_diag(state: DiagState) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative (bW_t, R_t) of the diagonal system."""
-    grid = state.grid
-    bW, R = state.bW, state.R
-    c = coefficients(grid, state.g, bW, R)
-    one_pW = 1.0 + bW
-    bWa = deriv(bW, grid)
-    Ra = deriv(R, grid)
-    bWt = (-dealias(c.b * bWa, grid)
-           - dealias(one_pW / np.conj(one_pW) * Ra, grid)
-           + dealias(one_pW * c.M, grid))
-    Rt = (-dealias(c.b * Ra, grid)
-          + dealias(1j * (state.g * bW - c.frak_a) / one_pW, grid))
-    return dealias(bWt, grid), dealias(Rt, grid)
 
 
 def taylor_field(state: WaveState) -> tuple[np.ndarray, float, float, float]:
@@ -345,177 +321,6 @@ def momentum(state: WaveState) -> float:
     grid = state.grid
     Qa = deriv(state.Q, grid)
     return 0.5 * inner_h(state.W, inv_tilbert(Qa, grid), grid)
-
-
-def energy_gradient(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
-    """Variational gradient dE = (W + W W_alpha - T^{-1} P[conj(W) T[W_alpha]], Q)."""
-    grid = state.grid
-    Wv = state.W
-    Wa = deriv(Wv, grid)
-    corr = inv_tilbert(project(dealias(np.conj(Wv) * tilbert(Wa, grid), grid),
-                               grid, "holo"), grid)
-    gW = Wv + dealias(Wv * Wa, grid) - corr
-    return dealias(gW, grid), state.Q.copy()
-
-
-def _frame(state: WaveState):
-    """(W_alpha, Q_alpha, J) at ``state``: what every structure operator reads."""
-    grid = state.grid
-    Wa = deriv(state.W, grid)
-    return Wa, deriv(state.Q, grid), np.abs(1.0 + Wa) ** 2
-
-
-def _op_A(frame, w: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    Wa, _, J = frame
-    wa = deriv(w, grid)
-    return -dealias((1.0 + Wa)
-                    * project(dealias((wa - np.conj(wa)) / J, grid), grid, "holo"),
-                    grid)
-
-
-def _op_B(frame, q: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    _, Qa, J = frame
-    qa = deriv(q, grid)
-    term1 = -dealias(Qa * project(dealias((qa - np.conj(qa)) / J, grid),
-                                  grid, "holo"), grid)
-    mix = (project(dealias(np.conj(Qa) * qa, grid), grid, "holo")
-           + project(dealias(Qa * np.conj(qa), grid), grid, "anti"))
-    term2 = -project(dealias(mix / J, grid), grid, "holo")
-    return term1 + term2
-
-
-def _op_C(frame, w: np.ndarray, g: float, grid: SpectralGrid) -> np.ndarray:
-    Wa, _, J = frame
-    mix = (project(dealias((1.0 + np.conj(Wa)) * tilbert(w, grid), grid),
-                   grid, "holo")
-           + project(dealias((1.0 + Wa) * tilbert(np.conj(w), grid), grid),
-                     grid, "anti"))
-    return g * project(dealias(mix / J, grid), grid, "holo")
-
-
-def _structure(state: WaveState, frame, pair) -> tuple[np.ndarray, np.ndarray]:
-    w, q = (np.asarray(p, dtype=np.complex128) for p in pair)
-    grid = state.grid
-    return (_op_A(frame, q, grid),
-            _op_C(frame, w, state.g, grid) + _op_B(frame, q, grid))
-
-
-def structure_matrix_apply(state: WaveState, pair) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the Hamiltonian structure matrix [[0, A], [C, B]] at ``state``."""
-    return _structure(state, _frame(state), pair)
-
-
-def momentum_gradient(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
-    """Variational gradient of the momentum: dI = (g^{-1} T^{-1} Q_alpha, -W)."""
-    grid = state.grid
-    Qa = deriv(state.Q, grid)
-    return inv_tilbert(Qa, grid) / state.g, -state.W.copy()
-
-
-def _zero_mode_anomaly_energy(state: WaveState, Wa: np.ndarray) -> float:
-    """Gauge constant leaking into C[dE_W] on the periodic cell.
-
-    Two zero modes with no decaying-line counterpart enter the structure
-    route: T T^{-1} drops the mean mu2 of P[conj(W) T W_alpha] inside the
-    gradient, and the projected product identity at (W, W_alpha) holds only
-    up to an additive constant gamma1.  Both constants end up divided by the
-    non-constant J, so they contribute a genuinely non-constant O(eps^3)
-    artifact c P[1/J] with c = 2 Re(gamma1 + mu2); subtracting c from the
-    numerator of C removes it exactly (verified to O(eps^5) residual).
-    """
-    grid = state.grid
-    Wv = state.W
-    TWa = tilbert(Wa, grid)
-    arg = dealias(np.conj(Wv) * TWa, grid)
-    mu2 = np.mean(project(arg, grid, "holo"), axis=-1, keepdims=True)
-    inner = (tilbert(dealias(Wv * Wa, grid), grid) - arg
-             - dealias(tilbert(np.conj(Wv), grid) * Wa, grid))
-    gerbil = (project(dealias(inner, grid), grid, "holo")
-              - dealias(tilbert(Wv, grid) * Wa, grid))
-    gamma1 = np.mean(gerbil, axis=-1, keepdims=True)
-    return 2.0 * np.real(gamma1 + mu2)
-
-
-def hamiltonian_vf(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
-    """Vector field via the structure matrix applied to the energy gradient.
-
-    Includes the periodic zero-mode gauge correction (see
-    :func:`_zero_mode_anomaly_energy`); without it the route differs from
-    :func:`rhs_full` by a non-constant O(eps^3) artifact of the cell's zero
-    mode, which has no counterpart in the decaying-line calculus.  The
-    transport speed's mean is pinned real as in :func:`rhs_full`.
-    """
-    grid = state.grid
-    frame = _frame(state)
-    Wa, Qa, J = frame
-    dW, dQ = _structure(state, frame, energy_gradient(state))
-    c = _zero_mode_anomaly_energy(state, Wa)
-    corr = state.g * c * project(dealias(1.0 / J, grid), grid, "holo")
-    _, ci = _real_mean_projection((Qa - np.conj(Qa)) / J, grid)
-    dW = dW + ci * (1.0 + Wa)
-    dQ = dQ - corr + ci * Qa
-    # every pairing in the structure route is blind to additive constants in
-    # Q, so the zero mode of the Q row is a convention, not a prediction;
-    # take it from the evolution equations
-    return dW, (dQ - np.mean(dQ, axis=-1, keepdims=True)
-                + np.mean(rhs_full(state)[1], axis=-1, keepdims=True))
-
-
-def momentum_vf(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
-    """Structure matrix applied to the momentum gradient; equals (W_alpha, Q_alpha).
-
-    The periodic zero-mode anomaly of this route collapses to the single real
-    constant m_r = Re mean(1/(1+W_alpha)) - 1 (the cell mean the projections
-    assign to the antiholomorphic side), multiplying the target itself:
-    removing m_r (1 + W_alpha) from the first row and m_r Q_alpha from the
-    second closes the identity to round-off at every amplitude.
-    """
-    frame = _frame(state)
-    Wa, Qa, J = frame
-    m_r = np.mean((1.0 + np.conj(Wa)) / J, axis=-1, keepdims=True).real - 1.0
-    rw, rq = _structure(state, frame, momentum_gradient(state))
-    return rw - m_r * (1.0 + Wa), rq - m_r * Qa
-
-
-def skew_check(state: WaveState, X, Y) -> float:
-    """Normalized skew-adjointness defect of the frozen structure matrix.
-
-    The reference bilinear form is g/2 <.,.> + 1/2 <L., L.> on pairs.
-    """
-    grid = state.grid
-
-    def form(p1, p2):
-        return pair_form(p1, p2, state.g, grid)
-
-    MX = structure_matrix_apply(state, X)
-    MY = structure_matrix_apply(state, Y)
-    num = np.abs(form(MX, Y) + form(X, MY))
-    nXY = np.sqrt(form(X, X)) * np.sqrt(form(Y, Y))
-    return num / np.where(nXY > 0, nXY, 1.0)
-
-
-def rhs_linearized(state: WaveState, pair) -> tuple[np.ndarray, np.ndarray]:
-    """Linearization of the full system around ``state`` applied to (w, q)."""
-    grid = state.grid
-    g = state.g
-    w, q = (np.asarray(p, dtype=np.complex128) for p in pair)
-    Wa = deriv(state.W, grid)
-    Qa = deriv(state.Q, grid)
-    one_pW = 1.0 + Wa
-    J = np.abs(one_pW) ** 2
-    R = Qa / one_pW
-    F, _ = _real_mean_projection((Qa - np.conj(Qa)) / J, grid)
-    wa = deriv(w, grid)
-    qa = deriv(q, grid)
-    m = (qa - R * wa) / J + np.conj(R) * wa / one_pW ** 2
-    n = np.conj(R) * (qa - R * wa) / one_pW
-    # linearization of the real-zero-mode gauge applied to F above
-    Pm, _ = _real_mean_projection(m - np.conj(m), grid)
-    Pn = project(dealias(n + np.conj(n), grid), grid, "holo")
-    wt = -dealias(F * wa, grid) - dealias(Pm * one_pW, grid)
-    qt = (-dealias(F * qa, grid) - dealias(Pm * Qa, grid)
-          + g * tilbert(w, grid) - Pn)
-    return dealias(wt, grid), dealias(qt, grid)
 
 
 def scale_state(state: WaveState, lam: float) -> WaveState:

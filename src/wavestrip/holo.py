@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import SpectralGrid, from_spectrum, lh_apply, tilbert, to_spectrum
+from .grid import SpectralGrid, from_spectrum, tilbert, to_spectrum
 
 __all__ = [
     "holo_from_real",
@@ -31,7 +31,6 @@ __all__ = [
     "project",
     "parseval_inner",
     "inner_h",
-    "pair_form",
     "sobolev_weight",
     "grid_sobolev_weight",
     "sobolev_norm",
@@ -127,14 +126,6 @@ def inner_h(u: np.ndarray, v: np.ndarray, grid: SpectralGrid,
             raise ValueError("weight must be real")
         integrand = integrand * weight
     return np.sum(integrand, axis=-1) * grid.L / grid.N
-
-
-def pair_form(p1, p2, g: float, grid: SpectralGrid) -> float:
-    """Energy pairing g/2 <w1, w2> + 1/2 <L_h q1, L_h q2> of two (w, q) pairs;
-    twice its value on one pair is the squared energy norm ||(w, q)||_H^2."""
-    (w1, q1), (w2, q2) = p1, p2
-    return (0.5 * g * inner_h(w1, w2, grid)
-            + 0.5 * inner_h(lh_apply(q1, grid), lh_apply(q2, grid), grid))
 
 
 def sobolev_weight(xi: np.ndarray, h: float, s: float) -> np.ndarray:

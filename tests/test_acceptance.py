@@ -17,13 +17,9 @@ from wavestrip.dynamics import (
     WaveState,
     diag_of,
     rhs_full,
-    rhs_linearized,
     taylor_field,
     energy,
     momentum,
-    hamiltonian_vf,
-    momentum_vf,
-    skew_check,
     scale_state,
 )
 from wavestrip.integrator import SolverConfig, evolve, suggest_dt
@@ -40,7 +36,8 @@ from wavestrip.normalform import (
 )
 from wavestrip.diagnostics import sobolev_Nn
 from wavestrip import cli
-from reference import check_identities, holo_from_spectrum
+from reference import (check_identities, hamiltonian_vf, holo_from_spectrum,
+                       momentum_vf, rhs_linearized, skew_check)
 
 
 def _random_pair(grid, rng, scale=0.1):

@@ -494,6 +494,48 @@ def test_dispersion_refuses_a_mode_the_solver_removes(tmp_path, capsys, ks):
     assert not (out / "verdict.json").exists()
 
 
+@pytest.mark.parametrize("kind, key, k", [
+    ("simulate", "surface_modes", 100), ("simulate", "velocity_modes", 128),
+    ("simulate", "surface_modes", 300), ("conformal", "surface_modes", 100)],
+    ids=["past-band", "nyquist", "aliased", "conformal"])
+def test_init_refuses_a_mode_the_solver_removes(tmp_path, capsys, kind,
+                                                key, k):
+    # at N = 256 the 2/3 rule keeps |k| <= 85: the solver's first dealias
+    # removes 100 and the Nyquist mode 128, and 300 samples as mode 44; each
+    # simulate config ran to "overall: PASS" before the refusal
+    p = _write_config(tmp_path / "c.json", {
+        "grid": {"N": 256}, "solver": {"T_final": 1.0},
+        "init": {key: [{"k": 1, "amplitude": 1e-4},
+                       {"k": k, "amplitude": 1e-4}]}})
+    out = tmp_path / "run"
+    assert main([kind, "--config", p, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: init.{key} k={k}: the solver removes modes past "
+                   "|k| = 85 at N = 256\n")
+    assert not (out / "verdict.json").exists()
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # the conformal map's phase table is the first large allocation of a
+    # run on a large grid (8 GiB at N = 2^20); fail it without allocating
+    from wavestrip import conformal
+    msg = ("Unable to allocate 8.00 GiB for an array with shape "
+           "(1048576, 1024) and data type float64")
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(msg)
+
+    monkeypatch.setattr(conformal, "trig_interp", refuse)
+    p = _write_config(tmp_path / "c.json", {"grid": {"N": 64}, "init": {
+        "surface_modes": [{"k": 1, "amplitude": 0.01}]}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", p, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err), err
+    assert err == f"error: out of memory: {msg}\n"
+    assert not (out / "verdict.json").exists()
+
+
 def test_dispersion_refuses_a_mode_too_small_to_fit(tmp_path, capsys):
     # at the smallest subnormal amplitude every sampled coefficient is 0
     p = _write_config(tmp_path / "c.json",

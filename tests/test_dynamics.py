@@ -10,20 +10,17 @@ from wavestrip.dynamics import (
     coefficients,
     diag_of,
     rhs_full,
-    rhs_diag,
     taylor_field,
     energy,
     momentum,
-    hamiltonian_vf,
-    momentum_vf,
-    skew_check,
-    rhs_linearized,
     model_energies,
     scale_state,
     stack_states,
     unstack,
 )
 from conftest import same_bits, small_state, random_trace
+from reference import (hamiltonian_vf, momentum_vf, rhs_diag, rhs_linearized,
+                       skew_check)
 
 
 def _zero_state(grid, g=1.0):

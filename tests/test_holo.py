@@ -9,13 +9,12 @@ from wavestrip.holo import (
     project,
     project_spectrum,
     inner_h,
-    pair_form,
     sobolev_weight,
     sobolev_norm,
     holomorphy_residual,
 )
 from conftest import random_trace
-from reference import check_identities, holo_from_spectrum
+from reference import check_identities, holo_from_spectrum, pair_form
 
 
 def test_holo_from_real_satisfies_constraint(grid, rng):

@@ -6,12 +6,10 @@ import pytest
 
 from wavestrip.grid import (apply_multiplier, dealias, make_grid,
                             from_spectrum, to_spectrum)
-from wavestrip.holo import (holo_from_real, holomorphy_residual, pair_form,
-                            project)
+from wavestrip.holo import holo_from_real, holomorphy_residual, project
 from wavestrip.conformal import SurfaceGraph, graph_to_holo
-from wavestrip.dynamics import (WaveState, energy, energy_gradient, momentum,
-                                momentum_gradient, rhs_full, stack_states,
-                                taylor_field)
+from wavestrip.dynamics import (WaveState, energy, momentum, rhs_full,
+                                stack_states, taylor_field)
 from wavestrip.cli import _drift_profile
 from wavestrip import integrator
 from wavestrip.integrator import (
@@ -22,7 +20,8 @@ from wavestrip.integrator import (
     evolve,
 )
 from conftest import count_ffts, random_trace, same_bits, small_state
-from reference import classical_rk4, lawson_rk4
+from reference import (classical_rk4, energy_gradient, lawson_rk4,
+                       momentum_gradient, pair_form)
 
 
 def test_solver_config_validation():

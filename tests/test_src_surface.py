@@ -13,11 +13,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "wavestrip"
 
 KEPT = {
-    "hamiltonian_vf": "items 13 and 1: structure oracle, loses its corrections",
-    "momentum_vf": "items 13 and 1: structure oracle, loses its corrections",
-    "skew_check": "items 13 and 1: structure oracle",
-    "rhs_diag": "items 13 and 1: the diagonal system, rewritten with the gauge",
-    "rhs_linearized": "items 13 and 1: takes the new gauge's derivative",
     "nf_transform": "items 15 and 17: the normal-form variables",
     "holomorphy_residual": "item 8: run telemetry",
 }

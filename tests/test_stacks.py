@@ -3,7 +3,10 @@
 A stack of B members on one grid goes through each public function of
 ``dynamics``, ``diagnostics`` and ``normalform`` that takes a ``WaveState``
 or a ``DiagState`` (and through ``holo.sobolev_norm``,
-``holo.holomorphy_residual`` and ``reference.high_forms``) in one call, and
+``holo.holomorphy_residual``, ``reference.high_forms`` and the references
+to ``dynamics.rhs_full`` that ``tests/reference.py`` holds: ``rhs_diag``,
+the structure routes and their gradients, ``skew_check`` and
+``rhs_linearized``) in one call, and
 member j of the result is that member's own call, bit for bit, and so
 does the invariant-shell projection of ``integrator`` on a ledger block.
 ``stack_states`` and ``unstack`` build and split the stacks themselves
@@ -23,7 +26,7 @@ from wavestrip import dynamics as dy
 from wavestrip import normalform as nf
 from wavestrip.integrator import _project_to_invariant_shell
 from conftest import random_trace, same_bits
-from reference import high_forms
+import reference as ref
 
 B = 3
 
@@ -32,18 +35,18 @@ B = 3
 CASES = {
     "diag_of": lambda s, d, x: dy.diag_of(s),
     "rhs_full": lambda s, d, x: dy.rhs_full(s),
-    "rhs_diag": lambda s, d, x: dy.rhs_diag(d),
+    "rhs_diag": lambda s, d, x: ref.rhs_diag(d),
     "taylor_field": lambda s, d, x: dy.taylor_field(s),
     "energy": lambda s, d, x: dy.energy(s),
     "momentum": lambda s, d, x: dy.momentum(s),
-    "energy_gradient": lambda s, d, x: dy.energy_gradient(s),
-    "momentum_gradient": lambda s, d, x: dy.momentum_gradient(s),
-    "hamiltonian_vf": lambda s, d, x: dy.hamiltonian_vf(s),
-    "momentum_vf": lambda s, d, x: dy.momentum_vf(s),
-    "structure_matrix_apply": lambda s, d, x: dy.structure_matrix_apply(
+    "energy_gradient": lambda s, d, x: ref.energy_gradient(s),
+    "momentum_gradient": lambda s, d, x: ref.momentum_gradient(s),
+    "hamiltonian_vf": lambda s, d, x: ref.hamiltonian_vf(s),
+    "momentum_vf": lambda s, d, x: ref.momentum_vf(s),
+    "structure_matrix_apply": lambda s, d, x: ref.structure_matrix_apply(
         s, x[0]),
-    "skew_check": lambda s, d, x: dy.skew_check(s, x[0], x[1]),
-    "rhs_linearized": lambda s, d, x: dy.rhs_linearized(s, x[0]),
+    "skew_check": lambda s, d, x: ref.skew_check(s, x[0], x[1]),
+    "rhs_linearized": lambda s, d, x: ref.rhs_linearized(s, x[0]),
     "scale_state": lambda s, d, x: dy.scale_state(s, 2.0),
     "model_energies": lambda s, d, x: dy.model_energies(d, x[0], x[2]),
     "control_norms": lambda s, d, x: dg.control_norms(d),
@@ -53,8 +56,8 @@ CASES = {
     "nf_transform": lambda s, d, x: nf.nf_transform(s),
     "nf_energy-1": lambda s, d, x: nf.nf_energy(1, d),
     "nf_energy-2": lambda s, d, x: nf.nf_energy(2, d),
-    "high_forms-1": lambda s, d, x: high_forms(1, d),
-    "high_forms-2": lambda s, d, x: high_forms(2, d),
+    "high_forms-1": lambda s, d, x: ref.high_forms(1, d),
+    "high_forms-2": lambda s, d, x: ref.high_forms(2, d),
     "cubic_energy_high-1": lambda s, d, x: nf.cubic_energy_high(1, d),
     "cubic_energy_high-2": lambda s, d, x: nf.cubic_energy_high(2, d),
     "sobolev_norm-l2": lambda s, d, x: sobolev_norm(s.W, 1.5, s.grid),
