@@ -434,27 +434,31 @@ def _run_dispersion(config: ExperimentConfig, out_dir: str) -> list:
 
     def obs(i, t, s):
         # the ks share dt and run as one stack to the longest horizon; each
-        # keeps its samples up to its own
+        # keeps its samples up to its own, of W's -|k| coefficient
+        # a (1 + tanh(h |xi_k|)) / 2 (the surface cos(k alpha) is even in k):
+        # the +|k| one is 0 once tanh rounds to 1
         c = to_spectrum(s.W).reshape(len(ks), grid.N)
         for j, k in enumerate(ks):
             if i <= steps[j]:
-                samples[j].append(c[j, k % grid.N].real)
+                samples[j].append(c[j, -abs(k) % grid.N].real)
 
     evolve(stack_states(states),
            replace(solver, T_final=max(steps) * solver.dt), [obs])
     verdicts = []
     rows = []
     for k, omega, s in zip(ks, omegas, samples):
+        peak = np.max(np.abs(s))
         # scaled by a power of two, exact in every product and sum, so that
         # small amplitudes do not square into subnormals
-        s = np.ldexp(s, -np.frexp(np.max(np.abs(s)))[1])
+        s = np.ldexp(s, -np.frexp(peak)[1])
         # the sampled coefficient satisfies the three-term recurrence of a
         # pure cos(omega t) signal; least squares for cos(omega dt)
         num = float(np.sum(s[1:-1] * (s[2:] + s[:-2])))
         den = 2.0 * float(np.sum(s[1:-1] ** 2))
-        if den == 0.0:
-            raise ValueError(f"dispersion k={k}: the mode's samples square "
-                             "to 0, so the frequency fit has no denominator")
+        # subnormal samples are round-off, not a wave
+        if den == 0.0 or peak < np.finfo(float).tiny:
+            raise ValueError(f"dispersion k={k}: the mode's samples are too "
+                             "small to fit")
         c = num / den
         measured = np.arccos(np.clip(c, -1.0, 1.0)) / solver.dt
         rel = abs(measured - omega) / omega

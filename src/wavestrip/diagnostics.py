@@ -12,19 +12,20 @@ are not part of any proof, and the proxy is sandwiched between
 Littlewood-Paley block bounds on band-limited data (verified in the tests).
 
 Sobolev ladders use the inhomogeneous weights <D>_h = sqrt(1 + h^2 xi^2)/h,
-which stay uniform in the infinite-depth limit.  Every measurement of a
+which stay uniform in the infinite-depth limit.  The bracket and the
+dyadic masks of the bmo_h and Besov splits are cached attributes of the
+grid (``grid.bracket``, ``grid.dyadic_masks``).  Every measurement of a
 stack of states is taken per member, on the last axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
 from .grid import SpectralGrid, apply_multiplier, from_spectrum, to_spectrum
-from .holo import grid_sobolev_weight, sobolev_norm
+from .holo import sobolev_norm
 from .dynamics import WaveState, DiagState
 
 __all__ = [
@@ -81,26 +82,6 @@ class DiagnosticsRecord:
         return out
 
 
-@lru_cache(maxsize=16)
-def _dyadic_block_masks(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
-    """Frequency masks: the low block |xi| < 1/h, then dyadic shells above.
-
-    Shell j covers 1/h * 2^j <= |xi| < 1/h * 2^{j+1}; together with the low
-    block the masks partition the resolved spectrum.  Built once per grid.
-    """
-    axi = np.abs(grid.xi)
-    cut = 1.0 / grid.h
-    masks = [axi < cut]
-    lo = cut
-    top = float(np.max(axi))
-    while lo <= top:
-        masks.append((axi >= lo) & (axi < 2.0 * lo))
-        lo *= 2.0
-    for mask in masks:
-        mask.setflags(write=False)
-    return tuple(masks)
-
-
 def _sup(values: np.ndarray):
     return np.max(np.abs(values), axis=-1)
 
@@ -121,7 +102,7 @@ def bmo_proxy(values: np.ndarray, grid: SpectralGrid) -> float:
     whole number of at least 2 samples.
     """
     c = to_spectrum(values)
-    low = from_spectrum(np.where(_dyadic_block_masks(grid)[0], c, 0.0))
+    low = from_spectrum(np.where(grid.dyadic_masks[0], c, 0.0))
     high = np.asarray(values, dtype=complex) - low
     if np.isrealobj(values):
         low = low.real
@@ -142,7 +123,7 @@ def bmo_proxy(values: np.ndarray, grid: SpectralGrid) -> float:
 
 def _half_weight(values: np.ndarray, grid: SpectralGrid, s: float) -> np.ndarray:
     return apply_multiplier(np.asarray(values, dtype=complex),
-                            grid_sobolev_weight(grid, s), grid)
+                            grid.bracket ** s)
 
 
 def control_norms(diag: DiagState) -> tuple[float, float]:
@@ -152,7 +133,7 @@ def control_norms(diag: DiagState) -> tuple[float, float]:
     # Besov B^{0,inf}_2 piece: largest dyadic-block L^2 norm
     c = to_spectrum(Rh)
     besov = 0.0
-    for mask in _dyadic_block_masks(grid):
+    for mask in grid.dyadic_masks:
         block = from_spectrum(np.where(mask, c, 0.0))
         besov = np.maximum(besov, _l2(block, grid))
     A = (_sup(bW) + _sup(bW / (1.0 + bW))

@@ -219,17 +219,17 @@ def coefficients(grid: SpectralGrid, g: float, bW: np.ndarray,
     J = np.abs(one_pW) ** 2
     Y = bW / one_pW
     Ybar = np.conj(Y)
-    b = 2.0 * np.real(R - project(dealias(R * Ybar, grid), grid, "holo"))
+    b = 2.0 * np.real(R - project(dealias(R * Ybar, grid), grid))
     b = dealias(b, grid)
     # Q_alpha/J = R/(1+conj(bW)); F = b - conj(Q_alpha)/J = b - conj(R/(1+conj(bW)))
     F = dealias(b - np.conj(R) / one_pW, grid)
     Ra = deriv(R, grid)
-    a = 2.0 * np.imag(project(dealias(R * np.conj(Ra), grid), grid, "holo"))
+    a = 2.0 * np.imag(project(dealias(R * np.conj(Ra), grid), grid))
     a = dealias(a, grid)
     a1 = g * smooth_one_plus_T2(bW.real, grid)
     Ya = deriv(Y, grid)
     M = 2.0 * np.real(project(dealias(R * np.conj(Ya) - np.conj(Ra) * Y, grid),
-                              grid, "holo"))
+                              grid))
     M = dealias(M, grid)
     d = dealias(Ra / np.conj(one_pW), grid)
     return Coefficients(F=F, b=b, J=J, Y=Y, a=a, a1=a1, M=M, d=d)
@@ -247,7 +247,7 @@ def _real_mean_projection(u: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     exactly class-preserving.  The mean is taken per member of a stack, as
     ``np.mean`` takes it: the complex sum divided by N.
     """
-    p = project(dealias(u, grid), grid, "holo")
+    p = project(dealias(u, grid), grid)
     ci = 1j * (p.sum(axis=-1, keepdims=True) / grid.N).imag
     p -= ci
     return p
@@ -275,7 +275,7 @@ def rhs_full(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     Qt = dealias(F * Qa, grid)
     np.negative(Qt, out=Qt)
     Qt += g * tilbert(Wv, grid)
-    Qt -= project(dealias(u, grid), grid, "holo")
+    Qt -= project(dealias(u, grid), grid)
     return dealias(Wt, grid), dealias(Qt, grid)
 
 

@@ -9,10 +9,13 @@ Fourier-series normalization ``f(alpha) = sum_k c_k exp(i xi_k alpha)``,
 The depth enters through the Tilbert transform, the Fourier multiplier
 ``-i tanh(h xi)`` -- the finite-depth analogue of the Hilbert transform -- and
 the operators built from it (its gauged inverse, the half-order elliptic
-weight L_h, and the smoothing multiplier sech^2(h xi)).
+weight L_h, and the smoothing multiplier sech^2(h xi)), and through the
+depth-uniform bracket <xi>_h = h^{-1} (1 + h^2 xi^2)^{1/2} and the dyadic
+blocks split at frequency 1/h.
 
-Every Fourier symbol of the calculus, with its zero-mode and Nyquist
-conventions, is built once per grid as a read-only cached attribute of
+Every per-grid Fourier table -- each symbol with its zero-mode and Nyquist
+conventions, the dyadic masks, the band's FFT index -- is built once per
+grid, on a grid where (h xi)^2 is finite, as a read-only cached attribute of
 :class:`SpectralGrid`, and every transform goes through :func:`to_spectrum`
 and :func:`from_spectrum`.
 
@@ -54,7 +57,6 @@ __all__ = [
     "inv_tilbert",
     "antideriv",
     "lh_apply",
-    "lh_symbol",
     "smooth_one_plus_T2",
     "dealias",
     "dealias_band",
@@ -86,6 +88,13 @@ class SpectralGrid:
             raise ValueError(f"L must be positive, got {self.L}")
         if not (self.h > 0):
             raise ValueError(f"h must be positive, got {self.h}")
+        # every table takes h xi, the bracket its square: refuse a depth
+        # where that overflows (a Python float product gives inf, no warning)
+        top = float(np.abs(self.xi).max())
+        hxi = float(self.h) * top
+        if not np.isfinite(hxi * hxi):
+            raise ValueError(f"h = {self.h!r} is too deep for the grid: "
+                             f"(h xi)^2 overflows at |xi| = {top!r}")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -135,9 +144,56 @@ class SpectralGrid:
         return _frozen(m)
 
     @cached_property
+    def antideriv_symbol(self) -> np.ndarray:
+        """1/(i xi), the symbol of the antiderivative, 0 on the mean (no
+        preimage under d/dalpha) and (odd symbol) at Nyquist."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = 1.0 / self.ixi
+        m[0] = 0.0
+        m[self.nyquist_index] = 0.0
+        return _frozen(m)
+
+    @cached_property
     def lh(self) -> np.ndarray:
-        """Symbol of L_h, see :func:`lh_symbol`."""
-        return _frozen(lh_symbol(self.xi, self.h))
+        """Symbol of L_h = (-T_h^{-1} d/dalpha)^{1/2}: sqrt(xi coth(h xi)),
+        and at the mean its xi -> 0 limit sqrt(1/h)."""
+        xi = self.xi
+        out = np.empty_like(xi)
+        nz = xi != 0.0
+        out[nz] = np.sqrt(xi[nz] / np.tanh(self.h * xi[nz]))
+        out[~nz] = np.sqrt(1.0 / self.h)
+        return _frozen(out)
+
+    @cached_property
+    def bracket(self) -> np.ndarray:
+        """The depth-uniform bracket <xi>_h = h^{-1} sqrt(1 + h^2 xi^2); its
+        power s is the inhomogeneous Sobolev weight of order s."""
+        return _frozen(np.sqrt(1.0 + (self.h * self.xi) ** 2) / self.h)
+
+    @cached_property
+    def dyadic_masks(self) -> tuple[np.ndarray, ...]:
+        """Frequency masks: the low block |xi| < 1/h, then dyadic shells.
+
+        Shell j covers 1/h * 2^j <= |xi| < 1/h * 2^{j+1}; together with the
+        low block the masks partition the resolved spectrum.
+        """
+        axi = np.abs(self.xi)
+        lo = 1.0 / self.h
+        masks = [axi < lo]
+        while lo <= axi.max():
+            masks.append((axi >= lo) & (axi < 2.0 * lo))
+            lo *= 2.0
+        return tuple(_frozen(mask) for mask in masks)
+
+    @cached_property
+    def band_index(self) -> np.ndarray:
+        """FFT index of the dealiased band's modes -band..band, in order.
+
+        Only the normal form's band transforms read it; it is a grid table
+        because the band, :func:`dealias_band`, depends on the grid alone.
+        """
+        band = dealias_band(self)
+        return _frozen(np.arange(-band, band + 1) % self.N)
 
     @cached_property
     def interior(self) -> np.ndarray:
@@ -254,7 +310,7 @@ def _transform(f: np.ndarray, m) -> np.ndarray:
     return from_spectrum(c, out=c)
 
 
-def apply_multiplier(f: np.ndarray, m, grid: SpectralGrid) -> np.ndarray:
+def apply_multiplier(f: np.ndarray, m) -> np.ndarray:
     """Apply a Fourier multiplier ``m`` to a sampled field.
 
     ``m`` holds the per-mode values in FFT ordering, all finite: the grid's
@@ -274,12 +330,12 @@ def apply_multiplier(f: np.ndarray, m, grid: SpectralGrid) -> np.ndarray:
 
 def deriv(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Spectral derivative d/dalpha."""
-    return apply_multiplier(f, grid.ixi, grid)
+    return apply_multiplier(f, grid.ixi)
 
 
 def tilbert(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Tilbert transform: Fourier multiplier -i tanh(h xi)."""
-    return apply_multiplier(f, grid.tilbert_symbol, grid)
+    return apply_multiplier(f, grid.tilbert_symbol)
 
 
 def inv_tilbert(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -288,43 +344,23 @@ def inv_tilbert(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     The zero mode has no well-defined preimage under the Tilbert transform;
     on the periodic cell the constant is pure gauge and is mapped to 0.
     """
-    return apply_multiplier(f, grid.inv_tilbert_symbol, grid)
+    return apply_multiplier(f, grid.inv_tilbert_symbol)
 
 
 def antideriv(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Mean-free spectral antiderivative (complex samples).
-
-    The mean has no preimage under d/dalpha and the unpaired Nyquist mode
-    follows the odd-symbol convention; both map to 0.
-    """
-    c = to_spectrum(f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(grid.xi != 0.0, c / grid.ixi, 0.0)
-    a[..., grid.nyquist_index] = 0.0
-    return from_spectrum(a)
-
-
-def lh_symbol(xi: np.ndarray, h: float) -> np.ndarray:
-    """Symbol of L_h = (-T_h^{-1} d/dalpha)^{1/2}: sqrt(xi coth(h xi)).
-
-    The xi -> 0 limit of xi coth(h xi) is 1/h, giving sqrt(1/h) at the mean.
-    """
-    xi = np.asarray(xi, dtype=float)
-    out = np.empty_like(xi)
-    nz = xi != 0.0
-    out[nz] = np.sqrt(xi[nz] / np.tanh(h * xi[nz]))
-    out[~nz] = np.sqrt(1.0 / h)
-    return out
+    """Mean-free spectral antiderivative (complex samples): the multiplier
+    :attr:`SpectralGrid.antideriv_symbol`."""
+    return _transform(f, grid.antideriv_symbol)
 
 
 def lh_apply(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Apply the positive self-adjoint operator L_h."""
-    return apply_multiplier(f, grid.lh, grid)
+    return apply_multiplier(f, grid.lh)
 
 
 def smooth_one_plus_T2(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Apply 1 + T_h^2, i.e. the multiplier sech^2(h xi)."""
-    return apply_multiplier(f, grid.sech2, grid)
+    return apply_multiplier(f, grid.sech2)
 
 
 def dealias(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:

@@ -4,9 +4,10 @@ A trace ``u`` of a function holomorphic in the strip ``(-h, 0)`` and real on
 the bottom satisfies ``Im u = -T_h Re u``.  Traces are plain complex sample
 arrays on a :class:`~wavestrip.grid.SpectralGrid`, passed together with that
 grid.  This module builds such traces from a real part and provides the
-holomorphic / antiholomorphic projections, the depth-adapted inner products
-(also from two spectra by Parseval) and norms, and the residual of the
-constraint.
+holomorphic projection P (the antiholomorphic one is 1 - P), the
+depth-adapted inner products (also from two spectra by Parseval) and
+Sobolev norms, and the residual of the constraint.  Every symbol it
+multiplies by is a cached attribute of the grid.
 
 Zero-mode conventions: the underlying space does not see real constants, so
 the mean of ``Re u`` is a gauge scalar excluded from every norm.  The mean of
@@ -17,8 +18,6 @@ The holomorphy residual is therefore measured modulo the ``Im`` mean.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,8 +30,6 @@ __all__ = [
     "project",
     "parseval_inner",
     "inner_h",
-    "sobolev_weight",
-    "grid_sobolev_weight",
     "sobolev_norm",
     "holomorphy_residual",
 ]
@@ -73,9 +70,9 @@ def project_spectrum(c: np.ndarray, grid: SpectralGrid,
     return flip_combine(c, grid.project_coeffs, grid, out=out)
 
 
-def project(f: np.ndarray, grid: SpectralGrid,
-            which: str = "holo") -> np.ndarray:
-    """Holomorphic / antiholomorphic projection of a complex field.
+def project(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Holomorphic projection of a complex field; the antiholomorphic
+    projection is ``f - project(f, grid)``.
 
     Spectral form of P u = 1/2[(1 - iT)Re u + i(1 + iT^{-1})Im u]:
 
@@ -86,16 +83,10 @@ def project(f: np.ndarray, grid: SpectralGrid,
     evenly, so P + Pbar = identity including the mean.  Both cases are one
     full-length product with the grid's ``project_coeffs``.  As on the
     transform path of :mod:`wavestrip.grid`, the spectrum's buffer takes
-    the projection and then the result ("anti" takes one more buffer).
+    the projection and then the result.
     """
-    if which not in ("holo", "anti"):
-        raise ValueError(f"which must be 'holo' or 'anti', got {which!r}")
     c = to_spectrum(np.asarray(f, dtype=np.complex128))
-    if which == "holo":
-        p = project_spectrum(c, grid, out=c)
-    else:
-        p = project_spectrum(c, grid)
-        np.subtract(c, p, out=p)
+    p = project_spectrum(c, grid, out=c)
     return from_spectrum(p, out=p)
 
 
@@ -128,30 +119,17 @@ def inner_h(u: np.ndarray, v: np.ndarray, grid: SpectralGrid,
     return np.sum(integrand, axis=-1) * grid.L / grid.N
 
 
-def sobolev_weight(xi: np.ndarray, h: float, s: float) -> np.ndarray:
-    """Inhomogeneous Japanese-bracket weight (h^{-1} sqrt(1 + h^2 xi^2))^s."""
-    return (np.sqrt(1.0 + (h * np.asarray(xi, dtype=float)) ** 2) / h) ** s
-
-
-@lru_cache(maxsize=64)
-def grid_sobolev_weight(grid: SpectralGrid, s: float) -> np.ndarray:
-    """:func:`sobolev_weight` on the grid's wavenumbers, built once per
-    (grid, s) and read-only."""
-    w = sobolev_weight(grid.xi, grid.h, s)
-    w.setflags(write=False)
-    return w
-
-
 def sobolev_norm(f: np.ndarray, s: float, grid: SpectralGrid,
                  base: str = "l2") -> float:
-    """Sobolev norm with the depth-uniform bracket weight, per member.
+    """Sobolev norm with the depth-uniform bracket weight
+    ``grid.bracket ** s``, per member.
 
     base='l2'   : || <D>^s f ||_{L^2}     (used for graph-side quantities)
     base='holo' : sqrt(<v, v>) with v = <D>^s f in the trace inner product
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    c = to_spectrum(f) * grid_sobolev_weight(grid, s)
+    c = to_spectrum(f) * grid.bracket ** s
     if base == "l2":
         return np.sqrt(grid.L * np.sum(np.abs(c) ** 2, axis=-1))
     if base == "holo":

@@ -167,7 +167,7 @@ def _regauge(Wv: np.ndarray, Qv: np.ndarray, grid: SpectralGrid):
     out = []
     for v in (Wv, Qv):
         v0 = v.sum(axis=-1, keepdims=True) / grid.N
-        p = project(v - v0, grid, "holo")
+        p = project(v - v0, grid)
         p += v0
         out.append(dealias(p, grid))
     return out[0], out[1]

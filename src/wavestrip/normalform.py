@@ -356,22 +356,18 @@ def _kappa(grid: SpectralGrid) -> float:
     return 2.0 * np.pi * grid.h / grid.L
 
 
-def _band_index(grid: SpectralGrid, band: int) -> np.ndarray:
-    """Spectrum index of the integer modes -band..band, in that order."""
-    return np.arange(-band, band + 1) % grid.N
-
-
-def _band_coeffs(values: np.ndarray, grid: SpectralGrid, band: int) -> np.ndarray:
-    """Spectrum entries for integer modes -band..band as index m + band."""
+def _band_coeffs(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Spectrum entries for the band's integer modes -band..band as index
+    m + band (``grid.band_index``)."""
     # np.take keeps each member's row contiguous: BLAS sums it as if alone
-    return np.take(to_spectrum(values), _band_index(grid, band), axis=-1)
+    return np.take(to_spectrum(values), grid.band_index, axis=-1)
 
 
 def _band_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Inverse of :func:`_band_coeffs`: samples whose spectrum is ``coeffs``
     on the band and zero off it."""
     c = np.zeros(coeffs.shape[:-1] + (grid.N,), dtype=complex)
-    c[..., _band_index(grid, coeffs.shape[-1] // 2)] = coeffs
+    c[..., grid.band_index] = coeffs
     return from_spectrum(c)
 
 
@@ -402,7 +398,10 @@ def _holo_symbol_grids(band: int, kappa: float) -> dict:
         jr = j[start:start + rows, None]
         mask = (jr != 0) & (j != 0) & (jr + j != 0)
         XI, ETA = np.broadcast_arrays(kappa * jr, kappa * j)
-        for name, vals in zip(_SYMBOL_NAMES, _symbols(XI[mask], ETA[mask])):
+        # an overflowed closed form is refused below, on one line
+        with np.errstate(over="ignore"):
+            values = _symbols(XI[mask], ETA[mask])
+        for name, vals in zip(_SYMBOL_NAMES, values):
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"non-finite {name} symbol at kappa "
                                  f"{kappa!r}")
@@ -481,10 +480,9 @@ def nf_transform(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     lam = grid.h
     Wv, Qv = state.W, state.Q
     g = state.g / lam
-    band = dealias_band(grid)
-    sym = _holo_symbol_grids(band, _kappa(grid))
-    w = _band_coeffs(Wv - np.mean(Wv, -1, keepdims=True), grid, band) / lam
-    q = _band_coeffs(Qv - np.mean(Qv, -1, keepdims=True), grid, band) / lam**2
+    sym = _holo_symbol_grids(dealias_band(grid), _kappa(grid))
+    w = _band_coeffs(Wv - np.mean(Wv, -1, keepdims=True), grid) / lam
+    q = _band_coeffs(Qv - np.mean(Qv, -1, keepdims=True), grid) / lam**2
     dW, dQ = np.empty_like(_members(w)), np.empty_like(_members(q))
     for j, (wj, qj) in enumerate(zip(_members(w), _members(q))):
         # outer products: columns times rows
@@ -559,8 +557,8 @@ def _preflip_cubic(n: int, w: np.ndarray, q: np.ndarray, g: float,
     band = dealias_band(grid)
     size = 2 * band + 1
     sym = _holo_symbol_grids(band, kappa)
-    cw = _band_coeffs(w - np.mean(w, -1, keepdims=True), grid, band) / lam
-    cq = _band_coeffs(q - np.mean(q, -1, keepdims=True), grid, band) / lam**2
+    cw = _band_coeffs(w - np.mean(w, -1, keepdims=True), grid) / lam
+    cq = _band_coeffs(q - np.mean(q, -1, keepdims=True), grid) / lam**2
     cwb = _conj_flip(cw)
     cqb = _conj_flip(cq)
     # output frequency zeta = -kappa m for m = j + k in -2 band .. 2 band,

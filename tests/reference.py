@@ -67,7 +67,7 @@ def check_identities(u, v, grid):
     res1 = np.max(np.abs(prod(f, T(g)) + prod(T(f), g)
                          - T(prod(f, g) - prod(T(f), T(g)))))
     inner = T(prod(u, v)) - prod(np.conj(u), T(v)) - prod(T(np.conj(u)), v)
-    diff = project(dealias(inner, grid), grid, "holo") - prod(T(u), v)
+    diff = project(dealias(inner, grid), grid) - prod(T(u), v)
     return float(res1), float(np.max(np.abs(diff - np.mean(diff))))
 
 
@@ -133,7 +133,7 @@ def trilinear_eval(symbol, f1, f2, f3, grid):
     band = dealias_band(grid)
     size = 2 * band + 1
     f1, f2, f3 = (np.asarray(f, dtype=complex) for f in (f1, f2, f3))
-    c1, c2 = (_band_coeffs(f, grid, band) for f in (f1, f2))
+    c1, c2 = (_band_coeffs(f, grid) for f in (f1, f2))
     # third coefficient at zeta = -m for m = j + k in -2 band .. 2 band
     m = np.arange(-2 * band, 2 * band + 1)
     c3 = np.where(np.abs(m) <= grid.N // 2,
@@ -259,7 +259,7 @@ def energy_gradient(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     Wv = state.W
     Wa = deriv(Wv, grid)
     corr = inv_tilbert(project(dealias(np.conj(Wv) * tilbert(Wa, grid), grid),
-                               grid, "holo"), grid)
+                               grid), grid)
     gW = Wv + dealias(Wv * Wa, grid) - corr
     return dealias(gW, grid), state.Q.copy()
 
@@ -275,28 +275,33 @@ def _op_A(frame, w: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     Wa, _, J = frame
     wa = deriv(w, grid)
     return -dealias((1.0 + Wa)
-                    * project(dealias((wa - np.conj(wa)) / J, grid), grid, "holo"),
+                    * project(dealias((wa - np.conj(wa)) / J, grid), grid),
                     grid)
+
+
+def _project_anti(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """The antiholomorphic projection 1 - P."""
+    return f - project(f, grid)
 
 
 def _op_B(frame, q: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     _, Qa, J = frame
     qa = deriv(q, grid)
     term1 = -dealias(Qa * project(dealias((qa - np.conj(qa)) / J, grid),
-                                  grid, "holo"), grid)
-    mix = (project(dealias(np.conj(Qa) * qa, grid), grid, "holo")
-           + project(dealias(Qa * np.conj(qa), grid), grid, "anti"))
-    term2 = -project(dealias(mix / J, grid), grid, "holo")
+                                  grid), grid)
+    mix = (project(dealias(np.conj(Qa) * qa, grid), grid)
+           + _project_anti(dealias(Qa * np.conj(qa), grid), grid))
+    term2 = -project(dealias(mix / J, grid), grid)
     return term1 + term2
 
 
 def _op_C(frame, w: np.ndarray, g: float, grid: SpectralGrid) -> np.ndarray:
     Wa, _, J = frame
     mix = (project(dealias((1.0 + np.conj(Wa)) * tilbert(w, grid), grid),
-                   grid, "holo")
-           + project(dealias((1.0 + Wa) * tilbert(np.conj(w), grid), grid),
-                     grid, "anti"))
-    return g * project(dealias(mix / J, grid), grid, "holo")
+                   grid)
+           + _project_anti(dealias((1.0 + Wa) * tilbert(np.conj(w), grid),
+                                   grid), grid))
+    return g * project(dealias(mix / J, grid), grid)
 
 
 def _structure(state: WaveState, frame, pair) -> tuple[np.ndarray, np.ndarray]:
@@ -333,10 +338,10 @@ def _zero_mode_anomaly_energy(state: WaveState, Wa: np.ndarray) -> float:
     Wv = state.W
     TWa = tilbert(Wa, grid)
     arg = dealias(np.conj(Wv) * TWa, grid)
-    mu2 = np.mean(project(arg, grid, "holo"), axis=-1, keepdims=True)
+    mu2 = np.mean(project(arg, grid), axis=-1, keepdims=True)
     inner = (tilbert(dealias(Wv * Wa, grid), grid) - arg
              - dealias(tilbert(np.conj(Wv), grid) * Wa, grid))
-    gerbil = (project(dealias(inner, grid), grid, "holo")
+    gerbil = (project(dealias(inner, grid), grid)
               - dealias(tilbert(Wv, grid) * Wa, grid))
     gamma1 = np.mean(gerbil, axis=-1, keepdims=True)
     return 2.0 * np.real(gamma1 + mu2)
@@ -356,8 +361,8 @@ def hamiltonian_vf(state: WaveState) -> tuple[np.ndarray, np.ndarray]:
     Wa, Qa, J = frame
     dW, dQ = _structure(state, frame, energy_gradient(state))
     c = _zero_mode_anomaly_energy(state, Wa)
-    corr = state.g * c * project(dealias(1.0 / J, grid), grid, "holo")
-    p = project(dealias((Qa - np.conj(Qa)) / J, grid), grid, "holo")
+    corr = state.g * c * project(dealias(1.0 / J, grid), grid)
+    p = project(dealias((Qa - np.conj(Qa)) / J, grid), grid)
     ci = 1j * (p.sum(axis=-1, keepdims=True) / grid.N).imag
     dW = dW + ci * (1.0 + Wa)
     dQ = dQ - corr + ci * Qa
@@ -418,7 +423,7 @@ def rhs_linearized(state: WaveState, pair) -> tuple[np.ndarray, np.ndarray]:
     n = np.conj(R) * (qa - R * wa) / one_pW
     # linearization of the real-zero-mode gauge applied to F above
     Pm = _real_mean_projection(m - np.conj(m), grid)
-    Pn = project(dealias(n + np.conj(n), grid), grid, "holo")
+    Pn = project(dealias(n + np.conj(n), grid), grid)
     wt = -dealias(F * wa, grid) - dealias(Pm * one_pW, grid)
     qt = (-dealias(F * qa, grid) - dealias(Pm * Qa, grid)
           + g * tilbert(w, grid) - Pn)

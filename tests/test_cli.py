@@ -537,15 +537,64 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
 
 
 def test_dispersion_refuses_a_mode_too_small_to_fit(tmp_path, capsys):
-    # at the smallest subnormal amplitude every sampled coefficient is 0
+    # at the smallest subnormal amplitude every sampled coefficient is
+    # subnormal round-off or 0
     p = _write_config(tmp_path / "c.json",
                       {"experiment": {"ks": [1], "amplitude": 5e-324}})
     out = tmp_path / "run"
     assert main(["dispersion", "--config", p, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert _one_error_line(err), err
-    assert "k=1: the mode's samples square to 0" in err
+    assert "k=1: the mode's samples are too small to fit" in err
     assert not (out / "verdict.json").exists()
+
+
+@pytest.mark.parametrize("h", [4.0, 20.0])
+def test_dispersion_fits_every_mode_in_deep_water(tmp_path, h):
+    # W's +|k| coefficient is a (1 - tanh(h |xi_k|)) / 2, exactly 0 once tanh
+    # rounds to 1; the -|k| one carries the wave at every depth, for a
+    # negative k as for a positive one
+    p = _write_config(tmp_path / "c.json", {"grid": {"h": h},
+                                            "experiment": {"ks": [1, -2, 5]}})
+    out = tmp_path / "run"
+    assert main(["dispersion", "--config", p, "--out", str(out)]) == 0
+    doc = json.loads((out / "verdict.json").read_text())
+    rels = [v["measured"] for v in doc["verdicts"]]
+    assert len(rels) == 3 and max(rels) <= 1e-11, rels
+
+
+@pytest.mark.parametrize("kind, grid, message", [
+    ("simulate", {"N": 64, "h": 1e80}, "non-finite Ch symbol at kappa 1e+80"),
+    ("simulate", {"N": 64, "h": 1e160}, "h = 1e+160 is too deep for the grid"),
+    ("conformal", {"h": 1e308}, "h = 1e+308 is too deep for the grid"),
+    ("dispersion", {"h": 1e308}, "h = 1e+308 is too deep for the grid")])
+def test_a_depth_the_grid_cannot_represent_is_refused(tmp_path, capsys, kind,
+                                                      grid, message):
+    # (h xi)^2 overflows at 1e160, and the normal-form symbols at kappa 1e80:
+    # one line, exit 2 and no floating-point warning
+    p = _write_config(tmp_path / "c.json", {
+        "grid": grid, "solver": {"T_final": 0.5},
+        "init": {"surface_modes": [{"k": 1, "amplitude": 0.01}]}})
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([kind, "--config", p, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and message in err, err
+    assert caught == []
+    assert not (out / "verdict.json").exists()
+
+
+def test_a_deep_grid_that_resolves_keeps_running(tmp_path):
+    # tanh(h xi) is 1 at every mode but the mean, and every table is finite
+    p = _write_config(tmp_path / "c.json", {
+        "grid": {"N": 64, "h": 1e20}, "solver": {"T_final": 0.5},
+        "init": {"surface_modes": [{"k": 1, "amplitude": 0.01}]}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", p, "--out",
+                     str(tmp_path / "run")]) == 0
+    assert caught == []
 
 
 @pytest.mark.parametrize("amplitude", [1e-156, 1e-170])

@@ -38,9 +38,10 @@ def test_runs_include_the_extra_configs(monkeypatch):
     # the plan's runs, then the projection on the stacked kinds (default N
     # and rk4 at N = 32), simulate at N = 100, drift-scaling on the
     # (2 pi, 0.25) and (3, 1) cells, simulate at N = 1024 on the
-    # (4 pi, 0.5) cell and simulate at N = 64 and graph amplitude 0.2, where
-    # the projection takes several Newton steps; loading bench/run.py puts
-    # bench on sys.path and stops bytecode writes, both undone afterwards
+    # (4 pi, 0.5) cell, simulate at N = 64 and graph amplitude 0.2, where
+    # the projection takes several Newton steps, and dispersion and simulate
+    # on the deep grid h = 20; loading bench/run.py puts bench on sys.path
+    # and stops bytecode writes, both undone afterwards
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     runs = compare_runs._runs(compare_runs._bench_run())
@@ -55,10 +56,15 @@ def test_runs_include_the_extra_configs(monkeypatch):
             {"project_energy": True, "method": "rk4"}]
         assert [cfg.get("grid", {}).get("N") for cfg in configs] == [None, 32]
     assert [cfg["grid"] for k, cfg in extra if k == "simulate"] == [
-        {"N": 100}, {"N": 1024, "L": 4 * math.pi, "h": 0.5}, {"N": 64}]
-    assert extra[-1][1]["init"] == {
+        {"N": 100}, {"N": 1024, "L": 4 * math.pi, "h": 0.5}, {"N": 64},
+        {"N": 64, "h": 20.0}]
+    assert extra[-3][1]["init"] == {
         "surface_modes": [{"k": 1, "amplitude": 0.2}],
         "velocity_modes": [{"k": 1, "amplitude": 0.01}]}
+    assert extra[-2:] == [
+        ("dispersion", {"grid": {"h": 20.0}}),
+        ("simulate", {"grid": {"N": 64, "h": 20.0}, "init": {
+            "surface_modes": [{"k": 1, "amplitude": 0.02}]}})]
     assert [cfg for k, cfg in extra if k == "drift-scaling"][2:] == [
         {"grid": {"h": 0.25}}, {"grid": {"L": 3.0}}]
 

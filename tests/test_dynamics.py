@@ -291,11 +291,11 @@ def _rhs_full_expression(state):
     Qa = deriv(Qv, grid)
     one_pW = 1.0 + Wa
     J = np.abs(one_pW) ** 2
-    p = project(dealias((Qa - np.conj(Qa)) / J, grid), grid, "holo")
+    p = project(dealias((Qa - np.conj(Qa)) / J, grid), grid)
     F = p - 1j * np.mean(p, axis=-1, keepdims=True).imag
     Wt = -dealias(F * one_pW, grid)
     Qt = (-dealias(F * Qa, grid) + g * tilbert(Wv, grid)
-          - project(dealias(np.abs(Qa) ** 2 / J, grid), grid, "holo"))
+          - project(dealias(np.abs(Qa) ** 2 / J, grid), grid))
     return dealias(Wt, grid), dealias(Qt, grid)
 
 

@@ -12,7 +12,6 @@ from wavestrip.grid import (
     inv_tilbert,
     antideriv,
     lh_apply,
-    lh_symbol,
     smooth_one_plus_T2,
     dealias,
     dealias_band,
@@ -41,6 +40,33 @@ def test_grid_validation():
         make_grid(-1.0, 16, 1.0)
     with pytest.raises(ValueError):
         make_grid(2 * np.pi, 16, 0.0)
+
+
+@pytest.mark.parametrize("L, N, h", [(2 * np.pi, 256, 1e308),
+                                     (2 * np.pi, 64, 6e306),
+                                     (2 * np.pi, 64, 1e160),
+                                     (1e-300, 16, 1e10)])
+def test_grid_refuses_a_depth_whose_h_xi_overflows(L, N, h):
+    # (h max|xi|)^2 = (h pi N / L)^2 is not finite: the bracket squares h xi,
+    # so the grid is refused, on one line and without a floating-point
+    # warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too deep for the grid") as exc:
+            make_grid(L, N, h)
+    assert "\n" not in str(exc.value)
+
+
+def test_grid_takes_a_depth_just_below_the_overflow():
+    # the largest |xi| at N = 64 on the 2 pi cell is 32: (4e152 * 32)^2 is
+    # 1.6e308, finite, and every per-grid table builds
+    grid = make_grid(2 * np.pi, 64, 4e152)
+    assert np.isfinite((grid.h * np.max(np.abs(grid.xi))) ** 2)
+    assert np.all(grid.tanh[grid.interior] ** 2 == 1.0)
+    for name in ("tilbert_symbol", "inv_tilbert_symbol", "antideriv_symbol",
+                 "lh", "bracket", "sech2", "tanh2"):
+        assert np.all(np.isfinite(getattr(grid, name))), name
+    assert len(grid.dyadic_masks) > 1
 
 
 def test_grid_arrays(grid):
@@ -95,9 +121,11 @@ def test_inv_tilbert_inverts_on_fluctuations(grid, rng):
 
 
 def test_lh_symbol_zero_mode():
-    assert np.isclose(lh_symbol(np.array([0.0]), 0.5)[0], np.sqrt(2.0))
-    xi = np.array([1.0, -3.0])
-    assert np.allclose(lh_symbol(xi, 1.0), np.sqrt(xi / np.tanh(xi)))
+    assert np.isclose(make_grid(2 * np.pi, 16, 0.5).lh[0], np.sqrt(2.0))
+    grid = make_grid(2 * np.pi, 16, 1.0)
+    xi = grid.xi[[1, -3]]
+    assert np.array_equal(xi, [1.0, -3.0])
+    assert np.allclose(grid.lh[[1, -3]], np.sqrt(xi / np.tanh(xi)))
 
 
 def test_lh_squares_to_inv_tilbert_deriv(grid, rng):
@@ -169,17 +197,51 @@ def test_antideriv_inverts_deriv_on_fluctuations(grid):
     assert abs(np.mean(antideriv(f, grid))) < 1e-15
 
 
+@pytest.mark.parametrize("L", [2 * np.pi, 3.0, 4 * np.pi])
+@pytest.mark.parametrize("shape", [(256,), (4, 4096)])
+def test_antideriv_is_the_quotient_by_i_xi(L, shape, monkeypatch):
+    # the cached symbol 1/(i xi) multiplies as the quotient c / (i xi) does,
+    # bit for bit, over spectra that range from 1e-300 to 1e300, with the
+    # mean and the Nyquist mode sent to 0, in one fft and one ifft
+    grid = make_grid(L, shape[-1], 1.0)
+    rng = np.random.default_rng(shape[-1] + int(L))
+    c = (_samples(rng, shape)
+         * 10.0 ** rng.uniform(-300.0, 300.0, shape))
+    f = from_spectrum(c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.where(grid.xi != 0.0, to_spectrum(f) / grid.ixi, 0.0)
+    want[..., grid.nyquist_index] = 0.0
+    got, ffts = count_ffts(monkeypatch, lambda: antideriv(f, grid))
+    assert ffts == 2
+    assert same_bits(got, from_spectrum(want))
+
+
 def test_symbols_built_once_per_grid(grid):
     assert grid.tilbert_symbol is grid.tilbert_symbol
     for name in ("tanh", "neg_index", "tilbert_symbol", "inv_tilbert_symbol",
-                 "lh", "sech2", "dealias_mask", "dealias_symbol", "interior",
-                 "tanh2"):
+                 "antideriv_symbol", "lh", "bracket", "sech2", "dealias_mask",
+                 "dealias_symbol", "interior", "tanh2", "band_index"):
+        assert getattr(grid, name) is getattr(grid, name), name
         assert not getattr(grid, name).flags.writeable, name
-    for name in ("project_coeffs", "parseval_weights"):
+    for name in ("project_coeffs", "parseval_weights", "dyadic_masks"):
         assert getattr(grid, name) is getattr(grid, name), name
         assert not any(a.flags.writeable for a in getattr(grid, name)), name
     assert grid.tilbert_symbol[grid.nyquist_index] == 0.0
     assert grid.inv_tilbert_symbol[0] == 0.0
+    assert grid.antideriv_symbol[0] == 0.0
+    assert grid.antideriv_symbol[grid.nyquist_index] == 0.0
+    # today's expressions: the bracket, the dyadic partition split at 1/h
+    # and the band's FFT index
+    h, xi = grid.h, grid.xi
+    assert same_bits(grid.bracket, np.sqrt(1.0 + (h * xi) ** 2) / h)
+    masks = grid.dyadic_masks
+    assert np.array_equal(masks[0], np.abs(xi) < 1.0 / h)
+    assert np.array_equal(np.sum(masks, axis=0), np.ones(grid.N))
+    for j, mask in enumerate(masks[1:]):
+        lo = 2.0 ** j / h
+        assert np.array_equal(mask, (np.abs(xi) >= lo) & (np.abs(xi) < 2 * lo))
+    band = dealias_band(grid)
+    assert np.array_equal(grid.k[grid.band_index], np.arange(-band, band + 1))
     assert np.all(grid.k[grid.neg_index] == np.where(
         np.abs(grid.k) == grid.N // 2, grid.k, -grid.k))
 

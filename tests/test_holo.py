@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wavestrip.grid import make_grid, from_spectrum, lh_apply, to_spectrum
+from wavestrip.grid import (dealias, make_grid, from_spectrum, lh_apply,
+                            to_spectrum)
 from wavestrip.holo import (
     flip_combine,
     holo_from_real,
@@ -9,7 +10,6 @@ from wavestrip.holo import (
     project,
     project_spectrum,
     inner_h,
-    sobolev_weight,
     sobolev_norm,
     holomorphy_residual,
 )
@@ -37,24 +37,28 @@ def test_validate_rejects_nonholomorphic(grid):
 
 
 def test_projection_partition_of_identity(grid, rng):
-    f = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    total = project(f, grid, "holo") + project(f, grid, "anti")
-    assert np.allclose(total, f, atol=1e-11)
+    # f = P f + (1 - P) f splits a dealiased field into a trace and the
+    # conjugate of a trace
+    f = dealias(rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N),
+                grid)
+    p = project(f, grid)
+    assert holomorphy_residual(p, grid) < 1e-11
+    assert holomorphy_residual(np.conj(f - p), grid) < 1e-11
 
 
 def test_projection_idempotent_and_fixes_traces(grid, rng):
     u = random_trace(grid, rng)
     v = u - np.mean(u)
-    Pv = project(v, grid, "holo")
+    Pv = project(v, grid)
     assert np.allclose(Pv, v, atol=1e-10)
     # idempotency and mutual annihilation hold on the fluctuation modes;
     # the zero and Nyquist gauge modes split evenly on every application
     f = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    P1 = project(f, grid, "holo")
+    P1 = project(f, grid)
     gauge = (grid.k == 0) | (np.abs(grid.k) == grid.N // 2)
-    d1 = to_spectrum(project(P1, grid, "holo") - P1)
+    d1 = to_spectrum(project(P1, grid) - P1)
     assert np.max(np.abs(d1[~gauge])) < 1e-12
-    d2 = to_spectrum(project(P1, grid, "anti"))
+    d2 = to_spectrum(project(f - P1, grid))
     assert np.max(np.abs(d2[~gauge])) < 1e-12
 
 
@@ -76,14 +80,13 @@ def test_projection_equals_per_mode_formula(N, h):
             t = np.tanh(h * grid.xi[i])
             want[i] = 0.25 * ((2.0 - t - 1.0 / t) * c[i] + (1.0 / t - t) * cneg)
     assert np.array_equal(project_spectrum(c, grid), want)
-    assert np.array_equal(project(f, grid, "holo"), from_spectrum(want))
-    assert np.array_equal(project(f, grid, "anti"), from_spectrum(c - want))
+    assert np.array_equal(project(f, grid), from_spectrum(want))
 
 
 def test_projection_kills_conjugate_trace(grid, rng):
     u = random_trace(grid, rng)
     v = np.conj(u - np.mean(u))
-    assert np.max(np.abs(project(v, grid, "holo"))) < 1e-10
+    assert np.max(np.abs(project(v, grid))) < 1e-10
 
 
 def test_flip_relation(grid, rng):
@@ -167,8 +170,10 @@ def test_sobolev_norm_s0_is_l2(grid, rng):
 
 
 def test_sobolev_weight_depth_uniform():
-    xi = np.array([0.0, 1.0, 10.0])
-    w = sobolev_weight(xi, 2.0, 1.0)
+    grid = make_grid(2 * np.pi, 32, 2.0)
+    xi = grid.xi[[0, 1, 10]]
+    assert np.array_equal(xi, [0.0, 1.0, 10.0])
+    w = grid.bracket[[0, 1, 10]] ** 1.0
     assert np.allclose(w, np.sqrt(1 + 4 * xi ** 2) / 2.0)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavestrip import normalform
-from wavestrip.grid import make_grid, deriv, to_spectrum
+from wavestrip.grid import dealias_band, make_grid, deriv, to_spectrum
 from wavestrip.holo import inner_h
 from wavestrip.dynamics import WaveState, diag_of, scale_state
 from wavestrip.integrator import step_rk4
@@ -388,8 +388,8 @@ def _nf_transform_loop(state):
     grid = state.grid
     band = grid.N // 3
     sym = _holo_symbol_grids(band, 1.0)
-    w = _band_coeffs(state.W - np.mean(state.W), grid, band)
-    q = _band_coeffs(state.Q - np.mean(state.Q), grid, band)
+    w = _band_coeffs(state.W - np.mean(state.W), grid)
+    q = _band_coeffs(state.Q - np.mean(state.Q), grid)
     wb, qb = _conj_flip(w), _conj_flip(q)
     g = state.g
     dW = np.zeros(grid.N, dtype=complex)
@@ -435,8 +435,8 @@ def _preflip_cubic_loop(n, w, q, g, grid):
     """The seven pre-flip double sums, term by term over the lattice."""
     band = grid.N // 3
     sym = _holo_symbol_grids(band, 1.0)
-    cw = _band_coeffs(w - np.mean(w), grid, band)
-    cq = _band_coeffs(q - np.mean(q), grid, band)
+    cw = _band_coeffs(w - np.mean(w), grid)
+    cq = _band_coeffs(q - np.mean(q), grid)
     cwb, cqb = _conj_flip(cw), _conj_flip(cq)
     B = A = 0.0
     for j in range(-band, band + 1):
@@ -489,6 +489,46 @@ def test_preflip_cubic_matches_tilde_symbols(L, N, h, rng):
         assert abs(want) > 1.0
         assert np.isclose(_preflip_cubic(n, w, q, g, grid), want,
                           rtol=1e-7, atol=0.0), n
+
+
+@pytest.mark.parametrize("L, N, h", [(2 * np.pi, 256, 1.0),
+                                     (2 * np.pi, 128, 0.25),
+                                     (3.0, 64, 4.0)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_cubic_energy_is_the_flip_defect_pairing_of_the_nf_corrections(
+        L, N, h, n):
+    # the cubic part of E^n_NF pairs nf_transform's corrections (dW, dQ),
+    # scaled to the unit-depth image by 1/h and 1/h^2, with the flip
+    # defects d(m) = conj(c(m)) - c(-m) of the state's band coefficients:
+    # 2 (L/h) h^(4-2n) Re sum_m [zeta^2n d_w (g/h) dW + coth(zeta)
+    # zeta^(2n+1) d_q dQ], zeta = -kappa m.  A second reduction of the same
+    # lattice: nf_transform sums anti-diagonals, _preflip_cubic Hankel forms
+    grid = make_grid(L, N, h)
+    rng = np.random.default_rng(N)
+    scale = 0.02 * min(h, 1.0)
+    w, q = (np.stack([random_trace(grid, rng, scale=scale) for _ in range(3)])
+            for _ in range(2))
+    g = 1.3
+    Wt, Qt = nf_transform(WaveState(grid, w, q, g))
+    dW = _band_coeffs(Wt - w, grid) / h
+    dQ = _band_coeffs(Qt - q, grid) / h ** 2
+    cw = _band_coeffs(w - np.mean(w, -1, keepdims=True), grid) / h
+    cq = _band_coeffs(q - np.mean(q, -1, keepdims=True), grid) / h ** 2
+    dw, dq = (np.conj(c) - c[..., ::-1] for c in (cw, cq))
+    band = dealias_band(grid)
+    zeta = -(2 * np.pi * h / L) * np.arange(-band, band + 1)
+    with np.errstate(divide="ignore"):
+        coth = np.where(zeta == 0.0, 0.0, 1.0 / np.tanh(zeta))
+    terms = (zeta ** (2 * n) * dw * (g / h) * dW
+             + coth * zeta ** (2 * n + 1) * dq * dQ)
+    front = 2.0 * (L / h) * h ** (4 - 2 * n)
+    want = front * np.sum(terms, axis=-1).real
+    # the sum cancels: measured against the sum of its terms' sizes the
+    # two routes agree to 1.2e-15
+    size = front * np.sum(np.abs(terms), axis=-1)
+    got = _preflip_cubic(n, w, q, g, grid)
+    assert got.shape == (3,) and np.all(size > 1e-8)
+    assert np.all(np.abs(got - want) <= 1e-14 * size), (got, want)
 
 
 def test_nf_energy_quadratic_dominance(grid):

@@ -50,8 +50,10 @@ _PROJECT_RK4_32 = {"grid": {"N": 32},
 # that is not a power of 2, drift-scaling on two cells whose unit-depth
 # image is not the default one (h = 0.25 and L = 3; their ranges fail), and
 # simulate at N = 1024 off the unit cell, whose 15 ledger rows are measured
-# in blocks of 4 and a last block of 3, and simulate at graph amplitude 0.2,
-# where the projection's Newton solve takes two or three steps
+# in blocks of 4 and a last block of 3, simulate at graph amplitude 0.2,
+# where the projection's Newton solve takes two or three steps, and
+# dispersion and simulate on a deep grid (h = 20: tanh(h xi) is 1 at every
+# mode but the mean)
 EXTRA_RUNS = (
     ("dispersion", {"solver": {"project_energy": True}}),
     ("dispersion", _PROJECT_RK4_32),
@@ -69,6 +71,9 @@ EXTRA_RUNS = (
                   "init": {"surface_modes": [{"k": 1, "amplitude": 0.2}],
                            "velocity_modes": [{"k": 1, "amplitude": 0.01}]},
                   "solver": {"T_final": 10.0}}),
+    ("dispersion", {"grid": {"h": 20.0}}),
+    ("simulate", {"grid": {"N": 64, "h": 20.0},
+                  "init": {"surface_modes": [{"k": 1, "amplitude": 0.02}]}}),
 )
 
 
